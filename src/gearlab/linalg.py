@@ -1,49 +1,9 @@
-"""Small dense linear algebra: Jacobi rotations and exact integer/rational kernels."""
+"""Exact integer/rational linear algebra: Bareiss determinants, pencil
+characteristic polynomials and ranks.  Floating-point work goes to numpy."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
-
-
-def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (values, vectors) with values ascending and vectors[:, i] the
-    eigenvector for values[i].  Operates on a private copy.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt((np.tril(a, -1) ** 2).sum())
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # plane rotation J (J_pp = c, J_pq = s, J_qp = -s) zeroing a_pq
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    vals = np.diag(a).copy()
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
 
 
 def bareiss_det(mat):
@@ -74,36 +34,34 @@ def bareiss_det(mat):
     return sign * a[n - 1][n - 1]
 
 
-def lagrange_interpolate(xs, ys):
-    """Exact polynomial (ascending Fraction coefficients) through the points."""
-    m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        # basis numerator prod_{j != i} (x - x_j), built incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(m):
-            if j == i:
-                continue
-            denom *= Fraction(xs[i] - xs[j])
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= Fraction(xs[j]) * basis[t + 1]
-        scale = Fraction(ys[i]) / denom
-        for t in range(len(basis)):
-            coeffs[t] += scale * basis[t]
-    return coeffs
-
-
 def pencil_charpoly(dmat, wmat):
-    """Exact det(x*D - W) for integer matrices D, W, ascending coefficients."""
+    """Exact det(x*D - W) for integer matrices D, W, ascending coefficients.
+
+    The determinant is sampled at x = 0..n by fraction-free elimination.
+    The j-th forward difference of the samples divided by j! is the j-th
+    Newton coefficient c_j of p(x) = c_0 + x(c_1 + (x-1)(c_2 + ...)); the
+    division is exact because p has integer coefficients, and the nested
+    form is expanded from the inside out, all in integers.
+    """
     n = len(dmat)
-    xs = list(range(n + 1))
-    ys = [bareiss_det([[x0 * dmat[i][j] - wmat[i][j] for j in range(n)]
-                       for i in range(n)]) for x0 in xs]
-    coeffs = lagrange_interpolate(xs, ys)
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in coeffs]
+    diffs = [bareiss_det([[x0 * dmat[i][j] - wmat[i][j] for j in range(n)]
+                          for i in range(n)]) for x0 in range(n + 1)]
+    newton = []
+    fact = 1
+    for j in range(n + 1):
+        c, rem = divmod(diffs[0], fact)
+        assert rem == 0
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        fact *= j + 1
+    coeffs = [newton[n]]
+    for j in range(n - 1, -1, -1):
+        # coeffs <- newton[j] + (x - j) * coeffs
+        coeffs = [0] + coeffs
+        for t in range(len(coeffs) - 1):
+            coeffs[t] -= j * coeffs[t + 1]
+        coeffs[0] += newton[j]
+    return coeffs
 
 
 def fraction_rank(mat) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import (CombinatorialGraph, GearSpec, TOOTH, bipartition_sign,
                      build_gear, dual_gear, subdivide)
-from .linalg import jacobi_eigh, pencil_charpoly
+from .linalg import pencil_charpoly
 from .spectral import ScanParams, VertexConditions, scan_spectrum
 
 MODES = ("rational", "float")
@@ -91,10 +91,10 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
 
 
 def markov_spectrum(ms: MarkovSystem):
-    """Eigenvalues (ascending) and eigenvectors of M via Jacobi rotations.
+    """Eigenvalues (ascending) and eigenvectors of M via LAPACK (numpy eigh).
 
-    M is conjugated to the symmetric S = D^{1/2} M D^{-1/2}; the returned
-    vectors are eigenvectors of M itself (columns).
+    M is conjugated to the symmetric S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2};
+    the returned vectors are eigenvectors of M itself (columns).
     """
     n = ms.size
     d = np.array([float(x) for x in ms.degrees])
@@ -102,7 +102,7 @@ def markov_spectrum(ms: MarkovSystem):
     for v, row in enumerate(ms.adjacency):
         for u, wgt in row.items():
             s[v, u] = float(wgt) / math.sqrt(d[v] * d[u])
-    vals, vecs = jacobi_eigh(s)
+    vals, vecs = np.linalg.eigh(s)
     vecs = vecs / np.sqrt(d)[:, None]
     return vals, vecs
 
@@ -279,16 +279,24 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):
-    """Max-abs entry of M~ C - C M (exact zero expected in rational mode)."""
+    """Max-abs entry of M~ C - C M (exact zero expected in rational mode).
+
+    Row i is sum_k M~[i,k] C[k,:] - sum_k C[i,k] M[k,:], built from the
+    sparse rows of M~ and M (at most three entries each): O(n^2) work.
+    """
     n = src.size
-    m_src = [[src.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
-    m_dst = [[dst.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+    c = conj.C
     worst = 0
-    for i in range(n):
-        for j in range(n):
-            left = sum(m_dst[i][k] * conj.C[k][j] for k in range(n))
-            right = sum(conj.C[i][k] * m_src[k][j] for k in range(n))
-            worst = max(worst, abs(left - right))
+    for i, row in enumerate(dst.rows):
+        diff = [0] * n
+        for k, p in row.items():
+            for j, ckj in enumerate(c[k]):
+                diff[j] += p * ckj
+        for k, cik in enumerate(c[i]):
+            if cik:
+                for j, p in src.rows[k].items():
+                    diff[j] -= cik * p
+        worst = max(worst, max(map(abs, diff)))
     return worst
 
 

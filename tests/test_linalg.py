@@ -1,29 +1,10 @@
-"""Oracle checks for the exact and iterative linear algebra kernels."""
+"""Oracle checks for the exact linear algebra kernels."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from gearlab.linalg import (bareiss_det, fraction_rank, jacobi_eigh,
-                            lagrange_interpolate, pencil_charpoly, poly_eval)
-
-
-def test_jacobi_matches_numpy_on_random_symmetric():
-    rng = np.random.default_rng(42)
-    for n in (1, 2, 3, 7, 15):
-        b = rng.standard_normal((n, n))
-        s = (b + b.T) / 2
-        vals, vecs = jacobi_eigh(s)
-        assert np.abs(vals - np.linalg.eigvalsh(s)).max() < 1e-12
-        assert np.abs(s @ vecs - vecs * vals).max() < 1e-12
-        assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-12
-
-
-def test_jacobi_handles_degenerate_eigenvalues():
-    s = np.diag([2.0, 2.0, 1.0])
-    s[0, 2] = s[2, 0] = 0.3
-    vals, _ = jacobi_eigh(s)
-    assert np.abs(np.sort(vals) - np.sort(np.linalg.eigvalsh(s))).max() < 1e-13
+from gearlab.linalg import bareiss_det, fraction_rank, pencil_charpoly
 
 
 def test_bareiss_known_determinants():
@@ -43,19 +24,26 @@ def test_bareiss_matches_float_det_on_random_integers():
         assert bareiss_det(m.tolist()) == round(np.linalg.det(m))
 
 
-def test_lagrange_interpolation_recovers_polynomial():
-    coeffs = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2)]
-    xs = [0, 1, 2, 3]
-    ys = [poly_eval(coeffs, x) for x in xs]
-    assert lagrange_interpolate(xs, ys) == coeffs
-
-
 def test_pencil_charpoly_identity_pencil():
     # det(x I - companion([0,-1])) for the 2x2 rotation generator
     d = [[1, 0], [0, 1]]
     w = [[0, 1], [-1, 0]]
     assert pencil_charpoly(d, w) == [1, 0, 1]  # x^2 + 1
     assert pencil_charpoly([[1]], [[1]]) == [-1, 1]  # x - 1
+
+
+def test_pencil_charpoly_recovers_companion_polynomial():
+    # det(x*a*I - a*Comp(p)) = a^n p(x) for the companion matrix of monic p;
+    # (x-1)...(x-6) vanishes at every sample node but x = 0
+    for p in ([3, -1, 0, 2, 1], [0, 0, 0, 1], [-720, 1764, -1624, 735, -175, 21, 1]):
+        n = len(p) - 1
+        comp = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            comp[i][n - 1] = -p[i]
+        for a in (1, 3):
+            d = [[a if i == j else 0 for j in range(n)] for i in range(n)]
+            w = [[a * x for x in row] for row in comp]
+            assert pencil_charpoly(d, w) == [a ** n * c for c in p]
 
 
 def test_fraction_rank():

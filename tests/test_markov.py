@@ -1,5 +1,6 @@
 """Walk matrices, exact characteristic polynomials, and conjugators."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -89,7 +90,7 @@ def test_spectrum_matches_exact_charpoly_roots():
     assert len(coeffs) == 13 and coeffs[-1] == 1
     roots = np.sort(np.roots([float(c) for c in reversed(coeffs)]).real)
     assert np.abs(roots - vals).max() < 1e-7
-    # every Jacobi eigenvalue is a root of the exact polynomial
+    # every computed eigenvalue is a root of the exact polynomial
     for v in vals:
         assert abs(poly_eval([float(c) for c in coeffs], v)) < 1e-10
 
@@ -247,6 +248,39 @@ def test_conjugator_report_fields():
     assert rep["charpoly_equal"] is True
     assert rep["sigma_min_C"] > 1e-8
     assert rep["mode"] == "rational" and rep["w"] == "3/2"
+
+
+def dense_residual(src, dst, c):
+    """Max-abs entry of M~ C - C M from dense products (reference)."""
+    n = src.size
+    m = [[src.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+    mt = [[dst.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+    return max(abs(sum(mt[i][k] * c[k][j] for k in range(n))
+                   - sum(c[i][k] * m[k][j] for k in range(n)))
+               for i in range(n) for j in range(n))
+
+
+def perturbed(conj, i, j, delta):
+    rows = [list(row) for row in conj.C]
+    rows[i][j] += delta
+    return dataclasses.replace(conj, C=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_residual_detects_perturbed_conjugator(mode):
+    w = Fraction(3, 2) if mode == "rational" else 1.5
+    delta = Fraction(1, 7) if mode == "rational" else 1e-3
+    src, dst = walk_pair((1, 2, 3), w, mode=mode)
+    conj = build_conjugator(src, dst)
+    for i, j in ((0, 0), (3, 7), (src.size - 1, 1)):
+        bad = perturbed(conj, i, j, delta)
+        got = conjugation_residual(src, dst, bad)
+        ref = dense_residual(src, dst, bad.C)
+        assert got > 1e-6
+        if mode == "rational":
+            assert got == ref
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_conjugator_on_mixed_attachments():
