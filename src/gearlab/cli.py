@@ -19,7 +19,7 @@ from .graphs import (GearSpec, GraphError, build_fig3_pair, build_gear,
                      subdivide, validate_graph)
 from .markov import (MarkovError, characteristic_polynomial_exact,
                      conjugator_report, markov_matrix, markov_spectrum)
-from .spectral import (ScanParams, SpectralError, VertexConditions,
+from .spectral import (GAP_TOL, ScanParams, SpectralError, VertexConditions,
                        compare_spectra, scan_spectrum)
 from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
@@ -141,7 +141,7 @@ def cmd_spectrum(args):
         raise CliError(EXIT_VALIDATION, "; ".join(problems))
     params = _parse_params(args.k_max, args.params)
     try:
-        spectrum = scan_spectrum(g, VertexConditions(args.w), params, jobs=args.jobs)
+        spectrum = scan_spectrum(g, VertexConditions(args.w), params)
     except SpectralError as exc:
         raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
     _emit(gio.spectrum_to_csv(spectrum), args.output)
@@ -154,8 +154,8 @@ def cmd_compare(args):
     params = _parse_params(args.k_max, args.params)
     cond = VertexConditions(args.w)
     try:
-        s1 = scan_spectrum(g1, cond, params, jobs=args.jobs)
-        s2 = scan_spectrum(g2, cond, params, jobs=args.jobs)
+        s1 = scan_spectrum(g1, cond, params)
+        s2 = scan_spectrum(g2, cond, params)
     except SpectralError as exc:
         raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
     report = compare_spectra(s1, s2, tol=args.tol)
@@ -283,7 +283,6 @@ def build_parser():
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
     p.add_argument("--params", default=None, help="key=value overrides, comma separated")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -292,9 +291,8 @@ def build_parser():
     p.add_argument("--graph2", required=True)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=GAP_TOL)
     p.add_argument("--params", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compare)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -165,75 +164,60 @@ def _gear_path_count(cg: CombinatorialGraph) -> int:
 
 
 def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f,
-                             assignment=None, tol: float = 1e-12):
+                             assignment=None):
     """Transplant a vertex function from one subdivided gear to its dual.
 
     Slot j of each dual side/tooth path receives p_i'(slot j) + w t_i'(slot j)
     (side) and p_i'(slot j) - t_i'(slot j) (tooth), or the swapped pair when
-    assignment[i] == 1.  Values assigned to a shared vertex from several
-    paths must agree; any discrepancy above tolerance (exact in rational
-    mode) raises.  Returns (values, assignment_bits).
+    assignment[i] == 1; without ``assignment`` every index takes the first
+    form.  Values assigned to a shared vertex from several paths must agree,
+    exactly in rational mode and to 1e-12 relative in float mode, or
+    MarkovError is raised.  Returns (values, assignment_bits).
     """
     n = _gear_path_count(src.cg)
     if _gear_path_count(dst.cg) != n:
         raise MarkovError("source and target gears differ in size")
     if src.w != dst.w:
         raise MarkovError("source and target weights differ")
+    bits = tuple(assignment) if assignment is not None else (0,) * n
     w = src.w
     mf = src.apply(f)
-    side_d = [_path_derivatives(f, mf, src.cg.paths[i]) for i in range(n)]
-    tooth_d = [_path_derivatives(f, mf, src.cg.paths[n + i]) for i in range(n)]
-    exact = src.mode == "rational"
-
-    def attempt(bits):
-        out = [None] * dst.cg.vertex_count
-        for i in range(n):
-            plus = [sd + w * td for sd, td in zip(side_d[i], tooth_d[i])]
-            minus = [sd - td for sd, td in zip(side_d[i], tooth_d[i])]
-            side_vals, tooth_vals = (plus, minus) if bits[i] == 0 else (minus, plus)
-            for path, vals in ((dst.cg.paths[i], side_vals),
-                               (dst.cg.paths[n + i], tooth_vals)):
-                for vertex, val in zip(path, vals):
-                    if out[vertex] is None:
-                        out[vertex] = val
-                    elif exact:
-                        if out[vertex] != val:
-                            return None
-                    elif abs(out[vertex] - val) > tol * max(1.0, abs(val)):
-                        return None
-        return out
-
-    if assignment is not None:
-        out = attempt(tuple(assignment))
-        if out is None:
-            raise MarkovError("prescribed assignment is inconsistent at shared vertices")
-        return out, tuple(assignment)
-    candidates = [(0,) * n, (1,) * n]
-    if n <= 12:
-        candidates += [b for b in product((0, 1), repeat=n)
-                       if b not in ((0,) * n, (1,) * n)]
-    for bits in candidates:
-        out = attempt(bits)
-        if out is not None:
-            return out, bits
-    raise MarkovError("no consistent tilde assignment found")
+    out = [None] * dst.cg.vertex_count
+    worst = 0
+    for i in range(n):
+        side_d = _path_derivatives(f, mf, src.cg.paths[i])
+        tooth_d = _path_derivatives(f, mf, src.cg.paths[n + i])
+        plus = [sd + w * td for sd, td in zip(side_d, tooth_d)]
+        minus = [sd - td for sd, td in zip(side_d, tooth_d)]
+        side_vals, tooth_vals = (plus, minus) if bits[i] == 0 else (minus, plus)
+        for path, vals in ((dst.cg.paths[i], side_vals),
+                           (dst.cg.paths[n + i], tooth_vals)):
+            for vertex, val in zip(path, vals):
+                if out[vertex] is None:
+                    out[vertex] = val
+                elif out[vertex] != val:
+                    worst = max(worst, abs(out[vertex] - val) / max(1, abs(val)))
+    if worst > (0 if src.mode == "rational" else 1e-12):
+        raise MarkovError(f"assignment {bits} is inconsistent at shared vertices "
+                          f"(discrepancy {float(worst):.3e})")
+    return out, bits
 
 
 def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem, assignment=None):
-    """Matrix T of the combinatorial transplantation (column j = image of e_j)."""
+    """Matrix T of the combinatorial transplantation (column j = image of e_j).
+
+    The bits are ``assignment`` or, without it, all zero.  Each column
+    passes the shared-vertex check, so by linearity every image under T
+    is consistent.
+    """
     n = src.size
     zero = Fraction(0) if src.mode == "rational" else 0.0
     one = Fraction(1) if src.mode == "rational" else 1.0
-    if assignment is None:
-        # fix the bit pattern on a dense generic vector first
-        probe = [one * (3 * j + 1) / (2 * j + 5) if src.mode == "rational"
-                 else (3 * j + 1) / (2 * j + 5) for j in range(n)]
-        _, assignment = combinatorial_transplant(src, dst, probe)
     cols = []
     for j in range(n):
         e = [zero] * n
         e[j] = one
-        img, _ = combinatorial_transplant(src, dst, e, assignment=assignment)
+        img, assignment = combinatorial_transplant(src, dst, e, assignment)
         cols.append(img)
     t = [[cols[j][i] for j in range(n)] for i in range(n)]
     return t, assignment
@@ -375,7 +359,7 @@ def predicted_wavenumbers(ms: MarkovSystem, circle_length: int, k_limit: float):
 
 
 def crosscheck_quantum(spec: GearSpec, w, k_max: float,
-                       params: ScanParams | None = None, jobs: int = 1) -> dict:
+                       params: ScanParams | None = None) -> dict:
     """Compare the scanned quantum spectrum with the walk prediction.
 
     Nonzero quantum eigenvalues strictly below (k_max - margin)^2 must
@@ -387,7 +371,7 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float,
     g = build_gear(spec)
     cond = VertexConditions(float(w))
     params = params or ScanParams(k_max=k_max)
-    spect = scan_spectrum(g, cond, params, jobs=jobs)
+    spect = scan_spectrum(g, cond, params)
     ms = markov_matrix(subdivide(g), w, "float")
     limit = k_max - 1e-6
     circle = int(round(sum(spec.lengths)))

@@ -15,7 +15,6 @@ single analytic exception and is inserted directly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,9 @@ import numpy as np
 from .graphs import MetricGraph, TOOTH, validate_graph
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# relative eigenvalue gap below which two compared spectra agree
+GAP_TOL = 1e-8
 
 
 class SpectralError(ValueError):
@@ -161,8 +163,8 @@ def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
 
 def eigenfunction_basis(g, cond, k, params: ScanParams | None = None):
     """Orthonormal (coefficient-space) basis of the secular null space at k."""
-    tol_rank = params.rank_tol if params else 1e-9
-    tol_mult = params.mult_tol if params else 1e-8
+    tol_rank = params.rank_tol if params else ScanParams.rank_tol
+    tol_mult = params.mult_tol if params else ScanParams.mult_tol
     a = secular_matrix(g, cond, k)
     _, s, vh = np.linalg.svd(a)
     smax = s[0]
@@ -200,8 +202,7 @@ def _golden_min(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams,
-                  jobs: int = 1) -> Spectrum:
+def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) -> Spectrum:
     """Locate all eigenvalues with k in (0, k_max].
 
     lam = 0 is inserted analytically with multiplicity 1 (connected
@@ -219,11 +220,7 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams,
     def sigma(k):
         return rank_indicator(g, cond, k)[0]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sig = np.array(list(pool.map(sigma, grid)))
-    else:
-        sig = np.array([sigma(k) for k in grid])
+    sig = np.array([sigma(k) for k in grid])
 
     roots = []
     for i in range(1, len(grid) - 1):
@@ -340,7 +337,7 @@ def vertex_residual(f: Eigenfunction, cond: VertexConditions) -> float:
 # spectrum comparison
 # ---------------------------------------------------------------------------
 
-def compare_spectra(s1: Spectrum, s2: Spectrum, tol: float = 1e-8) -> dict:
+def compare_spectra(s1: Spectrum, s2: Spectrum, tol: float = GAP_TOL) -> dict:
     """Pair eigenvalues in order and report gaps and multiplicity mismatches."""
     if s1.k_max != s2.k_max:
         raise SpectralError("spectra were scanned with different k_max")
@@ -393,4 +390,4 @@ def compare_first(s1: Spectrum, s2: Spectrum, count: int) -> dict:
             mism.append({"index": i, "lam": l1, "mult_1": m1, "mult_2": m2})
         budget -= m1
     return {"max_rel_gap": max_gap, "multiplicity_mismatches": mism,
-            "pairs": pairs, "match": max_gap <= 1e-8 and not mism}
+            "pairs": pairs, "match": max_gap <= GAP_TOL and not mism}

@@ -6,17 +6,16 @@ built edgewise from first derivatives:
 
     side_i~ = p_i' + w t_i'      tooth_i~ = p_i' - t_i'        (standard)
 
-or, per index, the swapped assignment with the two target edges
-exchanged.  Which assignment applies is decided operationally: the
-candidate with vertex-condition residual below tolerance on the dual
-graph wins, and the chosen bit pattern is recorded.  Constants (lam = 0)
-are annihilated and therefore rejected.
+on every index i; the construction fixes this rule, so nothing is
+searched.  The result is checked once against the dual graph's vertex
+conditions and a violation raises.  A caller may prescribe the swapped
+form (the two target edges exchanged) per index through an explicit bit
+pattern.  Constants (lam = 0) are annihilated and therefore rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .graphs import MetricGraph, POLYGON, TOOTH
 from .spectral import (Eigenfunction, VertexConditions, evaluate,
@@ -77,45 +76,24 @@ def _assemble(f: Eigenfunction, target: MetricGraph, w: float, bits) -> Eigenfun
     return Eigenfunction(target, f.k, tuple(side + tooth))
 
 
-def transplant(f: Eigenfunction, target: MetricGraph, w: float,
-               assignment=None, residual_tol: float = 1e-8):
+def transplant(f: Eigenfunction, target: MetricGraph, w: float, assignment=None):
     """Transplant f onto the dual gear ``target``.
 
-    Returns (eigenfunction on target, TransplantMap).  When
-    ``assignment`` is None the bit pattern is searched: both uniform
-    patterns first, then (for small n) all mixtures.
+    Returns (eigenfunction on target, TransplantMap).  The bit pattern is
+    ``assignment`` when given, else the standard form (0,) * n; a vertex
+    residual of 1e-8 or more on ``target`` raises TransplantError.
     """
     if f.k <= 0:
         raise TransplantError("transplantation annihilates the lam = 0 space")
     n = gear_edge_split(f.graph)
     gear_edge_split(target)
-    cond = VertexConditions(w)
-
-    def attempt(bits):
-        ft = _assemble(f, target, w, bits)
-        return ft, vertex_residual(ft, cond)
-
-    if assignment is not None:
-        bits = tuple(assignment)
-        ft, res = attempt(bits)
-        if res >= residual_tol:
-            raise TransplantError(
-                f"prescribed assignment violates dual vertex conditions (residual {res:.3e})")
-        return ft, TransplantMap(w, f.k, bits, res)
-
-    candidates = [(0,) * n, (1,) * n]
-    if n <= 12:
-        candidates += [bits for bits in product((0, 1), repeat=n)
-                       if bits not in ((0,) * n, (1,) * n)]
-    best = None
-    for bits in candidates:
-        ft, res = attempt(bits)
-        if res < residual_tol:
-            return ft, TransplantMap(w, f.k, bits, res)
-        if best is None or res < best[1]:
-            best = (bits, res)
-    raise TransplantError(
-        f"no assignment satisfies the dual vertex conditions (best residual {best[1]:.3e})")
+    bits = tuple(assignment) if assignment is not None else (0,) * n
+    ft = _assemble(f, target, w, bits)
+    res = vertex_residual(ft, VertexConditions(w))
+    if res >= 1e-8:
+        raise TransplantError(
+            f"assignment {bits} violates the dual vertex conditions (residual {res:.3e})")
+    return ft, TransplantMap(w, f.k, bits, res)
 
 
 def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,

@@ -79,7 +79,7 @@ def test_spectrum_deterministic(tmp_path):
     run("build", "--lengths", "1,1,2", "-o", str(gpath))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run("spectrum", "--graph", str(gpath), "--k-max", "6", "-o", str(out1))
-    run("spectrum", "--graph", str(gpath), "--k-max", "6", "--jobs", "3", "-o", str(out2))
+    run("spectrum", "--graph", str(gpath), "--k-max", "6", "-o", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
 

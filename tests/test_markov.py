@@ -15,7 +15,7 @@ from gearlab import (GearSpec, build_conjugator, build_gear,
                      markov_spectrum, subdivide, transplantation_matrix)
 from gearlab.graphs import bipartition_sign
 from gearlab.linalg import fraction_rank, poly_eval
-from gearlab.markov import MarkovError, conjugation_residual, conjugator_sigma_min
+from gearlab.markov import MODES, MarkovError, conjugation_residual, conjugator_sigma_min
 
 
 def walk_pair(lengths, w, mode="rational", attachments=None):
@@ -192,6 +192,17 @@ def test_transplant_maps_eigenvectors():
         assert np.abs(md @ img - mu * img).max() <= 1e-10 * np.linalg.norm(img)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_transplant_onto_non_dual_raises(mode):
+    src, _ = walk_pair((1, 2, 3), Fraction(3, 2), mode)
+    rng = random.Random(5)
+    f = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(src.size)]
+    if mode == "float":
+        f = [float(x) for x in f]
+    with pytest.raises(MarkovError, match="discrepancy"):
+        combinatorial_transplant(src, src, f)
+
+
 def test_transplantation_matrix_rank():
     src, dst = walk_pair((1, 2, 3), Fraction(3, 2))   # bipartite: rank N - 2
     t, _ = transplantation_matrix(src, dst)
@@ -233,6 +244,12 @@ def test_conjugator_intertwines_exactly():
         conj = build_conjugator(src, dst)
         assert conjugation_residual(src, dst, conj) == 0
         assert conjugator_sigma_min(conj) > 1e-8
+    # the construction fixes the bits for every n, n = 13 included
+    src, dst = walk_pair((1,) * 12 + (2,), Fraction(3, 2),
+                         attachments=("tail", "head") * 6 + ("tail",))
+    conj = build_conjugator(src, dst)
+    assert conj.assignment == (0,) * 13
+    assert conjugation_residual(src, dst, conj) == 0
 
 
 def test_conjugator_float_mode():

@@ -110,12 +110,6 @@ def test_scan_deterministic():
     assert s1 == s2
 
 
-def test_scan_jobs_independent_of_scheduling():
-    g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
-    p = ScanParams(k_max=4.0)
-    assert scan_spectrum(g, KN, p, jobs=1) == scan_spectrum(g, KN, p, jobs=4)
-
-
 def test_scan_rejects_disconnected():
     g = MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0)))
     with pytest.raises(SpectralError):

@@ -135,3 +135,10 @@ def test_prescribed_wrong_assignment_raises():
     f = first_positive_eigenfunctions(g1, VertexConditions(1.0))[0]
     with pytest.raises(TransplantError):
         transplant(f, g2, 1.0, assignment=(1, 0, 0))
+
+
+def test_transplant_onto_non_dual_raises():
+    g1, _ = dual_pair()
+    f = first_positive_eigenfunctions(g1, VertexConditions(1.5))[0]
+    with pytest.raises(TransplantError, match="residual"):
+        transplant(f, g1, 1.5)
