@@ -21,7 +21,8 @@ from .markov import (MarkovError, characteristic_polynomial_exact,
                      conjugator_report, markov_matrix, markov_spectrum)
 from .spectral import (GAP_TOL, ScanParams, SpectralError, VertexConditions,
                        compare_spectra, scan_spectrum)
-from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
+from .zeta import (ZetaError, char_poly_symbolic, digraph_isomorphic, pencil,
+                   verify_intertwiner, zeta_equivalent)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -208,15 +209,18 @@ def cmd_conjugate(args):
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_zeta(args):
+def _digraph_pair(args):
     if args.fig6:
-        g1, g2 = fig6_digraph_pair()
-    elif args.fig2:
-        g1, g2 = fig2_control_pair()
-    else:
-        if not (args.g1 and args.g2):
-            raise CliError(EXIT_VALIDATION, "need --g1/--g2 or a fixture flag")
-        g1, g2 = _read_digraph(args.g1), _read_digraph(args.g2)
+        return fig6_digraph_pair()
+    if args.fig2:
+        return fig2_control_pair()
+    if not (args.g1 and args.g2):
+        raise CliError(EXIT_VALIDATION, "need --g1/--g2 or a fixture flag")
+    return _read_digraph(args.g1), _read_digraph(args.g2)
+
+
+def cmd_zeta(args):
+    g1, g2 = _digraph_pair(args)
     try:
         verdict = zeta_equivalent(g1, g2, trials=args.trials, seed=args.seed)
     except ZetaError as exc:
@@ -228,24 +232,15 @@ def cmd_zeta(args):
 def cmd_zeta_conjugator(args):
     report = verify_intertwiner()
     if args.dump_eta:
-        from .graphs import fig6_digraph_pair as _pair
-        from .zeta import char_poly_symbolic, pencil as _pencil
-        for dg, tag in zip(_pair(), ("g", "gt")):
-            eta = char_poly_symbolic(_pencil(dg)).substitute(y=0)
+        for dg, tag in zip(fig6_digraph_pair(), ("g", "gt")):
+            eta = char_poly_symbolic(pencil(dg))
             _emit("\n".join(eta.dump_lines()) + "\n", f"{args.dump_eta}_{tag}.poly")
     _emit_json(report, args.output)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
 def cmd_isomorphic(args):
-    if args.fig6:
-        g1, g2 = fig6_digraph_pair()
-    elif args.fig2:
-        g1, g2 = fig2_control_pair()
-    else:
-        if not (args.g1 and args.g2):
-            raise CliError(EXIT_VALIDATION, "need --g1/--g2 or a fixture flag")
-        g1, g2 = _read_digraph(args.g1), _read_digraph(args.g2)
+    g1, g2 = _digraph_pair(args)
     try:
         witness = digraph_isomorphic(g1, g2)
     except ZetaError as exc:

@@ -145,13 +145,6 @@ class CombinatorialGraph:
     vertex_roles: dict
     paths: dict
 
-    def adjacency(self):
-        adj = [dict() for _ in range(self.vertex_count)]
-        for u, v, cls in self.edges:
-            adj[u][v] = adj[u].get(v, []) + [cls]
-            adj[v][u] = adj[v].get(u, []) + [cls]
-        return adj
-
     def is_bipartite(self) -> bool:
         return bipartition_sign(self) is not None
 

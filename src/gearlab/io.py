@@ -1,4 +1,4 @@
-"""Text formats for graphs, digraphs, spectra, and JSON reports.
+"""Text formats for graphs, digraphs and spectra.
 
 Graph files are line records:  `graph <name>` / `vertices <N>` /
 `edge <id> <tail> <head> <length> <weight> <class>`; digraph files use
@@ -8,7 +8,6 @@ comment; numbers are decimal literals.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .graphs import Digraph, Edge, GraphError, MetricGraph
@@ -114,8 +113,3 @@ def spectrum_to_csv(spectrum) -> str:
     for lam, mult in spectrum.entries:
         lines.append(f"{_fmt(math.sqrt(lam))},{_fmt(lam)},{mult}")
     return "\n".join(lines) + "\n"
-
-
-def write_json(report: dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

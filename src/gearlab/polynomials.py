@@ -111,9 +111,6 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     # -- queries --------------------------------------------------------
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, degree=None):
         degs = {sum(e) for e in self.terms}
         if not degs:

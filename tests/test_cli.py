@@ -161,6 +161,16 @@ def test_zeta_conjugator(tmp_path):
     assert all(e[1] == 0 for e in exps)          # y^0 everywhere
 
 
+@pytest.mark.parametrize("command", [["zeta", "--seed", "1"], ["isomorphic"]], ids=lambda c: c[0])
+def test_digraph_pair_selection_errors(tmp_path, command):
+    a = tmp_path / "a.digraph"
+    run("build", "--lengths", "1,2,3", "--digraph", "-o", str(a))
+    assert run(*command) == 2
+    assert run(*command, "--g1", str(a)) == 2
+    assert run(*command, "--g1", str(a), "--g2", str(tmp_path / "nope.digraph")) == 1
+    assert run(*command, "--g1", str(tmp_path / "nope.digraph"), "--g2", str(a)) == 1
+
+
 def test_isomorphic_fixtures(tmp_path):
     out = tmp_path / "iso.json"
     assert run("isomorphic", "--fig6", "-o", str(out)) == 0

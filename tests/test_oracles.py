@@ -1,8 +1,8 @@
-"""Independent oracles (sympy, mpmath) for the exact and float walk kernels.
+"""Independent oracles (sympy, mpmath, networkx) for the exact kernels.
 
 sympy recomputes the characteristic polynomials and pencil determinants
-symbolically; mpmath recomputes the walk spectrum at 50 digits.  Both are
-test-only dependencies.
+symbolically; mpmath recomputes the walk spectrum at 50 digits; networkx
+decides digraph isomorphism.  All are test-only dependencies.
 """
 
 import random
@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from gearlab import (GearSpec, build_gear, characteristic_polynomial_exact,
-                     markov_matrix, markov_spectrum, subdivide)
-from gearlab.linalg import pencil_charpoly
+from gearlab import (Digraph, GearSpec, build_gear, characteristic_polynomial_exact,
+                     char_poly_symbolic, digraph_isomorphic, dual_gear, eval_det,
+                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
+                     markov_matrix, markov_spectrum, PRIME, pencil, subdivide)
+from gearlab.linalg import bareiss_det, pencil_charpoly
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -108,3 +110,117 @@ def test_markov_spectrum_matches_mpmath(lengths, attachments, w):
     for vals in (fvals, rvals):
         assert len(vals) == n
         assert max(abs(a - b) for a, b in zip(vals, exact)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# digraph pencils and isomorphism
+# ---------------------------------------------------------------------------
+
+def seeded_gear_pair(seed):
+    """Primal and dual digraphs of a random 3- or 4-gear with 8-10 vertices."""
+    rng = random.Random(seed)
+    while True:
+        lengths = tuple(rng.randint(1, 2) for _ in range(rng.choice((3, 4))))
+        if 4 <= sum(lengths) <= 5:
+            break
+    spec = GearSpec(len(lengths), lengths, "primal")
+    return gear_to_digraph(spec), gear_to_digraph(dual_gear(spec))
+
+
+PENCIL_DIGRAPHS = {
+    "fig2-112-top": fig2_control_pair((1, 1, 2))[0],
+    "fig2-112-bottom": fig2_control_pair((1, 1, 2))[1],
+    "gear-s21-primal": seeded_gear_pair(21)[0],
+    "gear-s21-dual": seeded_gear_pair(21)[1],
+    "gear-s22-primal": seeded_gear_pair(22)[0],
+    "gear-s22-dual": seeded_gear_pair(22)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_DIGRAPHS))
+def test_y0_pencil_determinant_matches_sympy(name):
+    dg = PENCIL_DIGRAPHS[name]
+    assert 8 <= dg.vertex_count <= 10
+    p = pencil(dg)
+    x, al, be, ga, de = sympy.symbols("x alpha beta gamma delta")
+    mat = sympy.Matrix(p.n, p.n, lambda i, j: al * p.A[i][j] + be * p.AT[i][j]
+                       + (x + ga * p.D_out[i] + de * p.D_in[i] if i == j else 0))
+    dm = DomainMatrix.from_Matrix(mat).convert_to(sympy.ZZ[x, al, be, ga, de])
+    expected = {(e[0], 0) + e[1:]: int(c)
+                for e, c in dm.det().to_dict().items()}
+    got = char_poly_symbolic(p).substitute(y=0)
+    assert got.terms == expected
+
+
+def test_fig6_full_determinants_differ_at_certificate_point():
+    # the point (x, y, alpha, beta, gamma, delta) with y != 0 at which
+    # verify_intertwiner reports full_determinants_equal; exact integers
+    point = (1, 1, 1, 1, 1, 1)
+    g, gt = fig6_digraph_pair()
+    exact = [bareiss_det(pencil(dg).matrix_at(point)) for dg in (g, gt)]
+    assert exact[0] != exact[1]
+    assert [eval_det(pencil(dg), point) for dg in (g, gt)] == [v % PRIME for v in exact]
+
+
+def _swap_arcs(dg, rng, swaps):
+    """Degree-preserving rewiring: (a,b),(c,d) -> (a,d),(c,b) when still simple."""
+    arcs = list(dg.arcs)
+    for _ in range(swaps):
+        i, j = rng.sample(range(len(arcs)), 2)
+        (a, b), (c, d) = arcs[i], arcs[j]
+        if a == d or c == b or (a, d) in arcs or (c, b) in arcs:
+            continue
+        arcs[i], arcs[j] = (a, d), (c, b)
+    return Digraph(dg.vertex_count, tuple(arcs))
+
+
+def _relabel(dg, rng):
+    perm = list(range(dg.vertex_count))
+    rng.shuffle(perm)
+    return Digraph(dg.vertex_count, tuple((perm[t], perm[h]) for t, h in dg.arcs))
+
+
+def _random_digraph(rng):
+    n = rng.randint(4, 8)
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    return Digraph(n, tuple(rng.sample(pairs, rng.randint(n, 2 * n))))
+
+
+def isomorphism_cases():
+    rng = random.Random(41)
+    cases = [("fig6", *fig6_digraph_pair()), ("fig2", *fig2_control_pair())]
+    g6 = fig6_digraph_pair()[0]
+    cases.append(("fig6-relabelled", g6, _relabel(g6, rng)))
+    for seed in (21, 22):
+        primal, dual = seeded_gear_pair(seed)
+        cases.append((f"gear-s{seed}-relabelled", primal, _relabel(primal, rng)))
+        cases.append((f"gear-s{seed}-dual", primal, _relabel(dual, rng)))
+    for k in range(30):
+        dg = _random_digraph(rng)
+        # even k: relabelled copy (isomorphic); odd k: same degree sequences
+        other = _relabel(dg, rng) if k % 2 == 0 else _relabel(_swap_arcs(dg, rng, 10), rng)
+        cases.append((f"random-{k}", dg, other))
+    return cases
+
+
+def test_digraph_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def to_nx(dg):
+        h = nx.DiGraph()
+        h.add_nodes_from(range(dg.vertex_count))
+        h.add_edges_from(dg.arcs)
+        return h
+
+    verdicts = []
+    for name, a, b in isomorphism_cases():
+        expected = DiGraphMatcher(to_nx(a), to_nx(b)).is_isomorphic()
+        witness = digraph_isomorphic(a, b)
+        assert (witness is not None) == expected, name
+        verdicts.append(expected)
+        if witness is not None:
+            assert sorted(witness) == list(range(a.vertex_count)), name
+            assert {(witness[t], witness[h]) for t, h in a.arcs} == b.arc_set(), name
+    # both verdicts occur, including among same-degree-sequence pairs
+    assert True in verdicts and False in verdicts

@@ -14,7 +14,6 @@ from gearlab.zeta import (ZetaError, intertwiner_12, intertwiner_det_expected,
                           random_point)
 
 X = SparsePolynomial.variable("x")
-Y = SparsePolynomial.variable("y")
 AL = SparsePolynomial.variable("alpha")
 BE = SparsePolynomial.variable("beta")
 GA = SparsePolynomial.variable("gamma")
@@ -111,22 +110,20 @@ def test_zeta_fig2_control():
 
 def test_char_poly_single_vertex():
     p = pencil(Digraph(1, ()))
-    assert char_poly_symbolic(p) == X + Y
+    assert char_poly_symbolic(p) == X
 
 
 def test_char_poly_single_arc_hand_expansion():
-    # det [[x+y+gamma, y+alpha], [y+beta, x+y+delta]] expanded brute force
+    # det [[x+gamma, alpha], [beta, x+delta]] expanded brute force
     p = pencil(single_arc())
-    expected = (X + Y + GA) * (X + Y + DE) - (Y + AL) * (Y + BE)
+    expected = (X + GA) * (X + DE) - AL * BE
     assert char_poly_symbolic(p) == expected
 
 
 def test_char_poly_homogeneous_and_y_restriction():
     g, _ = fig2_control_pair((1, 1, 2))
     p = pencil(g)
-    full = char_poly_symbolic(p)
-    assert full.is_homogeneous(p.n)
-    eta = full.substitute(y=0)
+    eta = char_poly_symbolic(p)
     assert eta.is_homogeneous(p.n)
     assert all(e[1] == 0 for e in eta.terms)
 
@@ -134,11 +131,11 @@ def test_char_poly_homogeneous_and_y_restriction():
 def test_char_poly_matches_modular_evaluation():
     g, _ = fig2_control_pair((1, 1, 2))
     p = pencil(g)
-    full = char_poly_symbolic(p)
+    eta = char_poly_symbolic(p)
     rng = random.Random(5)
     for _ in range(6):
-        pt = tuple(rng.randrange(PRIME) for _ in range(6))
-        assert full.evaluate(pt, mod=PRIME) == eval_det(p, pt)
+        pt = random_point(rng)
+        assert eta.evaluate(pt, mod=PRIME) == eval_det(p, pt)
 
 
 def test_determinant_homogeneity_at_field_points():
@@ -218,7 +215,7 @@ def test_verify_intertwiner_report():
     assert rep["det_matches"]
     assert rep["eta_equal"]
     # the all-ones term does not commute with T, and the six-variable
-    # determinants differ accordingly; equality is specific to y = 0
+    # determinants differ at a y != 0 point; equality is specific to y = 0
     assert not rep["ones_term_commutes"]
     assert not rep["full_determinants_equal"]
 
