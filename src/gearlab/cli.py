@@ -141,8 +141,9 @@ def cmd_spectrum(args):
     if problems:
         raise CliError(EXIT_VALIDATION, "; ".join(problems))
     params = _parse_params(args.k_max, args.params)
+    cond = VertexConditions(args.w)
     try:
-        spectrum = scan_spectrum(g, VertexConditions(args.w), params)
+        spectrum = scan_spectrum(g, cond, params)
     except SpectralError as exc:
         raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
     _emit(gio.spectrum_to_csv(spectrum), args.output)

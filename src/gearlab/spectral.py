@@ -6,22 +6,31 @@ weighted Kirchhoff: sum of edge-weight times outward derivative vanishes)
 become a square homogeneous system in the 2m coefficients.  k is an
 eigenwavenumber exactly when the row-normalized system loses rank, which
 is detected by scanning the smallest singular value over a k-grid and
-refining each local minimum by golden-section search.  This coefficient
-basis stays valid at wavenumbers where vertex-value bases degenerate, so
-no eigenvalue family needs special casing; lam = 0 (the constants) is the
-single analytic exception and is inserted directly.
+refining each local minimum by golden-section search.  The scan builds
+the k-independent entry list of the system once, assembles a stack of
+matrices per block of k-points and takes one batched SVD per block; the
+golden-section searches of all grid minima advance in lockstep, one
+batched SVD per step.  This coefficient basis stays valid at wavenumbers
+where vertex-value bases degenerate, so no eigenvalue family needs
+special casing; lam = 0 (the constants) is the single analytic exception
+and is inserted directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import MetricGraph, TOOTH, validate_graph
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# k-points per batched SVD in the scan: amortises the per-call cost while
+# keeping the stack, and so peak memory, independent of the grid length
+_SCAN_BLOCK = 64
 
 # relative eigenvalue gap below which two compared spectra agree
 GAP_TOL = 1e-8
@@ -42,8 +51,8 @@ class VertexConditions:
     w: float = 1.0
 
     def __post_init__(self):
-        if not (self.w > 0):
-            raise SpectralError("weight w must be positive")
+        if not (0 < self.w < math.inf):
+            raise SpectralError("weight w must be positive and finite")
 
     def edge_weight(self, edge):
         return edge.weight * (self.w if edge.cls == TOOTH else 1.0)
@@ -61,8 +70,8 @@ class ScanParams:
     def __post_init__(self):
         for name in ("k_max", "grid_step", "refine_tol", "rank_tol",
                      "mult_tol", "dedup_gap"):
-            if not (getattr(self, name) > 0):
-                raise SpectralError(f"{name} must be positive")
+            if not (0 < getattr(self, name) < math.inf):
+                raise SpectralError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,93 @@ class Spectrum:
 # secular system
 # ---------------------------------------------------------------------------
 
+class _SecularSystem(NamedTuple):
+    """k-independent entry list of a secular system, in assembly order.
+
+    Entry i adds ``(coef[i] * (k if scaled[i] else 1)) * t`` to cell
+    (row[i], col[i]), where t = 1, cos(k l_e) or sin(k l_e) is column
+    ``term[i]`` of the table [1, cos(k l), sin(k l)] built per k.  coef is
+    +-1 on continuity rows and +-(edge weight) on Kirchhoff rows.  ``layer``
+    counts the earlier entries on the same cell, so that a cell hit twice
+    (a loop edge) is summed in loop order.  Zero terms are left out.
+    """
+
+    lengths: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    term: np.ndarray
+    scaled: np.ndarray
+    coef: np.ndarray
+    layer: np.ndarray
+
+
+def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
+    """The entry list of g's secular system, in the order of the row loop."""
+    m = g.edge_count
+    entries = []
+    r = 0
+
+    def value_terms(e, end):
+        # (column offset, term) of f_e at its tail (1, 0) or head (cos, sin)
+        return ((0, 0),) if end == 0 else ((0, 1 + e), (1, 1 + m + e))
+
+    for v, incs in enumerate(g.incidences()):
+        if not incs:
+            raise SpectralError(f"vertex {v} is isolated")
+        e0, end0 = incs[0]
+        for e, end in incs[1:]:
+            entries += [(r, 2 * e0 + off, t, False, 1.0) for off, t in value_terms(e0, end0)]
+            entries += [(r, 2 * e + off, t, False, -1.0) for off, t in value_terms(e, end)]
+            r += 1
+        for e, end in incs:
+            wgt = cond.edge_weight(g.edges[e])
+            if end == 0:
+                # outward derivative at the tail: f'(0) = k b
+                entries.append((r, 2 * e + 1, 0, True, wgt))
+            else:
+                # outward derivative at the head: -f'(l)
+                entries.append((r, 2 * e, 1 + m + e, True, wgt))
+                entries.append((r, 2 * e + 1, 1 + e, True, -wgt))
+        r += 1
+    assert r == 2 * m
+    hits = {}
+    layer = []
+    for cell in (entry[:2] for entry in entries):
+        layer.append(hits.get(cell, 0))
+        hits[cell] = layer[-1] + 1
+    row, col, term, scaled, coef = zip(*entries)
+    return _SecularSystem(np.array([e.length for e in g.edges]), np.array(row),
+                          np.array(col), np.array(term), np.array(scaled),
+                          np.array(coef, dtype=float), np.array(layer))
+
+
+def _secular_stack(system: _SecularSystem, ks: np.ndarray) -> np.ndarray:
+    """Row-normalized secular matrices at every k of ``ks``, shape (K, 2m, 2m)."""
+    size = 2 * len(system.lengths)
+    kl = ks[:, None] * system.lengths
+    trig = np.concatenate([np.ones((len(ks), 1)), np.cos(kl), np.sin(kl)], axis=1)
+    vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0)) * trig[:, system.term]
+    stack = np.zeros((len(ks), size, size))
+    for lay in range(system.layer.max() + 1):
+        on = system.layer == lay
+        stack[:, system.row[on], system.col[on]] += vals[:, on]
+    norms = np.linalg.norm(stack, axis=2)
+    norms[norms == 0] = 1.0
+    return stack / norms[..., None]
+
+
+def _singular_values(stack: np.ndarray, ks) -> np.ndarray:
+    """Descending singular values of each matrix of the stack, shape (K, 2m)."""
+    try:
+        s = np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"SVD did not converge for k in [{ks[0]}, {ks[-1]}]") from exc
+    bad = ~np.all(np.isfinite(s), axis=1)
+    if bad.any():
+        raise SpectralError(f"singular values not finite at k={ks[np.argmax(bad)]}")
+    return s
+
+
 def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarray:
     """Row-normalized 2m x 2m vertex-condition system at wavenumber k > 0.
 
@@ -113,51 +209,12 @@ def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarr
     """
     if not (k > 0):
         raise SpectralError("secular matrix needs k > 0")
-    m = g.edge_count
-    lengths = np.array([e.length for e in g.edges])
-    ckl = np.cos(k * lengths)
-    skl = np.sin(k * lengths)
-    rows = np.zeros((2 * m, 2 * m))
-    r = 0
-
-    def value_coeffs(e, end):
-        if end == 0:
-            return 1.0, 0.0
-        return ckl[e], skl[e]
-
-    for v, incs in enumerate(g.incidences()):
-        if not incs:
-            raise SpectralError(f"vertex {v} is isolated")
-        e0, end0 = incs[0]
-        a0, b0 = value_coeffs(e0, end0)
-        for e, end in incs[1:]:
-            a1, b1 = value_coeffs(e, end)
-            rows[r, 2 * e0] += a0
-            rows[r, 2 * e0 + 1] += b0
-            rows[r, 2 * e] -= a1
-            rows[r, 2 * e + 1] -= b1
-            r += 1
-        for e, end in incs:
-            wgt = cond.edge_weight(g.edges[e])
-            if end == 0:
-                # outward derivative at the tail: f'(0) = k b
-                rows[r, 2 * e + 1] += wgt * k
-            else:
-                # outward derivative at the head: -f'(l)
-                rows[r, 2 * e] += wgt * k * skl[e]
-                rows[r, 2 * e + 1] -= wgt * k * ckl[e]
-        r += 1
-    assert r == 2 * m
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms == 0] = 1.0
-    return rows / norms[:, None]
+    return _secular_stack(_secular_system(g, cond), np.array([k], dtype=float))[0]
 
 
 def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
     """(sigma_min, all singular values descending) of the secular matrix."""
-    s = np.linalg.svd(secular_matrix(g, cond, k), compute_uv=False)
-    if not np.all(np.isfinite(s)):
-        raise SpectralError(f"singular values not finite at k={k}")
+    s = _singular_values(secular_matrix(g, cond, k)[None], [k])[0]
     return s[-1], s
 
 
@@ -186,19 +243,35 @@ def constant_eigenfunction(g: MetricGraph) -> Eigenfunction:
 # scanning
 # ---------------------------------------------------------------------------
 
-def _golden_min(f, a, b, tol):
+def _golden_refine(sigma, a, b, tol):
+    """Golden-section minima of ``sigma`` on the brackets [a_i, b_i], in lockstep.
+
+    Each bracket visits exactly the points a scalar golden-section search
+    visits; one batched ``sigma`` call per step evaluates the new probe of
+    every bracket still wider than ``tol``.  A bracket also stops once its
+    width no longer shrinks, as when ``tol`` is below the float spacing
+    at k.  Returns the final bracket midpoints.
+    """
+    a, b = a.copy(), b.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    fc, fd = np.split(sigma(np.concatenate([c, d])), 2)
+    width = b - a
+    live = np.flatnonzero(width > tol)
+    while live.size:
+        left = fc[live] < fd[live]          # keep [a, d], probe a new c
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
+        shrunk = b[live] - a[live]
+        keep = (shrunk > tol) & (shrunk < width[live])
+        width[live] = shrunk
+        live, left = live[keep], left[keep]
+        f = sigma(np.where(left, c[live], d[live]))
+        fc[live[left]] = f[left]
+        fd[live[~left]] = f[~left]
     return 0.5 * (a + b)
 
 
@@ -206,31 +279,37 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     """Locate all eigenvalues with k in (0, k_max].
 
     lam = 0 is inserted analytically with multiplicity 1 (connected
-    graph).  Grid minima of sigma_min are refined by golden-section to
-    ``refine_tol`` on k and accepted when sigma_min < rank_tol * sigma_max;
-    the multiplicity is the number of singular values below
-    mult_tol * sigma_max.  Deterministic for fixed parameters.
+    graph).  sigma_min is evaluated on the k-grid by batched SVDs of
+    ``_SCAN_BLOCK`` secular matrices at a time.  Every grid minimum is
+    refined by golden-section to ``refine_tol`` on k, all of them in
+    lockstep, and accepted when sigma_min < rank_tol * sigma_max; the
+    multiplicity is the number of singular values below
+    mult_tol * sigma_max.  Deterministic for fixed parameters, and
+    independent of the block size.
     """
     bad = validate_graph(g)
     if any(v == "not connected" for v in bad):
         raise SpectralError("graph must be connected")
+    system = _secular_system(g, cond)
+
+    def svals(ks):
+        out = np.empty((len(ks), 2 * g.edge_count))
+        for i in range(0, len(ks), _SCAN_BLOCK):
+            block = ks[i:i + _SCAN_BLOCK]
+            out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block), block)
+        return out
+
     step = params.grid_step
     grid = np.arange(step, params.k_max + 2.5 * step, step)
-
-    def sigma(k):
-        return rank_indicator(g, cond, k)[0]
-
-    sig = np.array([sigma(k) for k in grid])
-
-    roots = []
-    for i in range(1, len(grid) - 1):
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
-            k_star = _golden_min(sigma, grid[i - 1], grid[i + 1], params.refine_tol)
-            smin, svals = rank_indicator(g, cond, k_star)
-            if smin < params.rank_tol * svals[0] and k_star <= params.k_max + params.dedup_gap:
-                mult = int((svals < params.mult_tol * svals[0]).sum())
-                roots.append((k_star, mult))
-    roots.sort()
+    sig = svals(grid)[:, -1]
+    i = np.arange(1, len(grid) - 1)
+    lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
+    ks = _golden_refine(lambda x: svals(x)[:, -1],
+                        grid[lows - 1], grid[lows + 1], params.refine_tol)
+    s = svals(ks)
+    accept = (s[:, -1] < params.rank_tol * s[:, 0]) & (ks <= params.k_max + params.dedup_gap)
+    mults = (s < params.mult_tol * s[:, :1]).sum(axis=1)
+    roots = sorted(zip(ks[accept].tolist(), mults[accept].tolist()))
     entries = [(0.0, 1)]
     for k_star, mult in roots:
         if entries[-1][0] > 0 and abs(math.sqrt(entries[-1][0]) - k_star) <= params.dedup_gap:

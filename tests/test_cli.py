@@ -2,16 +2,33 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import gearlab
 from gearlab import io as gio
 from gearlab.cli import main
 from gearlab.graphs import Edge, MetricGraph
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+THTH = ("--lengths", "1.4142,1.7320508,2.2360679,1", "--attach", "thth")
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def _build_pair(tmp_path, *gear):
+    a, b = tmp_path / "a.graph", tmp_path / "b.graph"
+    assert run("build", *gear, "-o", str(a)) == 0
+    assert run("build", *gear, "--dual", "-o", str(b)) == 0
+    return a, b
 
 
 def test_build_writes_gear_file(tmp_path):
@@ -92,6 +109,60 @@ def test_compare_dual_pair(tmp_path):
                "--w", "1.5", "--k-max", "6", "-o", str(report)) == 0
     rep = json.loads(report.read_text())
     assert rep["match"] and rep["max_rel_gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("gear,w,k_spectrum,k_compare,name", [
+    (("--lengths", "1,2,3"), "1.5", "12", "10", "gear123"),
+    (THTH, "2", "9", "9", "thth"),
+], ids=["gear123", "thth"])
+def test_scan_outputs_match_golden_files(tmp_path, gear, w, k_spectrum, k_compare, name):
+    a, b = _build_pair(tmp_path, *gear)
+    csv, report = tmp_path / "spec.csv", tmp_path / "cmp.json"
+    assert run("spectrum", "--graph", str(a), "--w", w, "--k-max", k_spectrum,
+               "-o", str(csv)) == 0
+    assert run("compare", "--graph1", str(a), "--graph2", str(b), "--w", w,
+               "--k-max", k_compare, "-o", str(report)) == 0
+    assert csv.read_bytes() == (DATA / f"{name}_spectrum.csv").read_bytes()
+    assert report.read_bytes() == (DATA / f"{name}_compare.json").read_bytes()
+
+
+def _spectrum_csv(path):
+    rows = path.read_text().strip().splitlines()[1:]
+    return [(float(k), int(mult)) for k, _, mult in (r.split(",") for r in rows)]
+
+
+def test_refine_tol_below_float_spacing_terminates(tmp_path):
+    a = tmp_path / "a.graph"
+    assert run("build", "--lengths", "1,2,3", "-o", str(a)) == 0
+    default, tiny = tmp_path / "default.csv", tmp_path / "tiny.csv"
+    assert run("spectrum", "--graph", str(a), "--k-max", "3", "-o", str(default)) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(gearlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gearlab.cli", "spectrum", "--graph", str(a), "--k-max", "3",
+         "--params", "refine_tol=1e-17", "-o", str(tiny)],
+        env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want, got = _spectrum_csv(default), _spectrum_csv(tiny)
+    assert [m for _, m in got] == [m for _, m in want]
+    for (k_got, _), (k_want, _) in zip(got, want):
+        assert abs(k_got - k_want) <= 1e-10 * k_want
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+@pytest.mark.parametrize("extra,code", [
+    (("--w", "inf"), 2),
+    (("--k-max", "inf"), 2),
+    (("--params", "grid_step=inf"), 2),
+    (("--w", "1e308"), 3),
+], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow"])
+def test_non_finite_scan_inputs_exit_codes(tmp_path, command, extra, code):
+    a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
+    graphs = (["--graph", str(a)] if command == "spectrum"
+              else ["--graph1", str(a), "--graph2", str(b)])
+    k_max = [] if extra[0] == "--k-max" else ["--k-max", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(command, *graphs, *k_max, *extra) == code
 
 
 def test_compare_mismatch_exit_code(tmp_path):
