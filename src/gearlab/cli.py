@@ -21,8 +21,7 @@ from .markov import (MarkovError, characteristic_polynomial_exact,
                      conjugator_report, markov_matrix, markov_spectrum)
 from .spectral import (GAP_TOL, ScanParams, SpectralError, VertexConditions,
                        compare_spectra, scan_spectrum)
-from .zeta import (ZetaError, char_poly_symbolic, digraph_isomorphic, pencil,
-                   verify_intertwiner, zeta_equivalent)
+from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -232,9 +231,9 @@ def cmd_zeta(args):
 
 def cmd_zeta_conjugator(args):
     report = verify_intertwiner()
+    etas = report.pop("etas")
     if args.dump_eta:
-        for dg, tag in zip(fig6_digraph_pair(), ("g", "gt")):
-            eta = char_poly_symbolic(pencil(dg))
+        for eta, tag in zip(etas, ("g", "gt")):
             _emit("\n".join(eta.dump_lines()) + "\n", f"{args.dump_eta}_{tag}.poly")
     _emit_json(report, args.output)
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION

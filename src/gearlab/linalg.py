@@ -1,99 +1,71 @@
-"""Exact integer/rational linear algebra: Bareiss determinants, pencil
-characteristic polynomials and ranks.  Floating-point work goes to numpy."""
+"""Exact determinants of matrices with a unicyclic support, over any ring.
+Floating-point linear algebra goes to numpy."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 
+def unicyclic_det(rows):
+    """Exact determinant of a matrix whose support is a tree or has one cycle.
 
-def bareiss_det(mat):
-    """Exact determinant of an integer matrix, fraction-free Bareiss elimination."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def pencil_charpoly(dmat, wmat):
-    """Exact det(x*D - W) for integer matrices D, W, ascending coefficients.
-
-    The determinant is sampled at x = 0..n by fraction-free elimination.
-    The j-th forward difference of the samples divided by j! is the j-th
-    Newton coefficient c_j of p(x) = c_0 + x(c_1 + (x-1)(c_2 + ...)); the
-    division is exact because p has integer coefficients, and the nested
-    form is expanded from the inside out, all in integers.
+    Entries are ring elements (SparsePolynomial, int, ...); the support
+    joins i != j when M[i][j] or M[j][i] is nonzero.  Schwenk's recursion
+    peels the leaves, alpha_v being the determinant of the peeled subtree
+    at v and beta_v that of the subtree minus v: leaf c peels into v as
+    alpha_v <- alpha_v alpha_c - M[v][c] M[c][v] beta_v beta_c and
+    beta_v <- beta_v alpha_c.  The cycle v_0 ... v_{m-1} left over closes
+    with the periodic tridiagonal transfer product (Molinari, LAA 429
+    (2008) 2221): tr prod [[alpha_i, -M[i][i-1] M[i-1][i] beta_i],
+    [beta_i, 0]] + (-1)^(m+1) (prod M[i][i+1] + prod M[i+1][i]) prod beta_i.
+    Raises ValueError for a disconnected support or one with two cycles.
     """
-    n = len(dmat)
-    diffs = [bareiss_det([[x0 * dmat[i][j] - wmat[i][j] for j in range(n)]
-                          for i in range(n)]) for x0 in range(n + 1)]
-    newton = []
-    fact = 1
-    for j in range(n + 1):
-        c, rem = divmod(diffs[0], fact)
-        assert rem == 0
-        newton.append(c)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        fact *= j + 1
-    coeffs = [newton[n]]
-    for j in range(n - 1, -1, -1):
-        # coeffs <- newton[j] + (x - j) * coeffs
-        coeffs = [0] + coeffs
-        for t in range(len(coeffs) - 1):
-            coeffs[t] -= j * coeffs[t + 1]
-        coeffs[0] += newton[j]
-    return coeffs
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    off = {(i, j): p for i, row in enumerate(rows) for j, p in enumerate(row) if p and i != j}
 
+    def entry(i, j):
+        return off.get((i, j), 0)
 
-def fraction_rank(mat) -> int:
-    """Exact rank of a matrix with Fraction (or int) entries."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    nbrs = [set() for _ in range(n)]
+    for i, j in off:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    seen, todo = {0}, [0]
+    while todo and n:
+        for u in nbrs[todo.pop()] - seen:
+            seen.add(u)
+            todo.append(u)
+    if n == 0 or len(seen) < n:
+        raise ValueError("support is not connected")
+    if sum(map(len, nbrs)) > 2 * n:
+        raise ValueError("support has more than one cycle")
 
+    alpha, beta = [rows[v][v] or 0 for v in range(n)], [1] * n
+    leaves = [v for v in range(n) if len(nbrs[v]) <= 1]
+    while leaves:
+        c = leaves.pop()
+        if not nbrs[c]:
+            return alpha[c]       # the support was a tree
+        (v,) = nbrs[c]
+        nbrs[v].remove(c)
+        nbrs[c].clear()
+        alpha[v] = alpha[v] * alpha[c] - entry(v, c) * entry(c, v) * beta[v] * beta[c]
+        beta[v] = beta[v] * alpha[c]
+        if len(nbrs[v]) == 1:
+            leaves.append(v)
 
-def poly_eval(coeffs, x):
-    """Horner evaluation of ascending coefficients (exact for Fraction input)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    cycle = [next(v for v in range(n) if nbrs[v])]
+    cycle.append(min(nbrs[cycle[0]]))
+    while cycle[-1] != cycle[0]:
+        (nxt,) = nbrs[cycle[-1]] - {cycle[-2]}
+        cycle.append(nxt)
+    cycle.pop()
+    (p00, p01), (p10, p11) = (1, 0), (0, 1)
+    forward = backward = betas = 1
+    for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
+        a, b = alpha[v], beta[v]
+        q = entry(v, u) * entry(u, v) * b
+        p00, p01, p10, p11 = a * p00 - q * p10, a * p01 - q * p11, b * p00, b * p01
+        forward, backward, betas = forward * entry(v, w), backward * entry(w, v), betas * b
+    closing = (forward + backward) * betas
+    return p00 + p11 + (closing if len(cycle) % 2 else -closing)

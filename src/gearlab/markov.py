@@ -20,7 +20,8 @@ import numpy as np
 
 from .graphs import (CombinatorialGraph, GearSpec, TOOTH, bipartition_sign,
                      build_gear, dual_gear, subdivide)
-from .linalg import pencil_charpoly
+from .linalg import unicyclic_det
+from .polynomials import SparsePolynomial
 from .spectral import ScanParams, VertexConditions, scan_spectrum
 
 MODES = ("rational", "float")
@@ -110,24 +111,29 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
     """Monic char poly of M as ascending Fractions, exact.
 
     det(xI - M) = det(xD - W)/det(D); denominators are cleared once and
-    the integer pencil determinant is interpolated from fraction-free
-    eliminations.
+    the integer pencil det(xD - W), whose support is the unicyclic
+    subdivided gear, is expanded by `unicyclic_det` over Z[x].
     """
     if ms.mode != "rational":
         raise MarkovError("exact characteristic polynomial needs rational mode")
     n = ms.size
-    c = ms.w.denominator
-    dmat = [[0] * n for _ in range(n)]
-    wmat = [[0] * n for _ in range(n)]
+
+    def cleared(q):
+        q = q * ms.w.denominator
+        assert q.denominator == 1
+        return q.numerator
+
+    x = SparsePolynomial.variable("x")
+    rows = [[0] * n for _ in range(n)]
     for v in range(n):
-        dv = ms.degrees[v] * c
-        assert dv.denominator == 1
-        dmat[v][v] = int(dv)
         for u, wgt in ms.adjacency[v].items():
-            sw = wgt * c
-            assert sw.denominator == 1
-            wmat[v][u] = int(sw)
-    coeffs = pencil_charpoly(dmat, wmat)
+            rows[v][u] = -cleared(wgt)
+        rows[v][v] = x * cleared(ms.degrees[v]) + rows[v][v]
+    try:
+        det = unicyclic_det(rows)
+    except ValueError as exc:
+        raise MarkovError(f"walk pencil: {exc}") from exc
+    coeffs = [det.coefficient(x=k) for k in range(n + 1)]
     lead = coeffs[-1]
     return [Fraction(a, lead) for a in coeffs]
 

@@ -178,12 +178,17 @@ def _secular_stack(system: _SecularSystem, ks: np.ndarray) -> np.ndarray:
     size = 2 * len(system.lengths)
     kl = ks[:, None] * system.lengths
     trig = np.concatenate([np.ones((len(ks), 1)), np.cos(kl), np.sin(kl)], axis=1)
-    vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0)) * trig[:, system.term]
     stack = np.zeros((len(ks), size, size))
-    for lay in range(system.layer.max() + 1):
-        on = system.layer == lay
-        stack[:, system.row[on], system.col[on]] += vals[:, on]
-    norms = np.linalg.norm(stack, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0)) * trig[:, system.term]
+        for lay in range(system.layer.max() + 1):
+            on = system.layer == lay
+            stack[:, system.row[on], system.col[on]] += vals[:, on]
+        norms = np.linalg.norm(stack, axis=2)
+    # a non-finite entry makes its row norm non-finite too
+    if not np.isfinite(norms).all():
+        bad = ~np.all(np.isfinite(norms), axis=1)
+        raise SpectralError(f"secular matrix overflows at k={ks[np.argmax(bad)]}")
     norms[norms == 0] = 1.0
     return stack / norms[..., None]
 

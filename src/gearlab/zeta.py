@@ -9,8 +9,9 @@ has a determinant that is homogeneous of degree n; its y = 0 restriction
 is the generalized characteristic polynomial that carries the digraph's
 reversing zeta data.  Zeta equivalence (equality of the y = 0
 determinants) is tested two ways: probabilistically at random points of
-a 61-bit prime field (Schwartz-Zippel) and exactly through sparse
-symbolic expansion of the y = 0 pencil.  The y J term only enters
+a 61-bit prime field (Schwartz-Zippel) and exactly by expanding the
+y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
+support that every gear digraph has.  The y J term only enters
 through `Pencil.matrix_at`, for evaluation at single points.
 """
 
@@ -21,10 +22,10 @@ import random
 from dataclasses import dataclass
 
 from .graphs import Digraph, fig6_digraph_pair
+from .linalg import unicyclic_det
 from .polynomials import SparsePolynomial, det_symbolic
 
 PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
-SYMBOLIC_MAX_N = 12    # det_symbolic keeps up to 2^n column-subset states
 ISOMORPHISM_MAX_N = 16
 # (x, y, alpha, beta, gamma, delta) with y != 0: where verify_intertwiner
 # compares the six-variable determinants of the fig6 pair
@@ -179,11 +180,13 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
     """Exact y = 0 determinant det(L_G(z)) in x, alpha, beta, gamma, delta.
 
     This is the zeta-carrying restriction that the identity tests sample;
-    every term has y exponent 0.
+    every term has y exponent 0.  Raises ZetaError when the underlying
+    graph of G is disconnected or has two cycles; a gear digraph's has one.
     """
-    if p.n > SYMBOLIC_MAX_N:
-        raise ZetaError(f"symbolic determinant limited to n <= {SYMBOLIC_MAX_N}")
-    return det_symbolic(_pencil_entries_y0(p))
+    try:
+        return unicyclic_det(_pencil_entries_y0(p))
+    except ValueError as exc:
+        raise ZetaError(f"symbolic determinant: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,8 @@ def verify_intertwiner() -> dict:
     determinants of the pair agree exactly.  `full_determinants_equal`
     compares the six-variable determinants at the single point
     FULL_DET_POINT (y != 0): False proves they differ, True would only
-    mean agreement at that point.
+    mean agreement at that point.  `etas` holds the two y = 0
+    determinants (primal, dual) that `eta_equal` compares.
     """
     g, gt = fig6_digraph_pair()
     pg, pgt = pencil(g), pencil(gt)
@@ -259,7 +263,8 @@ def verify_intertwiner() -> dict:
         all(rs == row_sums[0] for rs in row_sums)
     det_t = det_symbolic(t)
     det_ok = det_t == intertwiner_det_expected()
-    eta_equal = char_poly_symbolic(pg) == char_poly_symbolic(pgt)
+    etas = (char_poly_symbolic(pg), char_poly_symbolic(pgt))
+    eta_equal = etas[0] == etas[1]
     return {
         "intertwines_y0": intertwines,
         "ones_term_commutes": ones_commute,
@@ -267,6 +272,7 @@ def verify_intertwiner() -> dict:
         "eta_equal": eta_equal,
         "full_determinants_equal": eval_det(pg, FULL_DET_POINT) == eval_det(pgt, FULL_DET_POINT),
         "ok": intertwines and det_ok and eta_equal,
+        "etas": etas,
     }
 
 

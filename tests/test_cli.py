@@ -6,8 +6,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
-import numpy as np
 import pytest
 
 import gearlab
@@ -126,6 +126,28 @@ def test_scan_outputs_match_golden_files(tmp_path, gear, w, k_spectrum, k_compar
     assert report.read_bytes() == (DATA / f"{name}_compare.json").read_bytes()
 
 
+@pytest.mark.parametrize("gear,w,name", [
+    (("--lengths", "1,2,3"), "3/2", "gear123"),
+    (("--lengths", "1,2,1,3", "--attach", "hhtt"), "2/5", "gear1213_hhtt"),
+], ids=["gear123", "gear1213_hhtt"])
+def test_markov_charpoly_matches_golden_file(tmp_path, gear, w, name):
+    out = tmp_path / "markov.json"
+    assert run("markov", *gear, "--w", w, "-o", str(out)) == 0
+    rep = json.loads(out.read_text())
+    charpoly = {key: rep[key] for key in ("charpoly_den", "charpoly_num")}
+    got = json.dumps(charpoly, indent=2, sort_keys=True) + "\n"
+    assert got == (DATA / f"{name}_markov_charpoly.json").read_text()
+
+
+def test_zeta_conjugator_matches_golden_files(tmp_path):
+    out, base = tmp_path / "t.json", tmp_path / "eta"
+    assert run("zeta-conjugator", "--dump-eta", str(base), "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / "fig6_conjugator.json").read_bytes()
+    for tag in ("g", "gt"):
+        dump = tmp_path / f"eta_{tag}.poly"
+        assert dump.read_bytes() == (DATA / f"fig6_eta_{tag}.poly").read_bytes()
+
+
 def _spectrum_csv(path):
     rows = path.read_text().strip().splitlines()[1:]
     return [(float(k), int(mult)) for k, _, mult in (r.split(",") for r in rows)]
@@ -155,14 +177,20 @@ def test_refine_tol_below_float_spacing_terminates(tmp_path):
     (("--k-max", "inf"), 2),
     (("--params", "grid_step=inf"), 2),
     (("--w", "1e308"), 3),
-], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow"])
-def test_non_finite_scan_inputs_exit_codes(tmp_path, command, extra, code):
+    (("--w", "1e200"), 3),
+], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow", "w-norm-overflow"])
+def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, code):
     a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
     graphs = (["--graph", str(a)] if command == "spectrum"
               else ["--graph1", str(a), "--graph2", str(b)])
     k_max = [] if extra[0] == "--k-max" else ["--k-max", "3"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run(command, *graphs, *k_max, *extra) == code
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
 
 
 def test_compare_mismatch_exit_code(tmp_path):

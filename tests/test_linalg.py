@@ -1,27 +1,125 @@
-"""Oracle checks for the exact linear algebra kernels."""
+"""Oracle checks for the exact determinant kernel, and the exact rank and
+Horner helpers that other test modules import."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from gearlab.linalg import bareiss_det, fraction_rank, pencil_charpoly
+from gearlab.linalg import unicyclic_det
+from gearlab.polynomials import SparsePolynomial, det_symbolic
+
+X = SparsePolynomial.variable("x")
 
 
-def test_bareiss_known_determinants():
-    assert bareiss_det([[5]]) == 5
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
+def fraction_rank(mat) -> int:
+    """Exact rank of a matrix with Fraction (or int) entries."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if a[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def poly_eval(coeffs, x):
+    """Horner evaluation of ascending coefficients (exact for Fraction input)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def random_unicyclic_edges(rng, n, m):
+    """Edges of a random m-cycle with n - m pendant vertices (a tree if m = 0)."""
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    edges += [(rng.randrange(v), v) for v in range(max(m, 1), n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[a], perm[b]) for a, b in edges]
+
+
+def pencil_charpoly(d, w):
+    """Ascending coefficients of det(x*D - W) through unicyclic_det over Z[x]."""
+    n = len(d)
+    rows = [[X * d[i][j] - w[i][j] for j in range(n)] for i in range(n)]
+    coeffs = [0] * (n + 1)
+    for exps, c in unicyclic_det(rows).terms.items():
+        coeffs[exps[0]] = c
+    return coeffs
+
+
+def test_unicyclic_det_known_determinants():
+    assert unicyclic_det([[5]]) == 5
+    assert unicyclic_det([[1, 2], [3, 4]]) == -2
+    assert unicyclic_det([[0, 1], [1, 0]]) == -1
+    assert unicyclic_det([[1, 2], [2, 4]]) == 0
     # permutation matrix of a 4-cycle has determinant -1
     p = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
-    assert bareiss_det(p) == -1
+    assert unicyclic_det(p) == -1
+    # and of a 3-cycle +1; None entries are absent
+    assert unicyclic_det([[None, 1, None], [None, None, 1], [1, None, None]]) == 1
 
 
-def test_bareiss_matches_float_det_on_random_integers():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = rng.integers(-9, 10, size=(6, 6))
-        assert bareiss_det(m.tolist()) == round(np.linalg.det(m))
+def test_unicyclic_det_matches_float_det_on_random_integers():
+    rng = random.Random(7)
+    for m in (0, 3, 4, 5, 6, 7):
+        for _ in range(6):
+            n = rng.randint(max(m, 2), 9)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                a[i][i] = rng.randint(-5, 5)
+            for u, v in random_unicyclic_edges(rng, n, m):
+                a[u][v] = rng.choice((-3, -2, -1, 1, 2, 3))
+                a[v][u] = rng.randint(-3, 3)
+            assert unicyclic_det(a) == round(np.linalg.det(np.array(a, dtype=float)))
+
+
+def test_unicyclic_det_matches_det_symbolic():
+    # a random pencil in (x, alpha, beta) on the support, up to 12 vertices
+    rng = random.Random(19)
+    al, be = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("beta")
+    for m in (0, 3, 4, 5, 6, 7):
+        for _ in range(3):
+            n = rng.randint(max(m, 2), 12)
+            rows = [[SparsePolynomial.zero()] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = X * rng.randint(0, 2) + al * rng.randint(-2, 2) - rng.randint(-2, 2)
+            for u, v in random_unicyclic_edges(rng, n, m):
+                rows[u][v] = al * rng.randint(1, 3) + be * rng.randint(-1, 1)
+                rows[v][u] = be * rng.randint(-2, 2)
+            assert unicyclic_det(rows) == det_symbolic(rows)
+
+
+def test_unicyclic_det_rejects_other_supports():
+    with pytest.raises(ValueError, match="square"):
+        unicyclic_det([[1, 2]])
+    with pytest.raises(ValueError, match="connected"):
+        unicyclic_det([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="connected"):
+        unicyclic_det([])
+    # two triangles sharing the edge 0-1
+    theta = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1]]
+    with pytest.raises(ValueError, match="more than one cycle"):
+        unicyclic_det(theta)
 
 
 def test_pencil_charpoly_identity_pencil():
@@ -33,17 +131,16 @@ def test_pencil_charpoly_identity_pencil():
 
 
 def test_pencil_charpoly_recovers_companion_polynomial():
-    # det(x*a*I - a*Comp(p)) = a^n p(x) for the companion matrix of monic p;
-    # (x-1)...(x-6) vanishes at every sample node but x = 0
-    for p in ([3, -1, 0, 2, 1], [0, 0, 0, 1], [-720, 1764, -1624, 735, -175, 21, 1]):
-        n = len(p) - 1
+    # det(x*a*I - a*Comp(p)) = a^n p(x); the companion matrix of x^n - c is
+    # a directed n-cycle, so these are the unicyclic companion pencils
+    for n, c in ((3, 2), (4, -5), (5, 1), (6, 7), (7, -3)):
+        p = [-c] + [0] * (n - 1) + [1]
         comp = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            comp[i][n - 1] = -p[i]
+        comp[0][n - 1] = c
         for a in (1, 3):
             d = [[a if i == j else 0 for j in range(n)] for i in range(n)]
             w = [[a * x for x in row] for row in comp]
-            assert pencil_charpoly(d, w) == [a ** n * c for c in p]
+            assert pencil_charpoly(d, w) == [a ** n * coeff for coeff in p]
 
 
 def test_fraction_rank():

@@ -14,8 +14,9 @@ from gearlab import (GearSpec, build_conjugator, build_gear,
                      crosscheck_quantum, dual_gear, markov_matrix,
                      markov_spectrum, subdivide, transplantation_matrix)
 from gearlab.graphs import bipartition_sign
-from gearlab.linalg import fraction_rank, poly_eval
 from gearlab.markov import MODES, MarkovError, conjugation_residual, conjugator_sigma_min
+
+from test_linalg import fraction_rank, poly_eval
 
 
 def walk_pair(lengths, w, mode="rational", attachments=None):

@@ -14,7 +14,10 @@ from gearlab import (Digraph, GearSpec, build_gear, characteristic_polynomial_ex
                      char_poly_symbolic, digraph_isomorphic, dual_gear, eval_det,
                      fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
                      markov_matrix, markov_spectrum, PRIME, pencil, subdivide)
-from gearlab.linalg import bareiss_det, pencil_charpoly
+from gearlab.linalg import unicyclic_det
+from gearlab.polynomials import SparsePolynomial, det_symbolic
+
+from test_linalg import pencil_charpoly, random_unicyclic_edges
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -58,15 +61,25 @@ def test_charpoly_matches_sympy(lengths, attachments, w):
     assert characteristic_polynomial_exact(ms) == expected
 
 
-def _random_pencil(rng, n, kind):
-    w = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    if kind == "diagonal":
-        d = [[rng.randint(1, 5) if i == j else 0 for j in range(n)] for i in range(n)]
-    elif kind == "full":
-        d = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    else:   # singular: the last row repeats the first, so deg det < n
-        d = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        d[-1] = list(d[0])
+def _random_pencil(rng, n, m, kind):
+    """Integer D, W supported on a random m-cycle with pendant trees (m = 0: a tree).
+
+    W is not symmetric.  "full" puts entries of D on the support's edges
+    too; "singular" zeroes part of D's diagonal, so deg det < n.
+    """
+    w = [[0] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        w[i][i] = rng.randint(-4, 4)
+        d[i][i] = rng.randint(1, 5)
+    if kind == "singular":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            d[i][i] = 0
+    for u, v in random_unicyclic_edges(rng, n, m):
+        w[u][v] = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        w[v][u] = rng.randint(-4, 4)
+        if kind == "full":
+            d[u][v], d[v][u] = rng.randint(-3, 3), rng.randint(-3, 3)
     return d, w
 
 
@@ -77,17 +90,22 @@ PENCIL_SEEDS = {"diagonal": 11, "full": 12, "singular": 13}
 def test_pencil_charpoly_matches_sympy(kind):
     rng = random.Random(PENCIL_SEEDS[kind])
     x = sympy.Symbol("x")
-    for n in (1, 2, 3, 5, 7) if kind != "singular" else (2, 3, 5, 7):
-        for _ in range(4):
-            d, w = _random_pencil(rng, n, kind)
+    xs = SparsePolynomial.variable("x")
+    for m in (0, 3, 4, 5, 6, 7):
+        for _ in range(3):
+            n = rng.randint(max(m, 2), 12)
+            d, w = _random_pencil(rng, n, m, kind)
             pencil = DomainMatrix.from_Matrix(x * sympy.Matrix(d) - sympy.Matrix(w))
-            expr = pencil.domain.to_sympy(pencil.convert_to(sympy.ZZ[x]).det())
+            pencil = pencil.convert_to(sympy.ZZ[x])
+            expr = pencil.domain.to_sympy(pencil.det())
             expected = ascending(expr, x, n)
             got = pencil_charpoly(d, w)
             assert len(got) == n + 1
             assert got == expected
             if kind == "singular":
                 assert got[-1] == 0
+            rows = [[xs * d[i][j] - w[i][j] for j in range(n)] for i in range(n)]
+            assert unicyclic_det(rows) == det_symbolic(rows)
 
 
 def _mpf(q):
@@ -157,7 +175,7 @@ def test_fig6_full_determinants_differ_at_certificate_point():
     # verify_intertwiner reports full_determinants_equal; exact integers
     point = (1, 1, 1, 1, 1, 1)
     g, gt = fig6_digraph_pair()
-    exact = [bareiss_det(pencil(dg).matrix_at(point)) for dg in (g, gt)]
+    exact = [int(sympy.Matrix(pencil(dg).matrix_at(point)).det()) for dg in (g, gt)]
     assert exact[0] != exact[1]
     assert [eval_det(pencil(dg), point) for dg in (g, gt)] == [v % PRIME for v in exact]
 

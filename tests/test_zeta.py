@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gearlab import (PRIME, char_poly_symbolic, digraph_isomorphic, eval_det,
-                     fig2_control_pair, fig6_digraph_pair, pencil,
+from gearlab import (PRIME, GearSpec, char_poly_symbolic, digraph_isomorphic, dual_gear,
+                     eval_det, fig2_control_pair, fig6_digraph_pair, gear_to_digraph, pencil,
                      verify_intertwiner, zeta_equivalent)
 from gearlab.graphs import Digraph
 from gearlab.polynomials import SparsePolynomial, det_symbolic
@@ -161,9 +161,26 @@ def test_transpose_symmetry():
         assert eval_det(pg, (x, y, a, b, gm, d)) == eval_det(pr, (x, y, b, a, d, gm))
 
 
-def test_char_poly_size_guard():
-    with pytest.raises(ZetaError):
+def test_char_poly_rejects_non_unicyclic_support():
+    with pytest.raises(ZetaError, match="not connected"):
         char_poly_symbolic(pencil(Digraph(13, ())))
+    # a 3-cycle and a 4-cycle sharing the arc 0 -> 1
+    two_cycles = Digraph(5, ((0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 0)))
+    with pytest.raises(ZetaError, match="more than one cycle"):
+        char_poly_symbolic(pencil(two_cycles))
+
+
+def test_char_poly_exact_on_26_vertex_gear_pair():
+    spec = GearSpec(4, (2, 3, 4, 4), "primal")
+    pg, pgt = pencil(gear_to_digraph(spec)), pencil(gear_to_digraph(dual_gear(spec)))
+    assert pg.n == pgt.n == 26
+    eta = char_poly_symbolic(pg)
+    assert eta == char_poly_symbolic(pgt)
+    assert eta.coefficient(x=26) == 1
+    rng = random.Random(31)
+    for _ in range(3):
+        pt = random_point(rng)
+        assert eta.evaluate(pt, mod=PRIME) == eval_det(pg, pt) == eval_det(pgt, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +235,9 @@ def test_verify_intertwiner_report():
     # determinants differ at a y != 0 point; equality is specific to y = 0
     assert not rep["ones_term_commutes"]
     assert not rep["full_determinants_equal"]
+    # the two y = 0 determinants it compared, primal then dual
+    g, _ = fig6_digraph_pair()
+    assert rep["etas"][0] == rep["etas"][1] == char_poly_symbolic(pencil(g))
 
 
 # ---------------------------------------------------------------------------
