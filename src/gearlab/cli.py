@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from .graphs import (GearSpec, GraphError, build_fig3_pair, build_gear,
                      subdivide, validate_graph)
 from .markov import (MarkovError, characteristic_polynomial_exact,
                      conjugator_report, markov_matrix, markov_spectrum)
-from .spectral import (GAP_TOL, ScanParams, SpectralError, VertexConditions,
-                       compare_spectra, scan_spectrum)
+from .spectral import (ScanParams, SpectralError, VertexConditions, compare_spectra,
+                       scan_spectrum)
 from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
@@ -44,17 +45,20 @@ def _parse_lengths(text):
     return vals
 
 
-def _parse_params(k_max, overrides):
-    kwargs = {"k_max": k_max}
-    if overrides:
-        allowed = {"grid_step", "refine_tol", "rank_tol", "mult_tol", "dedup_gap", "k_max"}
-        for item in overrides.split(","):
-            key, _, value = item.partition("=")
-            if key not in allowed:
-                raise CliError(EXIT_VALIDATION, f"unknown scan parameter '{key}'")
-            kwargs[key] = float(value)
+def _weight(args):
+    """--w as a Fraction, or its float in float mode; positive and finite as a float."""
     try:
-        return ScanParams(**kwargs)
+        w = Fraction(args.w)
+        if 0 < float(w) < math.inf:
+            return w if args.mode == "rational" else float(w)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise CliError(EXIT_VALIDATION, f"bad weight '{args.w}': w must be positive and finite")
+
+
+def _scan_params(args):
+    try:
+        return ScanParams(args.k_max, args.grid_step)
     except SpectralError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
@@ -76,11 +80,15 @@ def _gear_spec(args) -> GearSpec:
 
 def _read_graph(path):
     try:
-        return gio.read_graph(path)
+        g = gio.read_graph(path)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except GraphError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    problems = validate_graph(g)
+    if problems:
+        raise CliError(EXIT_VALIDATION, "; ".join(problems))
+    return g
 
 
 def _read_digraph(path):
@@ -128,7 +136,7 @@ def cmd_build(args):
     if problems:
         raise CliError(EXIT_VALIDATION, "; ".join(problems))
     if args.digraph:
-        _emit(gio.digraph_to_text(gear_to_digraph(spec, args.tooth_mode)), args.output)
+        _emit(gio.digraph_to_text(gear_to_digraph(spec)), args.output)
     else:
         _emit(gio.graph_to_text(g), args.output)
     return EXIT_OK
@@ -136,10 +144,7 @@ def cmd_build(args):
 
 def cmd_spectrum(args):
     g = _read_graph(args.graph)
-    problems = validate_graph(g)
-    if problems:
-        raise CliError(EXIT_VALIDATION, "; ".join(problems))
-    params = _parse_params(args.k_max, args.params)
+    params = _scan_params(args)
     cond = VertexConditions(args.w)
     try:
         spectrum = scan_spectrum(g, cond, params)
@@ -152,14 +157,14 @@ def cmd_spectrum(args):
 def cmd_compare(args):
     g1 = _read_graph(args.graph1)
     g2 = _read_graph(args.graph2)
-    params = _parse_params(args.k_max, args.params)
+    params = _scan_params(args)
     cond = VertexConditions(args.w)
     try:
         s1 = scan_spectrum(g1, cond, params)
         s2 = scan_spectrum(g2, cond, params)
     except SpectralError as exc:
         raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
-    report = compare_spectra(s1, s2, tol=args.tol)
+    report = compare_spectra(s1, s2)
     report["pairs"] = [list(p) for p in report["pairs"]]
     _emit_json(report, args.output)
     return EXIT_OK if report["match"] else EXIT_VERIFICATION
@@ -170,9 +175,7 @@ def cmd_markov(args):
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "markov subcommand needs integer lengths")
     try:
-        ms = markov_matrix(subdivide(build_gear(spec)),
-                           Fraction(args.w) if args.mode == "rational" else float(args.w),
-                           args.mode)
+        ms = markov_matrix(subdivide(build_gear(spec)), _weight(args), args.mode)
     except (GraphError, MarkovError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
     vals, _ = markov_spectrum(ms)
@@ -198,8 +201,7 @@ def cmd_conjugate(args):
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "conjugate subcommand needs integer lengths")
     try:
-        report = conjugator_report(spec, Fraction(args.w) if args.mode == "rational"
-                                   else float(args.w), args.mode)
+        report = conjugator_report(spec, _weight(args), args.mode)
     except (GraphError, MarkovError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
     _emit_json(report, args.output)
@@ -269,7 +271,6 @@ def build_parser():
     p.add_argument("--fig3", choices=("a", "b"), default=None,
                    help="emit a fixture pair instead of a gear")
     p.add_argument("--digraph", action="store_true", help="emit the digraph export")
-    p.add_argument("--tooth-mode", choices=("fig6", "metric"), default="fig6")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_build)
 
@@ -277,7 +278,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--params", default=None, help="key=value overrides, comma separated")
+    p.add_argument("--grid-step", type=float, default=ScanParams.grid_step)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -286,8 +287,7 @@ def build_parser():
     p.add_argument("--graph2", required=True)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--tol", type=float, default=GAP_TOL)
-    p.add_argument("--params", default=None)
+    p.add_argument("--grid-step", type=float, default=ScanParams.grid_step)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compare)
 

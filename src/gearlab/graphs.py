@@ -340,21 +340,15 @@ def bipartition_sign(cg: CombinatorialGraph):
 # digraph exports
 # ---------------------------------------------------------------------------
 
-TOOTH_MODES = ("fig6", "metric")
-
-
-def gear_to_digraph(spec: GearSpec, tooth_mode: str = "fig6") -> Digraph:
+def gear_to_digraph(spec: GearSpec) -> Digraph:
     """Subdivided gear as a simple digraph with canonical vertex labels.
 
-    Polygon arcs follow the cycle.  In ``fig6`` mode every tooth is
-    exported pointing away from the polygon; in ``metric`` mode teeth
-    follow their metric orientation.  Cycle labels start at the endpoint
-    of side 1 not carrying tooth 1 and increase along the cycle; tooth
-    vertices are numbered consecutively along each tooth's metric
-    direction, teeth in order.  Labels here are 0-based.
+    The orientation is that of the paper's Fig. 6: polygon arcs follow
+    the cycle and every tooth points away from the polygon.  Cycle labels
+    start at the endpoint of side 1 not carrying tooth 1 and increase
+    along the cycle; tooth vertices are numbered consecutively along each
+    tooth's metric direction, teeth in order.  Labels here are 0-based.
     """
-    if tooth_mode not in TOOTH_MODES:
-        raise GraphError(f"tooth_mode must be one of {TOOTH_MODES}")
     if not spec.is_integral():
         raise GraphError("digraph export needs integer lengths")
     lengths = [int(round(l)) for l in spec.lengths]
@@ -377,31 +371,23 @@ def gear_to_digraph(spec: GearSpec, tooth_mode: str = "fig6") -> Digraph:
         attach = cyc(attach_pos)
         fresh = list(range(next_label, next_label + l))
         next_label += l
-        if ends[i] == "tail":
-            metric_path = [attach] + fresh            # polygon -> leaf
-        else:
-            metric_path = fresh + [attach]            # leaf -> polygon
-        if tooth_mode == "metric":
-            chain = metric_path
-        else:
-            chain = metric_path if ends[i] == "tail" else metric_path[::-1]
+        # outward from the polygon; a head-attached tooth is labelled leaf first
+        chain = [attach] + (fresh if ends[i] == "tail" else fresh[::-1])
         arcs.extend(zip(chain[:-1], chain[1:]))
-    name = f"gear_n{n}_{spec.variant}_{tooth_mode}"
+    name = f"gear_n{n}_{spec.variant}_fig6"
     return Digraph(2 * total, tuple(arcs), name)
 
 
 def fig6_digraph_pair(lengths=(1, 2, 3)):
     """The reference zeta-equivalent digraph pair (catalog id fig6)."""
     primal = GearSpec(3, lengths, "primal")
-    return (gear_to_digraph(primal, "fig6"),
-            gear_to_digraph(dual_gear(primal), "fig6"))
+    return gear_to_digraph(primal), gear_to_digraph(dual_gear(primal))
 
 
 def fig2_control_pair(lengths=(1, 2, 3)):
     """Negative-control pair (catalog id fig2): mixed tooth attachments."""
     top = GearSpec(3, lengths, "primal", attachments=("tail", "head", "tail"))
-    return (gear_to_digraph(top, "fig6"),
-            gear_to_digraph(dual_gear(top), "fig6"))
+    return gear_to_digraph(top), gear_to_digraph(dual_gear(top))
 
 
 # ---------------------------------------------------------------------------

@@ -322,10 +322,10 @@ def conjugator_report(spec: GearSpec, w, mode: str = "rational") -> dict:
 # quantum <-> walk correspondence
 # ---------------------------------------------------------------------------
 
-def _cluster(values, gap=1e-9):
+def _cluster(values):
     out = []
     for v in values:
-        if out and abs(v - out[-1][0]) <= gap:
+        if out and abs(v - out[-1][0]) <= 1e-9:
             out[-1][1] += 1
         else:
             out.append([v, 1])
@@ -364,8 +364,7 @@ def predicted_wavenumbers(ms: MarkovSystem, circle_length: int, k_limit: float):
     return predicted
 
 
-def crosscheck_quantum(spec: GearSpec, w, k_max: float,
-                       params: ScanParams | None = None) -> dict:
+def crosscheck_quantum(spec: GearSpec, w, k_max: float) -> dict:
     """Compare the scanned quantum spectrum with the walk prediction.
 
     Nonzero quantum eigenvalues strictly below (k_max - margin)^2 must
@@ -376,8 +375,7 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float,
         raise MarkovError("crosscheck needs integer edge lengths")
     g = build_gear(spec)
     cond = VertexConditions(float(w))
-    params = params or ScanParams(k_max=k_max)
-    spect = scan_spectrum(g, cond, params)
+    spect = scan_spectrum(g, cond, ScanParams(k_max=k_max))
     ms = markov_matrix(subdivide(g), w, "float")
     limit = k_max - 1e-6
     circle = int(round(sum(spec.lengths)))

@@ -35,6 +35,15 @@ _SCAN_BLOCK = 64
 # relative eigenvalue gap below which two compared spectra agree
 GAP_TOL = 1e-8
 
+# scan tolerances: bracket width on k that ends root refinement; the
+# sigma_min / sigma_max below which k is a root; the sigma / sigma_max
+# below which a singular value adds to the multiplicity; the distance on
+# k below which two refined roots are one
+REFINE_TOL = 1e-12
+RANK_TOL = 1e-9
+MULT_TOL = 1e-8
+DEDUP_GAP = 1e-9
+
 
 class SpectralError(ValueError):
     pass
@@ -60,16 +69,16 @@ class VertexConditions:
 
 @dataclass(frozen=True)
 class ScanParams:
+    """Scan ceiling and k-grid spacing; the tolerances are module constants.
+
+    ``grid_step`` changes which roots a scan finds (see `scan_spectrum`).
+    """
+
     k_max: float
     grid_step: float = 0.01
-    refine_tol: float = 1e-12
-    rank_tol: float = 1e-9
-    mult_tol: float = 1e-8
-    dedup_gap: float = 1e-9
 
     def __post_init__(self):
-        for name in ("k_max", "grid_step", "refine_tol", "rank_tol",
-                     "mult_tol", "dedup_gap"):
+        for name in ("k_max", "grid_step"):
             if not (0 < getattr(self, name) < math.inf):
                 raise SpectralError(f"{name} must be positive and finite")
 
@@ -223,16 +232,17 @@ def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
     return s[-1], s
 
 
-def eigenfunction_basis(g, cond, k, params: ScanParams | None = None):
-    """Orthonormal (coefficient-space) basis of the secular null space at k."""
-    tol_rank = params.rank_tol if params else ScanParams.rank_tol
-    tol_mult = params.mult_tol if params else ScanParams.mult_tol
+def eigenfunction_basis(g, cond, k):
+    """Orthonormal (coefficient-space) basis of the secular null space at k.
+
+    k must pass the scan's RANK_TOL test; MULT_TOL sets the dimension.
+    """
     a = secular_matrix(g, cond, k)
     _, s, vh = np.linalg.svd(a)
     smax = s[0]
-    if s[-1] >= tol_rank * smax:
+    if s[-1] >= RANK_TOL * smax:
         raise NotAnEigenvalue(f"k={k} is not an eigenwavenumber (sigma_min={s[-1]:.3e})")
-    mult = int((s < tol_mult * smax).sum())
+    mult = int((s < MULT_TOL * smax).sum())
     basis = []
     for row in vh[len(s) - mult:]:
         coeffs = tuple((row[2 * e], row[2 * e + 1]) for e in range(g.edge_count))
@@ -286,11 +296,12 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     lam = 0 is inserted analytically with multiplicity 1 (connected
     graph).  sigma_min is evaluated on the k-grid by batched SVDs of
     ``_SCAN_BLOCK`` secular matrices at a time.  Every grid minimum is
-    refined by golden-section to ``refine_tol`` on k, all of them in
-    lockstep, and accepted when sigma_min < rank_tol * sigma_max; the
+    refined by golden-section to REFINE_TOL on k, all of them in
+    lockstep, and accepted when sigma_min < RANK_TOL * sigma_max; the
     multiplicity is the number of singular values below
-    mult_tol * sigma_max.  Deterministic for fixed parameters, and
-    independent of the block size.
+    MULT_TOL * sigma_max.  Two roots that share one grid minimum come
+    out as one, so ``grid_step`` decides which roots are found.
+    Deterministic, and independent of the block size.
     """
     bad = validate_graph(g)
     if any(v == "not connected" for v in bad):
@@ -310,14 +321,14 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     i = np.arange(1, len(grid) - 1)
     lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
     ks = _golden_refine(lambda x: svals(x)[:, -1],
-                        grid[lows - 1], grid[lows + 1], params.refine_tol)
+                        grid[lows - 1], grid[lows + 1], REFINE_TOL)
     s = svals(ks)
-    accept = (s[:, -1] < params.rank_tol * s[:, 0]) & (ks <= params.k_max + params.dedup_gap)
-    mults = (s < params.mult_tol * s[:, :1]).sum(axis=1)
+    accept = (s[:, -1] < RANK_TOL * s[:, 0]) & (ks <= params.k_max + DEDUP_GAP)
+    mults = (s < MULT_TOL * s[:, :1]).sum(axis=1)
     roots = sorted(zip(ks[accept].tolist(), mults[accept].tolist()))
     entries = [(0.0, 1)]
     for k_star, mult in roots:
-        if entries[-1][0] > 0 and abs(math.sqrt(entries[-1][0]) - k_star) <= params.dedup_gap:
+        if entries[-1][0] > 0 and abs(math.sqrt(entries[-1][0]) - k_star) <= DEDUP_GAP:
             continue
         entries.append((float(k_star * k_star), mult))
     return Spectrum(tuple(entries), params.k_max)
@@ -421,7 +432,7 @@ def vertex_residual(f: Eigenfunction, cond: VertexConditions) -> float:
 # spectrum comparison
 # ---------------------------------------------------------------------------
 
-def compare_spectra(s1: Spectrum, s2: Spectrum, tol: float = GAP_TOL) -> dict:
+def compare_spectra(s1: Spectrum, s2: Spectrum) -> dict:
     """Pair eigenvalues in order and report gaps and multiplicity mismatches."""
     if s1.k_max != s2.k_max:
         raise SpectralError("spectra were scanned with different k_max")
@@ -445,7 +456,7 @@ def compare_spectra(s1: Spectrum, s2: Spectrum, tol: float = GAP_TOL) -> dict:
         "max_rel_gap": float(max_gap),
         "multiplicity_mismatches": mism,
         "pairs": pairs,
-        "match": bool(max_gap <= tol and not mism),
+        "match": bool(max_gap <= GAP_TOL and not mism),
     }
 
 

@@ -2,15 +2,11 @@
 
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 import warnings
 
 import pytest
 
-import gearlab
 from gearlab import io as gio
 from gearlab.cli import main
 from gearlab.graphs import Edge, MetricGraph
@@ -148,34 +144,31 @@ def test_zeta_conjugator_matches_golden_files(tmp_path):
         assert dump.read_bytes() == (DATA / f"fig6_eta_{tag}.poly").read_bytes()
 
 
-def _spectrum_csv(path):
-    rows = path.read_text().strip().splitlines()[1:]
-    return [(float(k), int(mult)) for k, _, mult in (r.split(",") for r in rows)]
+def test_grid_step_finds_the_thth_root(tmp_path):
+    a, _ = _build_pair(tmp_path, *THTH)
+    csv = tmp_path / "spec.csv"
+    assert run("spectrum", "--graph", str(a), "--w", "2", "--k-max", "9",
+               "--grid-step", "0.003", "-o", str(csv)) == 0
+    ks = [float(row.split(",")[0]) for row in csv.read_text().splitlines()[1:]]
+    assert len(ks) == 37 and min(abs(k - 3.9324913) for k in ks) < 1e-6
 
 
-def test_refine_tol_below_float_spacing_terminates(tmp_path):
-    a = tmp_path / "a.graph"
-    assert run("build", "--lengths", "1,2,3", "-o", str(a)) == 0
-    default, tiny = tmp_path / "default.csv", tmp_path / "tiny.csv"
-    assert run("spectrum", "--graph", str(a), "--k-max", "3", "-o", str(default)) == 0
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(pathlib.Path(gearlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gearlab.cli", "spectrum", "--graph", str(a), "--k-max", "3",
-         "--params", "refine_tol=1e-17", "-o", str(tiny)],
-        env=env, capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    want, got = _spectrum_csv(default), _spectrum_csv(tiny)
-    assert [m for _, m in got] == [m for _, m in want]
-    for (k_got, _), (k_want, _) in zip(got, want):
-        assert abs(k_got - k_want) <= 1e-10 * k_want
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--graph", "g", "--k-max", "3", "--params", "grid_step=0.01"),
+    ("compare", "--graph1", "g", "--graph2", "g", "--k-max", "3", "--tol", "1e-8"),
+    ("build", "--lengths", "1,2,3", "--digraph", "--tooth-mode", "fig6"),
+], ids=["params", "tol", "tooth-mode"])
+def test_removed_options_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["spectrum", "compare"])
 @pytest.mark.parametrize("extra,code", [
     (("--w", "inf"), 2),
     (("--k-max", "inf"), 2),
-    (("--params", "grid_step=inf"), 2),
+    (("--grid-step", "inf"), 2),
     (("--w", "1e308"), 3),
     (("--w", "1e200"), 3),
 ], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow", "w-norm-overflow"])
@@ -189,6 +182,32 @@ def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, cod
         warnings.simplefilter("always")
         assert run(command, *graphs, *k_max, *extra) == code
     assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
+
+
+def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    gio.write_graph(MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0))), bad)
+    errors = []
+    for argv in (("spectrum", "--graph", str(bad)),
+                 ("compare", "--graph1", str(bad), "--graph2", str(bad))):
+        capsys.readouterr()
+        assert run(*argv, "--k-max", "3") == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "gearlab: not connected\n"
+
+
+@pytest.mark.parametrize("command", ["markov", "conjugate"])
+@pytest.mark.parametrize("extra", [
+    ("--w", "abc"), ("--w", "1/0"), ("--w", "1e400"), ("--w", "0"), ("--w=-1/2",),
+    ("--w", "1e-400", "--mode", "float"), ("--w", "inf", "--mode", "float"),
+    ("--w", "nan", "--mode", "float"),
+], ids=["text", "zero-denominator", "overflow", "zero", "negative", "underflow-float",
+        "inf-float", "nan-float"])
+def test_bad_weight_exits_2(capsys, command, extra):
+    capsys.readouterr()
+    assert run(command, "--lengths", "1,2,3", *extra) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
 

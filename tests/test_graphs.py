@@ -150,22 +150,10 @@ def test_fig6_vertex3_neighborhood():
 
 
 def test_gear_to_digraph_counts():
-    dg = gear_to_digraph(GearSpec(3, (1, 1, 1), "primal"), "fig6")
+    dg = gear_to_digraph(GearSpec(3, (1, 1, 1), "primal"))
     assert dg.vertex_count == 6 and len(dg.arcs) == 6
-    dg = gear_to_digraph(GearSpec(3, (1, 2, 3), "dual"), "fig6")
+    dg = gear_to_digraph(GearSpec(3, (1, 2, 3), "dual"))
     assert len(dg.arcs) == 2 * 6
-
-
-def test_gear_to_digraph_modes():
-    spec = GearSpec(3, (1, 2, 3), "dual")
-    outward = gear_to_digraph(spec, "fig6")
-    metric = gear_to_digraph(spec, "metric")
-    # dual teeth run leaf -> polygon metrically, so fig6 mode reverses them
-    assert outward.arc_set() != metric.arc_set()
-    reversed_teeth = {(h, t) for t, h in metric.arc_set() - outward.arc_set()}
-    assert reversed_teeth == outward.arc_set() - metric.arc_set()
-    with pytest.raises(GraphError):
-        gear_to_digraph(spec, "sideways")
 
 
 def test_fig2_control_pair_shape():

@@ -334,14 +334,13 @@ def test_crosscheck_requires_integer_lengths():
         crosscheck_quantum(GearSpec(3, (1.0, 1.5, 1.0)), 1, math.pi)
 
 
-def test_crosscheck_gap_shrinks_with_refinement():
-    from gearlab import ScanParams
+def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
+    from gearlab import spectral
     spec = GearSpec(3, (1, 1, 1), "primal")
-    coarse = crosscheck_quantum(spec, 1, math.pi,
-                                ScanParams(k_max=math.pi, refine_tol=1e-5,
-                                           rank_tol=1e-3, mult_tol=1e-2))
-    fine = crosscheck_quantum(spec, 1, math.pi,
-                              ScanParams(k_max=math.pi, refine_tol=1e-12))
+    fine = crosscheck_quantum(spec, 1, math.pi)
+    for name, value in (("REFINE_TOL", 1e-5), ("RANK_TOL", 1e-3), ("MULT_TOL", 1e-2)):
+        monkeypatch.setattr(spectral, name, value)
+    coarse = crosscheck_quantum(spec, 1, math.pi)
     assert coarse["scanned_count"] == fine["scanned_count"]
     assert fine["max_gap"] < coarse["max_gap"]
     assert fine["max_gap"] < 1e-8
