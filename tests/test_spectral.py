@@ -252,7 +252,8 @@ def test_batched_singular_values_reject_non_finite_stack():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"k_max": math.inf}, {"k_max": 3.0, "grid_step": math.inf}, {"k_max": -1.0}])
+    {"k_max": math.inf}, {"k_max": 3.0, "grid_step": math.inf},
+    {"k_max": 3.0, "grid_step": math.nan}, {"k_max": -1.0}])
 def test_scan_params_require_positive_finite(kwargs):
     with pytest.raises(SpectralError):
         ScanParams(**kwargs)
