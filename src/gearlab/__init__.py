@@ -1,23 +1,3 @@
 """gearlab: isospectral gear graphs, random-walk conjugation, zeta equivalence."""
 
-from .graphs import (CombinatorialGraph, Digraph, Edge, GearSpec, GraphError,
-                     MetricGraph, build_fig3_pair, build_gear, dual_gear,
-                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                     insert_degree_two_vertex, subdivide, validate_graph)
-from .markov import (Conjugator, MarkovSystem, build_conjugator,
-                     characteristic_polynomial_exact, combinatorial_derivative,
-                     combinatorial_transplant, conjugator_report,
-                     crosscheck_quantum, markov_matrix, markov_spectrum,
-                     transplantation_matrix)
-from .spectral import (Eigenfunction, ScanParams, Spectrum, VertexConditions,
-                       compare_spectra, eigenfunction_basis, evaluate,
-                       evaluate_derivative, rank_indicator, scan_spectrum,
-                       secular_matrix, vertex_residual, weighted_inner,
-                       weighted_norm_sq)
-from .transplant import (TransplantMap, check_eigen_equation, check_isometry,
-                         inverse_transplant, transplant)
-from .zeta import (PRIME, Pencil, char_poly_symbolic, digraph_isomorphic,
-                   eval_det, intertwiner_12, pencil, verify_intertwiner,
-                   zeta_equivalent)
-
 __version__ = "0.1.0"

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 I/O error, 2 validation error, 3 numerical
 non-convergence, 4 verification failure.  Identical invocations produce
 byte-identical outputs; every randomized subcommand requires --seed and
 records it in its output.
+
+The floating-point subcommands (spectrum, compare, markov, conjugate)
+import ``spectral`` and ``markov``, and so numpy, inside their handlers:
+build, zeta, zeta-conjugator and isomorphic start without numpy.
 """
 
 from __future__ import annotations
@@ -15,13 +19,9 @@ import sys
 from fractions import Fraction
 
 from . import io as gio
-from .graphs import (GearSpec, GraphError, build_fig3_pair, build_gear,
+from .graphs import (GearSpec, GearlabError, GraphError, build_fig3_pair, build_gear,
                      fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
                      subdivide, validate_graph)
-from .markov import (MarkovError, characteristic_polynomial_exact,
-                     conjugator_report, markov_matrix, markov_spectrum)
-from .spectral import (ScanParams, SpectralError, VertexConditions, compare_spectra,
-                       scan_spectrum)
 from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
@@ -57,8 +57,10 @@ def _weight(args):
 
 
 def _scan_params(args):
+    from .spectral import ScanParams, SpectralError
+    step = {} if args.grid_step is None else {"grid_step": args.grid_step}
     try:
-        return ScanParams(args.k_max, args.grid_step)
+        return ScanParams(args.k_max, **step)
     except SpectralError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
@@ -67,7 +69,7 @@ def _gear_spec(args) -> GearSpec:
     lengths = _parse_lengths(args.lengths)
     attachments = None
     if getattr(args, "attach", None):
-        attachments = tuple("tail" if ch == "t" else "head" for ch in args.attach)
+        attachments = tuple({"t": "tail", "h": "head"}.get(ch, ch) for ch in args.attach)
     try:
         spec = GearSpec(len(lengths), lengths,
                         "dual" if args.dual else "primal", attachments)
@@ -143,6 +145,7 @@ def cmd_build(args):
 
 
 def cmd_spectrum(args):
+    from .spectral import SpectralError, VertexConditions, scan_spectrum
     g = _read_graph(args.graph)
     params = _scan_params(args)
     cond = VertexConditions(args.w)
@@ -155,6 +158,7 @@ def cmd_spectrum(args):
 
 
 def cmd_compare(args):
+    from .spectral import SpectralError, VertexConditions, compare_spectra, scan_spectrum
     g1 = _read_graph(args.graph1)
     g2 = _read_graph(args.graph2)
     params = _scan_params(args)
@@ -171,6 +175,8 @@ def cmd_compare(args):
 
 
 def cmd_markov(args):
+    from .markov import (MarkovError, characteristic_polynomial_exact, markov_matrix,
+                         markov_spectrum)
     spec = _gear_spec(args)
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "markov subcommand needs integer lengths")
@@ -197,6 +203,7 @@ def cmd_markov(args):
 
 
 def cmd_conjugate(args):
+    from .markov import MarkovError, conjugator_report
     spec = _gear_spec(args)
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "conjugate subcommand needs integer lengths")
@@ -212,6 +219,8 @@ def cmd_conjugate(args):
 
 
 def _digraph_pair(args):
+    if (args.fig6 or args.fig2) and (args.g1 or args.g2):
+        raise CliError(EXIT_VALIDATION, "give either --g1/--g2 or a fixture flag, not both")
     if args.fig6:
         return fig6_digraph_pair()
     if args.fig2:
@@ -261,6 +270,12 @@ def _add_gear_args(p):
                    help="per-tooth attachment pattern, e.g. 'tht' (t=tail, h=head)")
 
 
+def _add_fixture_args(p):
+    fixture = p.add_mutually_exclusive_group()
+    fixture.add_argument("--fig6", action="store_true", help="use the reference pair")
+    fixture.add_argument("--fig2", action="store_true", help="use the negative-control pair")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="gearlab",
                                      description="gear graphs and their spectra")
@@ -278,7 +293,7 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=ScanParams.grid_step)
+    p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -287,7 +302,7 @@ def build_parser():
     p.add_argument("--graph2", required=True)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=ScanParams.grid_step)
+    p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compare)
 
@@ -308,8 +323,7 @@ def build_parser():
     p = sub.add_parser("zeta", help="polynomial identity test of two digraphs")
     p.add_argument("--g1")
     p.add_argument("--g2")
-    p.add_argument("--fig6", action="store_true", help="use the reference pair")
-    p.add_argument("--fig2", action="store_true", help="use the negative-control pair")
+    _add_fixture_args(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
@@ -324,8 +338,7 @@ def build_parser():
     p = sub.add_parser("isomorphic", help="digraph isomorphism with witness")
     p.add_argument("--g1")
     p.add_argument("--g2")
-    p.add_argument("--fig6", action="store_true")
-    p.add_argument("--fig2", action="store_true")
+    _add_fixture_args(p)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_isomorphic)
 
@@ -340,7 +353,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"gearlab: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphError, SpectralError, MarkovError, ZetaError) as exc:
+    except GearlabError as exc:
         print(f"gearlab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,7 +26,11 @@ _VARIANTS = ("primal", "dual")
 _ENDS = ("tail", "head")
 
 
-class GraphError(ValueError):
+class GearlabError(ValueError):
+    """Base of the errors that the CLI reports as validation failures."""
+
+
+class GraphError(GearlabError):
     """Invalid graph construction or validation failure."""
 
 

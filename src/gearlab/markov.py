@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (CombinatorialGraph, GearSpec, TOOTH, bipartition_sign,
-                     build_gear, dual_gear, subdivide)
+from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH,
+                     bipartition_sign, build_gear, dual_gear, subdivide)
 from .linalg import unicyclic_det
 from .polynomials import SparsePolynomial
 from .spectral import ScanParams, VertexConditions, scan_spectrum
@@ -27,7 +27,7 @@ from .spectral import ScanParams, VertexConditions, scan_spectrum
 MODES = ("rational", "float")
 
 
-class MarkovError(ValueError):
+class MarkovError(GearlabError):
     pass
 
 

@@ -111,14 +111,6 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     # -- queries --------------------------------------------------------
-    def is_homogeneous(self, degree=None):
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return True
-        if degree is None:
-            return len(degs) == 1
-        return degs == {degree}
-
     def coefficient(self, **powers):
         exps = [0] * NVARS
         for name, p in powers.items():

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import MetricGraph, TOOTH, validate_graph
+from .graphs import GearlabError, MetricGraph, TOOTH, validate_graph
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,7 +45,7 @@ MULT_TOL = 1e-8
 DEDUP_GAP = 1e-9
 
 
-class SpectralError(ValueError):
+class SpectralError(GearlabError):
     pass
 
 

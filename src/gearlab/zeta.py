@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Digraph, fig6_digraph_pair
+from .graphs import Digraph, GearlabError, fig6_digraph_pair
 from .linalg import unicyclic_det
 from .polynomials import SparsePolynomial, det_symbolic
 
@@ -32,7 +32,7 @@ ISOMORPHISM_MAX_N = 16
 FULL_DET_POINT = (1, 1, 1, 1, 1, 1)
 
 
-class ZetaError(ValueError):
+class ZetaError(GearlabError):
     pass
 
 

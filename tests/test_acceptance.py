@@ -12,17 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearlab import (GearSpec, ScanParams, VertexConditions, build_fig3_pair,
-                     build_gear, check_isometry, conjugator_report,
-                     crosscheck_quantum, dual_gear, eigenfunction_basis,
-                     fig2_control_pair, fig6_digraph_pair, digraph_isomorphic,
-                     insert_degree_two_vertex, inverse_transplant,
-                     markov_matrix, markov_spectrum, scan_spectrum, subdivide,
-                     transplant, verify_intertwiner, zeta_equivalent)
-from gearlab.graphs import bipartition_sign
-from gearlab.markov import combinatorial_derivative, combinatorial_transplant
-from gearlab.spectral import compare_first, suggest_k_max
-from gearlab.zeta import PRIME
+from gearlab.graphs import (GearSpec, bipartition_sign, build_fig3_pair, build_gear,
+                            dual_gear, fig2_control_pair, fig6_digraph_pair,
+                            insert_degree_two_vertex, subdivide)
+from gearlab.markov import (combinatorial_derivative, combinatorial_transplant,
+                            conjugator_report, crosscheck_quantum, markov_matrix,
+                            markov_spectrum)
+from gearlab.spectral import (ScanParams, VertexConditions, compare_first,
+                              eigenfunction_basis, scan_spectrum, suggest_k_max)
+from gearlab.transplant import check_isometry, inverse_transplant, transplant
+from gearlab.zeta import PRIME, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 
 @contextmanager

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -32,6 +35,38 @@ def test_build_writes_gear_file(tmp_path):
     assert run("build", "--lengths", "1,2,3", "--dual", "-o", str(out)) == 0
     g = gio.read_graph(out)
     assert g.vertex_count == 6 and g.edge_count == 6
+
+
+@pytest.mark.parametrize("command", ["build", "markov"])
+@pytest.mark.parametrize("attach", ["txz", "thx", "THT"])
+def test_unknown_attach_letter_is_a_validation_error(tmp_path, command, attach):
+    out = tmp_path / "out"
+    assert run(command, "--lengths", "1,2,3", "--attach", attach, "-o", str(out)) == 2
+    assert not out.exists()
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    """build, zeta, zeta-conjugator and isomorphic run in a fresh interpreter
+    without loading numpy; markov, run last, shows that the check sees it."""
+    a, b = str(tmp_path / "a.digraph"), str(tmp_path / "b.digraph")
+    commands = [
+        ["build", "--lengths", "1,2,3", "--digraph", "-o", a],
+        ["build", "--lengths", "1,2,3", "--digraph", "--dual", "-o", b],
+        ["zeta", "--g1", a, "--g2", b, "--seed", "1", "-o", str(tmp_path / "z.json")],
+        ["zeta-conjugator", "-o", str(tmp_path / "zc.json")],
+        ["isomorphic", "--fig2", "-o", str(tmp_path / "iso.json")],
+        ["markov", "--lengths", "1,2,3", "-o", str(tmp_path / "m.json")],
+    ]
+    script = ("import json, sys\n"
+              "from gearlab.cli import main\n"
+              "print(json.dumps([(main(argv), 'numpy' in sys.modules)\n"
+              "                  for argv in json.loads(sys.argv[1])]))\n")
+    src = str(pathlib.Path(gio.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [[0, False]] * 5 + [[0, True]]
 
 
 def test_build_rejects_small_n(tmp_path):
@@ -287,6 +322,11 @@ def test_digraph_pair_selection_errors(tmp_path, command):
     assert run(*command, "--g1", str(a)) == 2
     assert run(*command, "--g1", str(a), "--g2", str(tmp_path / "nope.digraph")) == 1
     assert run(*command, "--g1", str(tmp_path / "nope.digraph"), "--g2", str(a)) == 1
+    assert run(*command, "--fig6", "--g1", str(tmp_path / "nope.digraph")) == 2
+    assert run(*command, "--fig2", "--g1", str(a), "--g2", str(a)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--fig2", "--fig6")
+    assert exc.value.code == 2
 
 
 def test_isomorphic_fixtures(tmp_path):

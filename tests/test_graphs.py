@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab import (GearSpec, GraphError, build_fig3_pair, build_gear,
-                     dual_gear, fig2_control_pair, fig6_digraph_pair,
-                     gear_to_digraph, subdivide, validate_graph)
-from gearlab.graphs import Edge, MetricGraph, bipartition_sign
+from gearlab.graphs import (Edge, GearSpec, GraphError, MetricGraph, bipartition_sign,
+                            build_fig3_pair, build_gear, dual_gear, fig2_control_pair,
+                            fig6_digraph_pair, gear_to_digraph, subdivide, validate_graph)
 from gearlab import io as gio
 
 

@@ -8,13 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearlab import (GearSpec, build_conjugator, build_gear,
-                     characteristic_polynomial_exact, combinatorial_derivative,
-                     combinatorial_transplant, conjugator_report,
-                     crosscheck_quantum, dual_gear, markov_matrix,
-                     markov_spectrum, subdivide, transplantation_matrix)
-from gearlab.graphs import bipartition_sign
-from gearlab.markov import MODES, MarkovError, conjugation_residual, conjugator_sigma_min
+from gearlab.graphs import GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
+from gearlab.markov import (MODES, MarkovError, build_conjugator,
+                            characteristic_polynomial_exact, combinatorial_derivative,
+                            combinatorial_transplant, conjugation_residual,
+                            conjugator_report, conjugator_sigma_min, crosscheck_quantum,
+                            markov_matrix, markov_spectrum, transplantation_matrix)
 
 from test_linalg import fraction_rank, poly_eval
 

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from gearlab import (Digraph, GearSpec, build_gear, characteristic_polynomial_exact,
-                     char_poly_symbolic, digraph_isomorphic, dual_gear, eval_det,
-                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                     markov_matrix, markov_spectrum, PRIME, pencil, subdivide)
+from gearlab.graphs import (Digraph, GearSpec, build_gear, dual_gear, fig2_control_pair,
+                            fig6_digraph_pair, gear_to_digraph, subdivide)
+from gearlab.markov import characteristic_polynomial_exact, markov_matrix, markov_spectrum
+from gearlab.zeta import PRIME, char_poly_symbolic, digraph_isomorphic, eval_det, pencil
 from gearlab.linalg import unicyclic_det
 from gearlab.polynomials import SparsePolynomial, det_symbolic
 

@@ -7,15 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gearlab import (GearSpec, ScanParams, VertexConditions, build_gear,
-                     compare_spectra, crosscheck_quantum, eigenfunction_basis, evaluate,
-                     evaluate_derivative, insert_degree_two_vertex,
-                     rank_indicator, scan_spectrum, secular_matrix,
-                     weighted_inner, weighted_norm_sq)
-from gearlab.graphs import Edge, MetricGraph
+from gearlab.graphs import Edge, GearSpec, MetricGraph, build_gear, insert_degree_two_vertex
+from gearlab.markov import crosscheck_quantum
+from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
+                              VertexConditions, compare_spectra, constant_eigenfunction,
+                              eigenfunction_basis, evaluate, evaluate_derivative,
+                              rank_indicator, scan_spectrum, secular_matrix,
+                              vertex_residual, weighted_inner, weighted_norm_sq)
 from gearlab import spectral
-from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, SpectralError,
-                              constant_eigenfunction, vertex_residual)
 
 KN = VertexConditions(1.0)
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gearlab import (GearSpec, ScanParams, VertexConditions, build_gear,
-                     check_eigen_equation, check_isometry, dual_gear,
-                     eigenfunction_basis, evaluate, evaluate_derivative,
-                     inverse_transplant, scan_spectrum, transplant)
-from gearlab.spectral import Eigenfunction, vertex_residual
-from gearlab.transplant import TransplantError, transplant_report
+from gearlab.graphs import GearSpec, build_gear, dual_gear
+from gearlab.spectral import (Eigenfunction, ScanParams, VertexConditions,
+                              eigenfunction_basis, evaluate, evaluate_derivative,
+                              scan_spectrum, vertex_residual)
+from gearlab.transplant import (TransplantError, check_eigen_equation, check_isometry,
+                                inverse_transplant, transplant, transplant_report)
 
 
 def dual_pair(lengths=(1, 2, 3), attachments=None):
