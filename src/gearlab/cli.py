@@ -71,13 +71,9 @@ def _gear_spec(args) -> GearSpec:
     if getattr(args, "attach", None):
         attachments = tuple({"t": "tail", "h": "head"}.get(ch, ch) for ch in args.attach)
     try:
-        spec = GearSpec(len(lengths), lengths,
-                        "dual" if args.dual else "primal", attachments)
+        return GearSpec(len(lengths), lengths, "dual" if args.dual else "primal", attachments)
     except GraphError as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
-    if args.n is not None and args.n != spec.n:
-        raise CliError(EXIT_VALIDATION, f"--n {args.n} disagrees with {spec.n} lengths")
-    return spec
 
 
 def _read_graph(path):
@@ -263,7 +259,6 @@ def cmd_isomorphic(args):
 # ---------------------------------------------------------------------------
 
 def _add_gear_args(p):
-    p.add_argument("--n", type=int, default=None, help="polygon side count (checked)")
     p.add_argument("--lengths", required=True, help="comma-separated side/tooth lengths")
     p.add_argument("--dual", action="store_true", help="build the dual variant")
     p.add_argument("--attach", default=None,

@@ -108,6 +108,8 @@ class MetricGraph:
     name: str = "graph"
 
     def __post_init__(self):
+        if self.vertex_count < 1:
+            raise GraphError(f"need at least one vertex, got {self.vertex_count}")
         object.__setattr__(self, "edges", tuple(self.edges))
         for e in self.edges:
             if not (0 <= e.tail < self.vertex_count and 0 <= e.head < self.vertex_count):
@@ -146,11 +148,7 @@ class CombinatorialGraph:
 
     vertex_count: int
     edges: tuple          # (u, v, cls) unit edges
-    vertex_roles: dict
     paths: dict
-
-    def is_bipartite(self) -> bool:
-        return bipartition_sign(self) is not None
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,8 @@ class Digraph:
     name: str = "digraph"
 
     def __post_init__(self):
+        if self.vertex_count < 1:
+            raise GraphError(f"need at least one vertex, got {self.vertex_count}")
         object.__setattr__(self, "arcs", tuple(self.arcs))
         for t, h in self.arcs:
             if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
@@ -206,25 +206,20 @@ def connected_components(vertex_count, pairs):
     return len({find(v) for v in range(vertex_count)})
 
 
-def validate_graph(g) -> list:
+def validate_graph(g: MetricGraph) -> list:
     """Return the list of violated invariants (empty means valid)."""
     report = []
-    if isinstance(g, MetricGraph):
-        for e in g.edges:
-            if not (e.length > 0):
-                report.append(f"edge {e.id}: nonpositive length")
-            if not (e.weight > 0):
-                report.append(f"edge {e.id}: nonpositive weight")
-        pairs = [(e.tail, e.head) for e in g.edges]
-        if g.vertex_count > 0 and connected_components(g.vertex_count, pairs) != 1:
-            report.append("not connected")
-        report.extend(_validate_gear_structure(g))
-    elif isinstance(g, CombinatorialGraph):
-        pairs = [(u, v) for u, v, _ in g.edges]
-        if g.vertex_count > 0 and connected_components(g.vertex_count, pairs) != 1:
-            report.append("not connected")
-    else:
-        report.append(f"unsupported graph type {type(g).__name__}")
+    if not g.edges:
+        report.append("no edges")
+    for e in g.edges:
+        if not (e.length > 0):
+            report.append(f"edge {e.id}: nonpositive length")
+        if not (e.weight > 0):
+            report.append(f"edge {e.id}: nonpositive weight")
+    pairs = [(e.tail, e.head) for e in g.edges]
+    if connected_components(g.vertex_count, pairs) != 1:
+        report.append("not connected")
+    report.extend(_validate_gear_structure(g))
     return report
 
 
@@ -300,24 +295,7 @@ def subdivide(g: MetricGraph) -> CombinatorialGraph:
         paths[e.id] = tuple(path)
         for a, b in zip(path[:-1], path[1:]):
             edges.append((a, b, e.cls))
-    deg = [0] * next_id
-    touches = [set() for _ in range(next_id)]
-    for u, v, cls in edges:
-        deg[u] += 1
-        deg[v] += 1
-        touches[u].add(cls)
-        touches[v].add(cls)
-    roles = {}
-    for v in range(next_id):
-        if deg[v] == 1:
-            roles[v] = "leaf"
-        elif POLYGON in touches[v]:
-            roles[v] = "polygon"
-        elif TOOTH in touches[v]:
-            roles[v] = "tooth-interior"
-        else:
-            roles[v] = PLAIN
-    return CombinatorialGraph(next_id, tuple(edges), roles, paths)
+    return CombinatorialGraph(next_id, tuple(edges), paths)
 
 
 def bipartition_sign(cg: CombinatorialGraph):

@@ -60,9 +60,6 @@ class MarkovSystem:
                 out[v, u] = float(p)
         return out
 
-    def apply(self, f):
-        return [sum(p * f[u] for u, p in row.items()) for row in self.rows]
-
 
 def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSystem:
     """Walk matrix of a unit subdivision; tooth edges carry weight w."""
@@ -142,24 +139,34 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
 # combinatorial derivatives and transplantation
 # ---------------------------------------------------------------------------
 
-def combinatorial_derivative(ms: MarkovSystem, f, v: int, vp: int):
-    """Outward derivative of f at v along the edge towards neighbor vp."""
+def _derivative_row(ms: MarkovSystem, v: int, vp: int) -> dict:
+    """Outward derivative -(Mf)(v) + f(vp) at v towards vp, as a row over f."""
     if vp not in ms.rows[v]:
         raise MarkovError(f"vertices {v} and {vp} are not adjacent")
-    mf = sum(p * f[u] for u, p in ms.rows[v].items())
-    return -mf + f[vp]
+    row = {u: -p for u, p in ms.rows[v].items()}
+    row[vp] += 1
+    return row
 
 
-def _path_derivatives(f, mf, path):
-    """One-sided derivatives along a tail-to-head path, slot by slot."""
-    last = len(path) - 1
-    out = []
-    for j, v in enumerate(path):
-        if j < last:
-            out.append(-mf[v] + f[path[j + 1]])
-        else:
-            out.append(mf[v] - f[path[j - 1]])
-    return out
+def combinatorial_derivative(ms: MarkovSystem, f, v: int, vp: int):
+    """Outward derivative of f at v along the edge towards neighbor vp."""
+    return sum(c * f[u] for u, c in _derivative_row(ms, v, vp).items())
+
+
+def _path_rows(ms: MarkovSystem, path):
+    """One-sided derivative rows along a tail-to-head path, slot by slot.
+
+    Every slot but the last looks forward; the last looks back to its
+    predecessor, negated, so each slot measures along the path direction.
+    """
+    rows = [_derivative_row(ms, v, path[j + 1]) for j, v in enumerate(path[:-1])]
+    rows.append({u: -c for u, c in _derivative_row(ms, path[-1], path[-2]).items()})
+    return rows
+
+
+def _combine(a: dict, b: dict, scale) -> dict:
+    """Row a + scale * b."""
+    return {u: a.get(u, 0) + scale * b.get(u, 0) for u in {**a, **b}}
 
 
 def _gear_path_count(cg: CombinatorialGraph) -> int:
@@ -169,74 +176,57 @@ def _gear_path_count(cg: CombinatorialGraph) -> int:
     return n
 
 
-def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f,
-                             assignment=None):
-    """Transplant a vertex function from one subdivided gear to its dual.
+def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
+    """Rows of the combinatorial transplantation T, one dict per dual vertex.
 
-    Slot j of each dual side/tooth path receives p_i'(slot j) + w t_i'(slot j)
-    (side) and p_i'(slot j) - t_i'(slot j) (tooth), or the swapped pair when
-    assignment[i] == 1; without ``assignment`` every index takes the first
-    form.  Values assigned to a shared vertex from several paths must agree,
-    exactly in rational mode and to 1e-12 relative in float mode, or
-    MarkovError is raised.  Returns (values, assignment_bits).
+    Slot j of dual side path i gets the row p_i'(slot j) + w t_i'(slot j)
+    and slot j of dual tooth path i gets p_i'(slot j) - t_i'(slot j),
+    where p_i', t_i' are the derivative rows on the source paths.  A
+    vertex on several dual paths must get the same row from each, exactly
+    in rational mode and per coefficient to 1e-12 relative in float mode,
+    or MarkovError is raised; so every image T f is consistent.
     """
     n = _gear_path_count(src.cg)
     if _gear_path_count(dst.cg) != n:
         raise MarkovError("source and target gears differ in size")
     if src.w != dst.w:
         raise MarkovError("source and target weights differ")
-    bits = tuple(assignment) if assignment is not None else (0,) * n
     w = src.w
-    mf = src.apply(f)
-    out = [None] * dst.cg.vertex_count
+    rows = [None] * dst.size
     worst = 0
     for i in range(n):
-        side_d = _path_derivatives(f, mf, src.cg.paths[i])
-        tooth_d = _path_derivatives(f, mf, src.cg.paths[n + i])
-        plus = [sd + w * td for sd, td in zip(side_d, tooth_d)]
-        minus = [sd - td for sd, td in zip(side_d, tooth_d)]
-        side_vals, tooth_vals = (plus, minus) if bits[i] == 0 else (minus, plus)
-        for path, vals in ((dst.cg.paths[i], side_vals),
-                           (dst.cg.paths[n + i], tooth_vals)):
-            for vertex, val in zip(path, vals):
-                if out[vertex] is None:
-                    out[vertex] = val
-                elif out[vertex] != val:
-                    worst = max(worst, abs(out[vertex] - val) / max(1, abs(val)))
+        side_d = _path_rows(src, src.cg.paths[i])
+        tooth_d = _path_rows(src, src.cg.paths[n + i])
+        plus = [_combine(sd, td, w) for sd, td in zip(side_d, tooth_d)]
+        minus = [_combine(sd, td, -1) for sd, td in zip(side_d, tooth_d)]
+        for path, path_rows in ((dst.cg.paths[i], plus), (dst.cg.paths[n + i], minus)):
+            for vertex, row in zip(path, path_rows):
+                if rows[vertex] is None:
+                    rows[vertex] = row
+                    continue
+                for u in {**rows[vertex], **row}:
+                    old, new = rows[vertex].get(u, 0), row.get(u, 0)
+                    if old != new:
+                        worst = max(worst, abs(old - new) / max(1, abs(new)))
     if worst > (0 if src.mode == "rational" else 1e-12):
-        raise MarkovError(f"assignment {bits} is inconsistent at shared vertices "
+        raise MarkovError("transplantation is inconsistent at shared vertices "
                           f"(discrepancy {float(worst):.3e})")
-    return out, bits
+    return rows
 
 
-def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem, assignment=None):
-    """Matrix T of the combinatorial transplantation (column j = image of e_j).
-
-    The bits are ``assignment`` or, without it, all zero.  Each column
-    passes the shared-vertex check, so by linearity every image under T
-    is consistent.
-    """
-    n = src.size
-    zero = Fraction(0) if src.mode == "rational" else 0.0
-    one = Fraction(1) if src.mode == "rational" else 1.0
-    cols = []
-    for j in range(n):
-        e = [zero] * n
-        e[j] = one
-        img, assignment = combinatorial_transplant(src, dst, e, assignment)
-        cols.append(img)
-    t = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return t, assignment
+def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f):
+    """Transplant a vertex function from one subdivided gear to its dual: T f."""
+    return [sum(c * f[u] for u, c in row.items())
+            for row in transplantation_matrix(src, dst)]
 
 
 @dataclass(frozen=True)
 class Conjugator:
-    T: tuple
+    T: tuple               # sparse rows of the transplantation
     J_plus: tuple
     J_minus: tuple
     C: tuple
     mode: str
-    assignment: tuple
 
 
 def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
@@ -247,8 +237,9 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
     does the same for the sign vectors of the -1-eigenspaces, else J- = 0.
     """
     n = src.size
-    t, assignment = transplantation_matrix(src, dst)
+    t = transplantation_matrix(src, dst)
     d = src.degrees
+    zero = Fraction(0) if src.mode == "rational" else 0.0
     jp = [[d[j] for j in range(n)] for _ in range(n)]
     s = bipartition_sign(src.cg)
     st = bipartition_sign(dst.cg)
@@ -258,14 +249,12 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
         total = sum(d)
         jm = [[st[i] * s[j] * d[j] / total for j in range(n)] for i in range(n)]
     else:
-        zero = Fraction(0) if src.mode == "rational" else 0.0
         jm = [[zero] * n for _ in range(n)]
-    c = [[t[i][j] + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
-    as_t = tuple(tuple(row) for row in t)
+    c = [[t[i].get(j, zero) + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
     as_jp = tuple(tuple(row) for row in jp)
     as_jm = tuple(tuple(row) for row in jm)
     as_c = tuple(tuple(row) for row in c)
-    return Conjugator(as_t, as_jp, as_jm, as_c, src.mode, assignment)
+    return Conjugator(tuple(t), as_jp, as_jm, as_c, src.mode)
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):

@@ -100,32 +100,23 @@ def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
                        assignment=None) -> Eigenfunction:
     """Invert the transplantation on a lam > 0 eigenspace.
 
-    Componentwise the forward map applies B = [[1, w], [1, -1]] (or its
-    row swap) to first derivatives; since B^2 = (1+w) I and f'' = -lam f,
-    the inverse applies -B/(lam (1+w)) to the derivatives of ft.
+    Componentwise the forward map applies B = [[1, w], [1, -1]] to first
+    derivatives, its two rows swapped on indices whose bit is 1.  Since
+    B^2 = (1+w) I and f'' = -lam f, undoing the swaps and applying the
+    standard rule to ft gives the source function times -lam (1+w).
     """
     if ft.k <= 0:
         raise TransplantError("inverse transplantation needs lam > 0")
     n = gear_edge_split(ft.graph)
     gear_edge_split(target)
-    lam = ft.k * ft.k
     bits = tuple(assignment) if assignment is not None else (0,) * n
-    scale = -1.0 / (lam * (1.0 + w))
-    side = [None] * n
-    tooth = [None] * n
+    coeffs = list(ft.coeffs)
     for i in range(n):
-        dsa, dsb = _derivative_coeffs(ft, i)
-        dta, dtb = _derivative_coeffs(ft, n + i)
-        if bits[i] == 0:
-            # inverse of (p~, t~) = [[1, w], [1, -1]] (p', t')
-            pa, pb = scale * (dsa + w * dta), scale * (dsb + w * dtb)
-            ta, tb = scale * (dsa - dta), scale * (dsb - dtb)
-        else:
-            # inverse of (p~, t~) = [[1, -1], [1, w]] (p', t')
-            pa, pb = scale * (w * dsa + dta), scale * (w * dsb + dtb)
-            ta, tb = scale * (-dsa + dta), scale * (-dsb + dtb)
-        side[i], tooth[i] = (pa, pb), (ta, tb)
-    return Eigenfunction(target, ft.k, tuple(side + tooth))
+        if bits[i]:
+            coeffs[i], coeffs[n + i] = coeffs[n + i], coeffs[i]
+    back = _assemble(Eigenfunction(ft.graph, ft.k, tuple(coeffs)), target, w, (0,) * n)
+    scale = -1.0 / (ft.k * ft.k * (1.0 + w))
+    return Eigenfunction(target, ft.k, tuple((scale * a, scale * b) for a, b in back.coeffs))
 
 
 def check_eigen_equation(f: Eigenfunction, ft: Eigenfunction, w: float,

@@ -204,7 +204,7 @@ def test_criterion_8_structural_invariants():
             for i, mu in enumerate(vals):
                 if abs(abs(mu) - 1.0) < 1e-9:
                     continue
-                img, _ = combinatorial_transplant(fsrc, fdst, list(vecs[:, i]))
+                img = combinatorial_transplant(fsrc, fdst, list(vecs[:, i]))
                 img = np.array(img)
                 assert np.abs(md @ img - mu * img).max() <= 1e-10 * np.linalg.norm(img)
 

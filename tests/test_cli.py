@@ -71,7 +71,7 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
 
 def test_build_rejects_small_n(tmp_path):
     out = tmp_path / "bad.graph"
-    assert run("build", "--n", "2", "--lengths", "1,2", "-o", str(out)) == 2
+    assert run("build", "--lengths", "1,2", "-o", str(out)) == 2
     assert not out.exists()
 
 
@@ -170,6 +170,17 @@ def test_markov_charpoly_matches_golden_file(tmp_path, gear, w, name):
     assert got == (DATA / f"{name}_markov_charpoly.json").read_text()
 
 
+@pytest.mark.parametrize("extra,name", [
+    ((), "gear123_conjugate"),
+    (("--mode", "float"), "gear123_float_conjugate"),
+    (("--attach", "tht"), "gear123_tht_conjugate"),
+], ids=["rational", "float", "tht"])
+def test_conjugate_matches_golden_file(tmp_path, extra, name):
+    out = tmp_path / "conj.json"
+    assert run("conjugate", "--lengths", "1,2,3", "--w", "3/2", *extra, "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
 def test_zeta_conjugator_matches_golden_files(tmp_path):
     out, base = tmp_path / "t.json", tmp_path / "eta"
     assert run("zeta-conjugator", "--dump-eta", str(base), "-o", str(out)) == 0
@@ -231,6 +242,34 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
         assert run(*argv, "--k-max", "3") == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == "gearlab: not connected\n"
+
+
+@pytest.mark.parametrize("header", ["vertices 0", "vertices -2", "vertices 1"],
+                         ids=["zero", "negative", "no-edges"])
+def test_degenerate_graph_file_is_a_validation_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"graph bad\n{header}\n")
+    out = tmp_path / "out"
+    for argv in (("spectrum", "--graph", str(bad)),
+                 ("compare", "--graph1", str(bad), "--graph2", str(bad))):
+        capsys.readouterr()
+        assert run(*argv, "--k-max", "3", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command", [["zeta", "--seed", "1"], ["isomorphic"]], ids=lambda c: c[0])
+def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command, count):
+    bad = tmp_path / "bad.digraph"
+    bad.write_text(f"digraph bad\nvertices {count}\n")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(*command, "--g1", str(bad), "--g2", str(bad), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["markov", "conjugate"])

@@ -94,8 +94,8 @@ def test_subdivide_preserves_total_length():
 
 
 def test_subdivide_bipartite_iff_even_cycle():
-    assert subdivide(build_gear(GearSpec(3, (1, 2, 3)))).is_bipartite()
-    assert not subdivide(build_gear(GearSpec(3, (1, 1, 1)))).is_bipartite()
+    assert bipartition_sign(subdivide(build_gear(GearSpec(3, (1, 2, 3))))) is not None
+    assert bipartition_sign(subdivide(build_gear(GearSpec(3, (1, 1, 1))))) is None
 
 
 def test_subdivide_rejects_non_integer():
@@ -103,15 +103,13 @@ def test_subdivide_rejects_non_integer():
         subdivide(build_gear(GearSpec(3, (1.0, 1.5, 1.0))))
 
 
-def test_subdivide_paths_and_roles():
+def test_subdivide_paths():
     g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
     cg = subdivide(g)
     for e in g.edges:
         path = cg.paths[e.id]
         assert path[0] == e.tail and path[-1] == e.head
         assert len(path) == int(e.length) + 1
-    roles = set(cg.vertex_roles.values())
-    assert roles == {"polygon", "tooth-interior", "leaf"}
 
 
 def test_bipartition_sign_two_colors():

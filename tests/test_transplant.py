@@ -1,6 +1,8 @@
 """Eigenderivative transplantation identities on computed eigenfunctions."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -135,6 +137,38 @@ def test_prescribed_wrong_assignment_raises():
     f = first_positive_eigenfunctions(g1, VertexConditions(1.0))[0]
     with pytest.raises(TransplantError):
         transplant(f, g2, 1.0, assignment=(1, 0, 0))
+
+
+def closed_form_inverse(ft, w, bits):
+    """The inverse written out per bit: [[1, w], [1, -1]] (bit 0) or
+    [[w, 1], [-1, 1]] (bit 1) on the derivatives of ft, times -1/(lam (1+w))."""
+    n = len(bits)
+    k = ft.k
+    scale = -1.0 / (k * k * (1.0 + w))
+    side, tooth = [], []
+    for i in range(n):
+        (sa, sb), (ta, tb) = ft.coeffs[i], ft.coeffs[n + i]
+        dsa, dsb, dta, dtb = k * sb, -k * sa, k * tb, -k * ta
+        if bits[i] == 0:
+            side.append((scale * (dsa + w * dta), scale * (dsb + w * dtb)))
+            tooth.append((scale * (dsa - dta), scale * (dsb - dtb)))
+        else:
+            side.append((scale * (w * dsa + dta), scale * (w * dsb + dtb)))
+            tooth.append((scale * (-dsa + dta), scale * (-dsb + dtb)))
+    return tuple(side + tooth)
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)),
+                         ids=lambda b: "".join(map(str, b)))
+def test_inverse_transplant_matches_closed_forms(bits):
+    g1, g2 = dual_pair((1.0, math.sqrt(2.0), 2.5))
+    rng = random.Random(str(bits))
+    for w in (0.5, 1.5, rng.uniform(0.1, 5.0)):
+        coeffs = tuple((rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(6))
+        ft = Eigenfunction(g2, rng.uniform(0.5, 9.0), coeffs)
+        back = inverse_transplant(ft, g1, w, bits)
+        assert back.graph is g1
+        assert back.coeffs == closed_form_inverse(ft, w, bits)
 
 
 def test_transplant_onto_non_dual_raises():
