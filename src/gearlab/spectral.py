@@ -3,17 +3,19 @@
 On each edge an eigenfunction with eigenvalue lam = k^2 > 0 is written as
 f_e(x) = a_e cos(kx) + b_e sin(kx); the vertex conditions (continuity plus
 weighted Kirchhoff: sum of edge-weight times outward derivative vanishes)
-become a square homogeneous system in the 2m coefficients.  k is an
-eigenwavenumber exactly when the row-normalized system loses rank, which
-is detected by scanning the smallest singular value over a k-grid and
-refining each local minimum by golden-section search.  The scan builds
-the k-independent entry list of the system once, assembles a stack of
-matrices per block of k-points and takes one batched SVD per block; the
-golden-section searches of all grid minima advance in lockstep, one
-batched SVD per step.  This coefficient basis stays valid at wavenumbers
-where vertex-value bases degenerate, so no eigenvalue family needs
-special casing; lam = 0 (the constants) is the single analytic exception
-and is inserted directly.
+become a square homogeneous system A(k) in the 2m coefficients.  k is an
+eigenwavenumber exactly when A(k) loses rank.  The scan brackets each
+root by a local minimum of the smallest singular value of the
+row-normalized system on a k-grid, refines it by safeguarded Newton on
+det A / det A' (one batched LU solve per step, converging in one step
+where det A behaves as (k - k*)^m, so double roots converge as fast as
+simple ones) and accepts it by the singular values at the refined k.
+The scan builds the k-independent entry list of the system once and
+assembles stacks of matrices, and of their k-derivatives, per block of
+k-points.  This coefficient basis stays valid at wavenumbers where
+vertex-value bases degenerate, so no eigenvalue family needs special
+casing; lam = 0 (the constants) is the single analytic exception and is
+inserted directly.
 """
 
 from __future__ import annotations
@@ -26,19 +28,28 @@ import numpy as np
 
 from .graphs import GearlabError, MetricGraph, TOOTH, validate_graph
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# k-points per batched SVD in the scan: amortises the per-call cost while
-# keeping the stack, and so peak memory, independent of the grid length
+# k-points per batched SVD in the scan, and grid minima per batched Newton
+# step (each holds A, A' and A''): amortises the per-call cost while
+# keeping the stacks, and so peak memory, independent of the grid length
 _SCAN_BLOCK = 64
+_REFINE_BLOCK = 8
+
+# Newton steps after which a bracket stops refining; a bracket of width
+# 0.1 that only bisects ends at REFINE_TOL in 36
+_MAX_STEPS = 64
+
+# k-grid points a scan may take (k_max / grid_step): bounds its time and
+# the memory of the grid
+MAX_GRID_POINTS = 10**7
 
 # relative eigenvalue gap below which two compared spectra agree
 GAP_TOL = 1e-8
 
-# scan tolerances: bracket width on k that ends root refinement; the
-# sigma_min / sigma_max below which k is a root; the sigma / sigma_max
-# below which a singular value adds to the multiplicity; the distance on
-# k below which two refined roots are one
+# scan tolerances: the Newton step on k that ends root refinement (a
+# step within the float spacing at k ends it too); the sigma_min /
+# sigma_max below which k is a root; the sigma / sigma_max below which a
+# singular value adds to the multiplicity; the distance on k below which
+# two refined roots are one
 REFINE_TOL = 1e-12
 RANK_TOL = 1e-9
 MULT_TOL = 1e-8
@@ -72,6 +83,7 @@ class ScanParams:
     """Scan ceiling and k-grid spacing; the tolerances are module constants.
 
     ``grid_step`` changes which roots a scan finds (see `scan_spectrum`).
+    The grid may have at most MAX_GRID_POINTS points.
     """
 
     k_max: float
@@ -81,6 +93,8 @@ class ScanParams:
         for name in ("k_max", "grid_step"):
             if not (0 < getattr(self, name) < math.inf):
                 raise SpectralError(f"{name} must be positive and finite")
+        if self.k_max / self.grid_step > MAX_GRID_POINTS:
+            raise SpectralError(f"k_max / grid_step must be at most {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -182,24 +196,45 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
                           np.array(coef, dtype=float), np.array(layer))
 
 
-def _secular_stack(system: _SecularSystem, ks: np.ndarray) -> np.ndarray:
-    """Row-normalized secular matrices at every k of ``ks``, shape (K, 2m, 2m)."""
+def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np.ndarray:
+    """Secular matrices and their first ``order`` k-derivatives at every k of ``ks``.
+
+    Shape (K, order + 1, 2m, 2m).  All of them are divided by the row
+    norms of the matrix at that k: a row scaling that is constant in k
+    moves neither the roots of det nor d log|det| / dk.
+    """
     size = 2 * len(system.lengths)
-    kl = ks[:, None] * system.lengths
-    trig = np.concatenate([np.ones((len(ks), 1)), np.cos(kl), np.sin(kl)], axis=1)
-    stack = np.zeros((len(ks), size, size))
+    lengths = system.lengths
+    kl = ks[:, None] * lengths
+    # d^j/dk^j of the columns cos kl and sin kl, then of the table
+    # [1, cos kl, sin kl], for j = 0 .. order
+    cs = [(np.cos(kl), np.sin(kl))]
+    for _ in range(order):
+        c, s = cs[-1]
+        cs.append((-lengths * s, lengths * c))
+    trig = [np.concatenate([np.full((len(ks), 1), float(j == 0)), c, s], axis=1)[:, system.term]
+            for j, (c, s) in enumerate(cs)]
+    stack = np.zeros((len(ks), order + 1, size, size))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0)) * trig[:, system.term]
+        # an entry is coef * k^s * t with s = 0 or 1, so its j-th
+        # derivative is coef * k^s * t^(j) + j * coef * s * t^(j-1)
+        coef = system.coef * np.where(system.scaled, ks[:, None], 1.0)
+        vals = [coef * trig[0]]
+        vals += [coef * trig[j] + j * (system.coef * system.scaled) * trig[j - 1]
+                 for j in range(1, order + 1)]
+        vals = np.stack(vals, axis=1)
         for lay in range(system.layer.max() + 1):
             on = system.layer == lay
-            stack[:, system.row[on], system.col[on]] += vals[:, on]
-        norms = np.linalg.norm(stack, axis=2)
+            stack[:, :, system.row[on], system.col[on]] += vals[:, :, on]
+        norms = np.linalg.norm(stack, axis=3)
     # a non-finite entry makes its row norm non-finite too
-    if not np.isfinite(norms).all():
-        bad = ~np.all(np.isfinite(norms), axis=1)
+    bad = ~np.isfinite(norms).reshape(len(ks), -1).all(axis=1)
+    if bad.any():
         raise SpectralError(f"secular matrix overflows at k={ks[np.argmax(bad)]}")
+    norms = norms[:, :1, :, None]
     norms[norms == 0] = 1.0
-    return stack / norms[..., None]
+    stack /= norms
+    return stack
 
 
 def _singular_values(stack: np.ndarray, ks) -> np.ndarray:
@@ -223,7 +258,7 @@ def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarr
     """
     if not (k > 0):
         raise SpectralError("secular matrix needs k > 0")
-    return _secular_stack(_secular_system(g, cond), np.array([k], dtype=float))[0]
+    return _secular_stack(_secular_system(g, cond), np.array([k], dtype=float))[0, 0]
 
 
 def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
@@ -258,36 +293,46 @@ def constant_eigenfunction(g: MetricGraph) -> Eigenfunction:
 # scanning
 # ---------------------------------------------------------------------------
 
-def _golden_refine(sigma, a, b, tol):
-    """Golden-section minima of ``sigma`` on the brackets [a_i, b_i], in lockstep.
+def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
+    """Roots of det A(k) from the starts ``ks`` in the brackets [lo_i, hi_i].
 
-    Each bracket visits exactly the points a scalar golden-section search
-    visits; one batched ``sigma`` call per step evaluates the new probe of
-    every bracket still wider than ``tol``.  A bracket also stops once its
-    width no longer shrinks, as when ``tol`` is below the float spacing
-    at k.  Returns the final bracket midpoints.
+    Safeguarded Newton on det A / det A', in blocks of _REFINE_BLOCK
+    brackets that step in lockstep.  With tau = tr(A^-1 A') = d log|det A| / dk
+    and tau' = tr(A^-1 A'') - tr((A^-1 A')^2), both from one batched LU
+    solve, the step is tau / tau'.  The sign of tau tells on which side of
+    k the root lies, so it shrinks the bracket; a step that leaves the
+    bracket becomes a bisection.  A bracket stops after a step within
+    REFINE_TOL or the float spacing at k, at an exactly singular A (k is
+    a root), or after _MAX_STEPS steps.  A bracket without a root ends
+    inside it, and the caller's rank test rejects it.  Returns the final
+    k of every bracket.
     """
-    a, b = a.copy(), b.copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = np.split(sigma(np.concatenate([c, d])), 2)
-    width = b - a
-    live = np.flatnonzero(width > tol)
-    while live.size:
-        left = fc[live] < fd[live]          # keep [a, d], probe a new c
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
-        shrunk = b[live] - a[live]
-        keep = (shrunk > tol) & (shrunk < width[live])
-        width[live] = shrunk
-        live, left = live[keep], left[keep]
-        f = sigma(np.where(left, c[live], d[live]))
-        fc[live[left]] = f[left]
-        fd[live[~left]] = f[~left]
-    return 0.5 * (a + b)
+    ks, lo, hi = ks.copy(), lo.copy(), hi.copy()
+    for start in range(0, len(ks), _REFINE_BLOCK):
+        live = np.arange(start, min(start + _REFINE_BLOCK, len(ks)))
+        for _ in range(_MAX_STEPS):
+            if not live.size:
+                break
+            stack = _secular_stack(system, ks[live], 2)
+            # solve raises for the whole stack when one matrix is singular
+            regular = np.linalg.slogdet(stack[:, 0])[0] != 0
+            live, stack = live[regular], stack[regular]
+            size = stack.shape[-1]
+            x = np.linalg.solve(stack[:, 0], np.concatenate([stack[:, 1], stack[:, 2]], axis=2))
+            d1, d2 = x[..., :size], x[..., size:]  # A^-1 A' and A^-1 A''
+            k = ks[live]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                tau = np.trace(d1, axis1=1, axis2=2)
+                step = tau / (np.trace(d2, axis1=1, axis2=2) - np.einsum("kij,kji->k", d1, d1))
+                new = k + step
+            hi[live[tau > 0]] = k[tau > 0]
+            lo[live[tau < 0]] = k[tau < 0]
+            tol = np.maximum(REFINE_TOL, np.spacing(k))
+            keep = (np.abs(step) <= tol) | ((new > lo[live]) & (new < hi[live]))
+            new[~keep] = 0.5 * (lo[live] + hi[live])[~keep]
+            ks[live] = new
+            live = live[np.abs(new - k) > tol]
+    return ks
 
 
 def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) -> Spectrum:
@@ -296,33 +341,35 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     lam = 0 is inserted analytically with multiplicity 1 (connected
     graph).  sigma_min is evaluated on the k-grid by batched SVDs of
     ``_SCAN_BLOCK`` secular matrices at a time.  Every grid minimum is
-    refined by golden-section to REFINE_TOL on k, all of them in
-    lockstep, and accepted when sigma_min < RANK_TOL * sigma_max; the
-    multiplicity is the number of singular values below
-    MULT_TOL * sigma_max.  Two roots that share one grid minimum come
-    out as one, so ``grid_step`` decides which roots are found.
-    Deterministic, and independent of the block size.
+    refined by safeguarded Newton on det A / det A' inside the bracket of
+    its two grid neighbours (see `_newton_refine`), and accepted when
+    sigma_min < RANK_TOL * sigma_max at the refined k; the multiplicity
+    is the number of singular values below MULT_TOL * sigma_max.  Two
+    roots that share one grid minimum come out as one, so ``grid_step``
+    decides which roots are found.  Deterministic, and independent of the
+    block sizes.
     """
     bad = validate_graph(g)
     if any(v == "not connected" for v in bad):
         raise SpectralError("graph must be connected")
     system = _secular_system(g, cond)
 
-    def svals(ks):
-        out = np.empty((len(ks), 2 * g.edge_count))
+    def svals(ks, smallest_only):
+        width = 1 if smallest_only else 2 * g.edge_count
+        out = np.empty((len(ks), width))
         for i in range(0, len(ks), _SCAN_BLOCK):
             block = ks[i:i + _SCAN_BLOCK]
-            out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block), block)
+            out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block)[:, 0],
+                                                      block)[:, -width:]
         return out
 
     step = params.grid_step
     grid = np.arange(step, params.k_max + 2.5 * step, step)
-    sig = svals(grid)[:, -1]
+    sig = svals(grid, True)[:, 0]
     i = np.arange(1, len(grid) - 1)
     lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
-    ks = _golden_refine(lambda x: svals(x)[:, -1],
-                        grid[lows - 1], grid[lows + 1], REFINE_TOL)
-    s = svals(ks)
+    ks = _newton_refine(system, grid[lows], grid[lows - 1], grid[lows + 1])
+    s = svals(ks, False)
     accept = (s[:, -1] < RANK_TOL * s[:, 0]) & (ks <= params.k_max + DEDUP_GAP)
     mults = (s < MULT_TOL * s[:, :1]).sum(axis=1)
     roots = sorted(zip(ks[accept].tolist(), mults[accept].tolist()))

@@ -217,7 +217,9 @@ def test_removed_options_are_rejected(argv):
     (("--grid-step", "inf"), 2),
     (("--w", "1e308"), 3),
     (("--w", "1e200"), 3),
-], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow", "w-norm-overflow"])
+    (("--k-max", "1e6"), 2),
+], ids=["w-inf", "k-max-inf", "grid-step-inf", "w-overflow", "w-norm-overflow",
+        "grid-too-large"])
 def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, code):
     a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
     graphs = (["--graph", str(a)] if command == "spectrum"

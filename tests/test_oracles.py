@@ -1,10 +1,12 @@
 """Independent oracles (sympy, mpmath, networkx) for the exact kernels.
 
 sympy recomputes the characteristic polynomials and pencil determinants
-symbolically; mpmath recomputes the walk spectrum at 50 digits; networkx
-decides digraph isomorphism.  All are test-only dependencies.
+symbolically; mpmath recomputes the walk spectrum at 50 digits, and
+from it the quantum roots of gear123 at 40; networkx decides digraph
+isomorphism.  All are test-only dependencies.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 from gearlab.graphs import (Digraph, GearSpec, build_gear, dual_gear, fig2_control_pair,
                             fig6_digraph_pair, gear_to_digraph, subdivide)
 from gearlab.markov import characteristic_polynomial_exact, markov_matrix, markov_spectrum
+from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
 from gearlab.zeta import PRIME, char_poly_symbolic, digraph_isomorphic, eval_det, pencil
 from gearlab.linalg import unicyclic_det
 from gearlab.polynomials import SparsePolynomial, det_symbolic
@@ -128,6 +131,57 @@ def test_markov_spectrum_matches_mpmath(lengths, attachments, w):
     for vals in (fvals, rvals):
         assert len(vals) == n
         assert max(abs(a - b) for a, b in zip(vals, exact)) < 1e-14
+
+
+def walk_roots(lengths, w, k_max):
+    """(k, multiplicity) of the quantum graph below k_max at 40 digits.
+
+    For integer lengths the nonzero quantum roots are the arccos branches
+    arccos(mu) + 2 pi j and 2 pi (j + 1) - arccos(mu) of the interior
+    eigenvalues mu of the subdivided walk, plus j pi with multiplicity 2
+    when j times the circumference is even.
+    """
+    ms = gear_walk(lengths, None, w)
+    n = ms.size
+    with mpmath.workdps(40):
+        s = mpmath.matrix(n, n)
+        for v, row in enumerate(ms.adjacency):
+            for u, wgt in row.items():
+                s[v, u] = _mpf(wgt) / mpmath.sqrt(_mpf(ms.degrees[v] * ms.degrees[u]))
+        mus = sorted(mpmath.eigsy(s, eigvals_only=True))
+        clusters = []
+        for mu in mus:
+            if clusters and abs(mu - clusters[-1][0]) < mpmath.mpf(10) ** -30:
+                clusters[-1][1] += 1
+            else:
+                clusters.append([mu, 1])
+        roots = []
+        for mu, mult in clusters:
+            if abs(mu) > 1 - mpmath.mpf(10) ** -30:
+                continue
+            a = mpmath.acos(mu)
+            for j in range(int(k_max / (2 * math.pi)) + 1):
+                roots += [(k, mult) for k in (a + 2 * mpmath.pi * j, 2 * mpmath.pi * (j + 1) - a)
+                          if k < k_max]
+        circumference = sum(lengths)
+        roots += [(j * mpmath.pi, 2) for j in range(1, int(k_max / math.pi) + 1)
+                  if j * circumference % 2 == 0]
+        return sorted(roots)
+
+
+def test_gear123_scan_roots_match_mpmath_walk_roots():
+    # every root of gear123 (w = 3/2) below k = 12, simple and double;
+    # the golden-section refinement was off by up to 2.1e-13
+    w, k_max = Fraction(3, 2), 12.0
+    exact = walk_roots((1, 2, 3), w, k_max)
+    assert sorted({m for _, m in exact}) == [1, 2]
+    spectrum = scan_spectrum(build_gear(GearSpec(3, (1, 2, 3), "primal")),
+                             VertexConditions(float(w)), ScanParams(k_max))
+    scanned = [(math.sqrt(lam), mult) for lam, mult in spectrum.entries[1:]]
+    assert [m for _, m in scanned] == [m for _, m in exact]
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpf(k) - root) for (k, _), (root, _) in zip(scanned, exact))
+    assert err <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_secular_rejects_nonpositive_k():
         secular_matrix(interval(), KN, 0.0)
 
 
-def loop_secular_matrix(g, cond, k):
+def loop_secular_matrix(g, cond, k, normalize=True):
     """Reference: the secular matrix assembled cell by cell in loop order."""
     m = g.edge_count
     lengths = np.array([e.length for e in g.edges])
@@ -95,6 +95,8 @@ def loop_secular_matrix(g, cond, k):
                 rows[r, 2 * e] += wgt * k * skl[e]
                 rows[r, 2 * e + 1] -= wgt * k * ckl[e]
         r += 1
+    if not normalize:
+        return rows
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0] = 1.0
     return rows / norms[:, None]
@@ -163,53 +165,75 @@ def test_scan_deterministic():
     assert s1 == s2
 
 
-def scalar_golden_min(f, a, b, tol):
-    """Reference: one golden-section search at a time."""
-    g = spectral._GOLDEN
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def refine_one(monkeypatch, g, cond, start, lo, hi):
+    """Newton-refine one bracket; returns (k, number of LU solves)."""
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(len(a))
+        return real_solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral.np.linalg, "solve", counting_solve)
+        k = spectral._newton_refine(spectral._secular_system(g, cond), np.array([start]),
+                                    np.array([lo]), np.array([hi]))
+    return k[0], sum(solves)
 
 
-def test_lockstep_refinement_visits_the_scalar_points():
-    g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
-    cond = VertexConditions(1.5)
+@pytest.mark.parametrize("k0", [1e4, 2e4, 2e4 * math.pi], ids=["k1e4", "k2e4", "k6e4"])
+@pytest.mark.parametrize("offset", [0.004, -0.007, 0.0099])
+def test_newton_refine_stops_at_float_spacing(monkeypatch, k0, offset):
+    # an interval of length l has the roots j pi / l; from k = 8192 on the
+    # float spacing exceeds REFINE_TOL, and the sign of tau at the last
+    # steps is noise that must not send the bracket into bisection
+    length = math.e / 2
+    root = round(k0 * length / math.pi) * math.pi / length
+    assert np.spacing(root) > spectral.REFINE_TOL
+    g = interval(length)
+    k, steps = refine_one(monkeypatch, g, KN, root + offset, root - 0.01, root + 0.01)
+    assert steps <= 4
+    assert abs(k - root) <= 4 * np.spacing(root)
 
-    def sigma(k):
-        return rank_indicator(g, cond, k)[0]
 
-    grid = np.arange(0.05, 5.0, 0.05)
-    sig = [sigma(k) for k in grid]
-    lows = [i for i in range(1, len(grid) - 1) if sig[i - 1] >= sig[i] <= sig[i + 1]]
-    assert len(lows) >= 5
-    a, b = grid[np.array(lows) - 1], grid[np.array(lows) + 1]
-    got = spectral._golden_refine(lambda ks: np.array([sigma(k) for k in ks]), a, b, 1e-12)
-    assert got.tolist() == [scalar_golden_min(sigma, lo, hi, 1e-12) for lo, hi in zip(a, b)]
+@pytest.mark.parametrize("offset", [0.004, -0.007, 0.0099])
+def test_newton_refine_converges_on_a_double_root(monkeypatch, offset):
+    # k = pi is a double root of the (1,1,2) gear (circle of circumference 4)
+    g = build_gear(GearSpec(3, (1, 1, 2), "primal"))
+    k, steps = refine_one(monkeypatch, g, KN, math.pi + offset, math.pi - 0.01, math.pi + 0.01)
+    assert steps <= 6
+    assert abs(k - math.pi) <= 4 * np.spacing(math.pi)
+    assert len(eigenfunction_basis(g, KN, k)) == 2
 
 
-def test_golden_refine_stops_at_float_spacing():
-    # near k = 1e4 the float spacing (1.8e-12) exceeds REFINE_TOL, so no
-    # bracket ever gets narrower than the tolerance
-    roots = np.array([1e4 + 0.123, 2e4 - 0.456])
-    assert np.spacing(roots).min() > spectral.REFINE_TOL
-    calls = []
+def test_newton_refine_keeps_an_exactly_singular_k(monkeypatch):
+    # a k whose matrix is exactly singular is a root; its bracket stops
+    # there, and the LU solve of the rest of the block still runs
+    system = spectral._secular_system(interval(), KN)
+    singular = 1.05
+    real_stack = spectral._secular_stack
 
-    def sigma(ks):
-        calls.append(len(ks))
-        assert len(calls) < 1000, "refinement does not terminate"
-        return np.abs(ks - np.where(ks < 1.5e4, roots[0], roots[1]))
+    def stack_with_a_singular_k(sys_, ks, order=0):
+        out = real_stack(sys_, ks, order)
+        out[ks == singular, 0] = 0.0
+        return out
 
-    got = spectral._golden_refine(sigma, roots - 0.01, roots + 0.01, spectral.REFINE_TOL)
-    assert np.all(np.abs(got - roots) <= 4 * np.spacing(roots))
+    monkeypatch.setattr(spectral, "_secular_stack", stack_with_a_singular_k)
+    ks = spectral._newton_refine(system, np.array([singular, math.pi + 0.004]),
+                                 np.array([1.0, math.pi - 0.01]), np.array([1.1, math.pi + 0.01]))
+    assert ks[0] == singular
+    assert abs(ks[1] - math.pi) <= 4 * np.spacing(math.pi)
+
+
+def test_newton_refine_without_a_root_ends_inside_and_is_rejected(monkeypatch):
+    # the unit interval has no root in [1.0, 1.1] (its roots are j pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, steps = refine_one(monkeypatch, interval(), KN, 1.05, 1.0, 1.1)
+    assert 1.0 <= k <= 1.1
+    assert steps < spectral._MAX_STEPS
+    smin, s = rank_indicator(interval(), KN, k)
+    assert smin >= spectral.RANK_TOL * s[0]
 
 
 GOLDEN_GEARS = [
@@ -225,7 +249,52 @@ def test_scan_independent_of_block_size(monkeypatch, g, w, k_max):
     default = scan_spectrum(g, cond, params)
     for block in (1, int(k_max / params.grid_step) + 10):
         monkeypatch.setattr(spectral, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(spectral, "_REFINE_BLOCK", block)
         assert scan_spectrum(g, cond, params) == default
+
+
+def test_newton_steps_per_grid_minimum(monkeypatch):
+    # guards the convergence speed of the refinement: every grid minimum
+    # of the gear123 scan is refined on its own, counting its LU solves
+    g, w, k_max = GOLDEN_GEARS[0]
+    solves, steps = [], []
+    real_solve, real_refine = np.linalg.solve, spectral._newton_refine
+
+    def counting_solve(a, b):
+        solves.append(len(a))
+        return real_solve(a, b)
+
+    def one_at_a_time(system, ks, lo, hi):
+        out = []
+        for i in range(len(ks)):
+            before = sum(solves)
+            out.append(real_refine(system, ks[i:i + 1], lo[i:i + 1], hi[i:i + 1]))
+            steps.append(sum(solves) - before)
+        return np.concatenate(out)
+
+    monkeypatch.setattr(spectral.np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(spectral, "_newton_refine", one_at_a_time)
+    spectrum = scan_spectrum(g, VertexConditions(w), ScanParams(k_max))
+    assert len(steps) >= len(spectrum.entries) - 1 == 42
+    assert sum(steps) <= 6 * len(steps)
+    assert max(steps) < spectral._MAX_STEPS
+
+
+def test_derivative_stack_matches_finite_differences():
+    # A' and A'' against central differences of the loop assembly, all
+    # divided by the row norms of A at k
+    cond = VertexConditions(1.5)
+    h = 1e-4
+    for g in (LOOPY, build_gear(GearSpec(3, (1, 2, 3), "dual"))):
+        system = spectral._secular_system(g, cond)
+        for k in (0.7, 3.1, 11.9):
+            a, d1, d2 = spectral._secular_stack(system, np.array([k]), 2)[0]
+            raw = [loop_secular_matrix(g, cond, x, normalize=False) for x in (k - h, k, k + h)]
+            norms = np.linalg.norm(raw[1], axis=1)[:, None]
+            assert np.array_equal(a, raw[1] / norms)
+            assert np.allclose(d1, (raw[2] - raw[0]) / (2 * h) / norms, rtol=0, atol=1e-6)
+            assert np.allclose(d2, (raw[2] - 2 * raw[1] + raw[0]) / h ** 2 / norms,
+                               rtol=0, atol=1e-5)
 
 
 @pytest.mark.parametrize("w", [1e200, 1e308])
@@ -256,6 +325,15 @@ def test_batched_singular_values_reject_non_finite_stack():
 def test_scan_params_require_positive_finite(kwargs):
     with pytest.raises(SpectralError):
         ScanParams(**kwargs)
+
+
+def test_scan_params_reject_a_grid_beyond_max_grid_points():
+    assert spectral.MAX_GRID_POINTS == 10 ** 7
+    ScanParams(k_max=5e4)
+    ScanParams(k_max=1e4, grid_step=0.002)
+    for kwargs in ({"k_max": 1e6}, {"k_max": 1.0, "grid_step": 1e-8}):
+        with pytest.raises(SpectralError, match="k_max / grid_step"):
+            ScanParams(**kwargs)
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
