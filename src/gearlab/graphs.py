@@ -322,42 +322,42 @@ def bipartition_sign(cg: CombinatorialGraph):
 # digraph exports
 # ---------------------------------------------------------------------------
 
-def gear_to_digraph(spec: GearSpec) -> Digraph:
-    """Subdivided gear as a simple digraph with canonical vertex labels.
-
-    The orientation is that of the paper's Fig. 6: polygon arcs follow
-    the cycle and every tooth points away from the polygon.  Cycle labels
-    start at the endpoint of side 1 not carrying tooth 1 and increase
-    along the cycle; tooth vertices are numbered consecutively along each
-    tooth's metric direction, teeth in order.  Labels here are 0-based.
+def digraph_paths(spec: GearSpec) -> tuple:
+    """Per index i, the digraph labels of side i and of tooth i, both in
+    metric (tail-to-head) order.  Cycle labels start at the endpoint of
+    side 1 not carrying tooth 1 and increase along the cycle; tooth
+    vertices are numbered along each path, teeth in order; 0-based.
     """
     if not spec.is_integral():
         raise GraphError("digraph export needs integer lengths")
     lengths = [int(round(l)) for l in spec.lengths]
-    n, total = spec.n, sum(lengths)
-    prefix = [0]
-    for l in lengths:
-        prefix.append(prefix[-1] + l)
-    ends = spec.tooth_ends
+    total = sum(lengths)
     # label 1 (0-based: 0) goes to the tooth-free endpoint of side 1
-    start = lengths[0] if ends[0] == "tail" else 0
+    pos = -lengths[0] if spec.tooth_ends[0] == "tail" else 0
+    fresh = total
+    paths = []
+    for l, end in zip(lengths, spec.tooth_ends):
+        side = tuple((pos + k) % total for k in range(l + 1))
+        leaves = tuple(range(fresh, fresh + l))
+        paths.append((side, side[:1] + leaves if end == "tail" else leaves + side[-1:]))
+        pos += l
+        fresh += l
+    return tuple(paths)
 
-    def cyc(pos):
-        return (pos - start) % total
 
-    arcs = [(cyc(p), cyc(p + 1)) for p in range(total)]
-    next_label = total
-    for i in range(n):
-        l = lengths[i]
-        attach_pos = prefix[i] if ends[i] == "tail" else prefix[i] + l
-        attach = cyc(attach_pos)
-        fresh = list(range(next_label, next_label + l))
-        next_label += l
-        # outward from the polygon; a head-attached tooth is labelled leaf first
-        chain = [attach] + (fresh if ends[i] == "tail" else fresh[::-1])
-        arcs.extend(zip(chain[:-1], chain[1:]))
-    name = f"gear_n{n}_{spec.variant}_fig6"
-    return Digraph(2 * total, tuple(arcs), name)
+def gear_to_digraph(spec: GearSpec) -> Digraph:
+    """Subdivided gear as a simple digraph with the labels of `digraph_paths`.
+
+    The orientation is that of the paper's Fig. 6: polygon arcs follow
+    the cycle and every tooth points away from the polygon.
+    """
+    paths = digraph_paths(spec)
+    arcs = [arc for side, _ in paths for arc in zip(side[:-1], side[1:])]
+    for (_, tooth), end in zip(paths, spec.tooth_ends):
+        out = tooth if end == "tail" else tooth[::-1]
+        arcs.extend(zip(out[:-1], out[1:]))
+    # connected with one cycle: as many vertices as arcs
+    return Digraph(len(arcs), tuple(arcs), f"gear_n{spec.n}_{spec.variant}_fig6")
 
 
 def fig6_digraph_pair(lengths=(1, 2, 3)):

@@ -2,8 +2,9 @@
 
 Exponent keys are 6-tuples over the fixed variable order
 (x, y, alpha, beta, gamma, delta); zero coefficients are never stored.
-Enough arithmetic for exact pencil determinants and identity checks --
-not a general computer algebra system.
+Enough ring arithmetic for the exact pencil determinants of
+`linalg.unicyclic_det` and for identity checks -- not a general
+computer algebra system.
 """
 
 from __future__ import annotations
@@ -166,35 +167,3 @@ class SparsePolynomial:
             return "SparsePolynomial(0)"
         return "SparsePolynomial(" + " + ".join(self.dump_lines()) + ")"
 
-
-def det_symbolic(rows):
-    """Exact determinant of a matrix of SparsePolynomial entries.
-
-    Dynamic program over used-column subsets; entries that are None or
-    zero are skipped, so sparse matrices stay cheap.  Permutation signs
-    accumulate via inversions against the used-column mask.
-    """
-    n = len(rows)
-    sparse_rows = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        sparse_rows.append([(c, p) for c, p in enumerate(row) if p])
-    states = {0: SparsePolynomial.constant(1)}
-    for row in sparse_rows:
-        new_states = {}
-        for mask, acc in states.items():
-            for c, p in row:
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                contrib = acc * p
-                if (mask >> (c + 1)).bit_count() & 1:
-                    contrib = -contrib
-                key = mask | bit
-                cur = new_states.get(key)
-                new_states[key] = contrib if cur is None else cur + contrib
-        states = {m: p for m, p in new_states.items() if p}
-        if not states:
-            return SparsePolynomial.zero()
-    return states.get((1 << n) - 1, SparsePolynomial.zero())

@@ -13,6 +13,11 @@ a 61-bit prime field (Schwartz-Zippel) and exactly by expanding the
 y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
 support that every gear digraph has.  The y J term only enters
 through `Pencil.matrix_at`, for evaluation at single points.
+
+`intertwiner` builds, from the walk transplantation's derivative rule,
+a T with L_G~ T = T L_G at y = 0 for any gear digraph with every tooth
+at its side's tail and the digraph of its dual.  Its determinant
+factors into diagonal ones and one `unicyclic_det`, with a closed form.
 """
 
 from __future__ import annotations
@@ -21,15 +26,18 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Digraph, GearlabError, fig6_digraph_pair
+from .graphs import (Digraph, GearSpec, GearlabError, digraph_paths, dual_gear,
+                     gear_to_digraph)
 from .linalg import unicyclic_det
-from .polynomials import SparsePolynomial, det_symbolic
+from .polynomials import SparsePolynomial
 
 PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
 ISOMORPHISM_MAX_N = 16
 # (x, y, alpha, beta, gamma, delta) with y != 0: where verify_intertwiner
 # compares the six-variable determinants of the fig6 pair
 FULL_DET_POINT = (1, 1, 1, 1, 1, 1)
+# the primal gear of the fig6 pair
+FIG6 = GearSpec(3, (1, 2, 3))
 
 
 class ZetaError(GearlabError):
@@ -126,9 +134,7 @@ def zeta_equivalent(g1: Digraph, g2: Digraph, trials: int = 20, seed: int = 0) -
         "prime": PRIME,
         "seed": seed,
         "per_trial_bound": n / PRIME,
-        # the float product underflows for realistic trial counts, so the
-        # log10 form carries the actual magnitude
-        "failure_bound": (n / PRIME) ** trials,
+        # (n / PRIME) ** trials underflows to 0.0, so only its log10 is reported
         "failure_bound_log10": trials * (math.log10(n) - math.log10(PRIME)) if n else -math.inf,
     }
     if g1.vertex_count != g2.vertex_count:
@@ -154,26 +160,12 @@ def zeta_equivalent(g1: Digraph, g2: Digraph, trials: int = 20, seed: int = 0) -
 
 def _pencil_entries_y0(p: Pencil):
     """L_G at y = 0 as SparsePolynomial entries."""
-    x = SparsePolynomial.variable("x")
-    al = SparsePolynomial.variable("alpha")
-    be = SparsePolynomial.variable("beta")
-    ga = SparsePolynomial.variable("gamma")
-    de = SparsePolynomial.variable("delta")
-    n = p.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = SparsePolynomial.zero()
-            if i == j:
-                entry = x + ga * p.D_out[i] + de * p.D_in[i]
-            if p.A[i][j]:
-                entry = entry + al * p.A[i][j]
-            if p.AT[i][j]:
-                entry = entry + be * p.AT[i][j]
-            row.append(entry)
-        rows.append(row)
-    return rows
+    x, al, be, ga, de = map(SparsePolynomial.variable, ("x", "alpha", "beta", "gamma", "delta"))
+    zero = SparsePolynomial.zero()
+    # pencil() rejects self-loops, so A and A^T vanish on the diagonal
+    return [[x + ga * p.D_out[i] + de * p.D_in[i] if i == j
+             else al * p.A[i][j] + be * p.AT[i][j] if p.A[i][j] or p.AT[i][j] else zero
+             for j in range(p.n)] for i in range(p.n)]
 
 
 def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
@@ -190,88 +182,136 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the explicit 12x12 intertwiner for the fig6 pair
+# the intertwiner of a gear digraph and its dual, from its derivative rule
 # ---------------------------------------------------------------------------
 
-def _mono(coeff, a=0, b=0, g=0):
-    return SparsePolynomial.monomial(coeff, alpha=a, beta=b, gamma=g)
+def _factors(spec: GearSpec):
+    """K = alpha I + gamma A^T (dense) and the rows (r, a, b, sign, s_j+1, t_j+1)
+    of alpha T = S' B K: S'[r] = alpha^a beta^b, B[r] = e[s_j+1] + sign e[t_j+1]
+    for slot j of dual side path i (sign +1) or dual tooth path i (sign -1,
+    distance m = l_i - j from the polygon), s, t the primal paths of i."""
+    if set(spec.tooth_ends) != {"tail"}:
+        raise ZetaError("the intertwiner rule needs every tooth at its side's tail")
+    al, ga = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("gamma")
+    p = pencil(gear_to_digraph(spec))
+    k = [[al if i == j else ga * at for j, at in enumerate(row)] for i, row in enumerate(p.AT)]
+    primal, dual = digraph_paths(spec), digraph_paths(dual_gear(spec))
+    top = max(len(side) for side, _ in primal) - 1
+    rows = []
+    for (s, t), (sigma, tau) in zip(primal, dual):
+        l = len(s) - 1
+        for j in range(l):
+            rows.append((sigma[j], top, 0, 1, s[j + 1], t[j + 1]))
+            rows.append((tau[j], top - (l - j), l - j, -1, s[j + 1], t[j + 1]))
+    return k, sorted(rows)
 
 
-def intertwiner_12():
-    """Monomial 12x12 matrix T with L_G~(z) T = T L_G(z) at y = 0.
+def _row_times(row, rows):
+    """The sparse row sum_k row[k] rows[k], zero entries dropped."""
+    out = {}
+    for k, c in row.items():
+        for j, e in rows[k].items():
+            out[j] = out[j] + c * e if j in out else c * e
+    return {j: e for j, e in out.items() if e}
 
-    Entries are monomials in (alpha, beta, gamma); rows follow the dual
-    digraph's vertex labels, columns the primal's.
+
+def _sparse(rows):
+    return [{j: e for j, e in enumerate(row) if e} for row in rows]
+
+
+def intertwiner(spec: GearSpec) -> list:
+    """Sparse rows of T with L_G~ T = T L_G at y = 0, one dict per dual vertex.
+
+    G and G~ are the digraph exports of `spec`, every tooth at its side's
+    tail (else ZetaError), and of its dual.  The rule is the walk
+    transplantation's: with d_j(p) = alpha e[p_j+1] + gamma e[p_j], the
+    row of K = alpha I + gamma A^T at p_j+1, slot j of the dual side path
+    i gets alpha^(L-1) (d_j(s) + d_j(t)) and slot j of the dual tooth path
+    i, m from the polygon, alpha^(L-1-m) beta^m (d_j(s) - d_j(t)); s, t
+    are the primal side and tooth paths of i, L the longest length.
     """
-    entries = [
-        (1, 1, 1, (3, 0, 0)), (1, 6, 2, (2, 0, 1)), (1, 7, 1, (3, 0, 0)),
-        (2, 1, 2, (2, 0, 1)), (2, 2, 1, (3, 0, 0)), (2, 8, 1, (3, 0, 0)),
-        (3, 2, 1, (2, 0, 1)), (3, 3, 1, (3, 0, 0)), (3, 8, 1, (2, 0, 1)), (3, 9, 1, (3, 0, 0)),
-        (4, 3, 2, (2, 0, 1)), (4, 4, 1, (3, 0, 0)), (4, 10, 1, (3, 0, 0)),
-        (5, 4, 1, (2, 0, 1)), (5, 5, 1, (3, 0, 0)), (5, 10, 1, (2, 0, 1)), (5, 11, 1, (3, 0, 0)),
-        (6, 5, 1, (2, 0, 1)), (6, 6, 1, (3, 0, 0)), (6, 11, 1, (2, 0, 1)), (6, 12, 1, (3, 0, 0)),
-        (7, 1, 1, (2, 1, 0)), (7, 7, -1, (2, 1, 0)),
-        (8, 2, 1, (1, 2, 0)), (8, 8, -1, (1, 2, 0)),
-        (9, 2, 1, (1, 1, 1)), (9, 3, 1, (2, 1, 0)), (9, 8, -1, (1, 1, 1)), (9, 9, -1, (2, 1, 0)),
-        (10, 4, 1, (0, 3, 0)), (10, 10, -1, (0, 3, 0)),
-        (11, 4, 1, (0, 2, 1)), (11, 5, 1, (1, 2, 0)), (11, 10, -1, (0, 2, 1)), (11, 11, -1, (1, 2, 0)),
-        (12, 5, 1, (1, 1, 1)), (12, 6, 1, (2, 1, 0)), (12, 11, -1, (1, 1, 1)), (12, 12, -1, (2, 1, 0)),
-    ]
-    t = [[SparsePolynomial.zero() for _ in range(12)] for _ in range(12)]
-    for i, j, coeff, (a, b, g) in entries:
-        t[i - 1][j - 1] = _mono(coeff, a, b, g)
-    return t
+    k, rows = _factors(spec)
+    k = _sparse(k)
+    # where a = 0 (m = L, j = 0), d_0(s) - d_0(t) = alpha (e[s_1] - e[t_1])
+    # cancels the alpha^-1
+    return [{j: SparsePolynomial.monomial(1, alpha=a - 1, beta=b) * e
+             for j, e in _row_times({s: 1, t: sign}, k).items()}
+            for _, a, b, sign, s, t in rows]
 
 
-def intertwiner_det_expected():
-    """((2 a^3)^6 - (2 a^2 g)^6) a^8 b^10, expanded."""
-    return (_mono(64, a=26, b=10) - _mono(64, a=20, b=10, g=6))
+def intertwines(pg: Pencil, pgt: Pencil, t) -> bool:
+    """Whether L_G~ T = T L_G at y = 0, by sparse row products."""
+    lg, lgt = _sparse(_pencil_entries_y0(pg)), _sparse(_pencil_entries_y0(pgt))
+    return all(_row_times(lgt[i], t) == _row_times(t[i], lg) for i in range(pgt.n))
+
+
+def factored_det(spec: GearSpec) -> SparsePolynomial:
+    """det T of the `intertwiner` through alpha T = S' B K.
+
+    Every vertex of a gear digraph has in-degree 1, so the heads s_j+1,
+    t_j+1 partition the vertices, B^T B = 2 I and det B = sign(pi)
+    (-2)^N for pi: r -> s_j+1 (sign +1) or t_j+1 (sign -1).  S' is
+    diagonal, and the one other determinant, det K, is `unicyclic_det`.
+    """
+    k, rows = _factors(spec)
+    pi = [s if sign == 1 else t for _, _, _, sign, s, t in rows]
+    assert sorted(pi) == list(range(len(pi))), "arc heads do not partition the vertices"
+    inversions = sum(x > y for i, x in enumerate(pi) for y in pi[i + 1:])
+    half = len(pi) // 2
+    # alpha^V det T = det S' det B det K
+    scale = SparsePolynomial.monomial((-1) ** (inversions + half) * 2 ** half,
+                                      alpha=sum(r[1] for r in rows) - len(pi),
+                                      beta=sum(r[2] for r in rows))
+    return scale * unicyclic_det(k)
+
+
+def intertwiner_det(spec: GearSpec) -> SparsePolynomial:
+    """Closed form of det T for the `intertwiner` of `spec`.
+
+    With N the sum of the lengths, V = 2N, L the longest length and
+    M = sum l_i (l_i + 1) / 2:  det T = +-2^N alpha^((L-1)V - M + N)
+    beta^M (alpha^N - (-gamma)^N), the sign (-1)^N times that of the
+    label map pi of `factored_det`, which rotates the cycle labels by
+    1 - l_1 places and fixes the tooth labels.
+    """
+    lengths = [int(round(l)) for l in spec.lengths]
+    n, top = sum(lengths), max(lengths)
+    m = sum(l * (l + 1) // 2 for l in lengths)
+    sign = (-1) ** ((n + (n - 1) * (1 - lengths[0])) % 2)
+    scale = SparsePolynomial.monomial(sign * 2 ** n, alpha=(top - 1) * 2 * n - m + n, beta=m)
+    return scale * (SparsePolynomial.monomial(1, alpha=n)
+                    - SparsePolynomial.monomial((-1) ** n, gamma=n))
 
 
 def verify_intertwiner() -> dict:
-    """Exact checks of the 12x12 intertwiner against the fig6 pair.
+    """Exact checks of the intertwiner of the fig6 pair.
 
     Verifies L_G~ T = T L_G symbolically for the y = 0 pencils, reports
     whether the all-ones term commutes as well (it does not: T has
     unequal row and column sums, so the identity is specific to y = 0),
-    checks det(T) against its closed form, and confirms the y = 0
-    determinants of the pair agree exactly.  `full_determinants_equal`
-    compares the six-variable determinants at the single point
-    FULL_DET_POINT (y != 0): False proves they differ, True would only
-    mean agreement at that point.  `etas` holds the two y = 0
-    determinants (primal, dual) that `eta_equal` compares.
+    checks det(T) from its factorization against its closed form, and
+    confirms the y = 0 determinants of the pair agree exactly.
+    `full_determinants_equal` compares the six-variable determinants at
+    the single point FULL_DET_POINT (y != 0): False proves they differ,
+    True would only mean agreement at that point.  `etas` holds the two
+    y = 0 determinants (primal, dual) that `eta_equal` compares.
     """
-    g, gt = fig6_digraph_pair()
-    pg, pgt = pencil(g), pencil(gt)
-    t = intertwiner_12()
-    lg = _pencil_entries_y0(pg)
-    lgt = _pencil_entries_y0(pgt)
-    n = 12
-    intertwines = True
-    for i in range(n):
-        for j in range(n):
-            left = SparsePolynomial.zero()
-            right = SparsePolynomial.zero()
-            for k in range(n):
-                left = left + lgt[i][k] * t[k][j]
-                right = right + t[i][k] * lg[k][j]
-            if left != right:
-                intertwines = False
-    col_sums = [sum((t[i][j] for i in range(n)), SparsePolynomial.zero()) for j in range(n)]
-    row_sums = [sum((t[i][j] for j in range(n)), SparsePolynomial.zero()) for i in range(n)]
-    ones_commute = all(cs == row_sums[0] for cs in col_sums) and \
-        all(rs == row_sums[0] for rs in row_sums)
-    det_t = det_symbolic(t)
-    det_ok = det_t == intertwiner_det_expected()
+    pg, pgt = pencil(gear_to_digraph(FIG6)), pencil(gear_to_digraph(dual_gear(FIG6)))
+    t = intertwiner(FIG6)
+    intertwines_y0 = intertwines(pg, pgt, t)
+    # J T = T J iff every row sum of T equals every column sum
+    col_sums = _row_times(dict.fromkeys(range(pg.n), 1), t)
+    sums = {*col_sums.values(), *(sum(row.values(), SparsePolynomial.zero()) for row in t)}
+    det_ok = factored_det(FIG6) == intertwiner_det(FIG6)
     etas = (char_poly_symbolic(pg), char_poly_symbolic(pgt))
     eta_equal = etas[0] == etas[1]
     return {
-        "intertwines_y0": intertwines,
-        "ones_term_commutes": ones_commute,
+        "intertwines_y0": intertwines_y0,
+        "ones_term_commutes": len(col_sums) == pg.n and len(sums) == 1,
         "det_matches": det_ok,
         "eta_equal": eta_equal,
         "full_determinants_equal": eval_det(pg, FULL_DET_POINT) == eval_det(pgt, FULL_DET_POINT),
-        "ok": intertwines and det_ok and eta_equal,
+        "ok": intertwines_y0 and det_ok and eta_equal,
         "etas": etas,
     }
 
@@ -284,52 +324,42 @@ def digraph_isomorphic(g1: Digraph, g2: Digraph):
     """Backtracking isomorphism search with degree pruning.
 
     Returns a vertex bijection (list: image of each g1 vertex) or None.
+    The search compares arc sets, so parallel arcs raise ZetaError.
     """
     n = g1.vertex_count
     if n > ISOMORPHISM_MAX_N:
         raise ZetaError(f"isomorphism search limited to n <= {ISOMORPHISM_MAX_N}")
-    if n != g2.vertex_count or len(g1.arcs) != len(g2.arcs):
+    arcs1, arcs2 = g1.arc_set(), g2.arc_set()
+    if len(arcs1) != len(g1.arcs) or len(arcs2) != len(g2.arcs):
+        raise ZetaError("parallel arcs not supported")
+    if n != g2.vertex_count or len(arcs1) != len(arcs2):
         return None
-    out1 = [set() for _ in range(n)]
-    in1 = [set() for _ in range(n)]
-    out2 = [set() for _ in range(n)]
-    in2 = [set() for _ in range(n)]
-    for t, h in g1.arcs:
-        out1[t].add(h)
-        in1[h].add(t)
-    for t, h in g2.arcs:
-        out2[t].add(h)
-        in2[h].add(t)
-    deg1 = [(len(out1[v]), len(in1[v])) for v in range(n)]
-    deg2 = [(len(out2[v]), len(in2[v])) for v in range(n)]
+
+    def degrees(arcs):
+        tails, heads = [t for t, _ in arcs], [h for _, h in arcs]
+        return [(tails.count(v), heads.count(v)) for v in range(n)]
+
+    deg1, deg2 = degrees(arcs1), degrees(arcs2)
     if sorted(deg1) != sorted(deg2):
         return None
     candidates = [[u for u in range(n) if deg2[u] == deg1[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
     image = [-1] * n
-    used = [False] * n
 
     def consistent(v, u):
-        for x in range(n):
-            if image[x] != -1:
-                if (x in out1[v]) != (image[x] in out2[u]):
-                    return False
-                if (x in in1[v]) != (image[x] in in2[u]):
-                    return False
-        return True
+        return all(((v, x) in arcs1) == ((u, y) in arcs2) and ((x, v) in arcs1) == ((y, u) in arcs2)
+                   for x, y in enumerate(image) if y != -1)
 
     def backtrack(pos):
         if pos == n:
             return True
         v = order[pos]
         for u in candidates[v]:
-            if not used[u] and consistent(v, u):
+            if u not in image and consistent(v, u):
                 image[v] = u
-                used[u] = True
                 if backtrack(pos + 1):
                     return True
                 image[v] = -1
-                used[u] = False
         return False
 
     return list(image) if backtrack(0) else None

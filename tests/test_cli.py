@@ -380,3 +380,17 @@ def test_zeta_fig2_distinguished(tmp_path):
     out = tmp_path / "v2.json"
     assert run("zeta", "--fig2", "--trials", "20", "--seed", "11", "-o", str(out)) == 0
     assert json.loads(out.read_text())["verdict"] == "distinguished"
+
+
+def test_isomorphic_rejects_parallel_arcs(tmp_path, capsys):
+    # neighbour sets cannot tell the arc multisets {01, 01, 12} and
+    # {01, 12, 12} apart, so parallel arcs are a validation error
+    a, b = tmp_path / "a.digraph", tmp_path / "b.digraph"
+    a.write_text("digraph a\nvertices 3\narc 0 1\narc 0 1\narc 1 2\n")
+    b.write_text("digraph b\nvertices 3\narc 0 1\narc 1 2\narc 1 2\n")
+    out = tmp_path / "iso.json"
+    capsys.readouterr()
+    assert run("isomorphic", "--g1", str(a), "--g2", str(b), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "parallel arcs" in err and len(err.splitlines()) == 1, err
+    assert not out.exists()

@@ -3,12 +3,13 @@ Horner helpers that other test modules import."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from gearlab.linalg import unicyclic_det
-from gearlab.polynomials import SparsePolynomial, det_symbolic
+from gearlab.polynomials import SparsePolynomial
 
 X = SparsePolynomial.variable("x")
 
@@ -57,6 +58,31 @@ def random_unicyclic_edges(rng, n, m):
     return [(perm[a], perm[b]) for a, b in edges]
 
 
+def leibniz_det(rows):
+    """sum over permutations p of sign(p) prod_i rows[i][p[i]], zero products skipped."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        entries = [rows[i][j] for i, j in enumerate(perm)]
+        if all(entries):
+            term = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            for e in entries:
+                term = e * term
+            total = total + term
+    return total
+
+
+def random_multivariate_pencil(rng, n, m):
+    """Entries in (x, alpha, beta) on a random m-cycle with pendant trees."""
+    al, be = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("beta")
+    rows = [[SparsePolynomial.zero()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = X * rng.randint(0, 2) + al * rng.randint(-2, 2) - rng.randint(-2, 2)
+    for u, v in random_unicyclic_edges(rng, n, m):
+        rows[u][v] = al * rng.randint(1, 3) + be * rng.randint(-1, 1)
+        rows[v][u] = be * rng.randint(-2, 2)
+    return rows
+
+
 def pencil_charpoly(d, w):
     """Ascending coefficients of det(x*D - W) through unicyclic_det over Z[x]."""
     n = len(d)
@@ -93,20 +119,13 @@ def test_unicyclic_det_matches_float_det_on_random_integers():
             assert unicyclic_det(a) == round(np.linalg.det(np.array(a, dtype=float)))
 
 
-def test_unicyclic_det_matches_det_symbolic():
-    # a random pencil in (x, alpha, beta) on the support, up to 12 vertices
+def test_unicyclic_det_matches_leibniz_expansion():
+    # a random pencil in (x, alpha, beta) on the support, up to 7 vertices
     rng = random.Random(19)
-    al, be = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("beta")
     for m in (0, 3, 4, 5, 6, 7):
         for _ in range(3):
-            n = rng.randint(max(m, 2), 12)
-            rows = [[SparsePolynomial.zero()] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = X * rng.randint(0, 2) + al * rng.randint(-2, 2) - rng.randint(-2, 2)
-            for u, v in random_unicyclic_edges(rng, n, m):
-                rows[u][v] = al * rng.randint(1, 3) + be * rng.randint(-1, 1)
-                rows[v][u] = be * rng.randint(-2, 2)
-            assert unicyclic_det(rows) == det_symbolic(rows)
+            rows = random_multivariate_pencil(rng, rng.randint(max(m, 2), 7), m)
+            assert unicyclic_det(rows) == leibniz_det(rows)
 
 
 def test_unicyclic_det_rejects_other_supports():

@@ -16,11 +16,12 @@ from gearlab.graphs import (Digraph, GearSpec, build_gear, dual_gear, fig2_contr
                             fig6_digraph_pair, gear_to_digraph, subdivide)
 from gearlab.markov import characteristic_polynomial_exact, markov_matrix, markov_spectrum
 from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
-from gearlab.zeta import PRIME, char_poly_symbolic, digraph_isomorphic, eval_det, pencil
+from gearlab.zeta import (PRIME, char_poly_symbolic, digraph_isomorphic, eval_det,
+                          intertwiner, intertwiner_det, pencil)
 from gearlab.linalg import unicyclic_det
-from gearlab.polynomials import SparsePolynomial, det_symbolic
+from gearlab.polynomials import NVARS, VARIABLES, SparsePolynomial
 
-from test_linalg import pencil_charpoly, random_unicyclic_edges
+from test_linalg import pencil_charpoly, random_multivariate_pencil, random_unicyclic_edges
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -93,7 +94,6 @@ PENCIL_SEEDS = {"diagonal": 11, "full": 12, "singular": 13}
 def test_pencil_charpoly_matches_sympy(kind):
     rng = random.Random(PENCIL_SEEDS[kind])
     x = sympy.Symbol("x")
-    xs = SparsePolynomial.variable("x")
     for m in (0, 3, 4, 5, 6, 7):
         for _ in range(3):
             n = rng.randint(max(m, 2), 12)
@@ -107,8 +107,52 @@ def test_pencil_charpoly_matches_sympy(kind):
             assert got == expected
             if kind == "singular":
                 assert got[-1] == 0
-            rows = [[xs * d[i][j] - w[i][j] for j in range(n)] for i in range(n)]
-            assert unicyclic_det(rows) == det_symbolic(rows)
+
+
+def sympy_det(rows, names):
+    """det of a SparsePolynomial matrix in the variables ``names``, by sympy
+    over ZZ[names]; the result as {full exponent tuple: coefficient}."""
+    symbols = sympy.symbols(" ".join(names))
+    ring = sympy.ZZ[symbols]
+    index = [VARIABLES.index(name) for name in names]
+
+    def convert(p):
+        assert all(e[i] == 0 for e in p.terms for i in range(NVARS) if i not in index)
+        return ring.from_sympy(sum((c * sympy.prod(v ** e[i] for v, i in zip(symbols, index))
+                                    for e, c in p.terms.items()), sympy.Integer(0)))
+
+    n = len(rows)
+    # the constant term of det(t I - M), division free (Berkowitz), is (-1)^n det M;
+    # DomainMatrix.det divides in the polynomial ring and is ~25x slower here
+    charpoly = DomainMatrix([[convert(p) for p in row] for row in rows], (n, n), ring).charpoly()
+    det = charpoly[-1] * (-1) ** n
+    full = {}
+    for exps, c in det.to_dict().items():
+        key = [0] * NVARS
+        for i, e in zip(index, exps):
+            key[i] = e
+        full[tuple(key)] = int(c)
+    return full
+
+
+def test_unicyclic_det_matches_sympy_on_multivariate_pencils():
+    # the random (x, alpha, beta) pencils of test_linalg, up to 12 vertices
+    rng = random.Random(23)
+    for m in (0, 3, 4, 5, 6, 7):
+        for _ in range(3):
+            rows = random_multivariate_pencil(rng, rng.randint(max(m, 2), 12), m)
+            assert unicyclic_det(rows).terms == sympy_det(rows, ("x", "alpha", "beta"))
+
+
+@pytest.mark.parametrize("lengths", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (1, 2, 3), (4, 2, 1),
+                                     (1, 2, 1, 3), (1, 1, 1, 1, 1), (1, 1, 2, 2, 3)], ids=str)
+def test_intertwiner_det_matches_sympy(lengths):
+    spec = GearSpec(len(lengths), lengths)
+    t = intertwiner(spec)
+    n = len(t)
+    assert n <= 18
+    rows = [[row.get(j, SparsePolynomial.zero()) for j in range(n)] for row in t]
+    assert intertwiner_det(spec).terms == sympy_det(rows, ("alpha", "beta", "gamma"))
 
 
 def _mpf(q):

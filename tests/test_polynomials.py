@@ -1,11 +1,10 @@
-"""Sparse polynomial arithmetic and the subset-expansion determinant."""
+"""Sparse polynomial arithmetic."""
 
 import random
-from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from gearlab.polynomials import NVARS, SparsePolynomial, det_symbolic
+from gearlab.polynomials import NVARS, SparsePolynomial
 
 
 def is_homogeneous(p, degree=None):
@@ -65,40 +64,6 @@ def test_homogeneity_queries():
     assert is_homogeneous(a * b + b * b, 2)
     assert not is_homogeneous(a + b * b)
     assert is_homogeneous(SparsePolynomial.zero(), 17)
-
-
-def _brute_force_det(mat):
-    n = len(mat)
-    total = SparsePolynomial.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = SparsePolynomial.constant(sign)
-        for i in range(n):
-            term = term * mat[i][perm[i]]
-        total = total + term
-    return total
-
-
-def test_det_symbolic_against_leibniz_expansion():
-    rng = random.Random(9)
-    names = ("x", "alpha", "beta", "gamma")
-    for _ in range(5):
-        mat = [[SparsePolynomial.monomial(rng.randint(-3, 3),
-                                          **{rng.choice(names): rng.randint(0, 2)})
-                for _ in range(4)] for _ in range(4)]
-        assert det_symbolic(mat) == _brute_force_det(mat)
-
-
-def test_det_symbolic_triangular_and_singular():
-    x = SparsePolynomial.variable("x")
-    zero = SparsePolynomial.zero()
-    one = SparsePolynomial.constant(1)
-    assert det_symbolic([[x, one], [zero, x]]) == x * x
-    assert det_symbolic([[x, x], [x, x]]) == SparsePolynomial.zero()
 
 
 def test_dump_lines_sorted_and_stable():

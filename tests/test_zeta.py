@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from gearlab.graphs import (Digraph, GearSpec, dual_gear, fig2_control_pair,
                             fig6_digraph_pair, gear_to_digraph)
-from gearlab.zeta import (PRIME, ZetaError, char_poly_symbolic, digraph_isomorphic,
-                          eval_det, intertwiner_12, intertwiner_det_expected, pencil,
-                          random_point, verify_intertwiner, zeta_equivalent)
-from gearlab.polynomials import SparsePolynomial, det_symbolic
+from gearlab.zeta import (FIG6, PRIME, ZetaError, char_poly_symbolic, digraph_isomorphic,
+                          eval_det, factored_det, intertwiner, intertwiner_det, intertwines,
+                          pencil, random_point, verify_intertwiner, zeta_equivalent)
+from gearlab.polynomials import SparsePolynomial
 
 from test_polynomials import is_homogeneous
 
@@ -84,7 +86,8 @@ def test_zeta_fig6_equivalent_with_bound():
     v = zeta_equivalent(g, gt, trials=20, seed=7)
     assert v["verdict"] == "equivalent-with-bound"
     assert v["per_trial_bound"] == 12 / PRIME
-    assert v["failure_bound"] <= 20 * 12 / PRIME
+    # (12 / PRIME) ** 20 underflows to 0.0; only its log10 is reported
+    assert "failure_bound" not in v
     assert v["failure_bound_log10"] == pytest.approx(20 * math.log10(12 / PRIME))
     assert v["seed"] == 7 and v["prime"] == PRIME
     # deterministic for a fixed seed
@@ -185,43 +188,98 @@ def test_char_poly_exact_on_26_vertex_gear_pair():
 
 
 # ---------------------------------------------------------------------------
-# the explicit 12x12 intertwiner
+# the intertwiner from its derivative rule
 # ---------------------------------------------------------------------------
 
+# the paper's 12x12 intertwiner of the fig6 pair: (row, column, coefficient,
+# (alpha, beta, gamma) exponents), 1-based dual rows and primal columns
+FIG6_T = [
+    (1, 1, 1, (3, 0, 0)), (1, 6, 2, (2, 0, 1)), (1, 7, 1, (3, 0, 0)),
+    (2, 1, 2, (2, 0, 1)), (2, 2, 1, (3, 0, 0)), (2, 8, 1, (3, 0, 0)),
+    (3, 2, 1, (2, 0, 1)), (3, 3, 1, (3, 0, 0)), (3, 8, 1, (2, 0, 1)), (3, 9, 1, (3, 0, 0)),
+    (4, 3, 2, (2, 0, 1)), (4, 4, 1, (3, 0, 0)), (4, 10, 1, (3, 0, 0)),
+    (5, 4, 1, (2, 0, 1)), (5, 5, 1, (3, 0, 0)), (5, 10, 1, (2, 0, 1)), (5, 11, 1, (3, 0, 0)),
+    (6, 5, 1, (2, 0, 1)), (6, 6, 1, (3, 0, 0)), (6, 11, 1, (2, 0, 1)), (6, 12, 1, (3, 0, 0)),
+    (7, 1, 1, (2, 1, 0)), (7, 7, -1, (2, 1, 0)),
+    (8, 2, 1, (1, 2, 0)), (8, 8, -1, (1, 2, 0)),
+    (9, 2, 1, (1, 1, 1)), (9, 3, 1, (2, 1, 0)), (9, 8, -1, (1, 1, 1)), (9, 9, -1, (2, 1, 0)),
+    (10, 4, 1, (0, 3, 0)), (10, 10, -1, (0, 3, 0)),
+    (11, 4, 1, (0, 2, 1)), (11, 5, 1, (1, 2, 0)), (11, 10, -1, (0, 2, 1)), (11, 11, -1, (1, 2, 0)),
+    (12, 5, 1, (1, 1, 1)), (12, 6, 1, (2, 1, 0)), (12, 11, -1, (1, 1, 1)), (12, 12, -1, (2, 1, 0)),
+]
+
+# digraph sizes 2 * total of the zeta-digraphs benchmark pairs: 12 to 42 vertices
+ZETA_TOTALS = (6, 7, 9, 11, 13, 16, 21)
+
+
+def seeded_gear(total):
+    """A primal gear with 3 to 6 sides and lengths 1..4 that sum to ``total``."""
+    rng = random.Random(total)
+    n = rng.choice([n for n in range(3, 7) if n <= total <= 4 * n])
+    lengths = [1] * n
+    for _ in range(total - n):
+        lengths[rng.choice([i for i in range(n) if lengths[i] < 4])] += 1
+    return GearSpec(n, tuple(lengths))
+
+
+def gear_pencils(spec):
+    return pencil(gear_to_digraph(spec)), pencil(gear_to_digraph(dual_gear(spec)))
+
+
 def test_intertwiner_entries():
-    t = intertwiner_12()
-    assert t[0][0] == SparsePolynomial.monomial(1, alpha=3)
-    assert t[1][0] == SparsePolynomial.monomial(2, alpha=2, gamma=1)
-    assert t[6][0] == SparsePolynomial.monomial(1, alpha=2, beta=1)
-    assert t[6][6] == SparsePolynomial.monomial(-1, alpha=2, beta=1)
+    expected = [{} for _ in range(12)]
+    for i, j, coeff, (a, b, g) in FIG6_T:
+        expected[i - 1][j - 1] = SparsePolynomial.monomial(coeff, alpha=a, beta=b, gamma=g)
+    assert intertwiner(GearSpec(3, (1, 2, 3))) == expected
 
 
-def test_intertwiner_sign_blocks():
-    t = intertwiner_12()
-    for i in range(6, 12):
-        entries = [p for p in t[i] if p]
-        assert len(entries) in (2, 4)
-        coeffs = [list(p.terms.values())[0] for p in entries]
-        assert sorted(coeffs) == sorted([1] * (len(coeffs) // 2) + [-1] * (len(coeffs) // 2))
+@pytest.mark.parametrize("total", ZETA_TOTALS)
+def test_intertwiner_on_seeded_pairs(total):
+    spec = seeded_gear(total)
+    pg, pgt = gear_pencils(spec)
+    assert pg.n == 2 * total
+    t = intertwiner(spec)
+    assert intertwines(pg, pgt, t)
+    assert factored_det(spec) == intertwiner_det(spec)
 
 
-def test_intertwiner_column_addition_triangularizes():
-    t = intertwiner_12()
-    folded = [[t[i][j] + t[i][j + 6] for j in range(6)] for i in range(12)]
-    # lower-left block vanishes
-    for i in range(6, 12):
-        for j in range(6):
-            assert not folded[i][j]
-    upper_left = [row[:6] for row in folded[:6]]
-    lower_right = [[t[i][j] for j in range(6, 12)] for i in range(6, 12)]
-    product = det_symbolic(upper_left) * det_symbolic(lower_right)
-    assert product == det_symbolic(t)
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 4), min_size=3, max_size=6))
+def test_intertwiner_property(lengths):
+    spec = GearSpec(len(lengths), tuple(lengths))
+    t = intertwiner(spec)
+    assert intertwines(*gear_pencils(spec), t)
+    assert factored_det(spec) == intertwiner_det(spec)
+
+
+def test_corrupted_intertwiner_fails_the_check():
+    spec = seeded_gear(9)
+    pg, pgt = gear_pencils(spec)
+    # a monomial of the entries' own degree, so homogeneity cannot show it
+    extra = SparsePolynomial.monomial(1, alpha=max(spec.lengths))
+    for r, col in ((0, 0), (5, 3), (pgt.n - 1, pg.n - 1)):
+        t = intertwiner(spec)
+        t[r][col] = t[r].get(col, SparsePolynomial.zero()) + extra
+        assert not intertwines(pg, pgt, t)
+
+
+@pytest.mark.parametrize("spec", [
+    GearSpec(3, (1, 2, 3), "dual"),
+    GearSpec(3, (1, 2, 3), "primal", ("tail", "head", "tail")),
+    GearSpec(4, (1, 2, 1, 3), "dual", ("tail", "tail", "tail", "head")),
+], ids=["dual", "mixed", "mixed-dual"])
+def test_intertwiner_rejects_other_attachments(spec):
+    with pytest.raises(ZetaError, match="tail"):
+        intertwiner(spec)
 
 
 def test_intertwiner_determinant_formula_and_values():
-    det_t = det_symbolic(intertwiner_12())
-    assert det_t == intertwiner_det_expected()
-    # ((2 a^3)^6 - (2 a^2 g)^6) a^8 b^10 at simple points
+    # ((2 a^3)^6 - (2 a^2 g)^6) a^8 b^10, expanded
+    expected = (SparsePolynomial.monomial(64, alpha=26, beta=10)
+                - SparsePolynomial.monomial(64, alpha=20, beta=10, gamma=6))
+    det_t = intertwiner_det(FIG6)
+    assert det_t == expected
+    assert factored_det(FIG6) == expected
     assert det_t.evaluate((0, 0, 1, 1, 1, 0)) == 0
     assert det_t.evaluate((0, 0, 1, 1, 2, 0)) == 64 * (1 - 64)
 
@@ -275,6 +333,15 @@ def test_relabelled_digraph_is_isomorphic():
 def test_fig6_pair_not_isomorphic():
     g, gt = fig6_digraph_pair()
     assert digraph_isomorphic(g, gt) is None
+
+
+def test_isomorphism_rejects_parallel_arcs():
+    a = Digraph(3, ((0, 1), (0, 1), (1, 2)))
+    b = Digraph(3, ((0, 1), (1, 2), (1, 2)))
+    with pytest.raises(ZetaError, match="parallel arcs"):
+        digraph_isomorphic(a, b)
+    with pytest.raises(ZetaError, match="parallel arcs"):
+        digraph_isomorphic(b, b)
 
 
 def test_isomorphism_size_guard():
