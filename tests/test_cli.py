@@ -190,6 +190,22 @@ def test_zeta_conjugator_matches_golden_files(tmp_path):
         assert dump.read_bytes() == (DATA / f"fig6_eta_{tag}.poly").read_bytes()
 
 
+@pytest.mark.parametrize("pair, seed, name", [
+    (["--fig6"], "7", "zeta_fig6"),
+    (["--fig2"], "11", "zeta_fig2"),       # distinguished, with its point
+    ("4,2,5,3,1,6", "42", "zeta_gear42"),  # a 42-vertex primal/dual digraph pair
+], ids=["fig6", "fig2", "gear42"])
+def test_zeta_matches_golden_files(tmp_path, pair, seed, name):
+    if isinstance(pair, str):
+        a, b = tmp_path / "a.digraph", tmp_path / "b.digraph"
+        assert run("build", "--lengths", pair, "--digraph", "-o", str(a)) == 0
+        assert run("build", "--lengths", pair, "--dual", "--digraph", "-o", str(b)) == 0
+        pair = ["--g1", str(a), "--g2", str(b)]
+    out = tmp_path / "zeta.json"
+    assert run("zeta", *pair, "--trials", "20", "--seed", seed, "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
 def test_grid_step_finds_the_thth_root(tmp_path):
     a, _ = _build_pair(tmp_path, *THTH)
     csv = tmp_path / "spec.csv"
