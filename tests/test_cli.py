@@ -410,3 +410,22 @@ def test_isomorphic_rejects_parallel_arcs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "parallel arcs" in err and len(err.splitlines()) == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arcs, message", [("arc 0 0\narc 0 1\n", "self-loops"),
+                                           ("arc 0 1\narc 0 1\n", "parallel arcs")],
+                         ids=["self-loop", "parallel"])
+@pytest.mark.parametrize("other", [2, 3], ids=["other-size", "same-size"])
+def test_zeta_rejects_unsupported_digraph_at_any_size(tmp_path, capsys, arcs, message, other):
+    # validation comes before the vertex-count shortcut, so the exit code
+    # does not depend on the other digraph's size
+    bad, small = tmp_path / "bad.digraph", tmp_path / "small.digraph"
+    bad.write_text(f"digraph bad\nvertices 3\n{arcs}")
+    small.write_text(f"digraph small\nvertices {other}\narc 0 1\n")
+    out = tmp_path / "v.json"
+    for g1, g2 in ((bad, small), (small, bad)):
+        capsys.readouterr()
+        assert run("zeta", "--g1", str(g1), "--g2", str(g2), "--seed", "1", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1, err
+    assert not out.exists()

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from gearlab.graphs import (Digraph, GearSpec, dual_gear, fig2_control_pair,
                             fig6_digraph_pair, gear_to_digraph)
-from gearlab.zeta import (FIG6, PRIME, ZetaError, char_poly_symbolic, digraph_isomorphic,
-                          eval_det, factored_det, intertwiner, intertwiner_det, intertwines,
-                          pencil, random_point, verify_intertwiner, zeta_equivalent)
+from gearlab.linalg import unicyclic_det
+from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, char_poly_symbolic,
+                          digraph_isomorphic, eval_det, factored_det, intertwiner,
+                          intertwiner_det, intertwines, pencil, random_point,
+                          verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
 from test_polynomials import is_homogeneous
@@ -71,6 +73,103 @@ def test_fig6_pair_agrees_at_random_points():
         assert eval_det(pg, pt) == eval_det(pgt, pt)
 
 
+def dense_pencil(p, point):
+    """Dense integer matrix of L_G at a 6-tuple (x, y, alpha, beta, gamma, delta)."""
+    x, y, al, be, ga, de = point
+    return [[y + al * p.A[i][j] + be * p.AT[i][j]
+             + (x + ga * p.D_out[i] + de * p.D_in[i] if i == j else 0)
+             for j in range(p.n)] for i in range(p.n)]
+
+
+def bareiss_det(mat):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense, sparse or singular integer matrices of size 0 to 9."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["dense", "sparse", "singular"]))
+    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+    if kind == "sparse":
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1]) | entry
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular" and n:
+        # one row a combination of the others, at a random position
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        others = mat[:-1]
+        combo = [sum(c * row[j] for c, row in zip(coeffs, others)) for j in range(n)]
+        others.insert(draw(st.integers(0, n - 1)), combo)
+        mat = others
+    return mat
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_det_mod_matches_exact_determinant(mat, p):
+    # small primes force zero pivots, off-diagonal pivot rows and odd signs
+    rows = [dict(enumerate(row)) for row in mat]
+    assert _det_mod(rows, p) == bareiss_det(mat) % p
+
+
+@st.composite
+def simple_digraphs(draw):
+    """Digraphs on 1 to 8 vertices without loops or parallel arcs."""
+    n = draw(st.integers(1, 8))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    return Digraph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(simple_digraphs(), st.lists(st.integers(0, PRIME - 1), min_size=6, max_size=6),
+       st.booleans())
+def test_eval_det_matches_dense_determinant(dg, point, y0):
+    # any simple digraph (2-cycles, several cycles, isolated vertices),
+    # with and without the bordered all-ones term
+    if y0:
+        point[1] = 0
+    p = pencil(dg)
+    assert eval_det(p, point) == bareiss_det(dense_pencil(p, point)) % PRIME
+
+
+def scale_gear(rng, total, attach):
+    """A gear with lengths summing to ``total`` (2 * total digraph vertices)."""
+    n = rng.randint(3, max(3, total // 4))
+    lengths = [1] * n
+    for _ in range(total - n):
+        lengths[rng.randrange(n)] += 1
+    ends = {"primal": None, "dual": ("head",) * n,
+            "mixed": tuple(rng.choice(("tail", "head")) for _ in range(n))}[attach]
+    return GearSpec(n, tuple(lengths), "primal", ends)
+
+
+@pytest.mark.parametrize("attach", ["primal", "dual", "mixed"])
+@pytest.mark.parametrize("total", [6, 21, 60, 200])
+def test_eval_det_matches_unicyclic_det_at_scale(total, attach):
+    # the sparse elimination against Schwenk's leaf peeling on the same
+    # integer matrix, 12 to 400 vertices
+    rng = random.Random(f"{total}:{attach}")
+    p = pencil(gear_to_digraph(scale_gear(rng, total, attach)))
+    assert p.n == 2 * total
+    for _ in range(2):
+        pt = random_point(rng)
+        assert eval_det(p, pt) == unicyclic_det(dense_pencil(p, pt)) % PRIME
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -97,6 +196,14 @@ def test_zeta_fig6_equivalent_with_bound():
 def test_zeta_distinguishes_different_sizes():
     v = zeta_equivalent(Digraph(2, ((0, 1),)), Digraph(3, ((0, 1),)), trials=3, seed=0)
     assert v["verdict"] == "distinguished"
+
+
+@pytest.mark.parametrize("arcs", [((0, 0), (0, 1)), ((0, 1), (0, 1))], ids=["loop", "parallel"])
+def test_zeta_validates_both_digraphs_before_comparing_sizes(arcs):
+    bad, small = Digraph(3, arcs), Digraph(2, ((0, 1),))
+    for g1, g2 in ((bad, small), (small, bad)):
+        with pytest.raises(ZetaError):
+            zeta_equivalent(g1, g2, trials=3, seed=1)
 
 
 def test_zeta_fig2_control():
