@@ -171,8 +171,8 @@ def cmd_compare(args):
 
 
 def cmd_markov(args):
-    from .markov import (MarkovError, characteristic_polynomial_exact, markov_matrix,
-                         markov_spectrum)
+    from .markov import (MarkovError, characteristic_polynomial_exact, markov_eigenvalues,
+                         markov_matrix)
     spec = _gear_spec(args)
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "markov subcommand needs integer lengths")
@@ -180,7 +180,7 @@ def cmd_markov(args):
         ms = markov_matrix(subdivide(build_gear(spec)), _weight(args), args.mode)
     except (GraphError, MarkovError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
-    vals, _ = markov_spectrum(ms)
+    vals = markov_eigenvalues(ms)
     report = {
         "n": spec.n,
         "lengths": [float(l) for l in spec.lengths],

@@ -87,21 +87,32 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
     return MarkovSystem(cg, wv, mode, rows, degrees, tuple(adj))
 
 
-def markov_spectrum(ms: MarkovSystem):
-    """Eigenvalues (ascending) and eigenvectors of M via LAPACK (numpy eigh).
-
-    M is conjugated to the symmetric S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2};
-    the returned vectors are eigenvectors of M itself (columns).
-    """
+def _symmetric_walk(ms: MarkovSystem):
+    """S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2} as floats, with the degrees d."""
     n = ms.size
     d = np.array([float(x) for x in ms.degrees])
     s = np.zeros((n, n))
     for v, row in enumerate(ms.adjacency):
         for u, wgt in row.items():
             s[v, u] = float(wgt) / math.sqrt(d[v] * d[u])
+    return s, d
+
+
+def markov_spectrum(ms: MarkovSystem):
+    """Eigenvalues (ascending) and eigenvectors of M via LAPACK (numpy eigh).
+
+    M is conjugated to the symmetric S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2};
+    the returned vectors are eigenvectors of M itself (columns).
+    """
+    s, d = _symmetric_walk(ms)
     vals, vecs = np.linalg.eigh(s)
     vecs = vecs / np.sqrt(d)[:, None]
     return vals, vecs
+
+
+def markov_eigenvalues(ms: MarkovSystem):
+    """Eigenvalues of M (ascending) from numpy eigvalsh on the same S."""
+    return np.linalg.eigvalsh(_symmetric_walk(ms)[0])
 
 
 def characteristic_polynomial_exact(ms: MarkovSystem):
@@ -235,26 +246,36 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
     J+ = ones * diag(d) maps the 1-eigenspace (constants) across and kills
     everything d-orthogonal to it; when the subdivision is bipartite, J-
     does the same for the sign vectors of the -1-eigenspaces, else J- = 0.
+
+    Both corrections are rank one: every row of J+ is d, and row i of J-
+    is st_i v with v_j = s_j d_j / sum(d).  So the shared rows d, v and -v
+    are computed once (O(n) Fraction operations), every row of C starts as
+    a copy of d + v or d - v, and only its <= 3 T entries are recomputed,
+    as (t_ij + d_j) + J-_ij.
     """
     n = src.size
     t = transplantation_matrix(src, dst)
     d = src.degrees
-    zero = Fraction(0) if src.mode == "rational" else 0.0
-    jp = [[d[j] for j in range(n)] for _ in range(n)]
     s = bipartition_sign(src.cg)
     st = bipartition_sign(dst.cg)
     if (s is None) != (st is None):
         raise MarkovError("dual pair disagrees on bipartiteness")
     if s is not None:
         total = sum(d)
-        jm = [[st[i] * s[j] * d[j] / total for j in range(n)] for i in range(n)]
+        v = tuple(s[j] * d[j] / total for j in range(n))
+        shared = {1: v, -1: tuple(-x for x in v)}
     else:
-        jm = [[zero] * n for _ in range(n)]
-    c = [[t[i].get(j, zero) + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
-    as_jp = tuple(tuple(row) for row in jp)
-    as_jm = tuple(tuple(row) for row in jm)
-    as_c = tuple(tuple(row) for row in c)
-    return Conjugator(tuple(t), as_jp, as_jm, as_c, src.mode)
+        st = (1,) * n
+        shared = {1: (Fraction(0) if src.mode == "rational" else 0.0,) * n}
+    base = {sign: tuple(dj + x for dj, x in zip(d, row)) for sign, row in shared.items()}
+    c = []
+    for trow, sign in zip(t, st):
+        row, jrow = list(base[sign]), shared[sign]
+        for j, tij in trow.items():
+            row[j] = (tij + d[j]) + jrow[j]
+        c.append(tuple(row))
+    jm = tuple(shared[sign] for sign in st)
+    return Conjugator(tuple(t), (d,) * n, jm, tuple(c), src.mode)
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):
@@ -262,21 +283,30 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
 
     Row i is sum_k M~[i,k] C[k,:] - sum_k C[i,k] M[k,:], built from the
     sparse rows of M~ and M (at most three entries each): O(n^2) work.
+    In rational mode the denominators are cleared first: with L the lcm
+    over C and Lambda the lcm over both walk matrices, the same loop runs
+    on Python ints and the result is max_abs / (L Lambda), exactly.
     """
     n = src.size
-    c = conj.C
+    c, m, mt = conj.C, src.rows, dst.rows
+    if src.mode == "rational":
+        big_l = math.lcm(*{q.denominator for row in c for q in row})
+        lam = math.lcm(*{p.denominator for row in m + mt for p in row.values()})
+        c = [[q.numerator * (big_l // q.denominator) for q in row] for row in c]
+        m, mt = ([{j: p.numerator * (lam // p.denominator) for j, p in row.items()}
+                  for row in rows] for rows in (m, mt))
     worst = 0
-    for i, row in enumerate(dst.rows):
+    for i, row in enumerate(mt):
         diff = [0] * n
         for k, p in row.items():
             for j, ckj in enumerate(c[k]):
                 diff[j] += p * ckj
         for k, cik in enumerate(c[i]):
             if cik:
-                for j, p in src.rows[k].items():
+                for j, p in m[k].items():
                     diff[j] -= cik * p
         worst = max(worst, max(map(abs, diff)))
-    return worst
+    return Fraction(worst, big_l * lam) if src.mode == "rational" else worst
 
 
 def conjugator_sigma_min(conj: Conjugator) -> float:
@@ -329,7 +359,7 @@ def predicted_wavenumbers(ms: MarkovSystem, circle_length: int, k_limit: float):
     whose square is an eigenvalue of the circle of the polygon's
     circumference contribute multiplicity 2.
     """
-    vals, _ = markov_spectrum(ms)
+    vals = markov_eigenvalues(ms)
     predicted = []
     for mu, mult in _cluster(list(vals)):
         if mu >= 1 - 1e-9 or mu <= -1 + 1e-9:

@@ -170,14 +170,15 @@ def test_markov_charpoly_matches_golden_file(tmp_path, gear, w, name):
     assert got == (DATA / f"{name}_markov_charpoly.json").read_text()
 
 
-@pytest.mark.parametrize("extra,name", [
-    ((), "gear123_conjugate"),
-    (("--mode", "float"), "gear123_float_conjugate"),
-    (("--attach", "tht"), "gear123_tht_conjugate"),
-], ids=["rational", "float", "tht"])
-def test_conjugate_matches_golden_file(tmp_path, extra, name):
+@pytest.mark.parametrize("lengths,extra,name", [
+    ("1,2,3", (), "gear123_conjugate"),
+    ("1,2,3", ("--mode", "float"), "gear123_float_conjugate"),
+    ("1,2,3", ("--attach", "tht"), "gear123_tht_conjugate"),
+    ("1,2,3,4,5,6,7,8", ("--mode", "float"), "gear1to8_float_conjugate"),
+], ids=["rational", "float", "tht", "size72-float"])
+def test_conjugate_matches_golden_file(tmp_path, lengths, extra, name):
     out = tmp_path / "conj.json"
-    assert run("conjugate", "--lengths", "1,2,3", "--w", "3/2", *extra, "-o", str(out)) == 0
+    assert run("conjugate", "--lengths", lengths, "--w", "3/2", *extra, "-o", str(out)) == 0
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 

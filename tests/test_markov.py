@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from gearlab.graphs import GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
-from gearlab.markov import (MODES, MarkovError, build_conjugator,
+from gearlab.markov import (MODES, Conjugator, MarkovError, build_conjugator,
                             characteristic_polynomial_exact, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
                             conjugator_report, conjugator_sigma_min, crosscheck_quantum,
@@ -326,9 +328,10 @@ def dense_residual(src, dst, c):
                for i in range(n) for j in range(n))
 
 
-def perturbed(conj, i, j, delta):
+def perturbed(conj, *changes):
     rows = [list(row) for row in conj.C]
-    rows[i][j] += delta
+    for i, j, delta in changes:
+        rows[i][j] += delta
     return dataclasses.replace(conj, C=tuple(tuple(row) for row in rows))
 
 
@@ -339,7 +342,7 @@ def test_residual_detects_perturbed_conjugator(mode):
     src, dst = walk_pair((1, 2, 3), w, mode=mode)
     conj = build_conjugator(src, dst)
     for i, j in ((0, 0), (3, 7), (src.size - 1, 1)):
-        bad = perturbed(conj, i, j, delta)
+        bad = perturbed(conj, (i, j, delta))
         got = conjugation_residual(src, dst, bad)
         ref = dense_residual(src, dst, bad.C)
         assert got > 1e-6
@@ -347,6 +350,60 @@ def test_residual_detects_perturbed_conjugator(mode):
             assert got == ref
         else:
             assert got == pytest.approx(ref, rel=1e-12)
+
+
+def dense_conjugator(src, dst):
+    """C = T + J+ + J- entry by entry over dense n x n rows (reference)."""
+    n = src.size
+    t = transplantation_matrix(src, dst)
+    d = src.degrees
+    zero = Fraction(0) if src.mode == "rational" else 0.0
+    jp = [[d[j] for j in range(n)] for _ in range(n)]
+    s = bipartition_sign(src.cg)
+    st_ = bipartition_sign(dst.cg)
+    if s is not None:
+        total = sum(d)
+        jm = [[st_[i] * s[j] * d[j] / total for j in range(n)] for i in range(n)]
+    else:
+        jm = [[zero] * n for _ in range(n)]
+    c = [[t[i].get(j, zero) + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
+    return Conjugator(tuple(t), tuple(map(tuple, jp)), tuple(map(tuple, jm)),
+                      tuple(map(tuple, c)), src.mode)
+
+
+@st.composite
+def integer_gears(draw):
+    n = draw(st.integers(3, 6))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    attachments = draw(st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))
+    return tuple(lengths), tuple(attachments)
+
+
+@settings(deadline=None, max_examples=40)
+@given(integer_gears(), st.sampled_from([Fraction(2, 5), Fraction(1, 2), Fraction(1),
+                                         Fraction(3, 2), Fraction(2)]),
+       st.sampled_from(MODES), st.data())
+def test_conjugator_matches_dense_construction(gear, w, mode, data):
+    lengths, attachments = gear
+    src, dst = walk_pair(lengths, w if mode == "rational" else float(w), mode, attachments)
+    conj = build_conjugator(src, dst)
+    ref = dense_conjugator(src, dst)
+    for field in dataclasses.fields(Conjugator):
+        assert getattr(conj, field.name) == getattr(ref, field.name), field.name
+    for row, ref_row in zip(conj.C, ref.C):
+        assert list(map(type, row)) == list(map(type, ref_row))
+    if mode == "float":
+        assert conjugation_residual(src, dst, conj) < 1e-10
+        return
+    assert conjugation_residual(src, dst, conj) == 0
+    n = src.size
+    changes = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.builds(Fraction, st.integers(1, 50) | st.integers(-50, -1),
+                            st.integers(1, 60))),
+        min_size=1, max_size=3))
+    bad = perturbed(conj, *changes)
+    assert conjugation_residual(src, dst, bad) == dense_residual(src, dst, bad.C)
 
 
 def test_conjugator_on_mixed_attachments():

@@ -14,7 +14,8 @@ import pytest
 
 from gearlab.graphs import (Digraph, GearSpec, build_gear, dual_gear, fig2_control_pair,
                             fig6_digraph_pair, gear_to_digraph, subdivide)
-from gearlab.markov import characteristic_polynomial_exact, markov_matrix, markov_spectrum
+from gearlab.markov import (characteristic_polynomial_exact, markov_eigenvalues, markov_matrix,
+                            markov_spectrum)
 from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
 from gearlab.zeta import (PRIME, char_poly_symbolic, digraph_isomorphic, eval_det,
                           intertwiner, intertwiner_det, pencil)
@@ -173,7 +174,7 @@ def test_markov_spectrum_matches_mpmath(lengths, attachments, w):
         exact = [float(e) for e in sorted(mpmath.eigsy(s, eigvals_only=True))]
     fvals, _ = markov_spectrum(gear_walk(lengths, attachments, float(w), "float"))
     rvals, _ = markov_spectrum(ms)
-    for vals in (fvals, rvals):
+    for vals in (fvals, rvals, markov_eigenvalues(ms)):
         assert len(vals) == n
         assert max(abs(a - b) for a, b in zip(vals, exact)) < 1e-14
 
