@@ -16,6 +16,12 @@ k-points.  This coefficient basis stays valid at wavenumbers where
 vertex-value bases degenerate, so no eigenvalue family needs special
 casing; lam = 0 (the constants) is the single analytic exception and is
 inserted directly.
+
+A private memo, keyed by value on (graph, conditions), keeps the secular
+system and the scan state of the two most recently used graphs (one dual
+pair), so a repeat scan of a graph computes sigma_min only on new grid
+points and refines only new minima.  Scans stay deterministic, and
+independent of the block sizes and of earlier scans.
 """
 
 from __future__ import annotations
@@ -191,9 +197,51 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
         layer.append(hits.get(cell, 0))
         hits[cell] = layer[-1] + 1
     row, col, term, scaled, coef = zip(*entries)
-    return _SecularSystem(np.array([e.length for e in g.edges]), np.array(row),
-                          np.array(col), np.array(term), np.array(scaled),
-                          np.array(coef, dtype=float), np.array(layer))
+    system = _SecularSystem(np.array([e.length for e in g.edges]), np.array(row),
+                            np.array(col), np.array(term), np.array(scaled),
+                            np.array(coef, dtype=float), np.array(layer))
+    for array in system:
+        # the memo hands one system to every caller
+        array.flags.writeable = False
+    return system
+
+
+class _ScanState(NamedTuple):
+    """What the scans of one graph on one k-grid have computed so far.
+
+    ``sig`` is sigma_min on the first len(sig) grid points, ``lows`` the
+    ascending indices of its interior minima, ``ks`` the refined root of
+    each minimum and ``s`` the descending singular values there.
+    """
+
+    grid_step: float
+    sig: np.ndarray
+    lows: np.ndarray
+    ks: np.ndarray
+    s: np.ndarray
+
+
+@dataclass
+class _MemoEntry:
+    system: _SecularSystem
+    scan: _ScanState | None = None
+
+
+# graphs the memo keeps, least recently used first: one dual pair
+_MEMO_GRAPHS = 2
+_MEMO: dict = {}
+
+
+def _memo_entry(g: MetricGraph, cond: VertexConditions) -> _MemoEntry:
+    """The memo entry of (g, cond), created on a miss and made most recent."""
+    key = (g, cond)
+    entry = _MEMO.pop(key, None)
+    if entry is None:
+        entry = _MemoEntry(_secular_system(g, cond))
+    _MEMO[key] = entry
+    while len(_MEMO) > _MEMO_GRAPHS:
+        del _MEMO[next(iter(_MEMO))]
+    return entry
 
 
 def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np.ndarray:
@@ -258,7 +306,7 @@ def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarr
     """
     if not (k > 0):
         raise SpectralError("secular matrix needs k > 0")
-    return _secular_stack(_secular_system(g, cond), np.array([k], dtype=float))[0, 0]
+    return _secular_stack(_memo_entry(g, cond).system, np.array([k], dtype=float))[0, 0]
 
 
 def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
@@ -335,6 +383,36 @@ def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
     return ks
 
 
+def _grid_svals(system: _SecularSystem, ks: np.ndarray, smallest_only: bool) -> np.ndarray:
+    """sigma_min (shape (K, 1)) or all singular values at ``ks``, in scan blocks."""
+    width = 1 if smallest_only else 2 * len(system.lengths)
+    out = np.empty((len(ks), width))
+    for i in range(0, len(ks), _SCAN_BLOCK):
+        block = ks[i:i + _SCAN_BLOCK]
+        out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block)[:, 0],
+                                                  block)[:, -width:]
+    return out
+
+
+def _extend_scan(system: _SecularSystem, state: _ScanState, grid: np.ndarray) -> _ScanState:
+    """``state`` grown to the longer ``grid``, whose prefix it covers.
+
+    sigma_min is computed on the new grid points only, and only the new
+    minima are refined; the last old point becomes a candidate now that
+    its right neighbour exists.  Each grid point and each bracket is
+    computed on its own, so the result equals a scan of ``grid`` from
+    scratch.
+    """
+    done = len(state.sig)
+    sig = np.concatenate([state.sig, _grid_svals(system, grid[done:], True)[:, 0]])
+    i = np.arange(max(1, done - 1), len(grid) - 1)
+    lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
+    ks = _newton_refine(system, grid[lows], grid[lows - 1], grid[lows + 1])
+    return _ScanState(state.grid_step, sig, np.concatenate([state.lows, lows]),
+                      np.concatenate([state.ks, ks]),
+                      np.concatenate([state.s, _grid_svals(system, ks, False)]))
+
+
 def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) -> Spectrum:
     """Locate all eigenvalues with k in (0, k_max].
 
@@ -346,30 +424,29 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     sigma_min < RANK_TOL * sigma_max at the refined k; the multiplicity
     is the number of singular values below MULT_TOL * sigma_max.  Two
     roots that share one grid minimum come out as one, so ``grid_step``
-    decides which roots are found.  Deterministic, and independent of the
-    block sizes.
+    decides which roots are found.  The grid is a prefix of every longer
+    grid of the same step, so the memo serves a smaller ``k_max`` from the
+    minima it already refined and extends its state for a larger one.
+    Deterministic, and independent of the block sizes and of earlier
+    scans.
     """
     bad = validate_graph(g)
     if any(v == "not connected" for v in bad):
         raise SpectralError("graph must be connected")
-    system = _secular_system(g, cond)
-
-    def svals(ks, smallest_only):
-        width = 1 if smallest_only else 2 * g.edge_count
-        out = np.empty((len(ks), width))
-        for i in range(0, len(ks), _SCAN_BLOCK):
-            block = ks[i:i + _SCAN_BLOCK]
-            out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block)[:, 0],
-                                                      block)[:, -width:]
-        return out
-
+    entry = _memo_entry(g, cond)
     step = params.grid_step
     grid = np.arange(step, params.k_max + 2.5 * step, step)
-    sig = svals(grid, True)[:, 0]
-    i = np.arange(1, len(grid) - 1)
-    lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
-    ks = _newton_refine(system, grid[lows], grid[lows - 1], grid[lows + 1])
-    s = svals(ks, False)
+    state = entry.scan
+    if state is None or state.grid_step != step:
+        width = 2 * g.edge_count
+        state = _ScanState(step, np.empty(0), np.empty(0, dtype=int), np.empty(0),
+                           np.empty((0, width)))
+    if len(grid) > len(state.sig):
+        state = _extend_scan(entry.system, state, grid)
+    entry.scan = state
+    # the minima of this grid are those with both neighbours on it
+    inside = state.lows < len(grid) - 1
+    ks, s = state.ks[inside], state.s[inside]
     accept = (s[:, -1] < RANK_TOL * s[:, 0]) & (ks <= params.k_max + DEDUP_GAP)
     mults = (s < MULT_TOL * s[:, :1]).sum(axis=1)
     roots = sorted(zip(ks[accept].tolist(), mults[accept].tolist()))

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import MetricGraph, POLYGON, TOOTH
+from .graphs import GearlabError, MetricGraph, POLYGON, TOOTH
 from .spectral import (Eigenfunction, VertexConditions, evaluate,
                        vertex_residual, weighted_norm_sq)
 
 
-class TransplantError(ValueError):
+class TransplantError(GearlabError):
     pass
 
 

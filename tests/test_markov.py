@@ -445,6 +445,7 @@ def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
     fine = crosscheck_quantum(spec, 1, math.pi)
     for name, value in (("REFINE_TOL", 1e-5), ("RANK_TOL", 1e-3), ("MULT_TOL", 1e-2)):
         monkeypatch.setattr(spectral, name, value)
+    spectral._MEMO.clear()
     coarse = crosscheck_quantum(spec, 1, math.pi)
     assert coarse["scanned_count"] == fine["scanned_count"]
     assert fine["max_gap"] < coarse["max_gap"]

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from gearlab.graphs import GearSpec, build_gear, dual_gear
+from gearlab.graphs import GearSpec, GearlabError, build_gear, dual_gear
 from gearlab.spectral import (Eigenfunction, ScanParams, VertexConditions,
                               eigenfunction_basis, evaluate, evaluate_derivative,
                               scan_spectrum, vertex_residual)
@@ -176,3 +176,7 @@ def test_transplant_onto_non_dual_raises():
     f = first_positive_eigenfunctions(g1, VertexConditions(1.5))[0]
     with pytest.raises(TransplantError, match="residual"):
         transplant(f, g1, 1.5)
+
+
+def test_transplant_error_is_a_gearlab_error():
+    assert issubclass(TransplantError, GearlabError)
