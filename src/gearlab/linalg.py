@@ -7,29 +7,28 @@ from __future__ import annotations
 def unicyclic_det(rows):
     """Exact determinant of a matrix whose support is a tree or has one cycle.
 
-    Entries are ring elements (SparsePolynomial, int, ...); the support
-    joins i != j when M[i][j] or M[j][i] is nonzero.  Schwenk's recursion
-    peels the leaves, alpha_v being the determinant of the peeled subtree
-    at v and beta_v that of the subtree minus v: leaf c peels into v as
+    Rows are sparse, dicts col -> ring element (SparsePolynomial, int, ...)
+    with absent meaning zero; the support joins i != j when M[i][j] or
+    M[j][i] is nonzero.  Schwenk's recursion peels the leaves, alpha_v
+    being the determinant of the peeled subtree at v and beta_v that of
+    the subtree minus v: leaf c peels into v as
     alpha_v <- alpha_v alpha_c - M[v][c] M[c][v] beta_v beta_c and
     beta_v <- beta_v alpha_c.  The cycle v_0 ... v_{m-1} left over closes
     with the periodic tridiagonal transfer product (Molinari, LAA 429
     (2008) 2221): tr prod [[alpha_i, -M[i][i-1] M[i-1][i] beta_i],
     [beta_i, 0]] + (-1)^(m+1) (prod M[i][i+1] + prod M[i+1][i]) prod beta_i.
-    Raises ValueError for a disconnected support or one with two cycles.
+    Raises ValueError for a column index outside 0..n-1, a disconnected
+    support or one with two cycles.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    off = {(i, j): p for i, row in enumerate(rows) for j, p in enumerate(row) if p and i != j}
-
-    def entry(i, j):
-        return off.get((i, j), 0)
-
     nbrs = [set() for _ in range(n)]
-    for i, j in off:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            if not 0 <= j < n:
+                raise ValueError(f"column index {j} outside 0..{n - 1}")
+            if e and j != i:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
     seen, todo = {0}, [0]
     while todo and n:
         for u in nbrs[todo.pop()] - seen:
@@ -40,7 +39,7 @@ def unicyclic_det(rows):
     if sum(map(len, nbrs)) > 2 * n:
         raise ValueError("support has more than one cycle")
 
-    alpha, beta = [rows[v][v] or 0 for v in range(n)], [1] * n
+    alpha, beta = [rows[v].get(v, 0) for v in range(n)], [1] * n
     leaves = [v for v in range(n) if len(nbrs[v]) <= 1]
     while leaves:
         c = leaves.pop()
@@ -49,7 +48,7 @@ def unicyclic_det(rows):
         (v,) = nbrs[c]
         nbrs[v].remove(c)
         nbrs[c].clear()
-        alpha[v] = alpha[v] * alpha[c] - entry(v, c) * entry(c, v) * beta[v] * beta[c]
+        alpha[v] = alpha[v] * alpha[c] - rows[v].get(c, 0) * rows[c].get(v, 0) * beta[v] * beta[c]
         beta[v] = beta[v] * alpha[c]
         if len(nbrs[v]) == 1:
             leaves.append(v)
@@ -64,8 +63,9 @@ def unicyclic_det(rows):
     forward = backward = betas = 1
     for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
         a, b = alpha[v], beta[v]
-        q = entry(v, u) * entry(u, v) * b
+        q = rows[v].get(u, 0) * rows[u].get(v, 0) * b
         p00, p01, p10, p11 = a * p00 - q * p10, a * p01 - q * p11, b * p00, b * p01
-        forward, backward, betas = forward * entry(v, w), backward * entry(w, v), betas * b
+        forward, backward = forward * rows[v].get(w, 0), backward * rows[w].get(v, 0)
+        betas = betas * b
     closing = (forward + backward) * betas
     return p00 + p11 + (closing if len(cycle) % 2 else -closing)

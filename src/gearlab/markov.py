@@ -118,13 +118,12 @@ def markov_eigenvalues(ms: MarkovSystem):
 def characteristic_polynomial_exact(ms: MarkovSystem):
     """Monic char poly of M as ascending Fractions, exact.
 
-    det(xI - M) = det(xD - W)/det(D); denominators are cleared once and
-    the integer pencil det(xD - W), whose support is the unicyclic
+    det(xI - M) = det(xD - W)/det(D); denominators are cleared once, and
+    x D - W, sparse integer rows read off the adjacency of the unicyclic
     subdivided gear, is expanded by `unicyclic_det` over Z[x].
     """
     if ms.mode != "rational":
         raise MarkovError("exact characteristic polynomial needs rational mode")
-    n = ms.size
 
     def cleared(q):
         q = q * ms.w.denominator
@@ -132,16 +131,14 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
         return q.numerator
 
     x = SparsePolynomial.variable("x")
-    rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for u, wgt in ms.adjacency[v].items():
-            rows[v][u] = -cleared(wgt)
-        rows[v][v] = x * cleared(ms.degrees[v]) + rows[v][v]
+    rows = [{u: -cleared(wgt) for u, wgt in adj.items()} for adj in ms.adjacency]
+    for v, row in enumerate(rows):
+        row[v] = x * cleared(ms.degrees[v]) + row.get(v, 0)
     try:
         det = unicyclic_det(rows)
     except ValueError as exc:
         raise MarkovError(f"walk pencil: {exc}") from exc
-    coeffs = [det.coefficient(x=k) for k in range(n + 1)]
+    coeffs = [det.coefficient(x=k) for k in range(ms.size + 1)]
     lead = coeffs[-1]
     return [Fraction(a, lead) for a in coeffs]
 

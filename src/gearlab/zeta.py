@@ -14,7 +14,9 @@ y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
 support that every gear digraph has.  `eval_det` evaluates a point by
 sparse elimination mod p, the column with the fewest nonzeros first, on
 the pencil's support; at y = 0 a gear digraph costs O(n) row operations
-per point, and y J enters as one dense border row and column.
+per point, and y J enters as one dense border row and column.  Exact
+matrices are sparse rows (dicts col -> entry), and `_pencil_rows`
+assembles the y = 0 pencil's rows from the arcs, over any ring.
 
 `intertwiner` builds, from the walk transplantation's derivative rule,
 a T with L_G~ T = T L_G at y = 0 for any gear digraph with every tooth
@@ -49,11 +51,9 @@ class ZetaError(GearlabError):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Integer coefficient matrices of L_G(z), one per symbol, and the arcs."""
+    """L_G(z) of a simple digraph: its size, out- and in-degrees, and arcs."""
 
     n: int
-    A: tuple
-    AT: tuple
     D_out: tuple
     D_in: tuple
     arcs: tuple
@@ -61,17 +61,26 @@ class Pencil:
 
 def pencil(g: Digraph) -> Pencil:
     n = g.vertex_count
-    a = [[0] * n for _ in range(n)]
+    d_out, d_in = [0] * n, [0] * n
     for t, h in g.arcs:
         if t == h:
             raise ZetaError("self-loops not supported")
-        if a[t][h]:
-            raise ZetaError("parallel arcs not supported")
-        a[t][h] = 1
-    at = [[a[j][i] for j in range(n)] for i in range(n)]
-    d_out = tuple(sum(row) for row in a)
-    d_in = tuple(sum(row) for row in at)
-    return Pencil(n, tuple(map(tuple, a)), tuple(map(tuple, at)), d_out, d_in, tuple(g.arcs))
+        d_out[t] += 1
+        d_in[h] += 1
+    if len(g.arc_set()) != len(g.arcs):
+        raise ZetaError("parallel arcs not supported")
+    return Pencil(n, tuple(d_out), tuple(d_in), tuple(g.arcs))
+
+
+def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
+    """Sparse rows of x I + alpha A + beta A^T + gamma D_out + delta D_in over
+    any ring, from the arcs in O(n + arcs).  An entry may be zero (alpha =
+    0, say): `_det_mod`, `unicyclic_det` and `_row_times` skip zeros."""
+    rows = [{i: x + gamma * p.D_out[i] + delta * p.D_in[i]} for i in range(p.n)]
+    for t, h in p.arcs:
+        rows[t][h] = rows[t].get(h, 0) + alpha
+        rows[h][t] = rows[h].get(t, 0) + beta
+    return rows
 
 
 def _det_mod(rows, p):
@@ -149,15 +158,11 @@ def eval_det(p: Pencil, point) -> int:
     O(n^2).
     """
     x, y, al, be, ga, de = (v % PRIME for v in point)
-    n = p.n
-    rows = [{i: x + ga * p.D_out[i] + de * p.D_in[i]} for i in range(n)]
-    for t, h in p.arcs:
-        rows[t][h] = rows[t].get(h, 0) + al
-        rows[h][t] = rows[h].get(t, 0) + be
+    rows = _pencil_rows(p, x, al, be, ga, de)
     if y:
         for row in rows:
-            row[n] = y
-        rows.append({**dict.fromkeys(range(n), -1), n: 1})
+            row[p.n] = y
+        rows.append({**dict.fromkeys(range(p.n), -1), p.n: 1})
     return _det_mod(rows, PRIME)
 
 
@@ -207,14 +212,7 @@ def zeta_equivalent(g1: Digraph, g2: Digraph, trials: int = 20, seed: int = 0) -
 # exact symbolic route
 # ---------------------------------------------------------------------------
 
-def _pencil_entries_y0(p: Pencil):
-    """L_G at y = 0 as SparsePolynomial entries."""
-    x, al, be, ga, de = map(SparsePolynomial.variable, ("x", "alpha", "beta", "gamma", "delta"))
-    zero = SparsePolynomial.zero()
-    # pencil() rejects self-loops, so A and A^T vanish on the diagonal
-    return [[x + ga * p.D_out[i] + de * p.D_in[i] if i == j
-             else al * p.A[i][j] + be * p.AT[i][j] if p.A[i][j] or p.AT[i][j] else zero
-             for j in range(p.n)] for i in range(p.n)]
+_Y0_VARIABLES = tuple(map(SparsePolynomial.variable, ("x", "alpha", "beta", "gamma", "delta")))
 
 
 def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
@@ -225,7 +223,7 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
     graph of G is disconnected or has two cycles; a gear digraph's has one.
     """
     try:
-        return unicyclic_det(_pencil_entries_y0(p))
+        return unicyclic_det(_pencil_rows(p, *_Y0_VARIABLES))
     except ValueError as exc:
         raise ZetaError(f"symbolic determinant: {exc}") from exc
 
@@ -234,16 +232,24 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
 # the intertwiner of a gear digraph and its dual, from its derivative rule
 # ---------------------------------------------------------------------------
 
+def _rule_lengths(spec: GearSpec) -> list:
+    """The lengths of `spec` as ints; ZetaError where the intertwiner rule does not apply."""
+    if set(spec.tooth_ends) != {"tail"}:
+        raise ZetaError("the intertwiner rule needs every tooth at its side's tail")
+    if not spec.is_integral():
+        raise ZetaError("the intertwiner rule needs integer lengths")
+    return [int(round(l)) for l in spec.lengths]
+
+
 def _factors(spec: GearSpec):
-    """K = alpha I + gamma A^T (dense) and the rows (r, a, b, sign, s_j+1, t_j+1)
+    """K = alpha I + gamma A^T as sparse rows, the pencil at x = alpha,
+    beta = gamma and 0 elsewhere, and the rows (r, a, b, sign, s_j+1, t_j+1)
     of alpha T = S' B K: S'[r] = alpha^a beta^b, B[r] = e[s_j+1] + sign e[t_j+1]
     for slot j of dual side path i (sign +1) or dual tooth path i (sign -1,
     distance m = l_i - j from the polygon), s, t the primal paths of i."""
-    if set(spec.tooth_ends) != {"tail"}:
-        raise ZetaError("the intertwiner rule needs every tooth at its side's tail")
-    al, ga = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("gamma")
-    p = pencil(gear_to_digraph(spec))
-    k = [[al if i == j else ga * at for j, at in enumerate(row)] for i, row in enumerate(p.AT)]
+    _rule_lengths(spec)
+    _, al, _, ga, _ = _Y0_VARIABLES
+    k = _pencil_rows(pencil(gear_to_digraph(spec)), al, 0, ga, 0, 0)
     primal, dual = digraph_paths(spec), digraph_paths(dual_gear(spec))
     top = max(len(side) for side, _ in primal) - 1
     rows = []
@@ -264,15 +270,11 @@ def _row_times(row, rows):
     return {j: e for j, e in out.items() if e}
 
 
-def _sparse(rows):
-    return [{j: e for j, e in enumerate(row) if e} for row in rows]
-
-
 def intertwiner(spec: GearSpec) -> list:
     """Sparse rows of T with L_G~ T = T L_G at y = 0, one dict per dual vertex.
 
-    G and G~ are the digraph exports of `spec`, every tooth at its side's
-    tail (else ZetaError), and of its dual.  The rule is the walk
+    G and G~ are the digraph exports of `spec`, integer lengths and every
+    tooth at its side's tail (else ZetaError), and of its dual.  The rule is the walk
     transplantation's: with d_j(p) = alpha e[p_j+1] + gamma e[p_j], the
     row of K = alpha I + gamma A^T at p_j+1, slot j of the dual side path
     i gets alpha^(L-1) (d_j(s) + d_j(t)) and slot j of the dual tooth path
@@ -280,7 +282,6 @@ def intertwiner(spec: GearSpec) -> list:
     are the primal side and tooth paths of i, L the longest length.
     """
     k, rows = _factors(spec)
-    k = _sparse(k)
     # where a = 0 (m = L, j = 0), d_0(s) - d_0(t) = alpha (e[s_1] - e[t_1])
     # cancels the alpha^-1
     return [{j: SparsePolynomial.monomial(1, alpha=a - 1, beta=b) * e
@@ -290,7 +291,7 @@ def intertwiner(spec: GearSpec) -> list:
 
 def intertwines(pg: Pencil, pgt: Pencil, t) -> bool:
     """Whether L_G~ T = T L_G at y = 0, by sparse row products."""
-    lg, lgt = _sparse(_pencil_entries_y0(pg)), _sparse(_pencil_entries_y0(pgt))
+    lg, lgt = _pencil_rows(pg, *_Y0_VARIABLES), _pencil_rows(pgt, *_Y0_VARIABLES)
     return all(_row_times(lgt[i], t) == _row_times(t[i], lg) for i in range(pgt.n))
 
 
@@ -323,7 +324,7 @@ def intertwiner_det(spec: GearSpec) -> SparsePolynomial:
     label map pi of `factored_det`, which rotates the cycle labels by
     1 - l_1 places and fixes the tooth labels.
     """
-    lengths = [int(round(l)) for l in spec.lengths]
+    lengths = _rule_lengths(spec)
     n, top = sum(lengths), max(lengths)
     m = sum(l * (l + 1) // 2 for l in lengths)
     sign = (-1) ** ((n + (n - 1) * (1 - lengths[0])) % 2)

@@ -41,6 +41,11 @@ def fraction_rank(mat) -> int:
     return rank
 
 
+def sparse(mat):
+    """Sparse rows of a dense matrix; zero entries stay explicit."""
+    return [dict(enumerate(row)) for row in mat]
+
+
 def poly_eval(coeffs, x):
     """Horner evaluation of ascending coefficients (exact for Fraction input)."""
     acc = 0
@@ -88,21 +93,23 @@ def pencil_charpoly(d, w):
     n = len(d)
     rows = [[X * d[i][j] - w[i][j] for j in range(n)] for i in range(n)]
     coeffs = [0] * (n + 1)
-    for exps, c in unicyclic_det(rows).terms.items():
+    for exps, c in unicyclic_det(sparse(rows)).terms.items():
         coeffs[exps[0]] = c
     return coeffs
 
 
 def test_unicyclic_det_known_determinants():
-    assert unicyclic_det([[5]]) == 5
-    assert unicyclic_det([[1, 2], [3, 4]]) == -2
-    assert unicyclic_det([[0, 1], [1, 0]]) == -1
-    assert unicyclic_det([[1, 2], [2, 4]]) == 0
+    assert unicyclic_det(sparse([[5]])) == 5
+    assert unicyclic_det(sparse([[1, 2], [3, 4]])) == -2
+    assert unicyclic_det(sparse([[0, 1], [1, 0]])) == -1
+    assert unicyclic_det(sparse([[1, 2], [2, 4]])) == 0
     # permutation matrix of a 4-cycle has determinant -1
     p = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
-    assert unicyclic_det(p) == -1
-    # and of a 3-cycle +1; None entries are absent
-    assert unicyclic_det([[None, 1, None], [None, None, 1], [1, None, None]]) == 1
+    assert unicyclic_det(sparse(p)) == -1
+    # and of a 3-cycle +1, with absent entries and with explicit zeros
+    assert unicyclic_det([{1: 1}, {2: 1}, {0: 1}]) == 1
+    assert unicyclic_det([{0: 0, 1: 1, 2: 0}, {0: 0, 1: 0, 2: 1}, {0: 1, 1: 0, 2: 0}]) == 1
+    assert unicyclic_det([{1: X, 2: X * 0}, {2: 1, 0: SparsePolynomial.zero()}, {0: 1}]) == X
 
 
 def test_unicyclic_det_matches_float_det_on_random_integers():
@@ -116,7 +123,7 @@ def test_unicyclic_det_matches_float_det_on_random_integers():
             for u, v in random_unicyclic_edges(rng, n, m):
                 a[u][v] = rng.choice((-3, -2, -1, 1, 2, 3))
                 a[v][u] = rng.randint(-3, 3)
-            assert unicyclic_det(a) == round(np.linalg.det(np.array(a, dtype=float)))
+            assert unicyclic_det(sparse(a)) == round(np.linalg.det(np.array(a, dtype=float)))
 
 
 def test_unicyclic_det_matches_leibniz_expansion():
@@ -125,20 +132,25 @@ def test_unicyclic_det_matches_leibniz_expansion():
     for m in (0, 3, 4, 5, 6, 7):
         for _ in range(3):
             rows = random_multivariate_pencil(rng, rng.randint(max(m, 2), 7), m)
-            assert unicyclic_det(rows) == leibniz_det(rows)
+            assert unicyclic_det(sparse(rows)) == leibniz_det(rows)
 
 
 def test_unicyclic_det_rejects_other_supports():
-    with pytest.raises(ValueError, match="square"):
-        unicyclic_det([[1, 2]])
+    # a matrix that is not square has a column outside 0..n-1
+    with pytest.raises(ValueError, match="outside"):
+        unicyclic_det(sparse([[1, 2]]))
+    with pytest.raises(ValueError, match="outside"):
+        unicyclic_det([{0: 1, 1: 2}, {0: 3, -1: 4}])
+    with pytest.raises(ValueError, match="outside"):
+        unicyclic_det([{0: 1, 2: 0}, {1: 1}])
     with pytest.raises(ValueError, match="connected"):
-        unicyclic_det([[1, 0], [0, 1]])
+        unicyclic_det(sparse([[1, 0], [0, 1]]))
     with pytest.raises(ValueError, match="connected"):
         unicyclic_det([])
     # two triangles sharing the edge 0-1
     theta = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1]]
     with pytest.raises(ValueError, match="more than one cycle"):
-        unicyclic_det(theta)
+        unicyclic_det(sparse(theta))
 
 
 def test_pencil_charpoly_identity_pencil():

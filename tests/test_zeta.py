@@ -16,6 +16,7 @@ from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, char_poly_symbolic,
                           verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
+from test_linalg import sparse
 from test_polynomials import is_homogeneous
 
 X = SparsePolynomial.variable("x")
@@ -35,8 +36,8 @@ def single_arc():
 
 def test_pencil_single_arc():
     p = pencil(single_arc())
-    assert p.A == ((0, 1), (0, 0))
-    assert p.AT == ((0, 0), (1, 0))
+    assert p.n == 2
+    assert p.arcs == ((0, 1),)
     assert p.D_out == (1, 0)
     assert p.D_in == (0, 1)
 
@@ -45,8 +46,9 @@ def test_pencil_fig6_arc_count():
     g, gt = fig6_digraph_pair()
     for dg in (g, gt):
         p = pencil(dg)
-        assert sum(sum(row) for row in p.A) == 12
-        assert p.D_out == tuple(sum(row) for row in p.A)
+        assert len(p.arcs) == sum(p.D_out) == sum(p.D_in) == 12
+        assert p.D_out == tuple(sum(t == v for t, _ in dg.arcs) for v in range(12))
+        assert p.D_in == tuple(sum(h == v for _, h in dg.arcs) for v in range(12))
 
 
 def test_pencil_rejects_loops_and_parallels():
@@ -73,12 +75,20 @@ def test_fig6_pair_agrees_at_random_points():
         assert eval_det(pg, pt) == eval_det(pgt, pt)
 
 
-def dense_pencil(p, point):
-    """Dense integer matrix of L_G at a 6-tuple (x, y, alpha, beta, gamma, delta)."""
+def dense_pencil(dg, point):
+    """Dense integer matrix of L_G at a 6-tuple (x, y, alpha, beta, gamma, delta),
+    straight from the arcs of the digraph ``dg`` and independent of `pencil`."""
     x, y, al, be, ga, de = point
-    return [[y + al * p.A[i][j] + be * p.AT[i][j]
-             + (x + ga * p.D_out[i] + de * p.D_in[i] if i == j else 0)
-             for j in range(p.n)] for i in range(p.n)]
+    n = dg.vertex_count
+    mat = [[y] * n for _ in range(n)]
+    for t, h in dg.arcs:
+        mat[t][h] += al
+        mat[h][t] += be
+        mat[t][t] += ga
+        mat[h][h] += de
+    for i in range(n):
+        mat[i][i] += x
+    return mat
 
 
 def bareiss_det(mat):
@@ -142,8 +152,7 @@ def test_eval_det_matches_dense_determinant(dg, point, y0):
     # with and without the bordered all-ones term
     if y0:
         point[1] = 0
-    p = pencil(dg)
-    assert eval_det(p, point) == bareiss_det(dense_pencil(p, point)) % PRIME
+    assert eval_det(pencil(dg), point) == bareiss_det(dense_pencil(dg, point)) % PRIME
 
 
 def scale_gear(rng, total, attach):
@@ -163,11 +172,12 @@ def test_eval_det_matches_unicyclic_det_at_scale(total, attach):
     # the sparse elimination against Schwenk's leaf peeling on the same
     # integer matrix, 12 to 400 vertices
     rng = random.Random(f"{total}:{attach}")
-    p = pencil(gear_to_digraph(scale_gear(rng, total, attach)))
+    dg = gear_to_digraph(scale_gear(rng, total, attach))
+    p = pencil(dg)
     assert p.n == 2 * total
     for _ in range(2):
         pt = random_point(rng)
-        assert eval_det(p, pt) == unicyclic_det(dense_pencil(p, pt)) % PRIME
+        assert eval_det(p, pt) == unicyclic_det(sparse(dense_pencil(dg, pt))) % PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +350,12 @@ def test_intertwiner_entries():
     assert intertwiner(GearSpec(3, (1, 2, 3))) == expected
 
 
-@pytest.mark.parametrize("total", ZETA_TOTALS)
-def test_intertwiner_on_seeded_pairs(total):
-    spec = seeded_gear(total)
+@pytest.mark.parametrize("spec", [*map(seeded_gear, ZETA_TOTALS), GearSpec(8, (25,) * 8)],
+                         ids=[*map(str, ZETA_TOTALS), "400-vertices"])
+def test_intertwiner_on_seeded_pairs(spec):
+    # the seeded benchmark pairs and one pair of 400 vertices
     pg, pgt = gear_pencils(spec)
-    assert pg.n == 2 * total
+    assert pg.n == 2 * sum(spec.lengths)
     t = intertwiner(spec)
     assert intertwines(pg, pgt, t)
     assert factored_det(spec) == intertwiner_det(spec)
@@ -370,14 +381,17 @@ def test_corrupted_intertwiner_fails_the_check():
         assert not intertwines(pg, pgt, t)
 
 
-@pytest.mark.parametrize("spec", [
-    GearSpec(3, (1, 2, 3), "dual"),
-    GearSpec(3, (1, 2, 3), "primal", ("tail", "head", "tail")),
-    GearSpec(4, (1, 2, 1, 3), "dual", ("tail", "tail", "tail", "head")),
-], ids=["dual", "mixed", "mixed-dual"])
-def test_intertwiner_rejects_other_attachments(spec):
-    with pytest.raises(ZetaError, match="tail"):
-        intertwiner(spec)
+@pytest.mark.parametrize("spec,match", [
+    (GearSpec(3, (1, 2, 3), "dual"), "tail"),
+    (GearSpec(3, (1, 2, 3), "primal", ("tail", "head", "tail")), "tail"),
+    (GearSpec(4, (1, 2, 1, 3), "dual", ("tail", "tail", "tail", "head")), "tail"),
+    (GearSpec(3, (1.4, 2, 3)), "integer"),
+], ids=["dual", "mixed", "mixed-dual", "non-integral"])
+def test_intertwiner_rejects_other_attachments(spec, match):
+    # the closed form must not answer for a spec the rule does not cover
+    for rule in (intertwiner, factored_det, intertwiner_det):
+        with pytest.raises(ZetaError, match=match):
+            rule(spec)
 
 
 def test_intertwiner_determinant_formula_and_values():
