@@ -12,16 +12,17 @@ where det A behaves as (k - k*)^m, so double roots converge as fast as
 simple ones) and accepts it by the singular values at the refined k.
 The scan builds the k-independent entry list of the system once and
 assembles stacks of matrices, and of their k-derivatives, per block of
-k-points.  This coefficient basis stays valid at wavenumbers where
-vertex-value bases degenerate, so no eigenvalue family needs special
-casing; lam = 0 (the constants) is the single analytic exception and is
-inserted directly.
+k-points; one budget, _STACK_ENTRIES float64 entries per stack, sets the
+length of every block.  This coefficient basis stays valid at
+wavenumbers where vertex-value bases degenerate, so no eigenvalue family
+needs special casing; lam = 0 (the constants) is the single analytic
+exception and is inserted directly.
 
 A private memo, keyed by value on (graph, conditions), keeps the secular
 system and the scan state of the two most recently used graphs (one dual
 pair), so a repeat scan of a graph computes sigma_min only on new grid
 points and refines only new minima.  Scans stay deterministic, and
-independent of the block sizes and of earlier scans.
+independent of the block lengths and of earlier scans.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ import numpy as np
 
 from .graphs import GearlabError, MetricGraph, TOOTH, validate_graph
 
-# k-points per batched SVD in the scan, and grid minima per batched Newton
-# step (each holds A, A' and A''): amortises the per-call cost while
-# keeping the stacks, and so peak memory, independent of the grid length
-_SCAN_BLOCK = 64
-_REFINE_BLOCK = 8
+# float64 entries per batched stack of secular matrices (256 KiB), or one
+# matrix with its derivatives where that is more: sets the k-points per
+# batched SVD of the scan and the brackets per batched Newton step, so
+# that the per-call cost is amortised while peak memory stays independent
+# of the grid length and of the number of minima
+_STACK_ENTRIES = 1 << 15
 
 # Newton steps after which a bracket stops refining; a bracket of width
 # 0.1 that only bisects ends at REFINE_TOL in 36
@@ -143,27 +145,28 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 class _SecularSystem(NamedTuple):
-    """k-independent entry list of a secular system, in assembly order.
+    """k-independent entry list of a secular system, in layers.
 
-    Entry i adds ``(coef[i] * (k if scaled[i] else 1)) * t`` to cell
-    (row[i], col[i]), where t = 1, cos(k l_e) or sin(k l_e) is column
-    ``term[i]`` of the table [1, cos(k l), sin(k l)] built per k.  coef is
-    +-1 on continuity rows and +-(edge weight) on Kirchhoff rows.  ``layer``
-    counts the earlier entries on the same cell, so that a cell hit twice
-    (a loop edge) is summed in loop order.  Zero terms are left out.
+    Entry i adds ``(coef[i] * (k if scaled[i] else 1)) * t`` to the cell
+    row * 2m + col of the flattened matrix, where t = 1, cos(k l_e) or
+    sin(k l_e) is column ``term[i]`` of the table [1, cos(k l), sin(k l)]
+    built per k.  coef is +-1 on continuity rows and +-(edge weight) on
+    Kirchhoff rows.  Layer j holds, in the order of the row loop, the
+    entries that have j earlier entries on their cell; the entries are
+    stored layer after layer, and ``cells[j]`` holds the flat cells of
+    layer j, which are distinct.  So a cell hit twice (a loop edge) is
+    summed in loop order.  Zero terms are left out.
     """
 
     lengths: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
     term: np.ndarray
     scaled: np.ndarray
     coef: np.ndarray
-    layer: np.ndarray
+    cells: tuple
 
 
 def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
-    """The entry list of g's secular system, in the order of the row loop."""
+    """The entry list of g's secular system, by layer in the order of the row loop."""
     m = g.edge_count
     entries = []
     r = 0
@@ -191,19 +194,28 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
                 entries.append((r, 2 * e + 1, 1 + e, True, -wgt))
         r += 1
     assert r == 2 * m
+    layers = []
     hits = {}
-    layer = []
-    for cell in (entry[:2] for entry in entries):
-        layer.append(hits.get(cell, 0))
-        hits[cell] = layer[-1] + 1
-    row, col, term, scaled, coef = zip(*entries)
-    system = _SecularSystem(np.array([e.length for e in g.edges]), np.array(row),
-                            np.array(col), np.array(term), np.array(scaled),
-                            np.array(coef, dtype=float), np.array(layer))
-    for array in system:
+    for row, col, *rest in entries:
+        cell = row * 2 * m + col
+        hits[cell] = hits.get(cell, -1) + 1
+        if hits[cell] == len(layers):
+            layers.append([])
+        layers[hits[cell]].append((cell, *rest))
+    cells, term, scaled, coef = zip(*(entry for layer in layers for entry in layer))
+    system = _SecularSystem(np.array([e.length for e in g.edges]), np.array(term),
+                            np.array(scaled), np.array(coef, dtype=float),
+                            tuple(np.array([cell for cell, *_ in layer]) for layer in layers))
+    for array in (*system[:-1], *system.cells):
         # the memo hands one system to every caller
         array.flags.writeable = False
     return system
+
+
+def _block_length(system: _SecularSystem, order: int) -> int:
+    """k-points per stack with ``order`` derivatives within _STACK_ENTRIES."""
+    size = 2 * len(system.lengths)
+    return max(1, _STACK_ENTRIES // ((order + 1) * size * size))
 
 
 class _ScanState(NamedTuple):
@@ -251,35 +263,38 @@ def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np
     norms of the matrix at that k: a row scaling that is constant in k
     moves neither the roots of det nor d log|det| / dk.
     """
-    size = 2 * len(system.lengths)
     lengths = system.lengths
+    m, size = len(lengths), 2 * len(lengths)
+    # d^j/dk^j of the table [1, cos kl, sin kl], for j = 0 .. order
+    table = np.zeros((len(ks), order + 1, 1 + size))
+    table[:, 0, 0] = 1.0
     kl = ks[:, None] * lengths
-    # d^j/dk^j of the columns cos kl and sin kl, then of the table
-    # [1, cos kl, sin kl], for j = 0 .. order
-    cs = [(np.cos(kl), np.sin(kl))]
-    for _ in range(order):
-        c, s = cs[-1]
-        cs.append((-lengths * s, lengths * c))
-    trig = [np.concatenate([np.full((len(ks), 1), float(j == 0)), c, s], axis=1)[:, system.term]
-            for j, (c, s) in enumerate(cs)]
-    stack = np.zeros((len(ks), order + 1, size, size))
+    np.cos(kl, out=table[:, 0, 1:1 + m])
+    np.sin(kl, out=table[:, 0, 1 + m:])
+    for j in range(1, order + 1):
+        table[:, j, 1:1 + m] = -lengths * table[:, j - 1, 1 + m:]
+        table[:, j, 1 + m:] = lengths * table[:, j - 1, 1:1 + m]
+    trig = table[:, :, system.term]
+    stack = np.zeros((len(ks), order + 1, size * size))
     with np.errstate(over="ignore", invalid="ignore"):
         # an entry is coef * k^s * t with s = 0 or 1, so its j-th
         # derivative is coef * k^s * t^(j) + j * coef * s * t^(j-1)
-        coef = system.coef * np.where(system.scaled, ks[:, None], 1.0)
-        vals = [coef * trig[0]]
-        vals += [coef * trig[j] + j * (system.coef * system.scaled) * trig[j - 1]
-                 for j in range(1, order + 1)]
-        vals = np.stack(vals, axis=1)
-        for lay in range(system.layer.max() + 1):
-            on = system.layer == lay
-            stack[:, :, system.row[on], system.col[on]] += vals[:, :, on]
-        norms = np.linalg.norm(stack, axis=3)
+        vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0))[:, None] * trig
+        if order:
+            vals[:, 1:] += (np.arange(1, order + 1)[:, None] * (system.coef * system.scaled)
+                            * trig[:, :-1])
+        start = 0
+        for cells in system.cells:
+            stack[:, :, cells] += vals[:, :, start:start + len(cells)]
+            start += len(cells)
+        stack = stack.reshape(len(ks), order + 1, size, size)
+        # squared row norms of every matrix of the stack
+        sq = np.add.reduce(stack * stack, axis=3)
     # a non-finite entry makes its row norm non-finite too
-    bad = ~np.isfinite(norms).reshape(len(ks), -1).all(axis=1)
-    if bad.any():
+    if not np.isfinite(sq).all():
+        bad = ~np.isfinite(sq).reshape(len(ks), -1).all(axis=1)
         raise SpectralError(f"secular matrix overflows at k={ks[np.argmax(bad)]}")
-    norms = norms[:, :1, :, None]
+    norms = np.sqrt(sq[:, :1, :, None])
     norms[norms == 0] = 1.0
     stack /= norms
     return stack
@@ -344,29 +359,36 @@ def constant_eigenfunction(g: MetricGraph) -> Eigenfunction:
 def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
     """Roots of det A(k) from the starts ``ks`` in the brackets [lo_i, hi_i].
 
-    Safeguarded Newton on det A / det A', in blocks of _REFINE_BLOCK
-    brackets that step in lockstep.  With tau = tr(A^-1 A') = d log|det A| / dk
-    and tau' = tr(A^-1 A'') - tr((A^-1 A')^2), both from one batched LU
+    Safeguarded Newton on det A / det A'; all brackets step in lockstep,
+    in as few blocks as _STACK_ENTRIES allows for stacks of A, A' and A''.
+    With tau = tr(A^-1 A') = d log|det A| / dk and
+    tau' = tr(A^-1 A'') - tr((A^-1 A')^2), both from one batched LU
     solve, the step is tau / tau'.  The sign of tau tells on which side of
     k the root lies, so it shrinks the bracket; a step that leaves the
     bracket becomes a bisection.  A bracket stops after a step within
     REFINE_TOL or the float spacing at k, at an exactly singular A (k is
-    a root), or after _MAX_STEPS steps.  A bracket without a root ends
+    a root; only then does a step factor its stack a second time, by
+    slogdet), or after _MAX_STEPS steps.  A bracket without a root ends
     inside it, and the caller's rank test rejects it.  Returns the final
     k of every bracket.
     """
     ks, lo, hi = ks.copy(), lo.copy(), hi.copy()
-    for start in range(0, len(ks), _REFINE_BLOCK):
-        live = np.arange(start, min(start + _REFINE_BLOCK, len(ks)))
+    block = _block_length(system, 2)
+    for start in range(0, len(ks), block):
+        live = np.arange(start, min(start + block, len(ks)))
         for _ in range(_MAX_STEPS):
             if not live.size:
                 break
             stack = _secular_stack(system, ks[live], 2)
-            # solve raises for the whole stack when one matrix is singular
-            regular = np.linalg.slogdet(stack[:, 0])[0] != 0
-            live, stack = live[regular], stack[regular]
             size = stack.shape[-1]
-            x = np.linalg.solve(stack[:, 0], np.concatenate([stack[:, 1], stack[:, 2]], axis=2))
+            a, rhs = stack[:, 0], np.concatenate([stack[:, 1], stack[:, 2]], axis=2)
+            try:
+                x = np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                # solve raises for the whole stack when one matrix is singular
+                regular = np.linalg.slogdet(a)[0] != 0
+                live, a, rhs = live[regular], a[regular], rhs[regular]
+                x = np.linalg.solve(a, rhs)
             d1, d2 = x[..., :size], x[..., size:]  # A^-1 A' and A^-1 A''
             k = ks[live]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -386,11 +408,12 @@ def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
 def _grid_svals(system: _SecularSystem, ks: np.ndarray, smallest_only: bool) -> np.ndarray:
     """sigma_min (shape (K, 1)) or all singular values at ``ks``, in scan blocks."""
     width = 1 if smallest_only else 2 * len(system.lengths)
+    block = _block_length(system, 0)
     out = np.empty((len(ks), width))
-    for i in range(0, len(ks), _SCAN_BLOCK):
-        block = ks[i:i + _SCAN_BLOCK]
-        out[i:i + _SCAN_BLOCK] = _singular_values(_secular_stack(system, block)[:, 0],
-                                                  block)[:, -width:]
+    for i in range(0, len(ks), block):
+        chunk = ks[i:i + block]
+        out[i:i + block] = _singular_values(_secular_stack(system, chunk)[:, 0],
+                                            chunk)[:, -width:]
     return out
 
 
@@ -417,8 +440,8 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     """Locate all eigenvalues with k in (0, k_max].
 
     lam = 0 is inserted analytically with multiplicity 1 (connected
-    graph).  sigma_min is evaluated on the k-grid by batched SVDs of
-    ``_SCAN_BLOCK`` secular matrices at a time.  Every grid minimum is
+    graph).  sigma_min is evaluated on the k-grid by batched SVDs of as
+    many secular matrices as _STACK_ENTRIES allows.  Every grid minimum is
     refined by safeguarded Newton on det A / det A' inside the bracket of
     its two grid neighbours (see `_newton_refine`), and accepted when
     sigma_min < RANK_TOL * sigma_max at the refined k; the multiplicity
@@ -427,7 +450,7 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     decides which roots are found.  The grid is a prefix of every longer
     grid of the same step, so the memo serves a smaller ``k_max`` from the
     minima it already refined and extends its state for a larger one.
-    Deterministic, and independent of the block sizes and of earlier
+    Deterministic, and independent of the block lengths and of earlier
     scans.
     """
     bad = validate_graph(g)

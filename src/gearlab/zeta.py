@@ -83,6 +83,20 @@ def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
     return rows
 
 
+def _permutation_sign(perm) -> int:
+    """Sign of the permutation i -> perm[i] of range(n), in O(n).
+
+    Puts one element in place per transposition, which flips the sign.
+    """
+    perm, sign = list(perm), 1
+    for r in range(len(perm)):
+        while perm[r] != r:
+            c = perm[r]
+            perm[r], perm[c] = perm[c], c
+            sign = -sign
+    return sign
+
+
 def _det_mod(rows, p):
     """Determinant over GF(p) of the matrix with sparse rows (dicts col -> int).
 
@@ -138,13 +152,7 @@ def _det_mod(rows, p):
                     cols[j].remove(i)
         for j in pivot_row:
             heapq.heappush(heap, (len(cols[j]), j))
-    # sign of r -> pivot_col[r]: one transposition per element put in place
-    for r in range(n):
-        while pivot_col[r] != r:
-            c = pivot_col[r]
-            pivot_col[r], pivot_col[c] = pivot_col[c], c
-            det = -det
-    return det * pow(scale, -1, p) % p
+    return _permutation_sign(pivot_col) * det * pow(scale, -1, p) % p
 
 
 def eval_det(p: Pencil, point) -> int:
@@ -306,10 +314,9 @@ def factored_det(spec: GearSpec) -> SparsePolynomial:
     k, rows = _factors(spec)
     pi = [s if sign == 1 else t for _, _, _, sign, s, t in rows]
     assert sorted(pi) == list(range(len(pi))), "arc heads do not partition the vertices"
-    inversions = sum(x > y for i, x in enumerate(pi) for y in pi[i + 1:])
     half = len(pi) // 2
     # alpha^V det T = det S' det B det K
-    scale = SparsePolynomial.monomial((-1) ** (inversions + half) * 2 ** half,
+    scale = SparsePolynomial.monomial(_permutation_sign(pi) * (-1) ** half * 2 ** half,
                                       alpha=sum(r[1] for r in rows) - len(pi),
                                       beta=sum(r[2] for r in rows))
     return scale * unicyclic_det(k)

@@ -207,6 +207,17 @@ def test_newton_refine_converges_on_a_double_root(monkeypatch, offset):
     assert len(eigenfunction_basis(g, KN, k)) == 2
 
 
+def count_calls(monkeypatch, owner, name, log):
+    """Patch ``owner.name`` to append its positional arguments to ``log``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_newton_refine_keeps_an_exactly_singular_k(monkeypatch):
     # a k whose matrix is exactly singular is a root; its bracket stops
     # there, and the LU solve of the rest of the block still runs
@@ -220,10 +231,14 @@ def test_newton_refine_keeps_an_exactly_singular_k(monkeypatch):
         return out
 
     monkeypatch.setattr(spectral, "_secular_stack", stack_with_a_singular_k)
+    slogdets = []
+    count_calls(monkeypatch, spectral.np.linalg, "slogdet", slogdets)
     ks = spectral._newton_refine(system, np.array([singular, math.pi + 0.004]),
                                  np.array([1.0, math.pi - 0.01]), np.array([1.1, math.pi + 0.01]))
     assert ks[0] == singular
     assert abs(ks[1] - math.pi) <= 4 * np.spacing(math.pi)
+    # the failed solve of the first step is the only one that needs slogdet
+    assert len(slogdets) == 1
 
 
 def test_newton_refine_without_a_root_ends_inside_and_is_rejected(monkeypatch):
@@ -244,25 +259,102 @@ GOLDEN_GEARS = [
 ]
 
 
+def scan_grid(params):
+    return np.arange(params.grid_step, params.k_max + 2.5 * params.grid_step, params.grid_step)
+
+
+def grid_length(params):
+    return len(scan_grid(params))
+
+
+def scan_state_bytes(g, cond):
+    state = spectral._MEMO[(g, cond)].scan
+    return [array.tobytes() for array in (state.sig, state.lows, state.ks, state.s)]
+
+
 @pytest.mark.parametrize("g,w,k_max", GOLDEN_GEARS, ids=["gear123", "thth"])
 def test_scan_independent_of_block_size(monkeypatch, g, w, k_max):
     cond, params = VertexConditions(w), ScanParams(k_max=k_max)
     default = scan_spectrum(g, cond, params)
-    for block in (1, int(k_max / params.grid_step) + 10):
-        monkeypatch.setattr(spectral, "_SCAN_BLOCK", block)
-        monkeypatch.setattr(spectral, "_REFINE_BLOCK", block)
+    state = scan_state_bytes(g, cond)
+    size = 2 * g.edge_count
+    # one matrix per stack, then one stack for the whole grid and for all
+    # brackets at once (A, A' and A'' per bracket)
+    for budget in (1, 3 * size * size * (grid_length(params) + 10)):
+        monkeypatch.setattr(spectral, "_STACK_ENTRIES", budget)
         spectral._MEMO.clear()
         assert scan_spectrum(g, cond, params) == default
+        assert scan_state_bytes(g, cond) == state
+
+
+def test_lockstep_refinement_equals_one_at_a_time():
+    # all minima of the gear123 scan refine in one lockstep block, bit for
+    # bit as each does alone
+    g, w, k_max = GOLDEN_GEARS[0]
+    cond, params = VertexConditions(w), ScanParams(k_max)
+    scan_spectrum(g, cond, params)
+    entry, grid = spectral._MEMO[(g, cond)], scan_grid(params)
+    lows = entry.scan.lows
+    assert 1 < len(lows) <= spectral._block_length(entry.system, 2)
+    lockstep = spectral._newton_refine(entry.system, grid[lows], grid[lows - 1], grid[lows + 1])
+    alone = [spectral._newton_refine(entry.system, grid[i:i + 1], grid[i - 1:i], grid[i + 1:i + 2])
+             for i in lows]
+    assert lockstep.tobytes() == np.concatenate(alone).tobytes() == entry.scan.ks.tobytes()
+
+
+# one Newton iterate of the gear123 scan lands on a k whose matrix is
+# exactly singular in floating point
+GEAR123_SINGULAR_K = 4.046100587603713
+
+
+@pytest.mark.parametrize("g,w,k_max,singular", [(*GOLDEN_GEARS[0], 1), (*GOLDEN_GEARS[1], 0)],
+                         ids=["gear123", "thth"])
+def test_scan_kernel_counts(monkeypatch, g, w, k_max, singular):
+    # counters, not wall time: a Newton step makes one LU, and slogdet runs
+    # only where a step meets an exactly singular matrix; no stack exceeds
+    # the budget unless one matrix with its derivatives does
+    cond, params = VertexConditions(w), ScanParams(k_max)
+    grid, size = scan_grid(params), 2 * g.edge_count
+    scan_spectrum(g, cond, params)
+    state = spectral._MEMO[(g, cond)].scan
+    assert (GEAR123_SINGULAR_K in state.ks) == bool(singular)
+    steps = [refine_one(monkeypatch, g, cond, grid[i], grid[i - 1], grid[i + 1])[1]
+             for i in state.lows]
+    spectral._MEMO.clear()
+
+    solves, slogdets, stacks, blocks = [], [], [], []
+    count_calls(monkeypatch, spectral.np.linalg, "solve", solves)
+    count_calls(monkeypatch, spectral.np.linalg, "slogdet", slogdets)
+    real_stack, real_refine = spectral._secular_stack, spectral._newton_refine
+
+    def recorded_stack(system, ks, order=0):
+        out = real_stack(system, ks, order)
+        stacks.append((order, out.size))
+        return out
+
+    def recorded_refine(system, ks, lo, hi):
+        before = len(solves)
+        out = real_refine(system, ks, lo, hi)
+        blocks.append((len(ks), len(solves) - before))
+        return out
+
+    monkeypatch.setattr(spectral, "_secular_stack", recorded_stack)
+    monkeypatch.setattr(spectral, "_newton_refine", recorded_refine)
+    scan_spectrum(g, cond, params)
+    assert len(slogdets) == singular
+    # one refine call, whose minima fit in one block
+    assert blocks == [(len(state.lows), len(solves))]
+    assert len(state.lows) <= spectral._block_length(spectral._secular_system(g, cond), 2)
+    # the slowest bracket sets the steps; a failed solve is solved again
+    assert max(steps) <= len(solves) <= max(steps) + singular
+    assert {order for order, _ in stacks} == {0, 2}
+    for order, entries in stacks:
+        assert entries <= max(spectral._STACK_ENTRIES, (order + 1) * size * size)
 
 
 # ---------------------------------------------------------------------------
 # scan memo
 # ---------------------------------------------------------------------------
-
-def grid_length(params):
-    return len(np.arange(params.grid_step, params.k_max + 2.5 * params.grid_step,
-                         params.grid_step))
-
 
 def assert_served_scans_equal_cold(g, cond, first, second):
     """Scans of ``second`` after one of ``first``, and its repeat, equal a cold scan."""
@@ -325,7 +417,9 @@ def test_memo_keeps_two_graphs_with_read_only_systems():
     # keyed by value: a rebuilt graph is a hit, and it becomes the most recent
     secular_matrix(build_gear(specs[1]), KN, 1.0)
     assert list(spectral._MEMO) == [(build_gear(spec), KN) for spec in (specs[2], specs[1])]
-    for array in spectral._MEMO[(build_gear(specs[1]), KN)].system:
+    system = spectral._MEMO[(build_gear(specs[1]), KN)].system
+    assert system.cells
+    for array in (*system[:-1], *system.cells):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 

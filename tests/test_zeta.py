@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from gearlab.graphs import (Digraph, GearSpec, dual_gear, fig2_control_pair,
                             fig6_digraph_pair, gear_to_digraph)
 from gearlab.linalg import unicyclic_det
-from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, char_poly_symbolic,
-                          digraph_isomorphic, eval_det, factored_det, intertwiner,
-                          intertwiner_det, intertwines, pencil, random_point,
+from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, _permutation_sign,
+                          char_poly_symbolic, digraph_isomorphic, eval_det, factored_det,
+                          intertwiner, intertwiner_det, intertwines, pencil, random_point,
                           verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
@@ -359,6 +359,16 @@ def test_intertwiner_on_seeded_pairs(spec):
     t = intertwiner(spec)
     assert intertwines(pg, pgt, t)
     assert factored_det(spec) == intertwiner_det(spec)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 40, 401])
+def test_permutation_sign_equals_inversion_parity(size):
+    rng = random.Random(size)
+    for _ in range(20):
+        perm = rng.sample(range(size), size)
+        inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+        assert _permutation_sign(perm) == (-1) ** inversions
+    assert _permutation_sign(list(range(size))) == 1
 
 
 @settings(deadline=None, max_examples=40)
