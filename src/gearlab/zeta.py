@@ -152,7 +152,13 @@ def _det_mod(rows, p):
                     cols[j].remove(i)
         for j in pivot_row:
             heapq.heappush(heap, (len(cols[j]), j))
-    return _permutation_sign(pivot_col) * det * pow(scale, -1, p) % p
+    # sign of r -> pivot_col[r]: one transposition per element put in place
+    for r in range(n):
+        while pivot_col[r] != r:
+            c = pivot_col[r]
+            pivot_col[r], pivot_col[c] = pivot_col[c], c
+            det = -det
+    return det * pow(scale, -1, p) % p
 
 
 def eval_det(p: Pencil, point) -> int:

@@ -166,20 +166,25 @@ def test_scan_deterministic():
     assert s1 == s2
 
 
+def count_calls(monkeypatch, owner, name, log):
+    """Patch ``owner.name`` to append its positional arguments to ``log``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def refine_one(monkeypatch, g, cond, start, lo, hi):
-    """Newton-refine one bracket; returns (k, number of LU solves)."""
+    """Newton-refine one bracket; returns (k, number of LU solve calls)."""
     solves = []
-    real_solve = np.linalg.solve
-
-    def counting_solve(a, b):
-        solves.append(len(a))
-        return real_solve(a, b)
-
     with monkeypatch.context() as patch:
-        patch.setattr(spectral.np.linalg, "solve", counting_solve)
+        count_calls(patch, spectral.np.linalg, "solve", solves)
         k = spectral._newton_refine(spectral._secular_system(g, cond), np.array([start]),
                                     np.array([lo]), np.array([hi]))
-    return k[0], sum(solves)
+    return k[0], len(solves)
 
 
 @pytest.mark.parametrize("k0", [1e4, 2e4, 2e4 * math.pi], ids=["k1e4", "k2e4", "k6e4"])
@@ -205,17 +210,6 @@ def test_newton_refine_converges_on_a_double_root(monkeypatch, offset):
     assert steps <= 6
     assert abs(k - math.pi) <= 4 * np.spacing(math.pi)
     assert len(eigenfunction_basis(g, KN, k)) == 2
-
-
-def count_calls(monkeypatch, owner, name, log):
-    """Patch ``owner.name`` to append its positional arguments to ``log``."""
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        log.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
 
 
 def test_newton_refine_keeps_an_exactly_singular_k(monkeypatch):
@@ -302,14 +296,8 @@ def test_lockstep_refinement_equals_one_at_a_time():
     assert lockstep.tobytes() == np.concatenate(alone).tobytes() == entry.scan.ks.tobytes()
 
 
-# one Newton iterate of the gear123 scan lands on a k whose matrix is
-# exactly singular in floating point
-GEAR123_SINGULAR_K = 4.046100587603713
-
-
-@pytest.mark.parametrize("g,w,k_max,singular", [(*GOLDEN_GEARS[0], 1), (*GOLDEN_GEARS[1], 0)],
-                         ids=["gear123", "thth"])
-def test_scan_kernel_counts(monkeypatch, g, w, k_max, singular):
+@pytest.mark.parametrize("g,w,k_max", GOLDEN_GEARS, ids=["gear123", "thth"])
+def test_scan_kernel_counts(monkeypatch, g, w, k_max):
     # counters, not wall time: a Newton step makes one LU, and slogdet runs
     # only where a step meets an exactly singular matrix; no stack exceeds
     # the budget unless one matrix with its derivatives does
@@ -317,12 +305,20 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max, singular):
     grid, size = scan_grid(params), 2 * g.edge_count
     scan_spectrum(g, cond, params)
     state = spectral._MEMO[(g, cond)].scan
-    assert (GEAR123_SINGULAR_K in state.ks) == bool(singular)
-    steps = [refine_one(monkeypatch, g, cond, grid[i], grid[i - 1], grid[i + 1])[1]
-             for i in state.lows]
+    # each bracket alone: its Newton steps, and one slogdet per exactly
+    # singular iterate, whose failed solve is solved again
+    steps, singular = [], 0
+    for i in state.lows:
+        slogdets = []
+        with monkeypatch.context() as patch:
+            count_calls(patch, spectral.np.linalg, "slogdet", slogdets)
+            solves = refine_one(monkeypatch, g, cond, grid[i], grid[i - 1], grid[i + 1])[1]
+        steps.append(solves - len(slogdets))
+        singular += len(slogdets)
     spectral._MEMO.clear()
 
     solves, slogdets, stacks, blocks = [], [], [], []
+    real_slogdet = np.linalg.slogdet
     count_calls(monkeypatch, spectral.np.linalg, "solve", solves)
     count_calls(monkeypatch, spectral.np.linalg, "slogdet", slogdets)
     real_stack, real_refine = spectral._secular_stack, spectral._newton_refine
@@ -341,12 +337,14 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max, singular):
     monkeypatch.setattr(spectral, "_secular_stack", recorded_stack)
     monkeypatch.setattr(spectral, "_newton_refine", recorded_refine)
     scan_spectrum(g, cond, params)
-    assert len(slogdets) == singular
+    # a lockstep step meets the singular iterates of all its brackets at once
+    assert bool(slogdets) == bool(singular) and len(slogdets) <= singular
+    assert all((real_slogdet(args[0])[0] == 0).any() for args in slogdets)
     # one refine call, whose minima fit in one block
     assert blocks == [(len(state.lows), len(solves))]
     assert len(state.lows) <= spectral._block_length(spectral._secular_system(g, cond), 2)
     # the slowest bracket sets the steps; a failed solve is solved again
-    assert max(steps) <= len(solves) <= max(steps) + singular
+    assert len(solves) - len(slogdets) == max(steps)
     assert {order for order, _ in stacks} == {0, 2}
     for order, entries in stacks:
         assert entries <= max(spectral._STACK_ENTRIES, (order + 1) * size * size)
