@@ -19,10 +19,9 @@ import sys
 from fractions import Fraction
 
 from . import io as gio
-from .graphs import (GearSpec, GearlabError, GraphError, build_fig3_pair, build_gear,
-                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                     subdivide, validate_graph)
-from .zeta import ZetaError, digraph_isomorphic, verify_intertwiner, zeta_equivalent
+from .graphs import (GearSpec, GearlabError, build_fig3_pair, build_gear, fig2_control_pair,
+                     fig6_digraph_pair, gear_to_digraph, subdivide, validate_graph)
+from .zeta import digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -39,10 +38,9 @@ class CliError(Exception):
 
 def _parse_lengths(text):
     try:
-        vals = tuple(float(Fraction(part)) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(float(Fraction(part)) for part in text.split(","))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad lengths '{text}'") from exc
-    return vals
 
 
 def _weight(args):
@@ -57,12 +55,9 @@ def _weight(args):
 
 
 def _scan_params(args):
-    from .spectral import ScanParams, SpectralError
+    from .spectral import ScanParams
     step = {} if args.grid_step is None else {"grid_step": args.grid_step}
-    try:
-        return ScanParams(args.k_max, **step)
-    except SpectralError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    return ScanParams(args.k_max, **step)
 
 
 def _gear_spec(args) -> GearSpec:
@@ -70,32 +65,22 @@ def _gear_spec(args) -> GearSpec:
     attachments = None
     if getattr(args, "attach", None):
         attachments = tuple({"t": "tail", "h": "head"}.get(ch, ch) for ch in args.attach)
+    return GearSpec(len(lengths), lengths, "dual" if args.dual else "primal", attachments)
+
+
+def _read(read, path):
     try:
-        return GearSpec(len(lengths), lengths, "dual" if args.dual else "primal", attachments)
-    except GraphError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+        return read(path)
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
 
 
 def _read_graph(path):
-    try:
-        g = gio.read_graph(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except GraphError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    g = _read(gio.read_graph, path)
     problems = validate_graph(g)
     if problems:
         raise CliError(EXIT_VALIDATION, "; ".join(problems))
     return g
-
-
-def _read_digraph(path):
-    try:
-        return gio.read_digraph(path)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except GraphError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
 
 def _emit(text, path):
@@ -119,11 +104,7 @@ def _emit_json(report, path):
 
 def cmd_build(args):
     if args.fig3:
-        lengths = _parse_lengths(args.lengths)
-        try:
-            left, right = build_fig3_pair(args.fig3, lengths)
-        except GraphError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc)) from exc
+        left, right = build_fig3_pair(args.fig3, _parse_lengths(args.lengths))
         base = args.output or f"fig3{args.fig3}"
         _emit(gio.graph_to_text(left), f"{base}_left.graph")
         _emit(gio.graph_to_text(right), f"{base}_right.graph")
@@ -171,15 +152,11 @@ def cmd_compare(args):
 
 
 def cmd_markov(args):
-    from .markov import (MarkovError, characteristic_polynomial_exact, markov_eigenvalues,
-                         markov_matrix)
+    from .markov import characteristic_polynomial_exact, markov_eigenvalues, markov_matrix
     spec = _gear_spec(args)
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "markov subcommand needs integer lengths")
-    try:
-        ms = markov_matrix(subdivide(build_gear(spec)), _weight(args), args.mode)
-    except (GraphError, MarkovError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    ms = markov_matrix(subdivide(build_gear(spec)), _weight(args), args.mode)
     vals = markov_eigenvalues(ms)
     report = {
         "n": spec.n,
@@ -199,14 +176,11 @@ def cmd_markov(args):
 
 
 def cmd_conjugate(args):
-    from .markov import MarkovError, conjugator_report
+    from .markov import conjugator_report
     spec = _gear_spec(args)
     if not spec.is_integral():
         raise CliError(EXIT_VALIDATION, "conjugate subcommand needs integer lengths")
-    try:
-        report = conjugator_report(spec, _weight(args), args.mode)
-    except (GraphError, MarkovError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    report = conjugator_report(spec, _weight(args), args.mode)
     _emit_json(report, args.output)
     ok = report["sigma_min_C"] > 1e-8 and report["conj_residual"] <= 1e-10
     if report["charpoly_equal"] is not None:
@@ -223,16 +197,12 @@ def _digraph_pair(args):
         return fig2_control_pair()
     if not (args.g1 and args.g2):
         raise CliError(EXIT_VALIDATION, "need --g1/--g2 or a fixture flag")
-    return _read_digraph(args.g1), _read_digraph(args.g2)
+    return _read(gio.read_digraph, args.g1), _read(gio.read_digraph, args.g2)
 
 
 def cmd_zeta(args):
     g1, g2 = _digraph_pair(args)
-    try:
-        verdict = zeta_equivalent(g1, g2, trials=args.trials, seed=args.seed)
-    except ZetaError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
-    _emit_json(verdict, args.output)
+    _emit_json(zeta_equivalent(g1, g2, trials=args.trials, seed=args.seed), args.output)
     return EXIT_OK
 
 
@@ -248,10 +218,7 @@ def cmd_zeta_conjugator(args):
 
 def cmd_isomorphic(args):
     g1, g2 = _digraph_pair(args)
-    try:
-        witness = digraph_isomorphic(g1, g2)
-    except ZetaError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
+    witness = digraph_isomorphic(g1, g2)
     _emit_json({"isomorphic": witness is not None, "witness": witness}, args.output)
     return EXIT_OK
 

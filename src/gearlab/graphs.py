@@ -24,6 +24,10 @@ PLAIN = "plain"
 
 _VARIANTS = ("primal", "dual")
 _ENDS = ("tail", "head")
+# most vertices of a unit subdivision or digraph export: the walk's dense
+# n x n float matrices then take 128 MiB each
+MAX_SUBDIVISION_VERTICES = 4096
+_TOO_LARGE = f"subdivision exceeds MAX_SUBDIVISION_VERTICES = {MAX_SUBDIVISION_VERTICES}"
 
 
 class GearlabError(ValueError):
@@ -280,13 +284,16 @@ def subdivide(g: MetricGraph) -> CombinatorialGraph:
     """Replace each edge of integer length l by a path of l unit edges.
 
     Original vertex ids are preserved; subdivision vertices are appended
-    edge by edge in tail-to-head order.
+    edge by edge in tail-to-head order.  More than MAX_SUBDIVISION_VERTICES
+    vertices raise GraphError before anything is allocated.
     """
+    lengths = [_integer_length(e) for e in g.edges]
+    if g.vertex_count + sum(lengths) - len(lengths) > MAX_SUBDIVISION_VERTICES:
+        raise GraphError(_TOO_LARGE)
     edges = []
     paths = {}
     next_id = g.vertex_count
-    for e in g.edges:
-        l = _integer_length(e)
+    for e, l in zip(g.edges, lengths):
         path = [e.tail]
         for _ in range(l - 1):
             path.append(next_id)
@@ -327,11 +334,14 @@ def digraph_paths(spec: GearSpec) -> tuple:
     metric (tail-to-head) order.  Cycle labels start at the endpoint of
     side 1 not carrying tooth 1 and increase along the cycle; tooth
     vertices are numbered along each path, teeth in order; 0-based.
+    More than MAX_SUBDIVISION_VERTICES vertices raise GraphError.
     """
     if not spec.is_integral():
         raise GraphError("digraph export needs integer lengths")
     lengths = [int(round(l)) for l in spec.lengths]
     total = sum(lengths)
+    if 2 * total > MAX_SUBDIVISION_VERTICES:
+        raise GraphError(_TOO_LARGE)
     # label 1 (0-based: 0) goes to the tooth-free endpoint of side 1
     pos = -lengths[0] if spec.tooth_ends[0] == "tail" else 0
     fresh = total

@@ -1,7 +1,17 @@
-"""Exact determinants of matrices with a unicyclic support, over any ring.
+"""Exact linear algebra over any ring on sparse rows (dicts col -> entry, absent
+meaning zero): the row-times-matrix product and unicyclic determinants.
 Floating-point linear algebra goes to numpy."""
 
 from __future__ import annotations
+
+
+def row_times(row, rows):
+    """The sparse row sum_k row[k] rows[k], zero entries dropped."""
+    out = {}
+    for k, c in row.items():
+        for j, e in rows[k].items():
+            out[j] = out[j] + c * e if j in out else c * e
+    return {j: e for j, e in out.items() if e}
 
 
 def unicyclic_det(rows):

@@ -4,10 +4,11 @@ The walk on a unit subdivision takes tooth edges w times as likely as
 polygon edges: M[v, u] = weight(v, u) / d(v) with d(v) the weighted
 degree.  M is self-adjoint for the inner product diag(d), has spectrum
 in [-1, 1], and mutually dual gears yield isospectral M, M~ -- certified
-here by an explicit conjugator C = T + J+ + J- built from the
-combinatorial transplantation T and rank-1 corrections on the +-1
-eigenspaces.  Everything runs in exact rational arithmetic ("rational"
-mode) or floating point ("float" mode).
+here by an explicit conjugator C = T + 1 d^T + st v^T: the combinatorial
+transplantation T, sparse rows with at most 4 entries, plus rank-one
+corrections on the +-1 eigenspaces.  C is kept as those parts and checked
+by sparse-row products in O(n).  Everything runs in exact rational
+arithmetic ("rational" mode) or floating point ("float" mode).
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import numpy as np
 
 from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH,
                      bipartition_sign, build_gear, dual_gear, subdivide)
-from .linalg import unicyclic_det
+from .linalg import row_times, unicyclic_det
 from .polynomials import SparsePolynomial
 from .spectral import ScanParams, VertexConditions, scan_spectrum
 
 MODES = ("rational", "float")
+# float mode: an exact identity may miss by this much relative to max(1, |value|)
+_FLOAT_RTOL = 1e-12
 
 
 class MarkovError(GearlabError):
@@ -216,7 +219,7 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
                     old, new = rows[vertex].get(u, 0), row.get(u, 0)
                     if old != new:
                         worst = max(worst, abs(old - new) / max(1, abs(new)))
-    if worst > (0 if src.mode == "rational" else 1e-12):
+    if worst > (0 if src.mode == "rational" else _FLOAT_RTOL):
         raise MarkovError("transplantation is inconsistent at shared vertices "
                           f"(discrepancy {float(worst):.3e})")
     return rows
@@ -230,84 +233,100 @@ def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f):
 
 @dataclass(frozen=True)
 class Conjugator:
-    T: tuple               # sparse rows of the transplantation
-    J_plus: tuple
-    J_minus: tuple
-    C: tuple
-    mode: str
+    """C = T + 1 d^T + st v^T, kept as its parts; no n x n matrix is stored."""
+
+    T: tuple               # sparse rows of the transplantation, <= 4 entries each
+    d: tuple               # source weighted degrees: 1 d^T is J+
+    v: tuple               # s_j d_j / sum(d) on a bipartite subdivision, else zeros
+    st: tuple              # dual bipartition sign, else ones: st v^T is J-
 
 
 def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
     """C = T + J+ + J- with M~ C = C M.
 
-    J+ = ones * diag(d) maps the 1-eigenspace (constants) across and kills
-    everything d-orthogonal to it; when the subdivision is bipartite, J-
-    does the same for the sign vectors of the -1-eigenspaces, else J- = 0.
-
-    Both corrections are rank one: every row of J+ is d, and row i of J-
-    is st_i v with v_j = s_j d_j / sum(d).  So the shared rows d, v and -v
-    are computed once (O(n) Fraction operations), every row of C starts as
-    a copy of d + v or d - v, and only its <= 3 T entries are recomputed,
-    as (t_ij + d_j) + J-_ij.
+    J+ = 1 d^T maps the 1-eigenspace (constants) across and kills
+    everything d-orthogonal to it; when the subdivision is bipartite,
+    J- = st v^T does the same for the sign vectors s, st of the
+    -1-eigenspaces, else v = 0.
     """
-    n = src.size
-    t = transplantation_matrix(src, dst)
-    d = src.degrees
-    s = bipartition_sign(src.cg)
-    st = bipartition_sign(dst.cg)
+    t = tuple(transplantation_matrix(src, dst))
+    d, s, st = src.degrees, bipartition_sign(src.cg), bipartition_sign(dst.cg)
     if (s is None) != (st is None):
         raise MarkovError("dual pair disagrees on bipartiteness")
-    if s is not None:
-        total = sum(d)
-        v = tuple(s[j] * d[j] / total for j in range(n))
-        shared = {1: v, -1: tuple(-x for x in v)}
-    else:
-        st = (1,) * n
-        shared = {1: (Fraction(0) if src.mode == "rational" else 0.0,) * n}
-    base = {sign: tuple(dj + x for dj, x in zip(d, row)) for sign, row in shared.items()}
-    c = []
-    for trow, sign in zip(t, st):
-        row, jrow = list(base[sign]), shared[sign]
-        for j, tij in trow.items():
-            row[j] = (tij + d[j]) + jrow[j]
-        c.append(tuple(row))
-    jm = tuple(shared[sign] for sign in st)
-    return Conjugator(tuple(t), (d,) * n, jm, tuple(c), src.mode)
+    total = sum(d)
+    v = (tuple(0 * dj for dj in d) if s is None
+         else tuple(sj * dj / total for sj, dj in zip(s, d)))
+    return Conjugator(t, d, v, tuple(st or (1,) * len(d)))
+
+
+def _cleared(rows):
+    """Sparse Fraction rows times the lcm L of their denominators, as int rows, and L."""
+    big_l = math.lcm(*{q.denominator for row in rows for q in row.values()})
+    return [{j: q.numerator * (big_l // q.denominator) for j, q in row.items()}
+            for row in rows], big_l
+
+
+def _parts(conj: Conjugator):
+    """T's rows, then d and v as rows, over one common denominator L (floats: L = 1)."""
+    rows = [*conj.T, dict(enumerate(conj.d)), dict(enumerate(conj.v))]
+    return _cleared(rows) if isinstance(conj.d[0], Fraction) else (rows, 1)
+
+
+def _differ(a: dict, b: dict, tol) -> bool:
+    """Whether sparse rows differ by more than tol * max(1, |b_j|) somewhere."""
+    return a != b and any(abs(a.get(j, 0) - b.get(j, 0)) > tol * max(1, abs(b.get(j, 0)))
+                          for j in {**a, **b})
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):
-    """Max-abs entry of M~ C - C M (exact zero expected in rational mode).
+    """Max-abs entry of M~ C - C M for C = T + 1 d^T + st v^T.
 
-    Row i is sum_k M~[i,k] C[k,:] - sum_k C[i,k] M[k,:], built from the
-    sparse rows of M~ and M (at most three entries each): O(n^2) work.
-    In rational mode the denominators are cleared first: with L the lcm
-    over C and Lambda the lcm over both walk matrices, the same loop runs
-    on Python ints and the result is max_abs / (L Lambda), exactly.
+    M~ 1 = 1, d^T M = d^T, M~ st = -st (needed only where v != 0) and
+    v^T M = -v^T cancel the rank-one terms, so M~ C - C M = M~ T - T M.
+    The identities are checked first, exactly in rational mode and to
+    _FLOAT_RTOL relative in float mode, or MarkovError is raised.  Every
+    product is `row_times` on sparse rows, O(n) in all; in rational mode
+    they run on ints, the denominators cleared by lcms Lambda over both
+    walk matrices and L over T, d and v: the result is max_abs / (L Lambda).
     """
-    n = src.size
-    c, m, mt = conj.C, src.rows, dst.rows
+    m, mt, st = src.rows, dst.rows, conj.st
+    (*t, d, v), big_l = _parts(conj)
+    lam, tol = 1, _FLOAT_RTOL
     if src.mode == "rational":
-        big_l = math.lcm(*{q.denominator for row in c for q in row})
-        lam = math.lcm(*{p.denominator for row in m + mt for p in row.values()})
-        c = [[q.numerator * (big_l // q.denominator) for q in row] for row in c]
-        m, mt = ([{j: p.numerator * (lam // p.denominator) for j, p in row.items()}
-                  for row in rows] for rows in (m, mt))
+        walk, lam = _cleared(m + mt)
+        m, mt, tol = walk[:len(m)], walk[len(m):], 0
+    flip = 1 if any(v.values()) else 0          # st matters only where v != 0
+    cols = [{0: 1, 1: flip * s} for s in st]     # the columns 1 and st
+    for name, got, want in (
+            ("M~ 1 = 1, M~ st = -st", [row_times(row, cols) for row in mt],
+             [{0: lam, 1: -lam * flip * s} for s in st]),
+            ("d^T M = d^T", [row_times(d, m)], [{j: lam * x for j, x in d.items()}]),
+            ("v^T M = -v^T", [row_times(v, m)], [{j: -lam * x for j, x in v.items()}])):
+        if any(_differ(a, b, tol) for a, b in zip(got, want)):
+            raise MarkovError(f"conjugator: {name} fails")
     worst = 0
-    for i, row in enumerate(mt):
-        diff = [0] * n
-        for k, p in row.items():
-            for j, ckj in enumerate(c[k]):
-                diff[j] += p * ckj
-        for k, cik in enumerate(c[i]):
-            if cik:
-                for j, p in m[k].items():
-                    diff[j] -= cik * p
-        worst = max(worst, max(map(abs, diff)))
+    for row, trow in zip(mt, t):
+        diff = row_times(row, t)                 # row i of M~ T - T M
+        for j, e in row_times(trow, m).items():
+            diff[j] = diff.get(j, 0) - e
+        worst = max(worst, max(map(abs, diff.values()), default=0))
     return Fraction(worst, big_l * lam) if src.mode == "rational" else worst
 
 
 def conjugator_sigma_min(conj: Conjugator) -> float:
-    c = np.array([[float(x) for x in row] for row in conj.C])
+    """Smallest singular value of C, each entry rounded once to a float.
+
+    Over L from `_parts`, row i is the base row (d_j + st_i v_j) / L, one
+    of two, with ((t_ij + d_j) + st_i v_j) / L on T's support: correctly
+    rounded int divisions in rational mode, float sums in that order in
+    float mode.
+    """
+    (*t, d, v), big_l = _parts(conj)
+    plus, minus = ([(d[j] + s * v[j]) / big_l for j in range(len(t))] for s in (1, -1))
+    c = np.where(np.array(conj.st)[:, None] > 0, plus, minus)
+    for i, (trow, s) in enumerate(zip(t, conj.st)):
+        for j, tij in trow.items():
+            c[i, j] = ((tij + d[j]) + s * v[j]) / big_l
     return float(np.linalg.svd(c, compute_uv=False)[-1])
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .graphs import (Digraph, GearSpec, GearlabError, digraph_paths, dual_gear,
                      gear_to_digraph)
-from .linalg import unicyclic_det
+from .linalg import row_times, unicyclic_det
 from .polynomials import SparsePolynomial
 
 PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
@@ -75,7 +75,7 @@ def pencil(g: Digraph) -> Pencil:
 def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
     """Sparse rows of x I + alpha A + beta A^T + gamma D_out + delta D_in over
     any ring, from the arcs in O(n + arcs).  An entry may be zero (alpha =
-    0, say): `_det_mod`, `unicyclic_det` and `_row_times` skip zeros."""
+    0, say): `_det_mod`, `unicyclic_det` and `row_times` skip zeros."""
     rows = [{i: x + gamma * p.D_out[i] + delta * p.D_in[i]} for i in range(p.n)]
     for t, h in p.arcs:
         rows[t][h] = rows[t].get(h, 0) + alpha
@@ -275,15 +275,6 @@ def _factors(spec: GearSpec):
     return k, sorted(rows)
 
 
-def _row_times(row, rows):
-    """The sparse row sum_k row[k] rows[k], zero entries dropped."""
-    out = {}
-    for k, c in row.items():
-        for j, e in rows[k].items():
-            out[j] = out[j] + c * e if j in out else c * e
-    return {j: e for j, e in out.items() if e}
-
-
 def intertwiner(spec: GearSpec) -> list:
     """Sparse rows of T with L_G~ T = T L_G at y = 0, one dict per dual vertex.
 
@@ -299,14 +290,14 @@ def intertwiner(spec: GearSpec) -> list:
     # where a = 0 (m = L, j = 0), d_0(s) - d_0(t) = alpha (e[s_1] - e[t_1])
     # cancels the alpha^-1
     return [{j: SparsePolynomial.monomial(1, alpha=a - 1, beta=b) * e
-             for j, e in _row_times({s: 1, t: sign}, k).items()}
+             for j, e in row_times({s: 1, t: sign}, k).items()}
             for _, a, b, sign, s, t in rows]
 
 
 def intertwines(pg: Pencil, pgt: Pencil, t) -> bool:
     """Whether L_G~ T = T L_G at y = 0, by sparse row products."""
     lg, lgt = _pencil_rows(pg, *_Y0_VARIABLES), _pencil_rows(pgt, *_Y0_VARIABLES)
-    return all(_row_times(lgt[i], t) == _row_times(t[i], lg) for i in range(pgt.n))
+    return all(row_times(lgt[i], t) == row_times(t[i], lg) for i in range(pgt.n))
 
 
 def factored_det(spec: GearSpec) -> SparsePolynomial:
@@ -363,7 +354,7 @@ def verify_intertwiner() -> dict:
     t = intertwiner(FIG6)
     intertwines_y0 = intertwines(pg, pgt, t)
     # J T = T J iff every row sum of T equals every column sum
-    col_sums = _row_times(dict.fromkeys(range(pg.n), 1), t)
+    col_sums = row_times(dict.fromkeys(range(pg.n), 1), t)
     sums = {*col_sums.values(), *(sum(row.values(), SparsePolynomial.zero()) for row in t)}
     det_ok = factored_det(FIG6) == intertwiner_det(FIG6)
     etas = (char_poly_symbolic(pg), char_poly_symbolic(pgt))

@@ -291,6 +291,50 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--lengths", "1,2"), "need n >= 3 polygon sides, got 2"),
+    (("build", "--fig3", "a", "--lengths", "1,2"), "variant a takes 3 lengths"),
+    (("spectrum", "--graph", "{tmp}/ok.graph", "--k-max", "inf"),
+     "k_max must be positive and finite"),
+    (("compare", "--graph1", "{tmp}/bad.graph", "--graph2", "{tmp}/ok.graph", "--k-max", "3"),
+     "line 2: malformed record"),
+    (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
+    (("conjugate", "--lengths", "1e-10,1,1", "--mode", "float"),
+     "edge 0: length 1e-10 is not a positive integer"),
+    (("zeta", "--g1", "{tmp}/bad.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
+     "line 2: malformed record"),
+    (("zeta", "--g1", "{tmp}/loop.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
+     "self-loops not supported"),
+    (("isomorphic", "--g1", "{tmp}/par.digraph", "--g2", "{tmp}/par.digraph"),
+     "parallel arcs not supported"),
+], ids=["gear-spec", "fig3", "scan-params", "read-graph", "markov", "conjugate",
+        "read-digraph", "zeta", "isomorphic"])
+def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
+    """One validation failure per subcommand handler: exit 2 and exactly one
+    `gearlab: <message>` line on stderr, nothing on stdout."""
+    assert run("build", "--lengths", "1,2,3", "-o", str(tmp_path / "ok.graph")) == 0
+    (tmp_path / "bad.graph").write_text("graph bad\nfoo 1\n")
+    (tmp_path / "bad.digraph").write_text("digraph bad\nfoo 1\n")
+    (tmp_path / "loop.digraph").write_text("digraph loop\nvertices 2\narc 0 0\narc 0 1\n")
+    (tmp_path / "par.digraph").write_text("digraph par\nvertices 3\narc 0 1\narc 0 1\narc 1 2\n")
+    capsys.readouterr()
+    assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
+    assert capsys.readouterr() == ("", f"gearlab: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--digraph", "--lengths", "2047,1,1"),
+     "subdivision exceeds MAX_SUBDIVISION_VERTICES = 4096"),
+    (("build", "--lengths", "1e400,1,1"), "bad lengths '1e400,1,1'"),
+], ids=["digraph-too-large", "length-overflow"])
+def test_oversized_gear_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr() == ("", f"gearlab: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["markov", "conjugate"])
 @pytest.mark.parametrize("extra", [
     ("--w", "abc"), ("--w", "1/0"), ("--w", "1e400"), ("--w", "0"), ("--w=-1/2",),

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (Edge, GearSpec, GraphError, MetricGraph, bipartition_sign,
-                            build_fig3_pair, build_gear, dual_gear, fig2_control_pair,
-                            fig6_digraph_pair, gear_to_digraph, subdivide, validate_graph)
+from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Edge, GearSpec, GraphError, MetricGraph,
+                            bipartition_sign, build_fig3_pair, build_gear, digraph_paths,
+                            dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
+                            subdivide, validate_graph)
 from gearlab import io as gio
 
 
@@ -101,6 +102,21 @@ def test_subdivide_bipartite_iff_even_cycle():
 def test_subdivide_rejects_non_integer():
     with pytest.raises(GraphError):
         subdivide(build_gear(GearSpec(3, (1.0, 1.5, 1.0))))
+
+
+def test_subdivision_size_is_bounded_before_allocation():
+    # a gear has 2 sum(lengths) subdivision and digraph vertices
+    top = MAX_SUBDIVISION_VERTICES // 2 - 2
+    at_bound = GearSpec(3, (top, 1, 1))
+    assert subdivide(build_gear(at_bound)).vertex_count == MAX_SUBDIVISION_VERTICES
+    labels = {v for side, tooth in digraph_paths(at_bound) for v in side + tooth}
+    assert len(labels) == MAX_SUBDIVISION_VERTICES
+    for lengths in ((top + 1, 1, 1), (10 ** 11, 1, 1)):
+        spec = GearSpec(3, lengths)
+        with pytest.raises(GraphError, match="MAX_SUBDIVISION_VERTICES = 4096"):
+            subdivide(build_gear(spec))
+        with pytest.raises(GraphError, match="MAX_SUBDIVISION_VERTICES = 4096"):
+            digraph_paths(spec)
 
 
 def test_subdivide_paths():

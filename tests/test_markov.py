@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearlab.graphs import GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
-from gearlab.markov import (MODES, Conjugator, MarkovError, build_conjugator,
+from gearlab.markov import (MODES, MarkovError, build_conjugator,
                             characteristic_polynomial_exact, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
                             conjugator_report, conjugator_sigma_min, crosscheck_quantum,
@@ -271,23 +271,26 @@ def test_transplantation_matrix_rank():
 def test_rank_one_corrections():
     src, dst = walk_pair((1, 2, 3), Fraction(1, 2))
     conj = build_conjugator(src, dst)
-    d = src.degrees
+    d, v, st_ = conj.d, conj.v, conj.st
     n = src.size
-    one = [Fraction(1)] * n
-    # J+ 1 is a nonzero constant vector
-    jp_one = [sum(conj.J_plus[i][j] * one[j] for j in range(n)) for i in range(n)]
-    assert len(set(jp_one)) == 1 and jp_one[0] != 0
-    # J+ annihilates vectors with zero d-mean
+    assert d == src.degrees and len(v) == len(st_) == n
+    # J+ = 1 d^T maps 1 to the nonzero constant sum(d)
+    assert sum(d) != 0
+    # and annihilates vectors with zero d-mean
     f = [Fraction(0)] * n
     f[0] = Fraction(1, d[0])
     f[1] = Fraction(-1, d[1])
-    jp_f = [sum(conj.J_plus[i][j] * f[j] for j in range(n)) for i in range(n)]
-    assert all(x == 0 for x in jp_f)
-    # J- maps the source sign vector to the target one
+    assert sum(dj * fj for dj, fj in zip(d, f)) == 0
+    # J- = st v^T maps the source sign vector to the target one: v^T s = 1
     s = bipartition_sign(src.cg)
-    st = bipartition_sign(dst.cg)
-    jm_s = [sum(conj.J_minus[i][j] * s[j] for j in range(n)) for i in range(n)]
-    assert jm_s == [Fraction(x) for x in st]
+    assert st_ == tuple(bipartition_sign(dst.cg))
+    assert sum(vj * sj for vj, sj in zip(v, s)) == 1
+    # and kills the constants: v^T 1 = 0
+    assert sum(v) == 0
+    # odd cycle: no -1 eigenspace, so v = 0 and st = 1
+    src, dst = walk_pair((1, 1, 1), Fraction(1, 2))
+    conj = build_conjugator(src, dst)
+    assert conj.v == (0,) * src.size and conj.st == (1,) * src.size
 
 
 def test_conjugator_intertwines_exactly():
@@ -328,30 +331,6 @@ def dense_residual(src, dst, c):
                for i in range(n) for j in range(n))
 
 
-def perturbed(conj, *changes):
-    rows = [list(row) for row in conj.C]
-    for i, j, delta in changes:
-        rows[i][j] += delta
-    return dataclasses.replace(conj, C=tuple(tuple(row) for row in rows))
-
-
-@pytest.mark.parametrize("mode", ["rational", "float"])
-def test_residual_detects_perturbed_conjugator(mode):
-    w = Fraction(3, 2) if mode == "rational" else 1.5
-    delta = Fraction(1, 7) if mode == "rational" else 1e-3
-    src, dst = walk_pair((1, 2, 3), w, mode=mode)
-    conj = build_conjugator(src, dst)
-    for i, j in ((0, 0), (3, 7), (src.size - 1, 1)):
-        bad = perturbed(conj, (i, j, delta))
-        got = conjugation_residual(src, dst, bad)
-        ref = dense_residual(src, dst, bad.C)
-        assert got > 1e-6
-        if mode == "rational":
-            assert got == ref
-        else:
-            assert got == pytest.approx(ref, rel=1e-12)
-
-
 def dense_conjugator(src, dst):
     """C = T + J+ + J- entry by entry over dense n x n rows (reference)."""
     n = src.size
@@ -366,9 +345,65 @@ def dense_conjugator(src, dst):
         jm = [[st_[i] * s[j] * d[j] / total for j in range(n)] for i in range(n)]
     else:
         jm = [[zero] * n for _ in range(n)]
-    c = [[t[i].get(j, zero) + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
-    return Conjugator(tuple(t), tuple(map(tuple, jp)), tuple(map(tuple, jm)),
-                      tuple(map(tuple, c)), src.mode)
+    return [[t[i].get(j, zero) + jp[i][j] + jm[i][j] for j in range(n)] for i in range(n)]
+
+
+def assembled(conj):
+    """The dense C = T + 1 d^T + st v^T of a conjugator's parts."""
+    n = len(conj.d)
+    return [[(row.get(j, 0) + conj.d[j]) + s * conj.v[j] for j in range(n)]
+            for row, s in zip(conj.T, conj.st)]
+
+
+def dense_sigma_min(c):
+    return np.linalg.svd(np.array([[float(x) for x in row] for row in c]), compute_uv=False)[-1]
+
+
+def perturbed(conj, *changes):
+    """conj with T[i][j] += delta per change, on T's support or off it."""
+    rows = [dict(row) for row in conj.T]
+    for i, j, delta in changes:
+        rows[i][j] = rows[i].get(j, 0) + delta
+    return dataclasses.replace(conj, T=tuple(rows))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_residual_detects_perturbed_conjugator(mode):
+    w = Fraction(3, 2) if mode == "rational" else 1.5
+    delta = Fraction(1, 7) if mode == "rational" else 1e-3
+    src, dst = walk_pair((1, 2, 3), w, mode=mode)
+    conj = build_conjugator(src, dst)
+    entries = ((0, 0), (3, 7), (src.size - 1, 1))
+    assert any(j not in conj.T[i] for i, j in entries)
+    for i, j in entries:
+        bad = perturbed(conj, (i, j, delta))
+        got = conjugation_residual(src, dst, bad)
+        ref = dense_residual(src, dst, assembled(bad))
+        assert got > 1e-6
+        if mode == "rational":
+            assert got == ref
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lengths, field", [((1, 2, 3), "d"), ((1, 2, 3), "v"), ((1, 2, 3), "st"),
+                                            ((1, 1, 1), "d"), ((1, 1, 1), "v")],
+                         ids=["d", "v", "st", "odd-d", "odd-v"])
+def test_wrong_rank_one_part_raises(mode, lengths, field):
+    """A wrong entry of d, v or st fails one of the identities that cancel
+    the rank-one terms, while the dense residual shows that C is wrong."""
+    src, dst = walk_pair(lengths, Fraction(3, 2) if mode == "rational" else 1.5, mode)
+    conj = build_conjugator(src, dst)
+    values = list(getattr(conj, field))
+    if field == "st":
+        values[2] = -values[2]
+    else:
+        values[5] += Fraction(1, 7) if mode == "rational" else 1e-3
+    bad = dataclasses.replace(conj, **{field: tuple(values)})
+    assert dense_residual(src, dst, assembled(bad)) > 1e-6
+    with pytest.raises(MarkovError, match="conjugator: .* fails"):
+        conjugation_residual(src, dst, bad)
 
 
 @st.composite
@@ -387,15 +422,19 @@ def test_conjugator_matches_dense_construction(gear, w, mode, data):
     lengths, attachments = gear
     src, dst = walk_pair(lengths, w if mode == "rational" else float(w), mode, attachments)
     conj = build_conjugator(src, dst)
+    assert conj.T == tuple(transplantation_matrix(src, dst))
+    assert max(map(len, conj.T)) <= 4
     ref = dense_conjugator(src, dst)
-    for field in dataclasses.fields(Conjugator):
-        assert getattr(conj, field.name) == getattr(ref, field.name), field.name
-    for row, ref_row in zip(conj.C, ref.C):
+    c = assembled(conj)
+    assert c == ref
+    for row, ref_row in zip(c, ref):
         assert list(map(type, row)) == list(map(type, ref_row))
+    # the entries of C rounded once each, as from the dense reference
+    assert conjugator_sigma_min(conj) == dense_sigma_min(ref)
     if mode == "float":
         assert conjugation_residual(src, dst, conj) < 1e-10
         return
-    assert conjugation_residual(src, dst, conj) == 0
+    assert conjugation_residual(src, dst, conj) == 0 == dense_residual(src, dst, c)
     n = src.size
     changes = data.draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -403,7 +442,7 @@ def test_conjugator_matches_dense_construction(gear, w, mode, data):
                             st.integers(1, 60))),
         min_size=1, max_size=3))
     bad = perturbed(conj, *changes)
-    assert conjugation_residual(src, dst, bad) == dense_residual(src, dst, bad.C)
+    assert conjugation_residual(src, dst, bad) == dense_residual(src, dst, assembled(bad))
 
 
 def test_conjugator_on_mixed_attachments():
