@@ -154,8 +154,6 @@ def cmd_compare(args):
 def cmd_markov(args):
     from .markov import characteristic_polynomial_exact, markov_eigenvalues, markov_matrix
     spec = _gear_spec(args)
-    if not spec.is_integral():
-        raise CliError(EXIT_VALIDATION, "markov subcommand needs integer lengths")
     ms = markov_matrix(subdivide(build_gear(spec)), _weight(args), args.mode)
     vals = markov_eigenvalues(ms)
     report = {
@@ -178,8 +176,6 @@ def cmd_markov(args):
 def cmd_conjugate(args):
     from .markov import conjugator_report
     spec = _gear_spec(args)
-    if not spec.is_integral():
-        raise CliError(EXIT_VALIDATION, "conjugate subcommand needs integer lengths")
     report = conjugator_report(spec, _weight(args), args.mode)
     _emit_json(report, args.output)
     ok = report["sigma_min_C"] > 1e-8 and report["conj_residual"] <= 1e-10

@@ -77,7 +77,15 @@ class GearSpec:
         return ("tail",) * self.n if self.variant == "primal" else ("head",) * self.n
 
     def is_integral(self) -> bool:
-        return all(abs(l - round(l)) < 1e-9 for l in self.lengths)
+        """Whether every length is a positive integer under `_unit_count`."""
+        return all(_unit_count(l) for l in self.lengths)
+
+
+def _unit_count(length) -> int | None:
+    """round(length) when it is at least 1 and within 1e-9 of length, else
+    None: the one rule for a length that subdivides into unit edges."""
+    r = int(round(length))
+    return r if r >= 1 and abs(length - r) <= 1e-9 else None
 
 
 def dual_gear(spec: GearSpec) -> GearSpec:
@@ -274,10 +282,10 @@ def _validate_gear_structure(g: MetricGraph) -> list:
 
 
 def _integer_length(e: Edge) -> int:
-    l = round(e.length)
-    if abs(e.length - l) > 1e-9 or l <= 0:
+    l = _unit_count(e.length)
+    if l is None:
         raise GraphError(f"edge {e.id}: length {e.length} is not a positive integer")
-    return int(l)
+    return l
 
 
 def subdivide(g: MetricGraph) -> CombinatorialGraph:
@@ -329,19 +337,27 @@ def bipartition_sign(cg: CombinatorialGraph):
 # digraph exports
 # ---------------------------------------------------------------------------
 
+def digraph_lengths(spec: GearSpec) -> list:
+    """The lengths of `spec` as ints for a digraph export.  GraphError for
+    a length that is not a positive integer under `_unit_count` or more than
+    MAX_SUBDIVISION_VERTICES vertices."""
+    lengths = [_unit_count(l) for l in spec.lengths]
+    if None in lengths:
+        raise GraphError("digraph export needs positive integer lengths")
+    if 2 * sum(lengths) > MAX_SUBDIVISION_VERTICES:
+        raise GraphError(_TOO_LARGE)
+    return lengths
+
+
 def digraph_paths(spec: GearSpec) -> tuple:
     """Per index i, the digraph labels of side i and of tooth i, both in
     metric (tail-to-head) order.  Cycle labels start at the endpoint of
     side 1 not carrying tooth 1 and increase along the cycle; tooth
     vertices are numbered along each path, teeth in order; 0-based.
-    More than MAX_SUBDIVISION_VERTICES vertices raise GraphError.
+    Lengths are checked by `digraph_lengths`.
     """
-    if not spec.is_integral():
-        raise GraphError("digraph export needs integer lengths")
-    lengths = [int(round(l)) for l in spec.lengths]
+    lengths = digraph_lengths(spec)
     total = sum(lengths)
-    if 2 * total > MAX_SUBDIVISION_VERTICES:
-        raise GraphError(_TOO_LARGE)
     # label 1 (0-based: 0) goes to the tooth-free endpoint of side 1
     pos = -lengths[0] if spec.tooth_ends[0] == "tail" else 0
     fresh = total

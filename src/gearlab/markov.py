@@ -141,7 +141,7 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
         det = unicyclic_det(rows)
     except ValueError as exc:
         raise MarkovError(f"walk pencil: {exc}") from exc
-    coeffs = [det.coefficient(x=k) for k in range(ms.size + 1)]
+    coeffs = det.coefficients("x", ms.size + 1)
     lead = coeffs[-1]
     return [Fraction(a, lead) for a in coeffs]
 
@@ -176,8 +176,8 @@ def _path_rows(ms: MarkovSystem, path):
 
 
 def _combine(a: dict, b: dict, scale) -> dict:
-    """Row a + scale * b."""
-    return {u: a.get(u, 0) + scale * b.get(u, 0) for u in {**a, **b}}
+    """Row a + scale * b, entries that cancel to exactly zero dropped."""
+    return {u: c for u in {**a, **b} if (c := a.get(u, 0) + scale * b.get(u, 0))}
 
 
 def _gear_path_count(cg: CombinatorialGraph) -> int:

@@ -1,7 +1,29 @@
 """Sparse multivariate polynomials with big-integer coefficients.
 
-Exponent keys are 6-tuples over the fixed variable order
-(x, y, alpha, beta, gamma, delta); zero coefficients are never stored.
+Each monomial x^a y^b alpha^c beta^d gamma^e delta^f is stored as one
+int, its key: the exponents are signed 32-bit fields, x in the most
+significant one,
+
+    key = a 2^160 + b 2^128 + c 2^96 + d 2^64 + e 2^32 + f.
+
+The key of a product of two monomials is the sum of their keys, and
+while every field lies in (-2^31, 2^31) the ascending order of the keys
+is the lexicographic order of the exponent tuples (a lower field moves a
+key by less than one unit of the field above it).  A field is decoded
+after adding _BIAS, which makes every field nonnegative, so negative
+exponents (the alpha^-1 of `zeta.intertwiner`) round-trip.  Zero
+coefficients are never stored; `terms` shows the polynomial keyed by
+exponent tuples.
+
+No field overflows.  The constructors reject an exponent of magnitude
+2^30 or more, and every polynomial gearlab builds lives on a digraph or
+subdivision of at most V <= MAX_SUBDIVISION_VERTICES = 2^12 vertices,
+whose exports are checked before any polynomial is made: a pencil
+determinant has degree V, and the largest exponent anywhere, alpha's in
+`zeta.intertwiner_det` and `zeta.factored_det`, is at most L V + V with
+L <= V / 2 the longest length, below 2^24; the sum of two such exponents
+stays far inside the field.
+
 Enough ring arithmetic for the exact pencil determinants of
 `linalg.unicyclic_det` and for identity checks -- not a general
 computer algebra system.
@@ -9,21 +31,63 @@ computer algebra system.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 VARIABLES = ("x", "y", "alpha", "beta", "gamma", "delta")
 NVARS = len(VARIABLES)
-_ZERO_EXP = (0,) * NVARS
+_BITS = 32
+_SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))   # x's field on top
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)
+_BIAS = sum(_HALF << s for s in _SHIFTS)
+EXPONENT_LIMIT = 1 << 30      # constructors accept exponents e with |e| < EXPONENT_LIMIT
+
+
+def _pack(exps) -> int:
+    """The key of an exponent tuple; ValueError unless it has NVARS entries
+    each of magnitude below EXPONENT_LIMIT."""
+    exps = tuple(exps)
+    if len(exps) != NVARS:
+        raise ValueError(f"expected {NVARS} exponents, got {len(exps)}")
+    key = 0
+    for e, s in zip(exps, _SHIFTS):
+        if not -EXPONENT_LIMIT < e < EXPONENT_LIMIT:
+            raise ValueError(f"exponent {e} outside (-2^30, 2^30)")
+        key += e << s
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent tuple of a key."""
+    key += _BIAS
+    return tuple(((key >> s) & _MASK) - _HALF for s in _SHIFTS)
+
+
+def _powers_key(powers) -> int:
+    exps = [0] * NVARS
+    for name, p in powers.items():
+        exps[VARIABLES.index(name)] = p
+    return _pack(exps)
+
+
+def _wrap(terms):
+    """A polynomial on a dict key -> nonzero coefficient, taken as is."""
+    res = SparsePolynomial.__new__(SparsePolynomial)
+    res._terms = terms
+    return res
 
 
 class SparsePolynomial:
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)       # key -> nonzero int coefficient
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+        """From a dict exponent tuple -> coefficient; zero coefficients dropped."""
+        self._terms = {_pack(exps): coeff for exps, coeff in (terms or {}).items() if coeff}
+
+    @property
+    def terms(self):
+        """Read-only view exponent tuple -> coefficient (decoded on each access)."""
+        return MappingProxyType({_unpack(k): c for k, c in self._terms.items()})
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -32,138 +96,139 @@ class SparsePolynomial:
 
     @classmethod
     def constant(cls, c):
-        return cls({_ZERO_EXP: int(c)})
+        c = int(c)
+        return _wrap({0: c} if c else {})
 
     @classmethod
     def variable(cls, name):
-        idx = VARIABLES.index(name)
-        exps = [0] * NVARS
-        exps[idx] = 1
-        return cls({tuple(exps): 1})
+        return _wrap({1 << _SHIFTS[VARIABLES.index(name)]: 1})
 
     @classmethod
     def monomial(cls, coeff, **powers):
-        exps = [0] * NVARS
-        for name, p in powers.items():
-            exps[VARIABLES.index(name)] = p
-        return cls({tuple(exps): int(coeff)})
+        coeff = int(coeff)
+        key = _powers_key(powers)
+        return _wrap({key: coeff} if coeff else {})
 
     # -- ring operations ----------------------------------------------
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = SparsePolynomial.constant(other)
-        return isinstance(other, SparsePolynomial) and self.terms == other.terms
+            return self._terms == ({0: other} if other else {})
+        return isinstance(other, SparsePolynomial) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
             other = SparsePolynomial.constant(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[exps] = s
+                out[k] = s
             else:
-                out.pop(exps, None)
-        res = SparsePolynomial.__new__(SparsePolynomial)
-        res.terms = out
-        return res
+                del out[k]      # c != 0, so k was in out
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = SparsePolynomial.__new__(SparsePolynomial)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = SparsePolynomial.constant(other)
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _wrap(out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return SparsePolynomial.constant(other) - self
 
     def __mul__(self, other):
+        """Product; a monomial's key is the sum of its factors' keys."""
         if isinstance(other, int):
-            if other == 0:
-                return SparsePolynomial.zero()
-            res = SparsePolynomial.__new__(SparsePolynomial)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return _wrap({k: c * other for k, c in self._terms.items()} if other else {})
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a shifted copy: keys stay distinct and no product of nonzero ints is 0
+            ((kb, cb),) = b.items()
+            return _wrap({k + kb: c * cb for k, c in a.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, 0) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        res = SparsePolynomial.__new__(SparsePolynomial)
-        res.terms = out
-        return res
+        get = out.get
+        for kb, cb in b.items():
+            for k, c in a.items():
+                k += kb
+                out[k] = get(k, 0) + c * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _wrap(out)
 
     __rmul__ = __mul__
 
     # -- queries --------------------------------------------------------
     def coefficient(self, **powers):
-        exps = [0] * NVARS
-        for name, p in powers.items():
-            exps[VARIABLES.index(name)] = p
-        return self.terms.get(tuple(exps), 0)
+        return self._terms.get(_powers_key(powers), 0)
+
+    def coefficients(self, name, count):
+        """[c_0, ..., c_{count-1}] with c_k the coefficient of name^k, in one
+        pass; ValueError when a term has another variable or another power."""
+        s = _SHIFTS[VARIABLES.index(name)]
+        out = [0] * count
+        for key, c in self._terms.items():
+            k = key >> s
+            if k << s != key or not 0 <= k < count:
+                raise ValueError(f"term {_unpack(key)} is not a power of {name} below {count}")
+            out[k] = c
+        return out
 
     def substitute(self, **values):
         """Substitute integer values for a subset of the variables."""
-        idx_val = [(VARIABLES.index(k), int(v)) for k, v in values.items()]
+        shift_val = [(_SHIFTS[VARIABLES.index(k)], int(v)) for k, v in values.items()]
         out = {}
-        for exps, c in self.terms.items():
-            coeff = c
-            new = list(exps)
-            for i, v in idx_val:
-                coeff *= v ** exps[i]
-                new[i] = 0
-            if coeff:
-                key = tuple(new)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SparsePolynomial(out)
+        for key, c in self._terms.items():
+            biased = key + _BIAS
+            for s, v in shift_val:
+                e = ((biased >> s) & _MASK) - _HALF
+                if e:
+                    c *= v ** e
+                    key -= e << s
+            if c:
+                out[key] = out.get(key, 0) + c
+        return _wrap({k: c for k, c in out.items() if c})
 
     def evaluate(self, point, mod=None):
         """Value at a full 6-tuple of integers, optionally mod a prime."""
         total = 0
-        for exps, c in self.terms.items():
-            term = c
-            if mod is None:
-                for v, e in zip(point, exps):
-                    if e:
-                        term *= v ** e
-                total += term
-            else:
-                for v, e in zip(point, exps):
-                    if e:
-                        term = term * pow(v, e, mod) % mod
-                total = (total + term) % mod
+        for key, c in self._terms.items():
+            biased = key + _BIAS
+            for v, s in zip(point, _SHIFTS):
+                e = ((biased >> s) & _MASK) - _HALF
+                if e:
+                    c = c * v ** e if mod is None else c * pow(v, e, mod) % mod
+            total = total + c if mod is None else (total + c) % mod
         return total % mod if mod is not None else total
 
     def dump_lines(self):
-        """Stable text form: one `coeff x^a y^b ...` line per term."""
+        """Stable text form: one `coeff x^a y^b ...` line per term, in
+        lexicographic order of the exponent tuples (= ascending keys)."""
         lines = []
-        for exps in sorted(self.terms):
-            mono = " ".join(f"{name}^{e}" for name, e in zip(VARIABLES, exps))
-            lines.append(f"{self.terms[exps]} {mono}")
+        for key in sorted(self._terms):
+            mono = " ".join(f"{name}^{e}" for name, e in zip(VARIABLES, _unpack(key)))
+            lines.append(f"{self._terms[key]} {mono}")
         return lines
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "SparsePolynomial(0)"
         return "SparsePolynomial(" + " + ".join(self.dump_lines()) + ")"
-

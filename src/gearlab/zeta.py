@@ -31,8 +31,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import (Digraph, GearSpec, GearlabError, digraph_paths, dual_gear,
-                     gear_to_digraph)
+from .graphs import (Digraph, GearSpec, GearlabError, digraph_lengths, digraph_paths,
+                     dual_gear, gear_to_digraph)
 from .linalg import row_times, unicyclic_det
 from .polynomials import SparsePolynomial
 
@@ -247,12 +247,13 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 
 def _rule_lengths(spec: GearSpec) -> list:
-    """The lengths of `spec` as ints; ZetaError where the intertwiner rule does not apply."""
+    """The lengths of `spec` as ints; ZetaError where the intertwiner rule does
+    not apply, GraphError past MAX_SUBDIVISION_VERTICES as for the digraph."""
     if set(spec.tooth_ends) != {"tail"}:
         raise ZetaError("the intertwiner rule needs every tooth at its side's tail")
     if not spec.is_integral():
-        raise ZetaError("the intertwiner rule needs integer lengths")
-    return [int(round(l)) for l in spec.lengths]
+        raise ZetaError("the intertwiner rule needs positive integer lengths")
+    return digraph_lengths(spec)
 
 
 def _factors(spec: GearSpec):

@@ -14,16 +14,21 @@ import pathlib
 import pytest
 
 WORKLOADS_PY = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
 # inputs of round 0 to run, None for all of them
 ROUND_INPUTS = {"quantum-pairs": 2, "walk-exact": 2, "zeta-digraphs": None}
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("bench_workloads", WORKLOADS_PY)
 
 
 @pytest.mark.parametrize("name", sorted(ROUND_INPUTS))
@@ -33,3 +38,23 @@ def test_benchmark_verdicts_pass(workloads, name):
     inputs = [workloads.warmup_input(name), *workload.make_round(1, 0, ctx)[:ROUND_INPUTS[name]]]
     for inp in inputs:
         assert workload.run(inp, ctx) == [], workload.describe(inp)
+
+
+def test_tracer_counts_polynomial_products():
+    """The tracer patches SparsePolynomial.__mul__/__rmul__ in the class dict
+    and restores them; polynomials.mul.calls must stay live."""
+    from gearlab.polynomials import SparsePolynomial
+    from gearlab.zeta import verify_intertwiner
+    original = SparsePolynomial.__dict__["__mul__"]
+    tracer = load("bench_tracer", TRACER_PY).Tracer()
+    tracer.install()
+    try:
+        assert verify_intertwiner()["ok"]
+        x = SparsePolynomial.variable("x")
+        assert 2 * x == x * 2
+    finally:
+        tracer.uninstall()
+    assert SparsePolynomial.__dict__["__mul__"] is original
+    assert SparsePolynomial.__dict__["__rmul__"] is original
+    calls, _ = tracer.by_name()["polynomials.mul"]
+    assert calls > 100

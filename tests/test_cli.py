@@ -298,6 +298,8 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
      "k_max must be positive and finite"),
     (("compare", "--graph1", "{tmp}/bad.graph", "--graph2", "{tmp}/ok.graph", "--k-max", "3"),
      "line 2: malformed record"),
+    (("build", "--digraph", "--lengths", "1e-10,1,1"),
+     "digraph export needs positive integer lengths"),
     (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
     (("conjugate", "--lengths", "1e-10,1,1", "--mode", "float"),
      "edge 0: length 1e-10 is not a positive integer"),
@@ -307,7 +309,7 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
      "self-loops not supported"),
     (("isomorphic", "--g1", "{tmp}/par.digraph", "--g2", "{tmp}/par.digraph"),
      "parallel arcs not supported"),
-], ids=["gear-spec", "fig3", "scan-params", "read-graph", "markov", "conjugate",
+], ids=["gear-spec", "fig3", "scan-params", "read-graph", "digraph", "markov", "conjugate",
         "read-digraph", "zeta", "isomorphic"])
 def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     """One validation failure per subcommand handler: exit 2 and exactly one

@@ -1,10 +1,12 @@
 """Sparse polynomial arithmetic."""
 
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.polynomials import NVARS, SparsePolynomial
+from gearlab.polynomials import EXPONENT_LIMIT, NVARS, VARIABLES, SparsePolynomial
 
 
 def is_homogeneous(p, degree=None):
@@ -71,3 +73,143 @@ def test_dump_lines_sorted_and_stable():
     lines = p.dump_lines()
     assert lines == sorted(lines)
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# the packed keys against a tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_substitute(p, values):
+    out = {}
+    for e, c in p.items():
+        new = list(e)
+        for name, v in values.items():
+            i = VARIABLES.index(name)
+            c *= v ** e[i]
+            new[i] = 0
+        out[tuple(new)] = out.get(tuple(new), 0) + c
+    return ref_clean(out)
+
+
+def ref_evaluate(p, point, mod=None):
+    total = 0
+    for e, c in p.items():
+        for v, k in zip(point, e):
+            c *= v ** k if mod is None else pow(v, k, mod)
+        total += c
+    return total if mod is None else total % mod
+
+
+def ref_polys(lo=-3, hi=3, extreme=False):
+    """Tuple-keyed dicts; ``extreme`` mixes in exponents at the constructor's limit."""
+    e = st.integers(lo, hi)
+    if extreme:
+        e = st.one_of(e, st.sampled_from([EXPONENT_LIMIT - 1, 1 - EXPONENT_LIMIT]))
+    return st.dictionaries(st.tuples(*[e] * NVARS), st.integers(-4, 4), max_size=5).map(ref_clean)
+
+
+def parsed_dump(p):
+    out = []
+    for line in p.dump_lines():
+        coeff, *mono = line.split()
+        assert [m.split("^")[0] for m in mono] == list(VARIABLES)
+        out.append((tuple(int(m.split("^")[1]) for m in mono), int(coeff)))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(ref_polys(extreme=True), ref_polys(extreme=True))
+def test_packed_ring_operations_match_reference(a, b):
+    p, q = SparsePolynomial(a), SparsePolynomial(b)
+    assert dict(p.terms) == a
+    assert (p + q).terms == ref_add(a, b)
+    assert (p - q).terms == ref_add(a, b, -1)
+    assert (-p).terms == ref_add({}, a, -1)
+    assert (p * q).terms == ref_mul(a, b)
+    assert (p * 3).terms == (3 * p).terms == ref_clean({e: 3 * c for e, c in a.items()})
+    assert (p == q) == (a == b)
+    # equal polynomials built in another term order hash alike
+    r = SparsePolynomial(dict(reversed(list(a.items()))))
+    assert r == p and hash(r) == hash(p)
+    for e, c in a.items():
+        assert p.coefficient(**dict(zip(VARIABLES, e))) == c
+    assert parsed_dump(p * q) == sorted(ref_mul(a, b).items())
+
+
+@settings(deadline=None, max_examples=100)
+@given(ref_polys(), ref_polys(), st.integers(0, 10 ** 6))
+def test_packed_evaluation_matches_reference(a, b, seed):
+    rng = random.Random(seed)
+    p = SparsePolynomial(a) * SparsePolynomial(b)
+    prod = ref_mul(a, b)
+    # nonzero Fractions keep negative powers exact; mod a prime they are inverses
+    point = tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in VARIABLES)
+    assert p.evaluate(point) == ref_evaluate(prod, point)
+    mod = 10007
+    point = tuple(rng.randrange(1, mod) for _ in VARIABLES)
+    assert p.evaluate(point, mod=mod) == ref_evaluate(prod, point, mod)
+
+
+@settings(deadline=None, max_examples=100)
+@given(ref_polys(0, 3), st.dictionaries(st.sampled_from(VARIABLES), st.integers(-3, 3), max_size=3))
+def test_packed_substitute_matches_reference(a, values):
+    assert SparsePolynomial(a).substitute(**values).terms == ref_substitute(a, values)
+
+
+def test_negative_intermediate_exponents():
+    # zeta.intertwiner multiplies alpha^-1 into rows that carry an alpha
+    inv = SparsePolynomial.monomial(1, alpha=-1, beta=2)
+    assert dict(inv.terms) == {(0, 0, -1, 2, 0, 0): 1}
+    assert inv * SparsePolynomial.variable("alpha") == SparsePolynomial.monomial(1, beta=2)
+    p = inv * (SparsePolynomial.variable("alpha") + SparsePolynomial.variable("gamma"))
+    assert dict(p.terms) == {(0, 0, 0, 2, 0, 0): 1, (0, 0, -1, 2, 1, 0): 1}
+    assert parsed_dump(p) == [((0, 0, -1, 2, 1, 0), 1), ((0, 0, 0, 2, 0, 0), 1)]
+    assert p.evaluate((0, 0, 1, 1, 5, 0), mod=7) == 6
+
+
+@pytest.mark.parametrize("exps", [
+    (0, 0, EXPONENT_LIMIT, 0, 0, 0), (-EXPONENT_LIMIT, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1 << 40),
+    (1, 2, 3), (0,) * (NVARS + 1)])
+def test_constructors_reject_exponents_outside_the_fields(exps):
+    with pytest.raises(ValueError):
+        SparsePolynomial({exps: 1})
+    if len(exps) == NVARS:
+        with pytest.raises(ValueError):
+            SparsePolynomial.monomial(1, **dict(zip(VARIABLES, exps)))
+
+
+def test_constructors_accept_exponents_just_inside_the_fields():
+    top = EXPONENT_LIMIT - 1
+    p = SparsePolynomial({(top, 0, -top, 0, 0, top): 2})
+    assert dict(p.terms) == {(top, 0, -top, 0, 0, top): 2}
+    assert dict((p * p).terms) == {(2 * top, 0, -2 * top, 0, 0, 2 * top): 4}
+
+
+def test_coefficients_in_one_variable():
+    x = SparsePolynomial.variable("x")
+    p = x * x * 3 - 2
+    assert p.coefficients("x", 4) == [-2, 0, 3, 0]
+    for bad in (p * x * x, p + SparsePolynomial.variable("y"),
+                p * SparsePolynomial.monomial(1, x=-1)):
+        with pytest.raises(ValueError):
+            bad.coefficients("x", 4)

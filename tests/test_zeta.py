@@ -7,8 +7,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (Digraph, GearSpec, dual_gear, fig2_control_pair,
-                            fig6_digraph_pair, gear_to_digraph)
+from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, GearSpec, GraphError, build_gear,
+                            digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
+                            gear_to_digraph, subdivide)
 from gearlab.linalg import unicyclic_det
 from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, _permutation_sign,
                           char_poly_symbolic, digraph_isomorphic, eval_det, factored_det,
@@ -401,6 +402,30 @@ def test_intertwiner_rejects_other_attachments(spec, match):
     # the closed form must not answer for a spec the rule does not cover
     for rule in (intertwiner, factored_det, intertwiner_det):
         with pytest.raises(ZetaError, match=match):
+            rule(spec)
+
+
+@pytest.mark.parametrize("length, ok", [(3.0, True), (2 + 5e-10, True), (2 + 2e-9, False),
+                                        (1e-10, False), (0.6, False), (2.5, False)])
+def test_one_positive_integer_length_rule(length, ok):
+    # is_integral, subdivide, the digraph export and the intertwiner rule agree
+    spec = GearSpec(3, (length, 1, 1))
+    assert spec.is_integral() == ok
+    for build, error in ((lambda s: subdivide(build_gear(s)), GraphError),
+                         (digraph_paths, GraphError), (intertwiner_det, ZetaError)):
+        if ok:
+            build(spec)
+        else:
+            with pytest.raises(error, match="positive integer"):
+                build(spec)
+
+
+@pytest.mark.parametrize("top", [MAX_SUBDIVISION_VERTICES // 2 - 1, 10 ** 11])
+def test_intertwiner_rules_share_the_digraph_size_bound(top):
+    # the closed form too, so no exponent of a det T can leave its packed field
+    spec = GearSpec(3, (top, 1, 1))
+    for rule in (intertwiner, factored_det, intertwiner_det):
+        with pytest.raises(GraphError, match="MAX_SUBDIVISION_VERTICES = 4096"):
             rule(spec)
 
 
