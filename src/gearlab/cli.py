@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import io as gio
@@ -54,16 +55,10 @@ def _weight(args):
     raise CliError(EXIT_VALIDATION, f"bad weight '{args.w}': w must be positive and finite")
 
 
-def _scan_params(args):
-    from .spectral import ScanParams
-    step = {} if args.grid_step is None else {"grid_step": args.grid_step}
-    return ScanParams(args.k_max, **step)
-
-
 def _gear_spec(args) -> GearSpec:
     lengths = _parse_lengths(args.lengths)
     attachments = None
-    if getattr(args, "attach", None):
+    if args.attach:
         attachments = tuple({"t": "tail", "h": "head"}.get(ch, ch) for ch in args.attach)
     return GearSpec(len(lengths), lengths, "dual" if args.dual else "primal", attachments)
 
@@ -75,12 +70,24 @@ def _read(read, path):
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
 
 
-def _read_graph(path):
-    g = _read(gio.read_graph, path)
-    problems = validate_graph(g)
-    if problems:
-        raise CliError(EXIT_VALIDATION, "; ".join(problems))
-    return g
+def _scan(args, *paths):
+    """The scanned spectra of the graph files ``paths`` under the scan
+    options of ``args``; a scan that fails exits 3."""
+    from .spectral import ScanParams, SpectralError, VertexConditions, scan_spectrum
+    graphs = []
+    for path in paths:
+        g = _read(gio.read_graph, path)
+        problems = validate_graph(g)
+        if problems:
+            raise CliError(EXIT_VALIDATION, "; ".join(problems))
+        graphs.append(g)
+    step = {} if args.grid_step is None else {"grid_step": args.grid_step}
+    params = ScanParams(args.k_max, **step)
+    cond = VertexConditions(args.w)
+    try:
+        return [scan_spectrum(g, cond, params) for g in graphs]
+    except SpectralError as exc:
+        raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
 
 
 def _emit(text, path):
@@ -104,49 +111,31 @@ def _emit_json(report, path):
 
 def cmd_build(args):
     if args.fig3:
+        if args.dual or args.attach or args.digraph:
+            raise CliError(EXIT_VALIDATION,
+                           "--fig3 builds a fixed pair: drop --dual, --attach and --digraph")
         left, right = build_fig3_pair(args.fig3, _parse_lengths(args.lengths))
         base = args.output or f"fig3{args.fig3}"
         _emit(gio.graph_to_text(left), f"{base}_left.graph")
         _emit(gio.graph_to_text(right), f"{base}_right.graph")
         return EXIT_OK
     spec = _gear_spec(args)
-    g = build_gear(spec)
-    problems = validate_graph(g)
-    if problems:
-        raise CliError(EXIT_VALIDATION, "; ".join(problems))
     if args.digraph:
         _emit(gio.digraph_to_text(gear_to_digraph(spec)), args.output)
     else:
-        _emit(gio.graph_to_text(g), args.output)
+        _emit(gio.graph_to_text(build_gear(spec)), args.output)
     return EXIT_OK
 
 
 def cmd_spectrum(args):
-    from .spectral import SpectralError, VertexConditions, scan_spectrum
-    g = _read_graph(args.graph)
-    params = _scan_params(args)
-    cond = VertexConditions(args.w)
-    try:
-        spectrum = scan_spectrum(g, cond, params)
-    except SpectralError as exc:
-        raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
+    spectrum, = _scan(args, args.graph)
     _emit(gio.spectrum_to_csv(spectrum), args.output)
     return EXIT_OK
 
 
 def cmd_compare(args):
-    from .spectral import SpectralError, VertexConditions, compare_spectra, scan_spectrum
-    g1 = _read_graph(args.graph1)
-    g2 = _read_graph(args.graph2)
-    params = _scan_params(args)
-    cond = VertexConditions(args.w)
-    try:
-        s1 = scan_spectrum(g1, cond, params)
-        s2 = scan_spectrum(g2, cond, params)
-    except SpectralError as exc:
-        raise CliError(EXIT_NONCONVERGENCE, str(exc)) from exc
-    report = compare_spectra(s1, s2)
-    report["pairs"] = [list(p) for p in report["pairs"]]
+    from .spectral import compare_spectra
+    report = compare_spectra(*_scan(args, args.graph1, args.graph2))
     _emit_json(report, args.output)
     return EXIT_OK if report["match"] else EXIT_VERIFICATION
 
@@ -221,17 +210,40 @@ def cmd_isomorphic(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_gear_args(p):
+def _gear_options(p):
     p.add_argument("--lengths", required=True, help="comma-separated side/tooth lengths")
     p.add_argument("--dual", action="store_true", help="build the dual variant")
     p.add_argument("--attach", default=None,
                    help="per-tooth attachment pattern, e.g. 'tht' (t=tail, h=head)")
 
 
-def _add_fixture_args(p):
+def _scan_options(p):
+    p.add_argument("--w", type=float, default=1.0)
+    p.add_argument("--k-max", type=float, required=True)
+    p.add_argument("--grid-step", type=float, default=None)
+
+
+def _walk_options(p):
+    p.add_argument("--w", default="1")
+    p.add_argument("--mode", choices=("rational", "float"), default="rational")
+
+
+def _pair_options(p):
+    p.add_argument("--g1")
+    p.add_argument("--g2")
     fixture = p.add_mutually_exclusive_group()
     fixture.add_argument("--fig6", action="store_true", help="use the reference pair")
     fixture.add_argument("--fig2", action="store_true", help="use the negative-control pair")
+
+
+@contextmanager
+def _command(sub, name, func, summary):
+    """The subparser of ``name``, running ``func``; -o/--output follows the
+    options added inside the ``with`` block."""
+    p = sub.add_parser(name, help=summary)
+    yield p
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=func)
 
 
 def build_parser():
@@ -239,67 +251,41 @@ def build_parser():
                                      description="gear graphs and their spectra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="write a gear/fixture graph file")
-    _add_gear_args(p)
-    p.add_argument("--fig3", choices=("a", "b"), default=None,
-                   help="emit a fixture pair instead of a gear")
-    p.add_argument("--digraph", action="store_true", help="emit the digraph export")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_build)
+    with _command(sub, "build", cmd_build, "write a gear/fixture graph file") as p:
+        _gear_options(p)
+        p.add_argument("--fig3", choices=("a", "b"), default=None,
+                       help="emit a fixture pair instead of a gear")
+        p.add_argument("--digraph", action="store_true", help="emit the digraph export")
 
-    p = sub.add_parser("spectrum", help="scan the spectrum of a graph file")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_spectrum)
+    with _command(sub, "spectrum", cmd_spectrum, "scan the spectrum of a graph file") as p:
+        p.add_argument("--graph", required=True)
+        _scan_options(p)
 
-    p = sub.add_parser("compare", help="compare the spectra of two graph files")
-    p.add_argument("--graph1", required=True)
-    p.add_argument("--graph2", required=True)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--k-max", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_compare)
+    with _command(sub, "compare", cmd_compare, "compare the spectra of two graph files") as p:
+        p.add_argument("--graph1", required=True)
+        p.add_argument("--graph2", required=True)
+        _scan_options(p)
 
-    p = sub.add_parser("markov", help="walk matrix spectrum and exact char poly")
-    _add_gear_args(p)
-    p.add_argument("--w", default="1")
-    p.add_argument("--mode", choices=("rational", "float"), default="rational")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_markov)
+    with _command(sub, "markov", cmd_markov, "walk matrix spectrum and exact char poly") as p:
+        _gear_options(p)
+        _walk_options(p)
 
-    p = sub.add_parser("conjugate", help="build and verify the walk conjugator")
-    _add_gear_args(p)
-    p.add_argument("--w", default="1")
-    p.add_argument("--mode", choices=("rational", "float"), default="rational")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_conjugate)
+    with _command(sub, "conjugate", cmd_conjugate, "build and verify the walk conjugator") as p:
+        _gear_options(p)
+        _walk_options(p)
 
-    p = sub.add_parser("zeta", help="polynomial identity test of two digraphs")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    _add_fixture_args(p)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_zeta)
+    with _command(sub, "zeta", cmd_zeta, "polynomial identity test of two digraphs") as p:
+        _pair_options(p)
+        p.add_argument("--trials", type=int, default=20)
+        p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("zeta-conjugator", help="exact checks of the 12x12 intertwiner")
-    p.add_argument("--dump-eta", default=None, metavar="BASE",
-                   help="also write the exact y=0 determinants as BASE_g.poly / BASE_gt.poly")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_zeta_conjugator)
+    with _command(sub, "zeta-conjugator", cmd_zeta_conjugator,
+                  "exact checks of the 12x12 intertwiner") as p:
+        p.add_argument("--dump-eta", default=None, metavar="BASE",
+                       help="also write the exact y=0 determinants as BASE_g.poly / BASE_gt.poly")
 
-    p = sub.add_parser("isomorphic", help="digraph isomorphism with witness")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    _add_fixture_args(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_isomorphic)
-
+    with _command(sub, "isomorphic", cmd_isomorphic, "digraph isomorphism with witness") as p:
+        _pair_options(p)
     return parser
 
 

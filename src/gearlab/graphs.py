@@ -16,6 +16,7 @@ at the head; mixed per-tooth patterns are supported through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 POLYGON = "polygon"
@@ -112,7 +113,10 @@ class MetricGraph:
     """Finite metric graph with oriented, weighted edges.
 
     Edge i is parameterized by x in [0, length]; x = 0 at the tail.
-    Parallel edges are allowed.  Immutable after construction.
+    Parallel edges are allowed; loop edges (tail == head) fail
+    `validate_graph` and the secular system, and a loop split by a
+    degree-2 vertex (`insert_degree_two_vertex`) has the same spectrum.
+    Immutable after construction.
     """
 
     vertex_count: int
@@ -143,11 +147,7 @@ class MetricGraph:
         return inc
 
     def degrees(self):
-        deg = [0] * self.vertex_count
-        for e in self.edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
-        return deg
+        return [len(inc) for inc in self.incidences()]
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,11 @@ def validate_graph(g: MetricGraph) -> list:
     if not g.edges:
         report.append("no edges")
     for e in g.edges:
-        if not (e.length > 0):
-            report.append(f"edge {e.id}: nonpositive length")
-        if not (e.weight > 0):
-            report.append(f"edge {e.id}: nonpositive weight")
+        if e.tail == e.head:
+            report.append(f"edge {e.id}: loop edges are not supported")
+        for name in ("length", "weight"):
+            if not (0 < getattr(e, name) < math.inf):
+                report.append(f"edge {e.id}: {name} must be positive and finite")
     pairs = [(e.tail, e.head) for e in g.edges]
     if connected_components(g.vertex_count, pairs) != 1:
         report.append("not connected")
@@ -253,13 +254,11 @@ def _validate_gear_structure(g: MetricGraph) -> list:
     if len(outs) != len(sides) or len(ins) != len(sides) or len(poly_vertices) != len(sides):
         report.append("polygon edges do not form one oriented cycle")
         return report
+    # the sides now permute the polygon vertices, so the walk returns to v0
     v0 = sides[0].tail
-    seen, v = 0, v0
-    while True:
-        v = outs[v].head
-        seen += 1
-        if v == v0 or seen > len(sides):
-            break
+    v, seen = outs[v0].head, 1
+    while v != v0:
+        v, seen = outs[v].head, seen + 1
     if seen != len(sides):
         report.append("polygon edges do not form one oriented cycle")
     deg = g.degrees()

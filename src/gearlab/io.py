@@ -1,16 +1,17 @@
 """Text formats for graphs, digraphs and spectra.
 
 Graph files are line records:  `graph <name>` / `vertices <N>` /
-`edge <id> <tail> <head> <length> <weight> <class>`; digraph files use
-`digraph <name>` / `vertices <N>` / `arc <tail> <head>`.  `#` starts a
-comment; numbers are decimal literals.
+`edge <id> <tail> <head> <length> <weight> <class>`, the class one of
+`polygon`, `tooth` and `plain`; digraph files use `digraph <name>` /
+`vertices <N>` / `arc <tail> <head>`.  `#` starts a comment; numbers are
+decimal literals.
 """
 
 from __future__ import annotations
 
 import math
 
-from .graphs import Digraph, Edge, GraphError, MetricGraph
+from .graphs import PLAIN, POLYGON, TOOTH, Digraph, Edge, GraphError, MetricGraph
 
 
 class FormatError(GraphError):
@@ -21,70 +22,56 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _records_to_text(header: str, g, records) -> str:
+    return "\n".join([f"{header} {g.name}", f"vertices {g.vertex_count}", *records]) + "\n"
+
+
 def graph_to_text(g: MetricGraph) -> str:
-    lines = [f"graph {g.name}", f"vertices {g.vertex_count}"]
-    for e in g.edges:
-        lines.append(f"edge {e.id} {e.tail} {e.head} {_fmt(e.length)} {_fmt(e.weight)} {e.cls}")
-    return "\n".join(lines) + "\n"
+    return _records_to_text("graph", g, (f"edge {e.id} {e.tail} {e.head} {_fmt(e.length)} "
+                                         f"{_fmt(e.weight)} {e.cls}" for e in g.edges))
 
 
 def digraph_to_text(g: Digraph) -> str:
-    lines = [f"digraph {g.name}", f"vertices {g.vertex_count}"]
-    for t, h in g.arcs:
-        lines.append(f"arc {t} {h}")
-    return "\n".join(lines) + "\n"
+    return _records_to_text("digraph", g, (f"arc {t} {h}" for t, h in g.arcs))
 
 
-def _records(text):
+def _edge_class(cls: str) -> str:
+    if cls not in (POLYGON, TOOTH, PLAIN):
+        raise FormatError(f"unknown edge class '{cls}'")
+    return cls
+
+
+def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
+    """(name, vertex count, records) of a file of `header <name>`,
+    `vertices <N>` and `record` lines; ``layout`` parses a record's fields."""
+    layouts = {header: (str,), "vertices": (int,), record: layout}
+    found = {kind: [] for kind in layouts}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        kind, fields = words[0], words[1:]
+        if kind not in layouts:
+            raise FormatError(f"line {lineno}: unknown record '{kind}'")
+        try:
+            found[kind].append(tuple(parse(fields[i]) for i, parse in enumerate(layouts[kind])))
+        except FormatError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"line {lineno}: malformed record") from exc
+    if not (found[header] and found["vertices"]):
+        raise FormatError(f"missing {header}/vertices header")
+    return found[header][-1][0], found["vertices"][-1][0], found[record]
 
 
 def graph_from_text(text: str) -> MetricGraph:
-    name = None
-    vertices = None
-    edges = []
-    for lineno, parts in _records(text):
-        kind = parts[0]
-        try:
-            if kind == "graph":
-                name = parts[1]
-            elif kind == "vertices":
-                vertices = int(parts[1])
-            elif kind == "edge":
-                eid, tail, head = int(parts[1]), int(parts[2]), int(parts[3])
-                length, weight = float(parts[4]), float(parts[5])
-                edges.append(Edge(eid, tail, head, length, weight, parts[6]))
-            else:
-                raise FormatError(f"line {lineno}: unknown record '{kind}'")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {lineno}: malformed record") from exc
-    if name is None or vertices is None:
-        raise FormatError("missing graph/vertices header")
-    return MetricGraph(vertices, tuple(edges), name)
+    name, vertices, edges = _read_records(text, "graph", "edge",
+                                          (int, int, int, float, float, _edge_class))
+    return MetricGraph(vertices, tuple(Edge(*edge) for edge in edges), name)
 
 
 def digraph_from_text(text: str) -> Digraph:
-    name = None
-    vertices = None
-    arcs = []
-    for lineno, parts in _records(text):
-        kind = parts[0]
-        try:
-            if kind == "digraph":
-                name = parts[1]
-            elif kind == "vertices":
-                vertices = int(parts[1])
-            elif kind == "arc":
-                arcs.append((int(parts[1]), int(parts[2])))
-            else:
-                raise FormatError(f"line {lineno}: unknown record '{kind}'")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {lineno}: malformed record") from exc
-    if name is None or vertices is None:
-        raise FormatError("missing digraph/vertices header")
+    name, vertices, arcs = _read_records(text, "digraph", "arc", (int, int))
     return Digraph(vertices, tuple(arcs), name)
 
 

@@ -145,28 +145,31 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 class _SecularSystem(NamedTuple):
-    """k-independent entry list of a secular system, in layers.
+    """k-independent entry list of a secular system.
 
     Entry i adds ``(coef[i] * (k if scaled[i] else 1)) * t`` to the cell
-    row * 2m + col of the flattened matrix, where t = 1, cos(k l_e) or
-    sin(k l_e) is column ``term[i]`` of the table [1, cos(k l), sin(k l)]
-    built per k.  coef is +-1 on continuity rows and +-(edge weight) on
-    Kirchhoff rows.  Layer j holds, in the order of the row loop, the
-    entries that have j earlier entries on their cell; the entries are
-    stored layer after layer, and ``cells[j]`` holds the flat cells of
-    layer j, which are distinct.  So a cell hit twice (a loop edge) is
-    summed in loop order.  Zero terms are left out.
+    ``cells[i]`` = row * 2m + col of the flattened matrix, where t = 1,
+    cos(k l_e) or sin(k l_e) is column ``term[i]`` of the table
+    [1, cos(k l), sin(k l)] built per k.  coef is +-1 on continuity rows
+    and +-(edge weight) on Kirchhoff rows.  The entries are stored in the
+    order of the row loop.  Without loop edges no two entries share a
+    cell, so one scatter assembles the matrix.  Zero terms are left out.
     """
 
     lengths: np.ndarray
+    cells: np.ndarray
     term: np.ndarray
     scaled: np.ndarray
     coef: np.ndarray
-    cells: tuple
 
 
 def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
-    """The entry list of g's secular system, by layer in the order of the row loop."""
+    """The entry list of g's secular system, in the order of the row loop."""
+    for e in g.edges:
+        if e.tail == e.head:
+            # at k l in 2 pi Z the row pairing the loop's ends vanishes, and
+            # row normalisation would hide that rank drop from the scan
+            raise SpectralError(f"edge {e.id}: loop edges are not supported")
     m = g.edge_count
     entries = []
     r = 0
@@ -194,19 +197,10 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
                 entries.append((r, 2 * e + 1, 1 + e, True, -wgt))
         r += 1
     assert r == 2 * m
-    layers = []
-    hits = {}
-    for row, col, *rest in entries:
-        cell = row * 2 * m + col
-        hits[cell] = hits.get(cell, -1) + 1
-        if hits[cell] == len(layers):
-            layers.append([])
-        layers[hits[cell]].append((cell, *rest))
-    cells, term, scaled, coef = zip(*(entry for layer in layers for entry in layer))
-    system = _SecularSystem(np.array([e.length for e in g.edges]), np.array(term),
-                            np.array(scaled), np.array(coef, dtype=float),
-                            tuple(np.array([cell for cell, *_ in layer]) for layer in layers))
-    for array in (*system[:-1], *system.cells):
+    rows, cols, term, scaled, coef = map(np.array, zip(*entries))
+    system = _SecularSystem(np.array([e.length for e in g.edges]), rows * 2 * m + cols,
+                            term, scaled, coef.astype(float))
+    for array in system:
         # the memo hands one system to every caller
         array.flags.writeable = False
     return system
@@ -265,28 +259,25 @@ def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np
     """
     lengths = system.lengths
     m, size = len(lengths), 2 * len(lengths)
-    # d^j/dk^j of the table [1, cos kl, sin kl], for j = 0 .. order
-    table = np.zeros((len(ks), order + 1, 1 + size))
-    table[:, 0, 0] = 1.0
-    kl = ks[:, None] * lengths
-    np.cos(kl, out=table[:, 0, 1:1 + m])
-    np.sin(kl, out=table[:, 0, 1 + m:])
-    for j in range(1, order + 1):
-        table[:, j, 1:1 + m] = -lengths * table[:, j - 1, 1 + m:]
-        table[:, j, 1 + m:] = lengths * table[:, j - 1, 1:1 + m]
-    trig = table[:, :, system.term]
-    stack = np.zeros((len(ks), order + 1, size * size))
     with np.errstate(over="ignore", invalid="ignore"):
+        # d^j/dk^j of the table [1, cos kl, sin kl], for j = 0 .. order
+        table = np.zeros((len(ks), order + 1, 1 + size))
+        table[:, 0, 0] = 1.0
+        kl = ks[:, None] * lengths
+        np.cos(kl, out=table[:, 0, 1:1 + m])
+        np.sin(kl, out=table[:, 0, 1 + m:])
+        for j in range(1, order + 1):
+            table[:, j, 1:1 + m] = -lengths * table[:, j - 1, 1 + m:]
+            table[:, j, 1 + m:] = lengths * table[:, j - 1, 1:1 + m]
+        trig = table[:, :, system.term]
         # an entry is coef * k^s * t with s = 0 or 1, so its j-th
         # derivative is coef * k^s * t^(j) + j * coef * s * t^(j-1)
         vals = (system.coef * np.where(system.scaled, ks[:, None], 1.0))[:, None] * trig
         if order:
             vals[:, 1:] += (np.arange(1, order + 1)[:, None] * (system.coef * system.scaled)
                             * trig[:, :-1])
-        start = 0
-        for cells in system.cells:
-            stack[:, :, cells] += vals[:, :, start:start + len(cells)]
-            start += len(cells)
+        stack = np.zeros((len(ks), order + 1, size * size))
+        stack[:, :, system.cells] += vals
         stack = stack.reshape(len(ks), order + 1, size, size)
         # squared row norms of every matrix of the stack
         sq = np.add.reduce(stack * stack, axis=3)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import warnings
 import pytest
 
 from gearlab import io as gio
-from gearlab.cli import main
+from gearlab.cli import build_parser, main
 from gearlab.graphs import Edge, MetricGraph
 
 
@@ -216,6 +217,49 @@ def test_grid_step_finds_the_thth_root(tmp_path):
     assert len(ks) == 37 and min(abs(k - 3.9324913) for k in ks) < 1e-6
 
 
+GEAR_OPTIONS = [(("--lengths",), "str", None, True, None),
+                (("--dual",), "flag", False, False, None),
+                (("--attach",), "str", None, False, None)]
+WALK_OPTIONS = [(("--w",), "str", "1", False, None),
+                (("--mode",), "str", "rational", False, ("rational", "float"))]
+SCAN_OPTIONS = [(("--w",), "float", 1.0, False, None),
+                (("--k-max",), "float", None, True, None),
+                (("--grid-step",), "float", None, False, None)]
+PAIR_OPTIONS = [(("--g1",), "str", None, False, None),
+                (("--g2",), "str", None, False, None),
+                (("--fig6",), "flag", False, False, None),
+                (("--fig2",), "flag", False, False, None)]
+OUTPUT = [(("-o", "--output"), "str", None, False, None)]
+CLI_SURFACE = {
+    "build": GEAR_OPTIONS + [(("--fig3",), "str", None, False, ("a", "b")),
+                             (("--digraph",), "flag", False, False, None)] + OUTPUT,
+    "spectrum": [(("--graph",), "str", None, True, None)] + SCAN_OPTIONS + OUTPUT,
+    "compare": [(("--graph1",), "str", None, True, None),
+                (("--graph2",), "str", None, True, None)] + SCAN_OPTIONS + OUTPUT,
+    "markov": GEAR_OPTIONS + WALK_OPTIONS + OUTPUT,
+    "conjugate": GEAR_OPTIONS + WALK_OPTIONS + OUTPUT,
+    "zeta": PAIR_OPTIONS + [(("--trials",), "int", 20, False, None),
+                            (("--seed",), "int", None, True, None)] + OUTPUT,
+    "zeta-conjugator": [(("--dump-eta",), "str", None, False, None)] + OUTPUT,
+    "isomorphic": PAIR_OPTIONS + OUTPUT,
+}
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand's options with their types, defaults, `required`
+    and choices, in declaration order."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, parser in sub.choices.items():
+        surface[name] = [
+            (tuple(a.option_strings),
+             "flag" if isinstance(a, argparse._StoreTrueAction) else (a.type or str).__name__,
+             a.default, a.required, a.choices)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert parser.get_default("func").__name__ == "cmd_" + name.replace("-", "_")
+    assert surface == CLI_SURFACE
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--graph", "g", "--k-max", "3", "--params", "grid_step=0.01"),
     ("compare", "--graph1", "g", "--graph2", "g", "--k-max", "3", "--tol", "1e-8"),
@@ -249,6 +293,67 @@ def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, cod
     assert caught == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare"])
+@pytest.mark.parametrize("record,code,message", [
+    ("edge 0 0 1 inf 1 plain", 2, "edge 0: length must be positive and finite"),
+    ("edge 0 0 1 nan 1 plain", 2, "edge 0: length must be positive and finite"),
+    ("edge 0 0 1 -inf 1 plain", 2, "edge 0: length must be positive and finite"),
+    ("edge 0 0 1 1 inf plain", 2, "edge 0: weight must be positive and finite"),
+    ("edge 0 0 1 1 nan plain", 2, "edge 0: weight must be positive and finite"),
+    # finite, but Newton's A'' overflows: l^2 = 1e600
+    ("edge 0 0 1 1e300 1 plain", 3, "secular matrix overflows at k="),
+], ids=["length-inf", "length-nan", "length-minus-inf", "weight-inf", "weight-nan",
+        "length-overflow"])
+def test_non_finite_graph_file_exit_codes(tmp_path, capsys, command, record, code, message):
+    g = tmp_path / "g.graph"
+    g.write_text(f"graph g\nvertices 2\n{record}\n")
+    graphs = (["--graph", str(g)] if command == "spectrum"
+              else ["--graph1", str(g), "--graph2", str(g)])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, *graphs, "--k-max", "3") == code
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith(f"gearlab: {message}"), err
+
+
+def test_loop_edges_are_a_validation_error(tmp_path, capsys):
+    # a loop listed first at its vertex used to lose its eigenvalues, so a
+    # reordered tadpole compared as not isospectral; loops now exit 2 and
+    # the tadpole with its loop split by a degree-2 vertex compares equal
+    tadpole = ["edge 0 0 0 1 1 plain", "edge 1 0 1 1 1 plain"]
+    split = ["edge 0 0 2 0.5 1 plain", "edge 1 0 1 1 1 plain", "edge 2 2 0 0.5 1 plain"]
+    files = {}
+    for name, vertices, records in (("a", 2, tadpole), ("b", 2, tadpole[::-1]),
+                                    ("split_a", 3, split), ("split_b", 3, split[::-1])):
+        files[name] = tmp_path / f"{name}.graph"
+        files[name].write_text("\n".join([f"graph {name}", f"vertices {vertices}", *records, ""]))
+    out = tmp_path / "out"
+    for argv in (("spectrum", "--graph", files["a"]), ("spectrum", "--graph", files["b"]),
+                 ("compare", "--graph1", files["a"], "--graph2", files["b"]),
+                 ("compare", "--graph1", files["b"], "--graph2", files["a"])):
+        capsys.readouterr()
+        assert run(*map(str, argv), "--k-max", "7", "-o", str(out)) == 2
+        assert capsys.readouterr() == ("", "gearlab: edge 0: loop edges are not supported\n")
+    assert not out.exists()
+    assert run("compare", "--graph1", str(files["split_a"]), "--graph2", str(files["split_b"]),
+               "--k-max", "7", "-o", str(out)) == 0
+
+
+@pytest.mark.parametrize("extra", [("--dual",), ("--digraph",), ("--attach", "tht"),
+                                   ("--digraph", "--dual", "--attach", "xyz")],
+                         ids=["dual", "digraph", "attach", "all"])
+def test_build_fig3_rejects_gear_flags(tmp_path, capsys, extra):
+    base = tmp_path / "pair"
+    capsys.readouterr()
+    assert run("build", "--fig3", "a", "--lengths", "1,2,3", *extra, "-o", str(base)) == 2
+    assert capsys.readouterr() == (
+        "", "gearlab: --fig3 builds a fixed pair: drop --dual, --attach and --digraph\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
@@ -297,25 +402,28 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
     (("spectrum", "--graph", "{tmp}/ok.graph", "--k-max", "inf"),
      "k_max must be positive and finite"),
     (("compare", "--graph1", "{tmp}/bad.graph", "--graph2", "{tmp}/ok.graph", "--k-max", "3"),
-     "line 2: malformed record"),
+     "line 2: unknown record 'foo'"),
+    (("spectrum", "--graph", "{tmp}/toth.graph", "--k-max", "3"),
+     "line 3: unknown edge class 'toth'"),
     (("build", "--digraph", "--lengths", "1e-10,1,1"),
      "digraph export needs positive integer lengths"),
     (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
     (("conjugate", "--lengths", "1e-10,1,1", "--mode", "float"),
      "edge 0: length 1e-10 is not a positive integer"),
     (("zeta", "--g1", "{tmp}/bad.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
-     "line 2: malformed record"),
+     "line 2: unknown record 'foo'"),
     (("zeta", "--g1", "{tmp}/loop.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
      "self-loops not supported"),
     (("isomorphic", "--g1", "{tmp}/par.digraph", "--g2", "{tmp}/par.digraph"),
      "parallel arcs not supported"),
-], ids=["gear-spec", "fig3", "scan-params", "read-graph", "digraph", "markov", "conjugate",
-        "read-digraph", "zeta", "isomorphic"])
+], ids=["gear-spec", "fig3", "scan-params", "read-graph", "edge-class", "digraph", "markov",
+        "conjugate", "read-digraph", "zeta", "isomorphic"])
 def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     """One validation failure per subcommand handler: exit 2 and exactly one
     `gearlab: <message>` line on stderr, nothing on stdout."""
     assert run("build", "--lengths", "1,2,3", "-o", str(tmp_path / "ok.graph")) == 0
     (tmp_path / "bad.graph").write_text("graph bad\nfoo 1\n")
+    (tmp_path / "toth.graph").write_text("graph toth\nvertices 2\nedge 0 0 1 1 1 toth\n")
     (tmp_path / "bad.digraph").write_text("digraph bad\nfoo 1\n")
     (tmp_path / "loop.digraph").write_text("digraph loop\nvertices 2\narc 0 0\narc 0 1\n")
     (tmp_path / "par.digraph").write_text("digraph par\nvertices 3\narc 0 1\narc 0 1\narc 1 2\n")

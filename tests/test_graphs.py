@@ -1,5 +1,7 @@
 """Gear construction, duals, subdivisions, fixtures, and file round-trips."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,10 +73,23 @@ def test_gear_degree_profile(n, data):
 
 def test_validate_reports_violations():
     g = MetricGraph(3, (Edge(0, 0, 1, 1.0), Edge(1, 1, 2, 0.0)))
-    assert any("nonpositive length" in v for v in validate_graph(g))
+    assert validate_graph(g) == ["edge 1: length must be positive and finite"]
     g2 = MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0)))
     assert "not connected" in validate_graph(g2)
     assert validate_graph(build_gear(GearSpec(3, (1, 1, 1)))) == []
+
+
+@pytest.mark.parametrize("edge, problem", [
+    (Edge(1, 1, 1, 1.0), "edge 1: loop edges are not supported"),
+    (Edge(1, 0, 1, math.inf), "edge 1: length must be positive and finite"),
+    (Edge(1, 0, 1, math.nan), "edge 1: length must be positive and finite"),
+    (Edge(1, 0, 1, 1.0, 0.0), "edge 1: weight must be positive and finite"),
+    (Edge(1, 0, 1, 1.0, math.inf), "edge 1: weight must be positive and finite"),
+    (Edge(1, 0, 1, 1.0, math.nan), "edge 1: weight must be positive and finite"),
+], ids=["loop", "length-inf", "length-nan", "weight-zero", "weight-inf", "weight-nan"])
+def test_validate_reports_each_bad_edge(edge, problem):
+    g = MetricGraph(2, (Edge(0, 0, 1, 1.0), edge))
+    assert validate_graph(g) == [problem]
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +263,22 @@ def test_graph_text_comments_and_errors():
         gio.graph_from_text("vertices 2\n")
     with pytest.raises(GraphError):
         gio.graph_from_text("graph x\nvertices 2\nedge 0 0\n")
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (gio.graph_from_text, "graph x\nvertices 2\nfoo 1\n", "line 3: unknown record 'foo'"),
+    (gio.graph_from_text, "graph x\narc 0 1\n", "line 2: unknown record 'arc'"),
+    (gio.graph_from_text, "graph x\nvertices two\n", "line 2: malformed record"),
+    (gio.graph_from_text, "graph x\nvertices 2\nedge 0 0 1 1 1\n", "line 3: malformed record"),
+    (gio.graph_from_text, "graph x\nvertices 2\nedge 0 0 1 1 1 toth\n",
+     "line 3: unknown edge class 'toth'"),
+    (gio.graph_from_text, "graph x\n", "missing graph/vertices header"),
+    (gio.digraph_from_text, "digraph x\nedge 0 0 1 1 1 plain\n",
+     "line 2: unknown record 'edge'"),
+    (gio.digraph_from_text, "digraph x\nvertices 2\narc 0\n", "line 3: malformed record"),
+    (gio.digraph_from_text, "vertices 2\n", "missing digraph/vertices header"),
+], ids=["graph-unknown", "graph-arc", "graph-vertices", "graph-edge", "edge-class",
+        "graph-header", "digraph-edge", "digraph-arc", "digraph-header"])
+def test_record_reader_errors(read, text, message):
+    with pytest.raises(gio.FormatError, match=f"^{message}$"):
+        read(text)

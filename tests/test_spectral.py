@@ -103,21 +103,36 @@ def loop_secular_matrix(g, cond, k, normalize=True):
     return rows / norms[:, None]
 
 
-LOOPY = MetricGraph(3, (Edge(0, 0, 0, 1.3), Edge(1, 0, 1, 0.7, 2.0), Edge(2, 1, 0, 1.1),
-                        Edge(3, 1, 2, 0.4), Edge(4, 2, 2, 2.1)), "loops and parallel edges")
+PARALLEL = MetricGraph(3, (Edge(0, 0, 1, 0.7, 2.0), Edge(1, 1, 0, 1.1), Edge(2, 1, 2, 0.4)),
+                       "parallel edges")
 
 
 @pytest.mark.parametrize("g", [
-    LOOPY,
+    PARALLEL,
     build_gear(GearSpec(3, (1, 2, 3), "dual")),
     build_gear(GearSpec(4, (1.4142, 1.7320508, 2.2360679, 1), "primal",
                         ("tail", "head", "tail", "head"))),
-], ids=["loops", "gear123-dual", "thth"])
+], ids=["parallel", "gear123-dual", "thth"])
 def test_secular_matrix_equals_loop_assembly(g):
     cond = VertexConditions(1.5)
     rng = np.random.default_rng(3)
     for k in rng.uniform(0.01, 40.0, size=50):
         assert secular_matrix(g, cond, k).tobytes() == loop_secular_matrix(g, cond, k).tobytes()
+
+
+def test_loop_edges_raise_spectral_error():
+    # the continuity row pairing a loop's ends vanishes at its roots and row
+    # normalisation hides that, so loops are rejected; split one instead
+    tadpole = MetricGraph(2, (Edge(0, 1, 0, 1.0), Edge(1, 0, 0, 1.0)), "tadpole")
+    with pytest.raises(SpectralError, match="^edge 1: loop edges are not supported$"):
+        secular_matrix(tadpole, KN, 1.0)
+    with pytest.raises(SpectralError, match="^edge 1: loop edges are not supported$"):
+        scan_spectrum(tadpole, KN, ScanParams(k_max=7.0))
+    # the split loop keeps both eigenfunctions at k = 2 pi: sin(kx) on the
+    # loop alone, and cos(k(x - 1/2)) on the loop with -cos(k(y - 1)) on the tail
+    split = insert_degree_two_vertex(tadpole, 1)
+    entries = scan_spectrum(split, KN, ScanParams(k_max=7.0)).entries
+    assert [m for lam, m in entries if abs(math.sqrt(lam) - 2 * math.pi) < 1e-9] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +431,7 @@ def test_memo_keeps_two_graphs_with_read_only_systems():
     secular_matrix(build_gear(specs[1]), KN, 1.0)
     assert list(spectral._MEMO) == [(build_gear(spec), KN) for spec in (specs[2], specs[1])]
     system = spectral._MEMO[(build_gear(specs[1]), KN)].system
-    assert system.cells
-    for array in (*system[:-1], *system.cells):
+    for array in system:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -454,7 +468,7 @@ def test_derivative_stack_matches_finite_differences():
     # divided by the row norms of A at k
     cond = VertexConditions(1.5)
     h = 1e-4
-    for g in (LOOPY, build_gear(GearSpec(3, (1, 2, 3), "dual"))):
+    for g in (PARALLEL, build_gear(GearSpec(3, (1, 2, 3), "dual"))):
         system = spectral._secular_system(g, cond)
         for k in (0.7, 3.1, 11.9):
             a, d1, d2 = spectral._secular_stack(system, np.array([k]), 2)[0]
