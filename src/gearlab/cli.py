@@ -20,8 +20,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import io as gio
-from .graphs import (GearSpec, GearlabError, build_fig3_pair, build_gear, fig2_control_pair,
-                     fig6_digraph_pair, gear_to_digraph, subdivide, validate_graph)
+from .graphs import (GearSpec, GearlabError, build_fig3_pair, build_gear, dual_gear,
+                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph, subdivide,
+                     validate_graph)
 from .zeta import digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
@@ -60,7 +61,8 @@ def _gear_spec(args) -> GearSpec:
     attachments = None
     if args.attach:
         attachments = tuple({"t": "tail", "h": "head"}.get(ch, ch) for ch in args.attach)
-    return GearSpec(len(lengths), lengths, "dual" if args.dual else "primal", attachments)
+    spec = GearSpec(len(lengths), lengths, "primal", attachments)
+    return dual_gear(spec) if args.dual else spec
 
 
 def _read(read, path):

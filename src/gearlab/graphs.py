@@ -89,6 +89,10 @@ def _unit_count(length) -> int | None:
     return r if r >= 1 and abs(length - r) <= 1e-9 else None
 
 
+# the primal gear of the fig6 pair
+FIG6 = GearSpec(3, (1, 2, 3))
+
+
 def dual_gear(spec: GearSpec) -> GearSpec:
     """Attach every tooth at the other endpoint of its side."""
     variant = "dual" if spec.variant == "primal" else "primal"
@@ -181,7 +185,7 @@ class Digraph:
         return frozenset(self.arcs)
 
 
-def build_gear(spec: GearSpec, name: str | None = None) -> MetricGraph:
+def build_gear(spec: GearSpec) -> MetricGraph:
     """Metric realization of a gear: 2n vertices, 2n edges.
 
     Polygon vertices are 0..n-1 (side i runs i -> i+1 mod n), leaves are
@@ -196,9 +200,7 @@ def build_gear(spec: GearSpec, name: str | None = None) -> MetricGraph:
         attach = i if end == "tail" else (i + 1) % n
         tail, head = (attach, leaf) if end == "tail" else (leaf, attach)
         edges.append(Edge(n + i, tail, head, float(spec.lengths[i]), 1.0, TOOTH))
-    if name is None:
-        name = f"gear_n{n}_{spec.variant}"
-    return MetricGraph(2 * n, tuple(edges), name)
+    return MetricGraph(2 * n, tuple(edges), f"gear_n{n}_{spec.variant}")
 
 
 def connected_components(vertex_count, pairs):
@@ -220,19 +222,29 @@ def connected_components(vertex_count, pairs):
 
 def validate_graph(g: MetricGraph) -> list:
     """Return the list of violated invariants (empty means valid)."""
+    return validate_metric(g) + _validate_gear_structure(g)
+
+
+def validate_metric(g: MetricGraph) -> list:
+    """The violated invariants of g as a metric graph, gear layout aside."""
     report = []
     if not g.edges:
         report.append("no edges")
+    seen = set()
     for e in g.edges:
         if e.tail == e.head:
+            # at k l in 2 pi Z the secular row pairing the loop's ends
+            # vanishes, and row normalisation would hide that rank drop
             report.append(f"edge {e.id}: loop edges are not supported")
         for name in ("length", "weight"):
             if not (0 < getattr(e, name) < math.inf):
                 report.append(f"edge {e.id}: {name} must be positive and finite")
+        if e.id in seen:
+            report.append(f"edge {e.id}: duplicate id")
+        seen.add(e.id)
     pairs = [(e.tail, e.head) for e in g.edges]
     if connected_components(g.vertex_count, pairs) != 1:
         report.append("not connected")
-    report.extend(_validate_gear_structure(g))
     return report
 
 
@@ -385,10 +397,9 @@ def gear_to_digraph(spec: GearSpec) -> Digraph:
     return Digraph(len(arcs), tuple(arcs), f"gear_n{spec.n}_{spec.variant}_fig6")
 
 
-def fig6_digraph_pair(lengths=(1, 2, 3)):
+def fig6_digraph_pair():
     """The reference zeta-equivalent digraph pair (catalog id fig6)."""
-    primal = GearSpec(3, lengths, "primal")
-    return gear_to_digraph(primal), gear_to_digraph(dual_gear(primal))
+    return gear_to_digraph(FIG6), gear_to_digraph(dual_gear(FIG6))
 
 
 def fig2_control_pair(lengths=(1, 2, 3)):

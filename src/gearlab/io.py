@@ -43,7 +43,8 @@ def _edge_class(cls: str) -> str:
 
 def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
     """(name, vertex count, records) of a file of `header <name>`,
-    `vertices <N>` and `record` lines; ``layout`` parses a record's fields."""
+    `vertices <N>` and `record` lines; ``layout`` parses a record's fields,
+    and every line has exactly the fields of its layout."""
     layouts = {header: (str,), "vertices": (int,), record: layout}
     found = {kind: [] for kind in layouts}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -53,11 +54,13 @@ def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
         kind, fields = words[0], words[1:]
         if kind not in layouts:
             raise FormatError(f"line {lineno}: unknown record '{kind}'")
+        if len(fields) != len(layouts[kind]):
+            raise FormatError(f"line {lineno}: malformed record")
         try:
-            found[kind].append(tuple(parse(fields[i]) for i, parse in enumerate(layouts[kind])))
+            found[kind].append(tuple(parse(x) for parse, x in zip(layouts[kind], fields)))
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"line {lineno}: malformed record") from exc
     if not (found[header] and found["vertices"]):
         raise FormatError(f"missing {header}/vertices header")

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GearlabError, MetricGraph, TOOTH, validate_graph
+from .graphs import GearlabError, MetricGraph, TOOTH, validate_metric
 
 # float64 entries per batched stack of secular matrices (256 KiB), or one
 # matrix with its derivatives where that is more: sets the k-points per
@@ -105,24 +105,28 @@ class ScanParams:
             raise SpectralError(f"k_max / grid_step must be at most {MAX_GRID_POINTS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenfunction:
-    """Per-edge coefficient pairs at wavenumber k.
+    """Edge e carries a_e cos(kx) + b_e sin(kx), at wavenumber 0 < k < inf.
 
-    For k > 0 edge e carries a_e cos(kx) + b_e sin(kx); at k = 0 the pair
-    means a_e + b_e x.
+    ``coeffs`` becomes a read-only float array of shape (edge_count, 2)
+    whose row e is (a_e, b_e); any array-like of 2 * edge_count numbers
+    in that order is accepted.
     """
 
     graph: MetricGraph
     k: float
-    coeffs: tuple  # ((a_e, b_e), ...) aligned with graph.edges
+    coeffs: np.ndarray
 
-    @property
-    def lam(self):
-        return self.k * self.k
+    def __post_init__(self):
+        if not (0 < self.k < math.inf):
+            raise SpectralError("eigenfunctions need 0 < k < inf")
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs.reshape(self.graph.edge_count, 2))
 
     def flat(self):
-        return np.array(self.coeffs, dtype=float).reshape(-1)
+        return self.coeffs.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -164,12 +168,14 @@ class _SecularSystem(NamedTuple):
 
 
 def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
-    """The entry list of g's secular system, in the order of the row loop."""
-    for e in g.edges:
-        if e.tail == e.head:
-            # at k l in 2 pi Z the row pairing the loop's ends vanishes, and
-            # row normalisation would hide that rank drop from the scan
-            raise SpectralError(f"edge {e.id}: loop edges are not supported")
+    """The entry list of g's secular system, in the order of the row loop.
+
+    Raises SpectralError when g fails `validate_metric`; the gear layout
+    is not required.
+    """
+    problems = validate_metric(g)
+    if problems:
+        raise SpectralError("; ".join(problems))
     m = g.edge_count
     entries = []
     r = 0
@@ -178,9 +184,7 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
         # (column offset, term) of f_e at its tail (1, 0) or head (cos, sin)
         return ((0, 0),) if end == 0 else ((0, 1 + e), (1, 1 + m + e))
 
-    for v, incs in enumerate(g.incidences()):
-        if not incs:
-            raise SpectralError(f"vertex {v} is isolated")
+    for incs in g.incidences():
         e0, end0 = incs[0]
         for e, end in incs[1:]:
             entries += [(r, 2 * e0 + off, t, False, 1.0) for off, t in value_terms(e0, end0)]
@@ -332,15 +336,7 @@ def eigenfunction_basis(g, cond, k):
     if s[-1] >= RANK_TOL * smax:
         raise NotAnEigenvalue(f"k={k} is not an eigenwavenumber (sigma_min={s[-1]:.3e})")
     mult = int((s < MULT_TOL * smax).sum())
-    basis = []
-    for row in vh[len(s) - mult:]:
-        coeffs = tuple((row[2 * e], row[2 * e + 1]) for e in range(g.edge_count))
-        basis.append(Eigenfunction(g, k, coeffs))
-    return basis
-
-
-def constant_eigenfunction(g: MetricGraph) -> Eigenfunction:
-    return Eigenfunction(g, 0.0, tuple((1.0, 0.0) for _ in g.edges))
+    return [Eigenfunction(g, k, row) for row in vh[len(s) - mult:]]
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +440,6 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     Deterministic, and independent of the block lengths and of earlier
     scans.
     """
-    bad = validate_graph(g)
-    if any(v == "not connected" for v in bad):
-        raise SpectralError("graph must be connected")
     entry = _memo_entry(g, cond)
     step = params.grid_step
     grid = np.arange(step, params.k_max + 2.5 * step, step)
@@ -485,9 +478,7 @@ def evaluate(f: Eigenfunction, edge_index: int, x: float) -> float:
     e = f.graph.edges[edge_index]
     if not (-1e-12 <= x <= e.length + 1e-12):
         raise SpectralError(f"x={x} outside [0, {e.length}]")
-    a, b = f.coeffs[edge_index]
-    if f.k == 0.0:
-        return a + b * x
+    a, b = f.coeffs[edge_index].tolist()
     return a * math.cos(f.k * x) + b * math.sin(f.k * x)
 
 
@@ -495,55 +486,31 @@ def evaluate_derivative(f: Eigenfunction, edge_index: int, x: float) -> float:
     e = f.graph.edges[edge_index]
     if not (-1e-12 <= x <= e.length + 1e-12):
         raise SpectralError(f"x={x} outside [0, {e.length}]")
-    a, b = f.coeffs[edge_index]
-    if f.k == 0.0:
-        return b
+    a, b = f.coeffs[edge_index].tolist()
     return -a * f.k * math.sin(f.k * x) + b * f.k * math.cos(f.k * x)
 
 
-def _pair_integral(k1, a1, b1, k2, a2, b2, l):
-    """Closed form of int_0^l f g dx for trig/linear edge restrictions."""
-    if k1 == 0.0 and k2 == 0.0:
-        return (a1 * a2 * l + (a1 * b2 + a2 * b1) * l * l / 2.0
-                + b1 * b2 * l ** 3 / 3.0)
-    if k1 == 0.0 or k2 == 0.0:
-        if k1 == 0.0:
-            ac, bl, k, a, b = a1, b1, k2, a2, b2
-        else:
-            ac, bl, k, a, b = a2, b2, k1, a1, b1
-        ckl, skl = math.cos(k * l), math.sin(k * l)
-        i_cos = skl / k
-        i_sin = (1.0 - ckl) / k
-        i_xcos = (ckl - 1.0) / (k * k) + l * skl / k
-        i_xsin = skl / (k * k) - l * ckl / k
-        return ac * (a * i_cos + b * i_sin) + bl * (a * i_xcos + b * i_xsin)
-    if abs(k1 - k2) <= 1e-12 * max(k1, k2):
-        k = 0.5 * (k1 + k2)
-        s2, c2 = math.sin(2 * k * l), math.cos(2 * k * l)
-        i_cc = l / 2.0 + s2 / (4.0 * k)
-        i_ss = l / 2.0 - s2 / (4.0 * k)
-        i_sc = (1.0 - c2) / (4.0 * k)
-        return (a1 * a2 * i_cc + b1 * b2 * i_ss + (a1 * b2 + b1 * a2) * i_sc)
-    dm, dp = k1 - k2, k1 + k2
-    sm, sp = math.sin(dm * l), math.sin(dp * l)
-    cm, cp = math.cos(dm * l), math.cos(dp * l)
-    i_cc = sm / (2 * dm) + sp / (2 * dp)
-    i_ss = sm / (2 * dm) - sp / (2 * dp)
-    i_sc = (1 - cp) / (2 * dp) + (1 - cm) / (2 * dm)   # sin(k1 x) cos(k2 x)
-    i_cs = (1 - cp) / (2 * dp) - (1 - cm) / (2 * dm)   # cos(k1 x) sin(k2 x)
-    return (a1 * a2 * i_cc + a1 * b2 * i_cs + b1 * a2 * i_sc + b1 * b2 * i_ss)
-
-
 def weighted_inner(f: Eigenfunction, h: Eigenfunction, cond: VertexConditions) -> float:
-    """<f, h>_w by closed-form edgewise trig integrals (no quadrature)."""
+    """<f, h>_w = sum_e w_e int_0^l_e f_e h_e dx, in closed form.
+
+    With z = a + ib (a coefficient row viewed as one complex number),
+    a cos kx + b sin kx = Re(z e^{-ikx}), so
+    f h = Re(z1 z2 e^{-i(k1+k2)x} + z1 conj(z2) e^{-i(k1-k2)x}) / 2, and
+    int_0^l e^{-iqx} dx is (1 - e^{-iql}) / (iq), or l where k1 = k2.
+    """
     if f.graph is not h.graph and f.graph.edges != h.graph.edges:
         raise SpectralError("eigenfunctions live on different graphs")
-    total = 0.0
-    for i, e in enumerate(f.graph.edges):
-        a1, b1 = f.coeffs[i]
-        a2, b2 = h.coeffs[i]
-        total += cond.edge_weight(e) * _pair_integral(f.k, a1, b1, h.k, a2, b2, e.length)
-    return total
+    l = np.array([e.length for e in f.graph.edges])
+    wgt = np.array([cond.edge_weight(e) for e in f.graph.edges])
+    z1, z2 = f.coeffs.view(complex)[:, 0], h.coeffs.view(complex)[:, 0]
+
+    def integral(q):
+        return (1 - np.exp(-1j * q * l)) / (1j * q)
+
+    same = abs(f.k - h.k) <= 1e-12 * max(f.k, h.k)
+    total = (z1 * z2 * integral(f.k + h.k)
+             + z1 * z2.conj() * (l if same else integral(f.k - h.k)))
+    return float(0.5 * (wgt @ total.real))
 
 
 def weighted_norm_sq(f: Eigenfunction, cond: VertexConditions) -> float:
@@ -556,8 +523,6 @@ def vertex_residual(f: Eigenfunction, cond: VertexConditions) -> float:
     Infinity norm of the row-normalized secular system applied to the
     unit-normalized coefficient vector.
     """
-    if f.k <= 0:
-        raise SpectralError("vertex residual defined for k > 0")
     x = f.flat()
     nrm = np.linalg.norm(x)
     if nrm == 0:

@@ -10,16 +10,19 @@ on every index i; the construction fixes this rule, so nothing is
 searched.  The result is checked once against the dual graph's vertex
 conditions and a violation raises.  A caller may prescribe the swapped
 form (the two target edges exchanged) per index through an explicit bit
-pattern.  Constants (lam = 0) are annihilated and therefore rejected.
+pattern.  Constants (lam = 0) are annihilated, and `Eigenfunction` holds
+k > 0 only.  On the (edge_count, 2) coefficient arrays the derivative of
+a row (a, b) is (k b, -k a), so the rule is one array map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import GearlabError, MetricGraph, POLYGON, TOOTH
-from .spectral import (Eigenfunction, VertexConditions, evaluate,
-                       vertex_residual, weighted_norm_sq)
+from .spectral import Eigenfunction, VertexConditions, vertex_residual, weighted_norm_sq
 
 
 class TransplantError(GearlabError):
@@ -54,26 +57,32 @@ def gear_edge_split(g: MetricGraph) -> int:
     return n
 
 
-def _derivative_coeffs(f: Eigenfunction, edge_index: int):
-    a, b = f.coeffs[edge_index]
-    k = f.k
-    return (k * b, -k * a)
+def _rule(k, coeffs, w):
+    """side~ = p' + w t', tooth~ = p' - t' on the rows of ``coeffs``
+    (sides, then teeth) at wavenumber k."""
+    n = len(coeffs) // 2
+    d = coeffs[:, ::-1] * (k, -k)
+    return np.concatenate([d[:n] + w * d[n:], d[:n] - d[n:]])
 
 
-def _assemble(f: Eigenfunction, target: MetricGraph, w: float, bits) -> Eigenfunction:
-    n = gear_edge_split(f.graph)
-    side = [None] * n
-    tooth = [None] * n
-    for i in range(n):
-        dpa, dpb = _derivative_coeffs(f, i)
-        dta, dtb = _derivative_coeffs(f, n + i)
-        plus = (dpa + w * dta, dpb + w * dtb)
-        minus = (dpa - dta, dpb - dtb)
-        if bits[i] == 0:
-            side[i], tooth[i] = plus, minus
-        else:
-            side[i], tooth[i] = minus, plus
-    return Eigenfunction(target, f.k, tuple(side + tooth))
+def _bits(source: MetricGraph, target: MetricGraph, assignment) -> tuple:
+    """The bit pattern between two n-gears: ``assignment``, or the
+    standard form (0,) * n."""
+    n = gear_edge_split(source)
+    if gear_edge_split(target) != n:
+        raise TransplantError("source and target gears differ in size")
+    bits = (0,) * n if assignment is None else tuple(assignment)
+    if len(bits) != n:
+        raise TransplantError(f"assignment needs {n} bits, got {len(bits)}")
+    return bits
+
+
+def _swap(coeffs, bits):
+    """``coeffs`` with rows i and n + i exchanged where bits[i] is set."""
+    n = len(bits)
+    s = np.array(bits, dtype=bool)[:, None]
+    return np.concatenate([np.where(s, coeffs[n:], coeffs[:n]),
+                           np.where(s, coeffs[:n], coeffs[n:])])
 
 
 def transplant(f: Eigenfunction, target: MetricGraph, w: float, assignment=None):
@@ -83,12 +92,8 @@ def transplant(f: Eigenfunction, target: MetricGraph, w: float, assignment=None)
     ``assignment`` when given, else the standard form (0,) * n; a vertex
     residual of 1e-8 or more on ``target`` raises TransplantError.
     """
-    if f.k <= 0:
-        raise TransplantError("transplantation annihilates the lam = 0 space")
-    n = gear_edge_split(f.graph)
-    gear_edge_split(target)
-    bits = tuple(assignment) if assignment is not None else (0,) * n
-    ft = _assemble(f, target, w, bits)
+    bits = _bits(f.graph, target, assignment)
+    ft = Eigenfunction(target, f.k, _swap(_rule(f.k, f.coeffs, w), bits))
     res = vertex_residual(ft, VertexConditions(w))
     if res >= 1e-8:
         raise TransplantError(
@@ -105,42 +110,9 @@ def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
     B^2 = (1+w) I and f'' = -lam f, undoing the swaps and applying the
     standard rule to ft gives the source function times -lam (1+w).
     """
-    if ft.k <= 0:
-        raise TransplantError("inverse transplantation needs lam > 0")
-    n = gear_edge_split(ft.graph)
-    gear_edge_split(target)
-    bits = tuple(assignment) if assignment is not None else (0,) * n
-    coeffs = list(ft.coeffs)
-    for i in range(n):
-        if bits[i]:
-            coeffs[i], coeffs[n + i] = coeffs[n + i], coeffs[i]
-    back = _assemble(Eigenfunction(ft.graph, ft.k, tuple(coeffs)), target, w, (0,) * n)
+    bits = _bits(ft.graph, target, assignment)
     scale = -1.0 / (ft.k * ft.k * (1.0 + w))
-    return Eigenfunction(target, ft.k, tuple((scale * a, scale * b) for a, b in back.coeffs))
-
-
-def check_eigen_equation(f: Eigenfunction, ft: Eigenfunction, w: float,
-                         assignment=None, samples: int = 7) -> float:
-    """Residual of ft'' + lam ft on a sample grid.
-
-    The second derivative is formed independently by transplanting the
-    second derivative of the source f, so a corrupted ft shows up as a
-    nonzero residual even though any single trig pair solves its own ODE.
-    """
-    n = gear_edge_split(f.graph)
-    bits = tuple(assignment) if assignment is not None else (0,) * n
-    lam = f.k * f.k
-    # transplant of f'' = -lam f equals (ft)''
-    f2 = Eigenfunction(f.graph, f.k,
-                       tuple((-lam * a, -lam * b) for a, b in f.coeffs))
-    ft2 = _assemble(f2, ft.graph, w, bits)
-    worst = 0.0
-    for e in range(ft.graph.edge_count):
-        l = ft.graph.edges[e].length
-        for j in range(samples):
-            x = l * j / (samples - 1)
-            worst = max(worst, abs(evaluate(ft2, e, x) + lam * evaluate(ft, e, x)))
-    return worst
+    return Eigenfunction(target, ft.k, scale * _rule(ft.k, _swap(ft.coeffs, bits), w))
 
 
 def check_isometry(f: Eigenfunction, ft: Eigenfunction, w: float):

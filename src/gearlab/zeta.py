@@ -31,8 +31,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import (Digraph, GearSpec, GearlabError, digraph_lengths, digraph_paths,
-                     dual_gear, gear_to_digraph)
+from .graphs import (FIG6, Digraph, GearSpec, GearlabError, digraph_lengths, digraph_paths,
+                     dual_gear, fig6_digraph_pair, gear_to_digraph)
 from .linalg import row_times, unicyclic_det
 from .polynomials import SparsePolynomial
 
@@ -41,8 +41,6 @@ ISOMORPHISM_MAX_N = 16
 # (x, y, alpha, beta, gamma, delta) with y != 0: where verify_intertwiner
 # compares the six-variable determinants of the fig6 pair
 FULL_DET_POINT = (1, 1, 1, 1, 1, 1)
-# the primal gear of the fig6 pair
-FIG6 = GearSpec(3, (1, 2, 3))
 
 
 class ZetaError(GearlabError):
@@ -351,7 +349,7 @@ def verify_intertwiner() -> dict:
     True would only mean agreement at that point.  `etas` holds the two
     y = 0 determinants (primal, dual) that `eta_equal` compares.
     """
-    pg, pgt = pencil(gear_to_digraph(FIG6)), pencil(gear_to_digraph(dual_gear(FIG6)))
+    pg, pgt = map(pencil, fig6_digraph_pair())
     t = intertwiner(FIG6)
     intertwines_y0 = intertwines(pg, pgt, t)
     # J T = T J iff every row sum of T equals every column sum

@@ -5,15 +5,19 @@ Running its in-process workloads here, on the warm-up input and the first
 two inputs of round 0 of seed 1 (every input for zeta-digraphs, whose
 seeded 14-42 vertex gear pairs come after the fixtures), makes a change
 that breaks one of those calls fail the test suite instead of a
-benchmark run.
+benchmark run.  The cli workload runs every command of round 0 of seed 1
+as a subprocess, so a change to argument or file parsing that breaks it
+fails here too.
 """
 
 import importlib.util
+import os
 import pathlib
 
 import pytest
 
-WORKLOADS_PY = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+ROOT = pathlib.Path(__file__).parents[1]
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
 # inputs of round 0 to run, None for all of them
 ROUND_INPUTS = {"quantum-pairs": 2, "walk-exact": 2, "zeta-digraphs": None}
@@ -38,6 +42,15 @@ def test_benchmark_verdicts_pass(workloads, name):
     inputs = [workloads.warmup_input(name), *workload.make_round(1, 0, ctx)[:ROUND_INPUTS[name]]]
     for inp in inputs:
         assert workload.run(inp, ctx) == [], workload.describe(inp)
+
+
+def test_cli_workload_round_passes(workloads, tmp_path):
+    workload = workloads.WORKLOADS["cli"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    ctx = {"tmp": tmp_path, "env": env, "reference": {}}
+    for inp in workload.make_round(1, 0, ctx):
+        assert workload.check(inp, ctx, workload.run(inp, ctx)) == [], workload.describe(inp)
 
 
 def test_tracer_counts_polynomial_products():

@@ -13,7 +13,7 @@ import pytest
 
 from gearlab import io as gio
 from gearlab.cli import build_parser, main
-from gearlab.graphs import Edge, MetricGraph
+from gearlab.graphs import Edge, MetricGraph, fig2_control_pair
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -405,6 +405,7 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
      "line 2: unknown record 'foo'"),
     (("spectrum", "--graph", "{tmp}/toth.graph", "--k-max", "3"),
      "line 3: unknown edge class 'toth'"),
+    (("spectrum", "--graph", "{tmp}/dup.graph", "--k-max", "3"), "edge 0: duplicate id"),
     (("build", "--digraph", "--lengths", "1e-10,1,1"),
      "digraph export needs positive integer lengths"),
     (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
@@ -416,14 +417,16 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
      "self-loops not supported"),
     (("isomorphic", "--g1", "{tmp}/par.digraph", "--g2", "{tmp}/par.digraph"),
      "parallel arcs not supported"),
-], ids=["gear-spec", "fig3", "scan-params", "read-graph", "edge-class", "digraph", "markov",
-        "conjugate", "read-digraph", "zeta", "isomorphic"])
+], ids=["gear-spec", "fig3", "scan-params", "read-graph", "edge-class", "duplicate-id",
+        "digraph", "markov", "conjugate", "read-digraph", "zeta", "isomorphic"])
 def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     """One validation failure per subcommand handler: exit 2 and exactly one
     `gearlab: <message>` line on stderr, nothing on stdout."""
     assert run("build", "--lengths", "1,2,3", "-o", str(tmp_path / "ok.graph")) == 0
     (tmp_path / "bad.graph").write_text("graph bad\nfoo 1\n")
     (tmp_path / "toth.graph").write_text("graph toth\nvertices 2\nedge 0 0 1 1 1 toth\n")
+    (tmp_path / "dup.graph").write_text(
+        "graph dup\nvertices 3\nedge 0 0 1 1 1 plain\nedge 0 1 2 1 1 plain\n")
     (tmp_path / "bad.digraph").write_text("digraph bad\nfoo 1\n")
     (tmp_path / "loop.digraph").write_text("digraph loop\nvertices 2\narc 0 0\narc 0 1\n")
     (tmp_path / "par.digraph").write_text("digraph par\nvertices 3\narc 0 1\narc 0 1\narc 1 2\n")
@@ -545,6 +548,18 @@ def test_isomorphic_fixtures(tmp_path):
     out = tmp_path / "iso.json"
     assert run("isomorphic", "--fig6", "-o", str(out)) == 0
     assert json.loads(out.read_text())["isomorphic"] is False
+
+
+def test_dual_with_attach_builds_the_dual_pattern(tmp_path):
+    # tht with --dual is hth: the fig2 control pair, which zeta distinguishes
+    a, b = tmp_path / "a.digraph", tmp_path / "b.digraph"
+    gear = ("--lengths", "1,2,3", "--attach", "tht", "--digraph")
+    assert run("build", *gear, "-o", str(a)) == 0
+    assert run("build", *gear, "--dual", "-o", str(b)) == 0
+    assert b.read_text() == gio.digraph_to_text(fig2_control_pair()[1])
+    out = tmp_path / "zeta.json"
+    assert run("zeta", "--g1", str(a), "--g2", str(b), "--seed", "11", "-o", str(out)) == 0
+    assert json.loads(out.read_text())["verdict"] == "distinguished"
 
 
 def test_zeta_fig2_distinguished(tmp_path):

@@ -86,7 +86,9 @@ def test_validate_reports_violations():
     (Edge(1, 0, 1, 1.0, 0.0), "edge 1: weight must be positive and finite"),
     (Edge(1, 0, 1, 1.0, math.inf), "edge 1: weight must be positive and finite"),
     (Edge(1, 0, 1, 1.0, math.nan), "edge 1: weight must be positive and finite"),
-], ids=["loop", "length-inf", "length-nan", "weight-zero", "weight-inf", "weight-nan"])
+    (Edge(0, 1, 0, 1.0), "edge 0: duplicate id"),
+], ids=["loop", "length-inf", "length-nan", "weight-zero", "weight-inf", "weight-nan",
+        "duplicate-id"])
 def test_validate_reports_each_bad_edge(edge, problem):
     g = MetricGraph(2, (Edge(0, 0, 1, 1.0), edge))
     assert validate_graph(g) == [problem]
@@ -277,8 +279,15 @@ def test_graph_text_comments_and_errors():
      "line 2: unknown record 'edge'"),
     (gio.digraph_from_text, "digraph x\nvertices 2\narc 0\n", "line 3: malformed record"),
     (gio.digraph_from_text, "vertices 2\n", "missing digraph/vertices header"),
+    # a field past the layout is an error, not ignored: a shifted column
+    # would otherwise drop the tooth class without a word
+    (gio.graph_from_text, "graph x\nvertices 2\nedge 0 0 1 1 1 plain tooth\n",
+     "line 3: malformed record"),
+    (gio.graph_from_text, "graph my x\nvertices 2\n", "line 1: malformed record"),
+    (gio.digraph_from_text, "digraph x\nvertices 2\narc 0 1 2\n", "line 3: malformed record"),
 ], ids=["graph-unknown", "graph-arc", "graph-vertices", "graph-edge", "edge-class",
-        "graph-header", "digraph-edge", "digraph-arc", "digraph-header"])
+        "graph-header", "digraph-edge", "digraph-arc", "digraph-header", "graph-edge-extra",
+        "graph-header-extra", "digraph-arc-extra"])
 def test_record_reader_errors(read, text, message):
     with pytest.raises(gio.FormatError, match=f"^{message}$"):
         read(text)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import Edge, GearSpec, MetricGraph, build_gear, insert_degree_two_vertex
+from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear,
+                            insert_degree_two_vertex)
 from gearlab.markov import crosscheck_quantum
 from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
-                              VertexConditions, compare_spectra, constant_eigenfunction,
+                              VertexConditions, compare_spectra,
                               eigenfunction_basis, evaluate, evaluate_derivative,
                               rank_indicator, scan_spectrum, secular_matrix,
                               vertex_residual, weighted_inner, weighted_norm_sq)
@@ -569,6 +570,20 @@ def test_eight_tooth_gear_scan_matches_walk_prediction():
     assert cold["agree"]
 
 
+@pytest.mark.parametrize("edge, problem", [
+    (Edge(1, 1, 0, -1.0), "edge 1: length must be positive and finite"),
+    (Edge(1, 1, 0, 1.0, 0.0), "edge 1: weight must be positive and finite"),
+    (Edge(1, 1, 0, math.nan), "edge 1: length must be positive and finite"),
+    (Edge(0, 1, 0, 1.0), "edge 0: duplicate id"),
+], ids=["length-negative", "weight-zero", "length-nan", "duplicate-id"])
+def test_scan_rejects_invalid_metric_graphs(edge, problem):
+    g = MetricGraph(2, (Edge(0, 0, 1, 1.0), edge))
+    with pytest.raises(SpectralError, match=f"^{problem}$"):
+        scan_spectrum(g, KN, ScanParams(k_max=3.0))
+    with pytest.raises(SpectralError, match=f"^{problem}$"):
+        secular_matrix(g, KN, 1.0)
+
+
 def test_scan_rejects_disconnected():
     g = MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0)))
     with pytest.raises(SpectralError):
@@ -609,22 +624,15 @@ def test_evaluate_and_derivative():
         evaluate(cos_f, 0, 2.0)
 
 
-def test_weighted_norms_of_constants():
-    g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
-    one = constant_eigenfunction(g)
-    assert abs(weighted_norm_sq(one, VertexConditions(1.0)) - 12.0) < 1e-12
-    assert abs(weighted_norm_sq(one, VertexConditions(2.0)) - 18.0) < 1e-12
-
-
 def test_cosine_norm_on_unit_interval():
     f = Eigenfunction(interval(), math.pi, ((1.0, 0.0),))
     assert abs(weighted_norm_sq(f, KN) - 0.5) < 1e-12
 
 
 def test_pair_integral_against_quadrature():
-    # independent oracle: composite Simpson on random coefficient pairs
+    # independent oracle of weighted_inner: composite Simpson on random
+    # coefficient pairs over one tooth edge, weighted by its weight and w
     import random
-    from gearlab.spectral import _pair_integral
 
     def simpson(fun, l, n=4000):
         xs = [l * i / n for i in range(n + 1)]
@@ -632,19 +640,14 @@ def test_pair_integral_against_quadrature():
         return sum(w * fun(x) for w, x in zip(ws, xs)) * l / (3 * n)
 
     rng = random.Random(13)
-    cases = [(0.0, 0.0), (0.0, 1.3), (2.0, 2.0), (2.0, 3.7), (1.0, 1.0 + 1e-14)]
+    cases = [(2.0, 2.0), (2.0, 3.7), (1.0, 1.0 + 1e-14)]
     for k1, k2 in cases:
         a1, b1, a2, b2 = (rng.uniform(-2, 2) for _ in range(4))
-        l = rng.uniform(0.5, 3.0)
-
-        def f(x, k=k1, a=a1, b=b1):
-            return a + b * x if k == 0 else a * math.cos(k * x) + b * math.sin(k * x)
-
-        def h(x, k=k2, a=a2, b=b2):
-            return a + b * x if k == 0 else a * math.cos(k * x) + b * math.sin(k * x)
-
-        exact = _pair_integral(k1, a1, b1, k2, a2, b2, l)
-        approx = simpson(lambda x: f(x) * h(x), l)
+        l, weight, w = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        g = MetricGraph(2, (Edge(0, 0, 1, l, weight, TOOTH),))
+        f, h = Eigenfunction(g, k1, ((a1, b1),)), Eigenfunction(g, k2, ((a2, b2),))
+        exact = weighted_inner(f, h, VertexConditions(w))
+        approx = weight * w * simpson(lambda x: evaluate(f, 0, x) * evaluate(h, 0, x), l)
         assert abs(exact - approx) < 1e-9 * max(1.0, abs(exact))
 
 
@@ -652,9 +655,16 @@ def test_eigenfunctions_weighted_orthogonal_across_roots():
     g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
     cond = VertexConditions(1.5)
     s = scan_spectrum(g, cond, ScanParams(k_max=3.0))
-    funcs = [constant_eigenfunction(g)]
+    funcs = []
     for lam, _ in s.entries[1:]:
         funcs.extend(eigenfunction_basis(g, cond, math.sqrt(lam)))
+    l = np.array([e.length for e in g.edges])
+    wgt = np.array([cond.edge_weight(e) for e in g.edges])
+    for f in funcs:
+        # orthogonal to the constants: sum_e w_e int_0^l_e f_e dx = 0
+        (a, b), k = f.coeffs.T, f.k
+        mean = wgt @ (a * np.sin(k * l) + b * (1.0 - np.cos(k * l))) / k
+        assert abs(mean) <= 1e-6 * math.sqrt(weighted_norm_sq(f, cond) * (wgt @ l))
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):
             if funcs[i].k == funcs[j].k:
