@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import io as gio
 from .graphs import (GearSpec, GearlabError, build_fig3_pair, build_gear, dual_gear,
                      fig2_control_pair, fig6_digraph_pair, gear_to_digraph, subdivide,
-                     validate_graph)
+                     validate_metric)
 from .zeta import digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _scan(args, *paths):
     graphs = []
     for path in paths:
         g = _read(gio.read_graph, path)
-        problems = validate_graph(g)
+        problems = validate_metric(g)
         if problems:
             raise CliError(EXIT_VALIDATION, "; ".join(problems))
         graphs.append(g)

@@ -117,8 +117,10 @@ class MetricGraph:
     """Finite metric graph with oriented, weighted edges.
 
     Edge i is parameterized by x in [0, length]; x = 0 at the tail.
+    An edge's class only chooses its weight (tooth edges carry the w of
+    `spectral.VertexConditions`); the gear layout is not checked.
     Parallel edges are allowed; loop edges (tail == head) fail
-    `validate_graph` and the secular system, and a loop split by a
+    `validate_metric` and the secular system, and a loop split by a
     degree-2 vertex (`insert_degree_two_vertex`) has the same spectrum.
     Immutable after construction.
     """
@@ -220,13 +222,9 @@ def connected_components(vertex_count, pairs):
     return len({find(v) for v in range(vertex_count)})
 
 
-def validate_graph(g: MetricGraph) -> list:
-    """Return the list of violated invariants (empty means valid)."""
-    return validate_metric(g) + _validate_gear_structure(g)
-
-
 def validate_metric(g: MetricGraph) -> list:
-    """The violated invariants of g as a metric graph, gear layout aside."""
+    """The violated invariants of g as a metric graph (empty means valid);
+    the gear layout is not checked."""
     report = []
     if not g.edges:
         report.append("no edges")
@@ -245,50 +243,6 @@ def validate_metric(g: MetricGraph) -> list:
     pairs = [(e.tail, e.head) for e in g.edges]
     if connected_components(g.vertex_count, pairs) != 1:
         report.append("not connected")
-    return report
-
-
-def _validate_gear_structure(g: MetricGraph) -> list:
-    """Gear-specific checks, applied only when polygon/tooth classes appear."""
-    sides = [e for e in g.edges if e.cls == POLYGON]
-    teeth = [e for e in g.edges if e.cls == TOOTH]
-    if not sides and not teeth:
-        return []
-    report = []
-    if len(sides) != len(teeth):
-        report.append("side/tooth counts differ")
-        return report
-    # polygon must be one directed cycle: every polygon vertex has exactly
-    # one outgoing and one incoming side
-    outs = {e.tail: e for e in sides}
-    ins = {e.head: e for e in sides}
-    poly_vertices = {e.tail for e in sides} | {e.head for e in sides}
-    if len(outs) != len(sides) or len(ins) != len(sides) or len(poly_vertices) != len(sides):
-        report.append("polygon edges do not form one oriented cycle")
-        return report
-    # the sides now permute the polygon vertices, so the walk returns to v0
-    v0 = sides[0].tail
-    v, seen = outs[v0].head, 1
-    while v != v0:
-        v, seen = outs[v].head, seen + 1
-    if seen != len(sides):
-        report.append("polygon edges do not form one oriented cycle")
-    deg = g.degrees()
-    for side, tooth in zip(sides, teeth):
-        if abs(side.length - tooth.length) > 1e-12:
-            report.append(f"tooth {tooth.id}: length differs from its side")
-        ends = {tooth.tail, tooth.head}
-        leaf = [v for v in ends if deg[v] == 1]
-        if len(leaf) != 1:
-            report.append(f"tooth {tooth.id}: not a pendant edge")
-            continue
-        attach = (ends - set(leaf)).pop()
-        if attach not in (side.tail, side.head):
-            report.append(f"tooth {tooth.id}: not attached to its side")
-        elif attach == side.tail and tooth.tail != attach:
-            report.append(f"tooth {tooth.id}: attachment is not tail-to-tail")
-        elif attach == side.head and tooth.head != attach:
-            report.append(f"tooth {tooth.id}: attachment is not head-to-head")
     return report
 
 

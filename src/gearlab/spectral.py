@@ -319,12 +319,6 @@ def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarr
     return _secular_stack(_memo_entry(g, cond).system, np.array([k], dtype=float))[0, 0]
 
 
-def rank_indicator(g: MetricGraph, cond: VertexConditions, k: float):
-    """(sigma_min, all singular values descending) of the secular matrix."""
-    s = _singular_values(secular_matrix(g, cond, k)[None], [k])[0]
-    return s[-1], s
-
-
 def eigenfunction_basis(g, cond, k):
     """Orthonormal (coefficient-space) basis of the secular null space at k.
 

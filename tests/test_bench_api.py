@@ -13,6 +13,8 @@ fails here too.
 import importlib.util
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +73,13 @@ def test_tracer_counts_polynomial_products():
     assert SparsePolynomial.__dict__["__rmul__"] is original
     calls, _ = tracer.by_name()["polynomials.mul"]
     assert calls > 100
+
+
+@pytest.mark.parametrize("name", sorted([*ROUND_INPUTS, "cli"]))
+def test_setup_probe_runs_in_a_fresh_interpreter(name):
+    """The path that the benchmark's setup_s times: imports, round 0 and
+    the warm-up, without the modules that earlier tests imported."""
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload", name,
+                           "--seed", "1", "--setup-probe"],
+                          cwd=ROOT, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -11,9 +11,11 @@ import warnings
 
 import pytest
 
-from gearlab import io as gio
+from gearlab import io as gio, spectral
 from gearlab.cli import build_parser, main
-from gearlab.graphs import Edge, MetricGraph, fig2_control_pair
+from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
+                            fig2_control_pair, insert_degree_two_vertex)
+from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -366,6 +368,67 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
         assert run(*argv, "--k-max", "3") == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == "gearlab: not connected\n"
+
+
+def gearlab(*argv):
+    """Exit code and stdout of ``gearlab argv`` in a fresh interpreter."""
+    src = str(pathlib.Path(gio.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "gearlab.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.stderr == ""
+    return proc.returncode, proc.stdout
+
+
+def test_split_gear_file_scans_and_compares_like_the_api(tmp_path):
+    # a degree-2 vertex on side 1 breaks the gear layout but not the
+    # spectrum: the CLI checks graph files as metric graphs only
+    primal = build_gear(FIG6)
+    split = insert_degree_two_vertex(primal, 0)
+    split_path, primal_path = tmp_path / "split.graph", tmp_path / "primal.graph"
+    gio.write_graph(split, split_path)
+    gio.write_graph(primal, primal_path)
+    code, out = gearlab("spectrum", "--graph", split_path, "--k-max", "3")
+    cond, params = VertexConditions(1.0), ScanParams(3.0)
+    spectrum = scan_spectrum(gio.read_graph(split_path), cond, params)
+    assert code == 0 and out == gio.spectrum_to_csv(spectrum)
+    assert len(spectrum.entries) == 11
+    code, out = gearlab("compare", "--graph1", split_path, "--graph2", primal_path,
+                        "--k-max", "3")
+    report = compare_spectra(spectrum, scan_spectrum(primal, cond, params))
+    assert report["match"] and report["max_rel_gap"] < 1e-12
+    assert code == 0 and out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_non_gear_star_scans_with_tooth_weight(tmp_path):
+    # one polygon edge and two tooth edges at one centre: the classes only
+    # choose the weight, so w still changes the spectrum
+    star = tmp_path / "star.graph"
+    gio.write_graph(MetricGraph(4, (Edge(0, 0, 1, 1.0, 1.0, POLYGON),
+                                    Edge(1, 0, 2, 2.0, 1.0, TOOTH),
+                                    Edge(2, 0, 3, 3.0, 1.0, TOOTH)), "star"), star)
+    lams = {}
+    for w in ("1", "2"):
+        out = tmp_path / f"w{w}.csv"
+        assert run("spectrum", "--graph", str(star), "--w", w, "--k-max", "3",
+                   "-o", str(out)) == 0
+        lams[w] = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert lams["1"] != lams["2"]
+    assert abs(lams["1"][1] - 0.3788) < 1e-4 and abs(lams["2"][1] - 0.3864) < 1e-4
+
+
+def test_every_graph_file_is_checked_before_any_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan_spectrum called before every file was checked")
+
+    monkeypatch.setattr(spectral, "scan_spectrum", no_scan)
+    ok, dup = tmp_path / "ok.graph", tmp_path / "dup.graph"
+    assert run("build", "--lengths", "1,2,3", "-o", str(ok)) == 0
+    dup.write_text("graph dup\nvertices 3\nedge 0 0 1 1 1 plain\nedge 0 1 2 1 1 plain\n")
+    capsys.readouterr()
+    assert run("compare", "--graph1", str(ok), "--graph2", str(dup), "--k-max", "3") == 2
+    assert capsys.readouterr() == ("", "gearlab: edge 0: duplicate id\n")
 
 
 @pytest.mark.parametrize("header", ["vertices 0", "vertices -2", "vertices 1"],

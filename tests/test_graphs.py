@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Edge, GearSpec, GraphError, MetricGraph,
                             bipartition_sign, build_fig3_pair, build_gear, digraph_paths,
                             dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                            subdivide, validate_graph)
+                            subdivide, validate_metric)
 from gearlab import io as gio
 
 
@@ -64,7 +64,13 @@ def test_gear_degree_profile(n, data):
     lengths = tuple(data.draw(st.integers(1, 4)) for _ in range(n))
     attach = tuple(data.draw(st.sampled_from(["tail", "head"])) for _ in range(n))
     g = build_gear(GearSpec(n, lengths, "primal", attach))
-    assert validate_graph(g) == []
+    assert validate_metric(g) == []
+    # the sides run once round the polygon; tooth i shares side i's length
+    # and the end it is attached at
+    assert [(e.tail, e.head) for e in g.edges[:n]] == [(i, (i + 1) % n) for i in range(n)]
+    for side, tooth, end in zip(g.edges[:n], g.edges[n:], attach):
+        assert tooth.length == side.length
+        assert tooth.tail == side.tail if end == "tail" else tooth.head == side.head
     deg = g.degrees()
     leaves = [v for v in range(g.vertex_count) if deg[v] == 1]
     assert len(leaves) == n
@@ -73,10 +79,10 @@ def test_gear_degree_profile(n, data):
 
 def test_validate_reports_violations():
     g = MetricGraph(3, (Edge(0, 0, 1, 1.0), Edge(1, 1, 2, 0.0)))
-    assert validate_graph(g) == ["edge 1: length must be positive and finite"]
+    assert validate_metric(g) == ["edge 1: length must be positive and finite"]
     g2 = MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0)))
-    assert "not connected" in validate_graph(g2)
-    assert validate_graph(build_gear(GearSpec(3, (1, 1, 1)))) == []
+    assert "not connected" in validate_metric(g2)
+    assert validate_metric(build_gear(GearSpec(3, (1, 1, 1)))) == []
 
 
 @pytest.mark.parametrize("edge, problem", [
@@ -91,7 +97,7 @@ def test_validate_reports_violations():
         "duplicate-id"])
 def test_validate_reports_each_bad_edge(edge, problem):
     g = MetricGraph(2, (Edge(0, 0, 1, 1.0), edge))
-    assert validate_graph(g) == [problem]
+    assert validate_metric(g) == [problem]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def test_fig3a_counts_and_handshake():
         assert g.vertex_count == 8
         assert g.edge_count == 15
         assert sum(g.degrees()) == 2 * g.edge_count
-        assert validate_graph(g) == []
+        assert validate_metric(g) == []
     assert sorted(left.degrees()) == sorted(right.degrees()) == [1, 1, 1, 3, 3, 4, 7, 10]
 
 
@@ -218,7 +224,7 @@ def test_fig3b_counts_and_handshake():
         assert g.edge_count == 12
         assert g.vertex_count == 11
         assert sum(g.degrees()) == 24
-        assert validate_graph(g) == []
+        assert validate_metric(g) == []
 
 
 def test_fig3_length_multisets_agree():
