@@ -20,9 +20,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import io as gio
-from .graphs import (GearSpec, GearlabError, build_fig3_pair, build_gear, dual_gear,
-                     fig2_control_pair, fig6_digraph_pair, gear_to_digraph, subdivide,
-                     validate_metric)
+from .graphs import (GearSpec, GearlabError, GraphError, build_fig3_pair, build_gear,
+                     dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
+                     subdivide, validate_metric)
 from .zeta import digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
@@ -66,22 +66,27 @@ def _gear_spec(args) -> GearSpec:
 
 
 def _read(read, path):
+    """``read(path)``; a file that cannot be read exits 1, and one whose
+    records do not make a graph exits 2 with its path in the message."""
     try:
         return read(path)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except GraphError as exc:
+        raise CliError(EXIT_VALIDATION, f"{path}: {exc}") from exc
 
 
 def _scan(args, *paths):
     """The scanned spectra of the graph files ``paths`` under the scan
-    options of ``args``; a scan that fails exits 3."""
+    options of ``args``; every file is read and checked, its path leading
+    any problem, before the first scan, and a scan that fails exits 3."""
     from .spectral import ScanParams, SpectralError, VertexConditions, scan_spectrum
     graphs = []
     for path in paths:
         g = _read(gio.read_graph, path)
         problems = validate_metric(g)
         if problems:
-            raise CliError(EXIT_VALIDATION, "; ".join(problems))
+            raise CliError(EXIT_VALIDATION, f"{path}: " + "; ".join(problems))
         graphs.append(g)
     step = {} if args.grid_step is None else {"grid_step": args.grid_step}
     params = ScanParams(args.k_max, **step)

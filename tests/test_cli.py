@@ -16,6 +16,7 @@ from gearlab.cli import build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
+from gearlab.zeta import TRIAL_BLOCK
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -56,6 +57,9 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         ["build", "--lengths", "1,2,3", "--digraph", "-o", a],
         ["build", "--lengths", "1,2,3", "--digraph", "--dual", "-o", b],
         ["zeta", "--g1", a, "--g2", b, "--seed", "1", "-o", str(tmp_path / "z.json")],
+        # more trials than one block of lanes
+        ["zeta", "--g1", a, "--g2", b, "--seed", "1", "--trials", str(2 * TRIAL_BLOCK + 1),
+         "-o", str(tmp_path / "z65.json")],
         ["zeta-conjugator", "-o", str(tmp_path / "zc.json")],
         ["isomorphic", "--fig2", "-o", str(tmp_path / "iso.json")],
         ["markov", "--lengths", "1,2,3", "-o", str(tmp_path / "m.json")],
@@ -69,7 +73,7 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == [[0, False]] * 5 + [[0, True]]
+    assert json.loads(proc.stdout) == [[0, False]] * 6 + [[0, True]]
 
 
 def test_build_rejects_small_n(tmp_path):
@@ -320,7 +324,8 @@ def test_non_finite_graph_file_exit_codes(tmp_path, capsys, command, record, cod
     assert caught == []
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1, err
-    assert err.startswith(f"gearlab: {message}"), err
+    # a problem of the file names it; a failed scan does not
+    assert err.startswith(f"gearlab: {g}: {message}" if code == 2 else f"gearlab: {message}"), err
 
 
 def test_loop_edges_are_a_validation_error(tmp_path, capsys):
@@ -340,7 +345,9 @@ def test_loop_edges_are_a_validation_error(tmp_path, capsys):
                  ("compare", "--graph1", files["b"], "--graph2", files["a"])):
         capsys.readouterr()
         assert run(*map(str, argv), "--k-max", "7", "-o", str(out)) == 2
-        assert capsys.readouterr() == ("", "gearlab: edge 0: loop edges are not supported\n")
+        # the first file given is checked first
+        assert capsys.readouterr() == (
+            "", f"gearlab: {argv[2]}: edge 0: loop edges are not supported\n")
     assert not out.exists()
     assert run("compare", "--graph1", str(files["split_a"]), "--graph2", str(files["split_b"]),
                "--k-max", "7", "-o", str(out)) == 0
@@ -367,7 +374,7 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
         capsys.readouterr()
         assert run(*argv, "--k-max", "3") == 2
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == "gearlab: not connected\n"
+    assert errors[0] == errors[1] == f"gearlab: {bad}: not connected\n"
 
 
 def gearlab(*argv):
@@ -428,7 +435,7 @@ def test_every_graph_file_is_checked_before_any_scan(tmp_path, capsys, monkeypat
     dup.write_text("graph dup\nvertices 3\nedge 0 0 1 1 1 plain\nedge 0 1 2 1 1 plain\n")
     capsys.readouterr()
     assert run("compare", "--graph1", str(ok), "--graph2", str(dup), "--k-max", "3") == 2
-    assert capsys.readouterr() == ("", "gearlab: edge 0: duplicate id\n")
+    assert capsys.readouterr() == ("", f"gearlab: {dup}: edge 0: duplicate id\n")
 
 
 @pytest.mark.parametrize("header", ["vertices 0", "vertices -2", "vertices 1"],
@@ -465,26 +472,32 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
     (("spectrum", "--graph", "{tmp}/ok.graph", "--k-max", "inf"),
      "k_max must be positive and finite"),
     (("compare", "--graph1", "{tmp}/bad.graph", "--graph2", "{tmp}/ok.graph", "--k-max", "3"),
-     "line 2: unknown record 'foo'"),
+     "{tmp}/bad.graph: line 2: unknown record 'foo'"),
     (("spectrum", "--graph", "{tmp}/toth.graph", "--k-max", "3"),
-     "line 3: unknown edge class 'toth'"),
-    (("spectrum", "--graph", "{tmp}/dup.graph", "--k-max", "3"), "edge 0: duplicate id"),
+     "{tmp}/toth.graph: line 3: unknown edge class 'toth'"),
+    (("spectrum", "--graph", "{tmp}/dup.graph", "--k-max", "3"),
+     "{tmp}/dup.graph: edge 0: duplicate id"),
+    (("compare", "--graph1", "{tmp}/dup.graph", "--graph2", "{tmp}/ok.graph", "--k-max", "3"),
+     "{tmp}/dup.graph: edge 0: duplicate id"),
     (("build", "--digraph", "--lengths", "1e-10,1,1"),
      "digraph export needs positive integer lengths"),
     (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
     (("conjugate", "--lengths", "1e-10,1,1", "--mode", "float"),
      "edge 0: length 1e-10 is not a positive integer"),
     (("zeta", "--g1", "{tmp}/bad.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
-     "line 2: unknown record 'foo'"),
+     "{tmp}/bad.digraph: line 2: unknown record 'foo'"),
     (("zeta", "--g1", "{tmp}/loop.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
      "self-loops not supported"),
     (("isomorphic", "--g1", "{tmp}/par.digraph", "--g2", "{tmp}/par.digraph"),
      "parallel arcs not supported"),
 ], ids=["gear-spec", "fig3", "scan-params", "read-graph", "edge-class", "duplicate-id",
-        "digraph", "markov", "conjugate", "read-digraph", "zeta", "isomorphic"])
+        "duplicate-id-first", "digraph", "markov", "conjugate", "read-digraph", "zeta",
+        "isomorphic"])
 def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     """One validation failure per subcommand handler: exit 2 and exactly one
-    `gearlab: <message>` line on stderr, nothing on stdout."""
+    `gearlab: <message>` line on stderr, nothing on stdout.  A message about
+    a file's records starts with its path; the pencil's own checks (self-loops,
+    parallel arcs) name no file."""
     assert run("build", "--lengths", "1,2,3", "-o", str(tmp_path / "ok.graph")) == 0
     (tmp_path / "bad.graph").write_text("graph bad\nfoo 1\n")
     (tmp_path / "toth.graph").write_text("graph toth\nvertices 2\nedge 0 0 1 1 1 toth\n")
@@ -495,7 +508,7 @@ def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     (tmp_path / "par.digraph").write_text("digraph par\nvertices 3\narc 0 1\narc 0 1\narc 1 2\n")
     capsys.readouterr()
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
-    assert capsys.readouterr() == ("", f"gearlab: {message}\n")
+    assert capsys.readouterr() == ("", f"gearlab: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,16 +5,17 @@ import random
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, GearSpec, GraphError, build_gear,
                             digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
                             gear_to_digraph, subdivide)
 from gearlab.linalg import unicyclic_det
-from gearlab.zeta import (FIG6, PRIME, ZetaError, _det_mod, _permutation_sign,
-                          char_poly_symbolic, digraph_isomorphic, eval_det, factored_det,
-                          intertwiner, intertwiner_det, intertwines, pencil, random_point,
-                          verify_intertwiner, zeta_equivalent)
+from gearlab import zeta
+from gearlab.zeta import (FIG6, PRIME, TRIAL_BLOCK, ZetaError, _det_mod, _permutation_sign,
+                          char_poly_symbolic, digraph_isomorphic, eval_det, eval_dets,
+                          factored_det, intertwiner, intertwiner_det, intertwines, pencil,
+                          random_point, verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
 from test_linalg import sparse
@@ -129,12 +130,76 @@ def square_matrices(draw):
     return mat
 
 
+def lane_rows(mats):
+    """Sparse lane rows of equal-size matrices: entry (i, j) holds the
+    matrices' (i, j) entries, and is absent where every one is 0."""
+    n = len(mats[0])
+    return [{j: lanes for j in range(n) if any(lanes := [m[i][j] for m in mats])}
+            for i in range(n)]
+
+
 @settings(deadline=None, max_examples=200)
 @given(square_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
 def test_det_mod_matches_exact_determinant(mat, p):
-    # small primes force zero pivots, off-diagonal pivot rows and odd signs
-    rows = [dict(enumerate(row)) for row in mat]
-    assert _det_mod(rows, p) == bareiss_det(mat) % p
+    # one lane: small primes force zero pivots, off-diagonal pivot rows and
+    # odd signs, and a single lane never returns None
+    rows = [{j: [v] for j, v in enumerate(row)} for row in mat]
+    assert _det_mod(rows, p, 1) == [bareiss_det(mat) % p]
+
+
+@st.composite
+def same_support_matrices(draw):
+    """2 to 5 integer matrices of size 1 to 7 whose nonzeros lie on one
+    random support; an entry on the support may still be 0 in some."""
+    n = draw(st.integers(1, 7))
+    support = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+    width = draw(st.integers(2, 5))
+    return [[[draw(entry) if support[i][j] else 0 for j in range(n)] for i in range(n)]
+            for _ in range(width)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(same_support_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_det_mod_lanes_match_exact_determinants(mats, p):
+    # several lanes: every lane is its own matrix's determinant, unless no
+    # pivot is nonzero in every lane; one lane at a time never fails
+    dets = _det_mod(lane_rows(mats), p, len(mats))
+    expected = [bareiss_det(m) % p for m in mats]
+    assert dets is None or dets == expected
+    assert [_det_mod(lane_rows([m]), p, 1)[0] for m in mats] == expected
+
+
+def test_det_mod_returns_none_without_a_shared_pivot():
+    # lane 0 is the identity and lane 1 swaps the two coordinates: every
+    # entry is 0 in one of them, so no pivot serves both lanes
+    mats = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert _det_mod(lane_rows(mats), PRIME, 2) is None
+    assert _det_mod(lane_rows(mats[:1]), PRIME, 1) == [1]
+    assert _det_mod(lane_rows(mats[1:]), PRIME, 1) == [PRIME - 1]
+    # an entry 0 in every lane is dropped; an all-zero column gives 0s
+    assert _det_mod([{0: [0, 0]}], PRIME, 2) == [0, 0]
+    assert _det_mod([], PRIME, 3) == [1, 1, 1]
+
+
+def test_eval_dets_falls_back_to_single_points(monkeypatch):
+    # the all-zero point leaves no pivot that is nonzero at every point of
+    # the batch, so the batch is evaluated one point at a time
+    results = []
+
+    def spy(rows, p, width):
+        results.append((width, _det_mod(rows, p, width)))
+        return results[-1][1]
+
+    monkeypatch.setattr(zeta, "_det_mod", spy)
+    dg, _ = fig6_digraph_pair()
+    rng = random.Random(41)
+    points = [random_point(rng), (0,) * 6, random_point(rng)]
+    assert eval_dets(pencil(dg), points) == [bareiss_det(dense_pencil(dg, pt)) % PRIME
+                                             for pt in points]
+    assert results[0] == (3, None)
+    assert [width for width, _ in results[1:]] == [1, 1, 1]
 
 
 @st.composite
@@ -181,6 +246,59 @@ def test_eval_det_matches_unicyclic_det_at_scale(total, attach):
         assert eval_det(p, pt) == unicyclic_det(sparse(dense_pencil(dg, pt))) % PRIME
 
 
+@st.composite
+def zeta_digraphs(draw):
+    """Gear digraphs with mixed attachments, the fig2 pair, and simple
+    digraphs whose underlying graph has two or more cycles."""
+    kind = draw(st.sampled_from(["gear", "fig2", "cycles"]))
+    if kind == "gear":
+        lengths = tuple(draw(st.lists(st.integers(1, 2), min_size=3, max_size=5)))
+        ends = tuple(draw(st.lists(st.sampled_from(["tail", "head"]),
+                                   min_size=len(lengths), max_size=len(lengths))))
+        variant = draw(st.sampled_from(["primal", "dual"]))
+        return gear_to_digraph(GearSpec(len(lengths), lengths, variant, ends))
+    if kind == "fig2":
+        return draw(st.sampled_from(fig2_control_pair()))
+    # a cycle through every vertex, a chord across it, and more arcs
+    n = draw(st.integers(4, 8))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)} | {(order[0], order[2])}
+    pairs = sorted((t, h) for t in range(n) for h in range(n) if t != h and (t, h) not in arcs)
+    return Digraph(n, tuple(sorted(arcs)) + tuple(draw(st.lists(st.sampled_from(pairs),
+                                                                 unique=True, max_size=6))))
+
+
+@st.composite
+def point_batches(draw):
+    """1 to 6 points: random ones with y = 0 or y != 0, and degenerate ones,
+    x = gamma = delta = 0 (a zero diagonal at y = 0), alpha = 0, all zero."""
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, y, al, be, ga, de = draw(st.lists(st.integers(0, PRIME - 1), min_size=6, max_size=6))
+        y = draw(st.sampled_from([0, y]))
+        # mostly random points, so that many batches share every pivot
+        kind = draw(st.sampled_from(["random"] * 3 + ["zero-diagonal", "alpha-zero", "zero"]))
+        if kind == "zero-diagonal":
+            x = ga = de = 0
+        elif kind == "alpha-zero":
+            al = 0
+        elif kind == "zero":
+            x = y = al = be = ga = de = 0
+        points.append((x, y, al, be, ga, de))
+    return points
+
+
+@settings(deadline=None, max_examples=80)
+@given(zeta_digraphs(), point_batches())
+# the first point has y = 0 and the second not: the border serves both
+@example(fig2_control_pair()[0], [(1, 0, 2, 3, 4, 5), (1, 7, 2, 3, 4, 5)])
+def test_eval_dets_matches_single_points_and_dense_determinants(dg, points):
+    p = pencil(dg)
+    dets = eval_dets(p, points)
+    assert dets == [eval_det(p, pt) for pt in points]
+    assert dets == [bareiss_det(dense_pencil(dg, pt)) % PRIME for pt in points]
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -215,6 +333,54 @@ def test_zeta_validates_both_digraphs_before_comparing_sizes(arcs):
     for g1, g2 in ((bad, small), (small, bad)):
         with pytest.raises(ZetaError):
             zeta_equivalent(g1, g2, trials=3, seed=1)
+
+
+def reference_zeta_equivalent(g1, g2, trials, seed):
+    """The report of `zeta_equivalent` from one `eval_det` per point and
+    digraph, stopping at the first point where the two differ."""
+    n = g1.vertex_count
+    report = {"n": n, "trials": trials, "prime": PRIME, "seed": seed,
+              "per_trial_bound": n / PRIME,
+              "failure_bound_log10": trials * (math.log10(n) - math.log10(PRIME))}
+    p1, p2 = pencil(g1), pencil(g2)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        pt = random_point(rng)
+        if eval_det(p1, pt) != eval_det(p2, pt):
+            return {**report, "verdict": "distinguished", "distinguishing_point": list(pt)}
+    return {**report, "verdict": "equivalent-with-bound"}
+
+
+VERDICT_PAIRS = {
+    "fig6": (fig6_digraph_pair, "equivalent-with-bound"),
+    "dual-gears": (lambda: gear_pair_digraphs(seeded_gear(13)), "equivalent-with-bound"),
+    "fig2": (fig2_control_pair, "distinguished"),
+    "non-dual-gears": (lambda: (gear_to_digraph(GearSpec(3, (1, 2, 3))),
+                                gear_to_digraph(GearSpec(3, (2, 2, 2)))), "distinguished"),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 19, 20, 21, 2 * TRIAL_BLOCK + 1])
+@pytest.mark.parametrize("pair", VERDICT_PAIRS)
+def test_blocked_verdicts_match_the_point_by_point_loop(monkeypatch, pair, trials):
+    # identical reports, and no elimination gets more lanes than a block
+    make, verdict = VERDICT_PAIRS[pair]
+    g1, g2 = make()
+    widths = []
+
+    def spy(rows, p, width):
+        widths.append(width)
+        dets = _det_mod(rows, p, width)
+        assert dets is not None, "random points share every pivot"
+        return dets
+
+    for seed in (0, 7, 2024):
+        expected = reference_zeta_equivalent(g1, g2, trials, seed)
+        assert expected["verdict"] == verdict
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta, "_det_mod", spy)
+            assert zeta_equivalent(g1, g2, trials=trials, seed=seed) == expected
+    assert max(widths) == min(trials, TRIAL_BLOCK)
 
 
 def test_zeta_fig2_control():
@@ -340,8 +506,12 @@ def seeded_gear(total):
     return GearSpec(n, tuple(lengths))
 
 
+def gear_pair_digraphs(spec):
+    return gear_to_digraph(spec), gear_to_digraph(dual_gear(spec))
+
+
 def gear_pencils(spec):
-    return pencil(gear_to_digraph(spec)), pencil(gear_to_digraph(dual_gear(spec)))
+    return tuple(map(pencil, gear_pair_digraphs(spec)))
 
 
 def test_intertwiner_entries():
