@@ -172,7 +172,11 @@ def cmd_markov(args):
 def cmd_conjugate(args):
     from .markov import conjugator_report
     spec = _gear_spec(args)
-    report = conjugator_report(spec, _weight(args), args.mode)
+    w = _weight(args)
+    try:
+        report = conjugator_report(spec, w, args.mode)
+    except OverflowError as exc:          # C's entries in rational mode near 1e308
+        raise CliError(EXIT_NONCONVERGENCE, "conjugator entries overflow a float") from exc
     _emit_json(report, args.output)
     ok = report["sigma_min_C"] > 1e-8 and report["conj_residual"] <= 1e-10
     if report["charpoly_equal"] is not None:

@@ -59,8 +59,8 @@ class GearSpec:
         object.__setattr__(self, "lengths", tuple(self.lengths))
         if len(self.lengths) != self.n:
             raise GraphError(f"expected {self.n} lengths, got {len(self.lengths)}")
-        if any(not (l > 0) for l in self.lengths):
-            raise GraphError("all lengths must be positive")
+        if any(not (0 < l < math.inf) for l in self.lengths):
+            raise GraphError("all lengths must be positive and finite")
         if self.variant not in _VARIANTS:
             raise GraphError(f"variant must be one of {_VARIANTS}")
         if self.attachments is not None:

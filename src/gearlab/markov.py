@@ -68,14 +68,14 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
     """Walk matrix of a unit subdivision; tooth edges carry weight w."""
     if mode not in MODES:
         raise MarkovError(f"mode must be one of {MODES}")
-    if mode == "rational":
-        wv = _as_fraction(w)
-        one = Fraction(1)
-    else:
-        wv = float(w)
-        one = 1.0
-    if not (wv > 0):
-        raise MarkovError("tooth weight w must be positive")
+    try:
+        wv = _as_fraction(w) if mode == "rational" else float(w)
+        ok = 0 < float(wv) < math.inf       # as a float, in both modes
+    except (OverflowError, ValueError):
+        ok = False                          # inf, nan, or beyond the float range
+    if not ok:
+        raise MarkovError("tooth weight w must be positive and finite")
+    one = Fraction(1) if mode == "rational" else 1.0
     n = cg.vertex_count
     adj = [dict() for _ in range(n)]
     for u, v, cls in cg.edges:
@@ -90,15 +90,47 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
     return MarkovSystem(cg, wv, mode, rows, degrees, tuple(adj))
 
 
+def _exponent(x) -> int:
+    """An e with 2^(e-1) < x < 2^(e+1) for a Fraction x > 0, 2^e <= x < 2^(e+1) for a float."""
+    if isinstance(x, Fraction):
+        return x.numerator.bit_length() - x.denominator.bit_length()
+    return math.frexp(x)[1] - 1
+
+
+def _scaled(x, e: int) -> float:
+    """x / 2^e as a float, rounded once, for a float, int or Fraction x;
+    exact for a float that stays normal."""
+    if isinstance(x, float):
+        return math.ldexp(x, -e)
+    p, q = x.numerator, x.denominator
+    return p / (q << e) if e >= 0 else (p << -e) / q
+
+
 def _symmetric_walk(ms: MarkovSystem):
-    """S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2} as floats, with the degrees d."""
+    """S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2} as floats, with sqrt(D).
+
+    S is unchanged when every weight is divided by one power of four 4^h;
+    h from the largest weight keeps the weights and degrees near 1, where
+    no float overflows, and dividing each weight by the square root of
+    each degree in turn leaves no product of degrees to underflow.  Where
+    the scaled values stay normal, the division by 4^h is exact on floats
+    and rounds once on Fractions, as float() does, rational degrees being
+    summed exactly first; so S, and sqrt(D) = 2^h sqrt(D / 4^h), are what
+    the unscaled weights give.
+    """
     n = ms.size
-    d = np.array([float(x) for x in ms.degrees])
+    h = max(_exponent(wgt) for row in ms.adjacency for wgt in row.values()) // 2
+    rows = [{u: _scaled(wgt, 2 * h) for u, wgt in row.items()} for row in ms.adjacency]
+    if ms.mode == "rational":
+        d = [_scaled(x, 2 * h) for x in ms.degrees]
+    else:
+        d = [sum(row.values()) for row in rows]
+    root = [math.sqrt(x) for x in d]
     s = np.zeros((n, n))
-    for v, row in enumerate(ms.adjacency):
+    for v, row in enumerate(rows):
         for u, wgt in row.items():
-            s[v, u] = float(wgt) / math.sqrt(d[v] * d[u])
-    return s, d
+            s[v, u] = wgt / root[v] / root[u]
+    return s, np.ldexp(root, h)
 
 
 def markov_spectrum(ms: MarkovSystem):
@@ -107,9 +139,9 @@ def markov_spectrum(ms: MarkovSystem):
     M is conjugated to the symmetric S = D^{1/2} M D^{-1/2} = D^{-1/2} W D^{-1/2};
     the returned vectors are eigenvectors of M itself (columns).
     """
-    s, d = _symmetric_walk(ms)
+    s, root = _symmetric_walk(ms)
     vals, vecs = np.linalg.eigh(s)
-    vecs = vecs / np.sqrt(d)[:, None]
+    vecs = vecs / root[:, None]
     return vals, vecs
 
 

@@ -134,12 +134,6 @@ class Spectrum:
     entries: tuple  # ((lam, multiplicity), ...) strictly increasing lam
     k_max: float
 
-    def expanded(self):
-        out = []
-        for lam, mult in self.entries:
-            out.extend([lam] * mult)
-        return out
-
     def count(self):
         return sum(m for _, m in self.entries)
 
@@ -319,17 +313,23 @@ def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarr
     return _secular_stack(_memo_entry(g, cond).system, np.array([k], dtype=float))[0, 0]
 
 
+def _root_multiplicity(s: np.ndarray) -> np.ndarray:
+    """Per row of descending singular values, 0 unless sigma_min <
+    RANK_TOL * sigma_max, else the count of sigma < MULT_TOL * sigma_max."""
+    smax = s[..., :1]
+    return np.where(s[..., -1] < RANK_TOL * smax[..., 0], (s < MULT_TOL * smax).sum(axis=-1), 0)
+
+
 def eigenfunction_basis(g, cond, k):
     """Orthonormal (coefficient-space) basis of the secular null space at k.
 
-    k must pass the scan's RANK_TOL test; MULT_TOL sets the dimension.
+    k must be a root by the scan's test (`_root_multiplicity`), which also
+    sets the dimension; otherwise NotAnEigenvalue is raised.
     """
-    a = secular_matrix(g, cond, k)
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0]
-    if s[-1] >= RANK_TOL * smax:
+    _, s, vh = np.linalg.svd(secular_matrix(g, cond, k))
+    mult = int(_root_multiplicity(s))
+    if not mult:
         raise NotAnEigenvalue(f"k={k} is not an eigenwavenumber (sigma_min={s[-1]:.3e})")
-    mult = int((s < MULT_TOL * smax).sum())
     return [Eigenfunction(g, k, row) for row in vh[len(s) - mult:]]
 
 
@@ -424,9 +424,9 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     graph).  sigma_min is evaluated on the k-grid by batched SVDs of as
     many secular matrices as _STACK_ENTRIES allows.  Every grid minimum is
     refined by safeguarded Newton on det A / det A' inside the bracket of
-    its two grid neighbours (see `_newton_refine`), and accepted when
-    sigma_min < RANK_TOL * sigma_max at the refined k; the multiplicity
-    is the number of singular values below MULT_TOL * sigma_max.  Two
+    its two grid neighbours (see `_newton_refine`), and accepted, with its
+    multiplicity, by the root test of `eigenfunction_basis`
+    (`_root_multiplicity`) on the singular values at the refined k.  Two
     roots that share one grid minimum come out as one, so ``grid_step``
     decides which roots are found.  The grid is a prefix of every longer
     grid of the same step, so the memo serves a smaller ``k_max`` from the
@@ -447,9 +447,8 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
     entry.scan = state
     # the minima of this grid are those with both neighbours on it
     inside = state.lows < len(grid) - 1
-    ks, s = state.ks[inside], state.s[inside]
-    accept = (s[:, -1] < RANK_TOL * s[:, 0]) & (ks <= params.k_max + DEDUP_GAP)
-    mults = (s < MULT_TOL * s[:, :1]).sum(axis=1)
+    ks, mults = state.ks[inside], _root_multiplicity(state.s[inside])
+    accept = (mults > 0) & (ks <= params.k_max + DEDUP_GAP)
     roots = sorted(zip(ks[accept].tolist(), mults[accept].tolist()))
     entries = [(0.0, 1)]
     for k_star, mult in roots:
@@ -529,26 +528,24 @@ def vertex_residual(f: Eigenfunction, cond: VertexConditions) -> float:
 # spectrum comparison
 # ---------------------------------------------------------------------------
 
-def compare_spectra(s1: Spectrum, s2: Spectrum) -> dict:
-    """Pair eigenvalues in order and report gaps and multiplicity mismatches."""
-    if s1.k_max != s2.k_max:
-        raise SpectralError("spectra were scanned with different k_max")
+def _compare_entries(e1, e2) -> dict:
+    """Pair two ((lam, multiplicity), ...) lists in order; report the gaps
+    and the mismatches of multiplicity and of length."""
     pairs = []
     mism = []
     max_gap = 0.0
-    for i in range(min(len(s1.entries), len(s2.entries))):
-        l1, m1 = s1.entries[i]
-        l2, m2 = s2.entries[i]
+    for i in range(min(len(e1), len(e2))):
+        l1, m1 = e1[i]
+        l2, m2 = e2[i]
         denom = max(abs(l1), abs(l2))
         gap = 0.0 if denom == 0 else abs(l1 - l2) / denom
         max_gap = max(max_gap, gap)
         pairs.append((l1, l2, m1, m2))
         if m1 != m2:
             mism.append({"index": i, "lam": l1, "mult_1": m1, "mult_2": m2})
-    if len(s1.entries) != len(s2.entries):
-        mism.append({"index": min(len(s1.entries), len(s2.entries)),
-                     "lam": None,
-                     "mult_1": len(s1.entries), "mult_2": len(s2.entries)})
+    if len(e1) != len(e2):
+        mism.append({"index": min(len(e1), len(e2)), "lam": None,
+                     "mult_1": len(e1), "mult_2": len(e2)})
     return {
         "max_rel_gap": float(max_gap),
         "multiplicity_mismatches": mism,
@@ -557,29 +554,29 @@ def compare_spectra(s1: Spectrum, s2: Spectrum) -> dict:
     }
 
 
+def compare_spectra(s1: Spectrum, s2: Spectrum) -> dict:
+    """Pair eigenvalues in order and report gaps and multiplicity mismatches."""
+    if s1.k_max != s2.k_max:
+        raise SpectralError("spectra were scanned with different k_max")
+    return _compare_entries(s1.entries, s2.entries)
+
+
 def compare_first(s1: Spectrum, s2: Spectrum, count: int) -> dict:
-    """Gap/multiplicity report restricted to the first ``count`` eigenvalues."""
-    e1, e2 = s1.expanded(), s2.expanded()
-    if len(e1) < count or len(e2) < count:
+    """`compare_spectra`'s report on the first ``count`` eigenvalues of each.
+
+    They are counted with multiplicity; the entry that reaches ``count``
+    keeps the part that fits.  Fewer than ``count`` fail with gap inf.
+    """
+    if min(s1.count(), s2.count()) < count:
         return {"max_rel_gap": math.inf, "multiplicity_mismatches": [
-            {"index": None, "lam": None, "mult_1": len(e1), "mult_2": len(e2)}],
+            {"index": None, "lam": None, "mult_1": s1.count(), "mult_2": s2.count()}],
             "pairs": [], "match": False}
-    max_gap = 0.0
-    pairs = []
-    for l1, l2 in zip(e1[:count], e2[:count]):
-        denom = max(abs(l1), abs(l2))
-        gap = 0.0 if denom == 0 else abs(l1 - l2) / denom
-        max_gap = max(max_gap, gap)
-        pairs.append((l1, l2))
-    mism = []
-    budget = count
-    for i in range(min(len(s1.entries), len(s2.entries))):
-        if budget <= 0:
-            break
-        l1, m1 = s1.entries[i]
-        _, m2 = s2.entries[i]
-        if budget >= max(m1, m2) and m1 != m2:
-            mism.append({"index": i, "lam": l1, "mult_1": m1, "mult_2": m2})
-        budget -= m1
-    return {"max_rel_gap": max_gap, "multiplicity_mismatches": mism,
-            "pairs": pairs, "match": max_gap <= GAP_TOL and not mism}
+    cut = ([], [])
+    for s, out in zip((s1, s2), cut):
+        before = 0
+        for lam, mult in s.entries:
+            if before >= count:
+                break
+            out.append((lam, min(mult, count - before)))
+            before += mult
+    return _compare_entries(*cut)

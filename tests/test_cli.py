@@ -377,15 +377,50 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
     assert errors[0] == errors[1] == f"gearlab: {bad}: not connected\n"
 
 
-def gearlab(*argv):
-    """Exit code and stdout of ``gearlab argv`` in a fresh interpreter."""
+def fresh_gearlab(*argv):
+    """The finished process of ``gearlab argv`` in a fresh interpreter."""
     src = str(pathlib.Path(gio.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "gearlab.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, "-m", "gearlab.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, check=False)
+
+
+def gearlab(*argv):
+    """Exit code and stdout of ``gearlab argv`` in a fresh interpreter."""
+    proc = fresh_gearlab(*argv)
     assert proc.stderr == ""
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("w", ["1e-300", "1e308"])
+@pytest.mark.parametrize("argv", [
+    ("markov", "--mode", "rational"), ("markov", "--mode", "float"),
+    ("conjugate", "--mode", "rational"), ("conjugate", "--mode", "float"),
+    ("spectrum",), ("compare",),
+], ids=["markov-rational", "markov-float", "conjugate-rational", "conjugate-float",
+        "spectrum", "compare"])
+def test_extreme_weights_exit_without_a_traceback(tmp_path, argv, w):
+    """Every outcome at an extreme tooth weight is a documented exit code;
+    a failure to validate or converge writes one message, anything else
+    nothing, to stderr, and a walk spectrum lies in [-1, 1] with the
+    Perron root 1."""
+    if argv[0] in ("markov", "conjugate"):
+        argv = (*argv, "--lengths", "1,2,3")
+    else:
+        a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
+        files = ("--graph", a) if argv[0] == "spectrum" else ("--graph1", a, "--graph2", b)
+        argv = (*argv, *files, "--k-max", "4")
+    proc = fresh_gearlab(*argv, "--w", w)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode in (2, 3):
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("gearlab: ")
+    else:
+        assert proc.stderr == ""
+    if argv[0] == "markov" and proc.returncode == 0:
+        vals = json.loads(proc.stdout)["eigenvalues"]
+        assert max(map(abs, vals)) <= 1 + 1e-12 and abs(vals[-1] - 1) <= 1e-12
 
 
 def test_split_gear_file_scans_and_compares_like_the_api(tmp_path):

@@ -1,6 +1,7 @@
 """Gear construction, duals, subdivisions, fixtures, and file round-trips."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,12 @@ def test_gear_rejects_bad_specs():
         GearSpec(3, (1, 1, 1), "both")
     with pytest.raises(GraphError):
         GearSpec(3, (1, 1, 1), attachments=("tail", "up", "head"))
+
+
+@pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2)])
+def test_gear_spec_lengths_must_be_positive_and_finite(length):
+    with pytest.raises(GraphError, match="^all lengths must be positive and finite$"):
+        GearSpec(3, (1, 2, length))
 
 
 @settings(deadline=None, max_examples=40)

@@ -15,7 +15,8 @@ from gearlab.markov import (MODES, MarkovError, build_conjugator,
                             characteristic_polynomial_exact, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
                             conjugator_report, conjugator_sigma_min, crosscheck_quantum,
-                            markov_matrix, markov_spectrum, transplantation_matrix)
+                            markov_eigenvalues, markov_matrix, markov_spectrum,
+                            transplantation_matrix)
 
 from test_linalg import fraction_rank, poly_eval
 
@@ -68,6 +69,36 @@ def test_markov_rejects_bad_weight():
         markov_matrix(cg, 0)
     with pytest.raises(MarkovError):
         markov_matrix(cg, 1, mode="symbolic")
+
+
+# as a float, also in rational mode: 10**400 and 10**-400 leave the float range
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, 0, -1.5, Fraction(-3, 2),
+                               Fraction(10 ** 400), Fraction(1, 10 ** 400)])
+def test_markov_weight_must_be_positive_and_finite(mode, w):
+    cg = subdivide(build_gear(GearSpec(3, (1, 2, 3))))
+    with pytest.raises(MarkovError, match="^tooth weight w must be positive and finite$"):
+        markov_matrix(cg, w, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("w", [Fraction(1, 10 ** 323), Fraction(1, 10 ** 300), Fraction(1000),
+                               Fraction(10 ** 300), Fraction(17976931348623157, 10 ** 16) * 10 ** 308],
+                         ids=["1e-323", "1e-300", "1000", "1e300", "1.797e308"])
+def test_walk_spectrum_at_the_ends_of_the_float_range(mode, w):
+    """For every weight that `markov_matrix` accepts, the walk spectrum
+    lies in [-1, 1] with the Perron root 1, and where the degrees fit a
+    float its vectors are D-orthonormal eigenvectors of M."""
+    ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), w, mode)
+    vals, vecs = markov_spectrum(ms)
+    assert np.abs(vals - markov_eigenvalues(ms)).max() <= 1e-14
+    assert -1 - 1e-14 <= vals[0] and abs(vals[-1] - 1) <= 1e-14
+    if max(ms.degrees) < 1e308:             # the degrees 2w at 1.797e308 overflow
+        d = np.array([float(x) for x in ms.degrees])
+        gram = vecs.T @ (d[:, None] * vecs)
+        assert np.abs(gram - np.eye(ms.size)).max() <= 1e-12
+        resid = ms.dense() @ vecs - vecs * vals
+        assert np.abs(resid).max() <= 1e-12 * np.abs(vecs).max()
 
 
 # ---------------------------------------------------------------------------

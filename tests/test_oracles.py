@@ -40,6 +40,9 @@ GEARS = [
     ((1, 2, 1, 3), ("head", "head", "tail", "tail")),
 ]
 WEIGHTS = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+# weights whose degrees, or products of two degrees, leave the float range
+EXTREME_WEIGHTS = [pytest.param(Fraction(10) ** k, id=f"1e{k}")
+                   for k in (-300, -200, 200, 300, 308)]
 
 
 def gear_walk(lengths, attachments, w, mode="rational"):
@@ -162,7 +165,7 @@ def _mpf(q):
 
 
 @pytest.mark.parametrize("lengths,attachments", GEARS)
-@pytest.mark.parametrize("w", WEIGHTS, ids=str)
+@pytest.mark.parametrize("w", WEIGHTS + EXTREME_WEIGHTS, ids=str)
 def test_markov_spectrum_matches_mpmath(lengths, attachments, w):
     ms = gear_walk(lengths, attachments, w)
     n = ms.size

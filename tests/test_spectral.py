@@ -12,7 +12,7 @@ from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear,
                             insert_degree_two_vertex)
 from gearlab.markov import crosscheck_quantum
 from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
-                              VertexConditions, compare_spectra,
+                              VertexConditions, compare_first, compare_spectra,
                               eigenfunction_basis, evaluate, evaluate_derivative,
                               scan_spectrum, secular_matrix, vertex_residual, weighted_inner,
                               weighted_norm_sq)
@@ -720,3 +720,172 @@ def test_compare_spectra_reports():
     assert not rep["match"] and rep["max_rel_gap"] > 1e-4
     with pytest.raises(SpectralError):
         compare_spectra(s1, Spectrum(s1.entries, 99.0))
+
+
+def spec_of(*entries, k_max=10.0):
+    return spectral.Spectrum(tuple(entries), k_max)
+
+
+def test_compare_first_equal_spectra():
+    s = spec_of((0.0, 1), (1.0, 2), (4.0, 1))
+    rep = compare_first(s, s, 4)
+    assert rep["match"] and rep["max_rel_gap"] == 0.0
+    assert rep["multiplicity_mismatches"] == []
+
+
+def test_compare_first_reads_only_the_first_count_eigenvalues():
+    near = spec_of((0.0, 1), (1.0, 2), (4.0, 1))
+    far = spec_of((0.0, 1), (1.0, 2), (5.0, 3))
+    assert compare_first(near, far, 3)["match"]
+    rep = compare_first(near, far, 4)
+    assert not rep["match"] and rep["max_rel_gap"] == pytest.approx(0.2)
+
+
+def test_compare_first_count_cuts_inside_a_multiplicity():
+    # the third eigenvalue is the first of a triple on one side, the last
+    # of a double on the other: the first three agree
+    s1 = spec_of((0.0, 1), (1.0, 2), (4.0, 1))
+    s2 = spec_of((0.0, 1), (1.0, 3))
+    rep = compare_first(s1, s2, 3)
+    assert rep["match"] and rep["max_rel_gap"] == 0.0
+    assert rep["multiplicity_mismatches"] == []
+    assert compare_first(s2, s1, 3)["match"]
+    assert not compare_first(s1, s2, 4)["match"]
+
+
+def test_compare_first_with_fewer_than_count_eigenvalues():
+    s1 = spec_of((0.0, 1), (1.0, 2), (4.0, 2))
+    s2 = spec_of((0.0, 1), (1.0, 2), (4.0, 1))
+    rep = compare_first(s1, s2, 5)
+    assert not rep["match"] and rep["max_rel_gap"] == math.inf
+    assert rep["multiplicity_mismatches"] == [
+        {"index": None, "lam": None, "mult_1": 5, "mult_2": 4}]
+    assert compare_first(s1, s2, 4)["match"]
+
+
+def test_compare_first_multiplicity_mismatch_within_count():
+    # a double against two simple eigenvalues closer than GAP_TOL
+    s1 = spec_of((0.0, 1), (1.0, 2), (4.0, 1))
+    s2 = spec_of((0.0, 1), (1.0, 1), (1.0 + 1e-12, 1), (4.0, 1))
+    rep = compare_first(s1, s2, 4)
+    assert not rep["match"]
+    assert rep["multiplicity_mismatches"][0] == {"index": 1, "lam": 1.0, "mult_1": 2,
+                                                 "mult_2": 1}
+
+
+def test_compare_first_report_keys_read_by_the_benchmark():
+    s1 = spec_of((0.0, 1), (1.0, 1), (4.0, 1))
+    s2 = spec_of((0.0, 1), (1.0 + 1e-6, 1), (4.0, 1))
+    rep = compare_first(s1, s2, 3)
+    assert type(rep["max_rel_gap"]) is float
+    assert rep["max_rel_gap"] == pytest.approx(1e-6, rel=1e-5)
+    assert rep["multiplicity_mismatches"] == [] and rep["match"] is False
+
+
+def test_compare_first_rejects_a_multiplicity_split_at_the_count():
+    # two close simple eigenvalues against a triple: the first two
+    # eigenvalues agree within GAP_TOL, but not entry by entry
+    s1 = spec_of((0.0, 1), (1.0, 1), (1.0 + 1e-12, 1))
+    s2 = spec_of((0.0, 1), (1.0, 3))
+    assert parent_compare_first(s1, s2, 3)["match"]
+    rep = compare_first(s1, s2, 3)
+    assert not rep["match"]
+    assert rep["multiplicity_mismatches"][-1] == {"index": 2, "lam": None, "mult_1": 3,
+                                                  "mult_2": 2}
+    assert rep["pairs"] == [(0.0, 0.0, 1, 1), (1.0, 1.0, 1, 2)]
+
+
+def parent_compare_first(s1, s2, count):
+    """compare_first as it compared expanded eigenvalue lists, kept as a reference."""
+    e1 = [lam for lam, mult in s1.entries for _ in range(mult)]
+    e2 = [lam for lam, mult in s2.entries for _ in range(mult)]
+    if len(e1) < count or len(e2) < count:
+        return {"max_rel_gap": math.inf, "match": False}
+    max_gap = 0.0
+    for l1, l2 in zip(e1[:count], e2[:count]):
+        denom = max(abs(l1), abs(l2))
+        max_gap = max(max_gap, 0.0 if denom == 0 else abs(l1 - l2) / denom)
+    mism = []
+    budget = count
+    for i in range(min(len(s1.entries), len(s2.entries))):
+        if budget <= 0:
+            break
+        l1, m1 = s1.entries[i]
+        _, m2 = s2.entries[i]
+        if budget >= max(m1, m2) and m1 != m2:
+            mism.append(i)
+        budget -= m1
+    return {"max_rel_gap": max_gap, "match": max_gap <= spectral.GAP_TOL and not mism}
+
+
+def first_multiplicities(s, count):
+    """The multiplicities of s's first ``count`` eigenvalues, entry by entry."""
+    out = []
+    for _, mult in s.entries:
+        if count <= 0:
+            break
+        out.append(min(mult, count))
+        count -= mult
+    return out
+
+
+def boundary_split(s1, s2, count):
+    """Whether, at the first entry where the cut multiplicities differ, the
+    count ends inside one of the two full multiplicities."""
+    budget = count
+    for (_, m1), (_, m2), t1, t2 in zip(s1.entries, s2.entries,
+                                        first_multiplicities(s1, count),
+                                        first_multiplicities(s2, count)):
+        if t1 != t2:
+            return max(m1, m2) > budget
+        budget -= t1
+    return False
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """A spectrum and a variant of it: entries kept, shifted within or beyond
+    GAP_TOL, re-weighted, split in two close entries, merged with the next,
+    and the tail cut; then a count up to two past the smaller total."""
+    lams = sorted(set(draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))))
+    e1 = [(0.0, 1)] + [(float(lam), draw(st.integers(1, 4))) for lam in lams]
+    e2 = [(0.0, 1)]
+    i = 1
+    while i < len(e1):
+        lam, mult = e1[i]
+        op = draw(st.sampled_from(["keep", "near", "far", "mult", "split", "merge"]))
+        if op == "near":
+            e2.append((lam * (1 + 1e-12), mult))
+        elif op == "far":
+            e2.append((lam * (1 + 1e-3), mult))
+        elif op == "mult":
+            e2.append((lam, draw(st.integers(1, 4))))
+        elif op == "split" and mult > 1:
+            part = draw(st.integers(1, mult - 1))
+            e2 += [(lam, part), (lam * (1 + 1e-12), mult - part)]
+        elif op == "merge" and i + 1 < len(e1):
+            e2.append((lam, mult + e1[i + 1][1]))
+            i += 1
+        else:
+            e2.append((lam, mult))
+        i += 1
+    e2 = e2[:draw(st.integers(1, len(e2)))]
+    s1, s2 = spec_of(*e1), spec_of(*e2)
+    if draw(st.booleans()):
+        s1, s2 = s2, s1
+    count = draw(st.integers(0, min(s1.count(), s2.count()) + 2))
+    return s1, s2, count
+
+
+@settings(deadline=None, max_examples=400)
+@given(spectrum_pairs())
+def test_compare_first_against_the_expanded_comparison(pair):
+    s1, s2, count = pair
+    new, old = compare_first(s1, s2, count), parent_compare_first(s1, s2, count)
+    if new["match"]:
+        assert old["match"]
+    if not boundary_split(s1, s2, count):
+        assert new["match"] == old["match"]
+    if (first_multiplicities(s1, count) == first_multiplicities(s2, count)
+            or old["max_rel_gap"] == math.inf):
+        assert new["max_rel_gap"] == old["max_rel_gap"]
