@@ -46,11 +46,11 @@ def _parse_lengths(text):
 
 
 def _weight(args):
-    """--w as a Fraction, or its float in float mode; positive and finite as a float."""
+    """--w as a Fraction, in both modes; positive and finite as a float."""
     try:
         w = Fraction(args.w)
         if 0 < float(w) < math.inf:
-            return w if args.mode == "rational" else float(w)
+            return w
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     raise CliError(EXIT_VALIDATION, f"bad weight '{args.w}': w must be positive and finite")
@@ -175,7 +175,7 @@ def cmd_conjugate(args):
     w = _weight(args)
     try:
         report = conjugator_report(spec, w, args.mode)
-    except OverflowError as exc:          # C's entries in rational mode near 1e308
+    except OverflowError as exc:          # C's entries near 1e308
         raise CliError(EXIT_NONCONVERGENCE, "conjugator entries overflow a float") from exc
     _emit_json(report, args.output)
     ok = report["sigma_min_C"] > 1e-8 and report["conj_residual"] <= 1e-10

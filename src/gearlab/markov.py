@@ -7,8 +7,9 @@ in [-1, 1], and mutually dual gears yield isospectral M, M~ -- certified
 here by an explicit conjugator C = T + 1 d^T + st v^T: the combinatorial
 transplantation T, sparse rows with at most 4 entries, plus rank-one
 corrections on the +-1 eigenspaces.  C is kept as those parts and checked
-by sparse-row products in O(n).  Everything runs in exact rational
-arithmetic ("rational" mode) or floating point ("float" mode).
+by sparse-row products in O(n).  The walk, T, C and the residual are
+exact rational, a float w read as its exact binary fraction; floats
+appear only where numpy takes over, in the eigensolve and sigma_min(C).
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ from .polynomials import SparsePolynomial
 from .spectral import ScanParams, VertexConditions, scan_spectrum
 
 MODES = ("rational", "float")
-# float mode: an exact identity may miss by this much relative to max(1, |value|)
-_FLOAT_RTOL = 1e-12
 
 
 class MarkovError(GearlabError):
     pass
-
-
-def _as_fraction(w):
-    if isinstance(w, float):
-        return Fraction(w).limit_denominator(10 ** 12)
-    return Fraction(w)
 
 
 @dataclass(frozen=True)
@@ -45,8 +38,7 @@ class MarkovSystem:
     """Row-stochastic walk matrix with its weighted-degree inner product."""
 
     cg: CombinatorialGraph
-    w: object              # Fraction in rational mode, float otherwise
-    mode: str
+    w: Fraction
     rows: tuple            # per vertex: dict neighbor -> transition probability
     degrees: tuple         # weighted vertex degrees d(v)
     adjacency: tuple       # per vertex: dict neighbor -> edge weight sum
@@ -65,17 +57,18 @@ class MarkovSystem:
 
 
 def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSystem:
-    """Walk matrix of a unit subdivision; tooth edges carry weight w."""
+    """Walk matrix of a unit subdivision; tooth edges carry weight w, read exactly."""
+    # mode changes nothing: the benchmark's workloads still pass it positionally
     if mode not in MODES:
         raise MarkovError(f"mode must be one of {MODES}")
     try:
-        wv = _as_fraction(w) if mode == "rational" else float(w)
-        ok = 0 < float(wv) < math.inf       # as a float, in both modes
+        wv = Fraction(w)
+        ok = 0 < float(wv) < math.inf       # positive and finite as a float
     except (OverflowError, ValueError):
         ok = False                          # inf, nan, or beyond the float range
     if not ok:
         raise MarkovError("tooth weight w must be positive and finite")
-    one = Fraction(1) if mode == "rational" else 1.0
+    one = Fraction(1)
     n = cg.vertex_count
     adj = [dict() for _ in range(n)]
     for u, v, cls in cg.edges:
@@ -87,21 +80,16 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
         raise MarkovError("isolated vertex")
     rows = tuple({u: wgt / degrees[v] for u, wgt in row.items()}
                  for v, row in enumerate(adj))
-    return MarkovSystem(cg, wv, mode, rows, degrees, tuple(adj))
+    return MarkovSystem(cg, wv, rows, degrees, tuple(adj))
 
 
-def _exponent(x) -> int:
-    """An e with 2^(e-1) < x < 2^(e+1) for a Fraction x > 0, 2^e <= x < 2^(e+1) for a float."""
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() - x.denominator.bit_length()
-    return math.frexp(x)[1] - 1
+def _exponent(x: Fraction) -> int:
+    """An e with 2^(e-1) < x < 2^(e+1) for x > 0."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _scaled(x, e: int) -> float:
-    """x / 2^e as a float, rounded once, for a float, int or Fraction x;
-    exact for a float that stays normal."""
-    if isinstance(x, float):
-        return math.ldexp(x, -e)
+def _scaled(x: Fraction, e: int) -> float:
+    """x / 2^e as a float, rounded once."""
     p, q = x.numerator, x.denominator
     return p / (q << e) if e >= 0 else (p << -e) / q
 
@@ -112,19 +100,16 @@ def _symmetric_walk(ms: MarkovSystem):
     S is unchanged when every weight is divided by one power of four 4^h;
     h from the largest weight keeps the weights and degrees near 1, where
     no float overflows, and dividing each weight by the square root of
-    each degree in turn leaves no product of degrees to underflow.  Where
-    the scaled values stay normal, the division by 4^h is exact on floats
-    and rounds once on Fractions, as float() does, rational degrees being
-    summed exactly first; so S, and sqrt(D) = 2^h sqrt(D / 4^h), are what
-    the unscaled weights give.
+    each degree in turn leaves no product of degrees to underflow.  The
+    exact weights and degrees are each rounded once after the division
+    by 4^h, as float() rounds them; so where the scaled values stay
+    normal, S and sqrt(D) = 2^h sqrt(D / 4^h) are what the unscaled
+    weights give.
     """
     n = ms.size
     h = max(_exponent(wgt) for row in ms.adjacency for wgt in row.values()) // 2
     rows = [{u: _scaled(wgt, 2 * h) for u, wgt in row.items()} for row in ms.adjacency]
-    if ms.mode == "rational":
-        d = [_scaled(x, 2 * h) for x in ms.degrees]
-    else:
-        d = [sum(row.values()) for row in rows]
+    d = [_scaled(x, 2 * h) for x in ms.degrees]
     root = [math.sqrt(x) for x in d]
     s = np.zeros((n, n))
     for v, row in enumerate(rows):
@@ -157,9 +142,6 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
     x D - W, sparse integer rows read off the adjacency of the unicyclic
     subdivided gear, is expanded by `unicyclic_det` over Z[x].
     """
-    if ms.mode != "rational":
-        raise MarkovError("exact characteristic polynomial needs rational mode")
-
     def cleared(q):
         q = q * ms.w.denominator
         assert q.denominator == 1
@@ -225,8 +207,7 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
     Slot j of dual side path i gets the row p_i'(slot j) + w t_i'(slot j)
     and slot j of dual tooth path i gets p_i'(slot j) - t_i'(slot j),
     where p_i', t_i' are the derivative rows on the source paths.  A
-    vertex on several dual paths must get the same row from each, exactly
-    in rational mode and per coefficient to 1e-12 relative in float mode,
+    vertex on several dual paths must get exactly the same row from each,
     or MarkovError is raised; so every image T f is consistent.
     """
     n = _gear_path_count(src.cg)
@@ -236,7 +217,6 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
         raise MarkovError("source and target weights differ")
     w = src.w
     rows = [None] * dst.size
-    worst = 0
     for i in range(n):
         side_d = _path_rows(src, src.cg.paths[i])
         tooth_d = _path_rows(src, src.cg.paths[n + i])
@@ -246,14 +226,9 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
             for vertex, row in zip(path, path_rows):
                 if rows[vertex] is None:
                     rows[vertex] = row
-                    continue
-                for u in {**rows[vertex], **row}:
-                    old, new = rows[vertex].get(u, 0), row.get(u, 0)
-                    if old != new:
-                        worst = max(worst, abs(old - new) / max(1, abs(new)))
-    if worst > (0 if src.mode == "rational" else _FLOAT_RTOL):
-        raise MarkovError("transplantation is inconsistent at shared vertices "
-                          f"(discrepancy {float(worst):.3e})")
+                elif rows[vertex] != row:       # rows hold no zeros: exact comparison
+                    raise MarkovError(
+                        f"transplantation is inconsistent at shared vertex {vertex}")
     return rows
 
 
@@ -299,15 +274,8 @@ def _cleared(rows):
 
 
 def _parts(conj: Conjugator):
-    """T's rows, then d and v as rows, over one common denominator L (floats: L = 1)."""
-    rows = [*conj.T, dict(enumerate(conj.d)), dict(enumerate(conj.v))]
-    return _cleared(rows) if isinstance(conj.d[0], Fraction) else (rows, 1)
-
-
-def _differ(a: dict, b: dict, tol) -> bool:
-    """Whether sparse rows differ by more than tol * max(1, |b_j|) somewhere."""
-    return a != b and any(abs(a.get(j, 0) - b.get(j, 0)) > tol * max(1, abs(b.get(j, 0)))
-                          for j in {**a, **b})
+    """T's rows, then d and v as rows, over one common denominator L."""
+    return _cleared([*conj.T, dict(enumerate(conj.d)), dict(enumerate(conj.v))])
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):
@@ -315,18 +283,14 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
 
     M~ 1 = 1, d^T M = d^T, M~ st = -st (needed only where v != 0) and
     v^T M = -v^T cancel the rank-one terms, so M~ C - C M = M~ T - T M.
-    The identities are checked first, exactly in rational mode and to
-    _FLOAT_RTOL relative in float mode, or MarkovError is raised.  Every
-    product is `row_times` on sparse rows, O(n) in all; in rational mode
-    they run on ints, the denominators cleared by lcms Lambda over both
-    walk matrices and L over T, d and v: the result is max_abs / (L Lambda).
+    The identities are checked first, exactly, or MarkovError is raised.
+    Every product is `row_times` on sparse int rows, O(n) in all, the
+    denominators cleared by lcms Lambda over both walk matrices and L
+    over T, d and v: the result is max_abs / (L Lambda).
     """
-    m, mt, st = src.rows, dst.rows, conj.st
     (*t, d, v), big_l = _parts(conj)
-    lam, tol = 1, _FLOAT_RTOL
-    if src.mode == "rational":
-        walk, lam = _cleared(m + mt)
-        m, mt, tol = walk[:len(m)], walk[len(m):], 0
+    walk, lam = _cleared(src.rows + dst.rows)
+    m, mt, st = walk[:src.size], walk[src.size:], conj.st
     flip = 1 if any(v.values()) else 0          # st matters only where v != 0
     cols = [{0: 1, 1: flip * s} for s in st]     # the columns 1 and st
     for name, got, want in (
@@ -334,7 +298,7 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
              [{0: lam, 1: -lam * flip * s} for s in st]),
             ("d^T M = d^T", [row_times(d, m)], [{j: lam * x for j, x in d.items()}]),
             ("v^T M = -v^T", [row_times(v, m)], [{j: -lam * x for j, x in v.items()}])):
-        if any(_differ(a, b, tol) for a, b in zip(got, want)):
+        if any(_combine(a, b, -1) for a, b in zip(got, want)):   # a - b, zeros dropped
             raise MarkovError(f"conjugator: {name} fails")
     worst = 0
     for row, trow in zip(mt, t):
@@ -342,7 +306,7 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
         for j, e in row_times(trow, m).items():
             diff[j] = diff.get(j, 0) - e
         worst = max(worst, max(map(abs, diff.values()), default=0))
-    return Fraction(worst, big_l * lam) if src.mode == "rational" else worst
+    return Fraction(worst, big_l * lam)
 
 
 def conjugator_sigma_min(conj: Conjugator) -> float:
@@ -350,8 +314,7 @@ def conjugator_sigma_min(conj: Conjugator) -> float:
 
     Over L from `_parts`, row i is the base row (d_j + st_i v_j) / L, one
     of two, with ((t_ij + d_j) + st_i v_j) / L on T's support: correctly
-    rounded int divisions in rational mode, float sums in that order in
-    float mode.
+    rounded int divisions.
     """
     (*t, d, v), big_l = _parts(conj)
     plus, minus = ([(d[j] + s * v[j]) / big_l for j in range(len(t))] for s in (1, -1))
@@ -373,13 +336,13 @@ def conjugator_report(spec: GearSpec, w, mode: str = "rational") -> dict:
     report = {
         "n": spec.n,
         "lengths": [float(l) for l in spec.lengths],
-        "w": str(_as_fraction(w)) if mode == "rational" else float(w),
+        "w": str(src.w) if mode == "rational" else float(src.w),
         "mode": mode,
         "conj_residual": float(residual),
         "sigma_min_C": conjugator_sigma_min(conj),
         "charpoly_equal": None,
     }
-    if mode == "rational":
+    if mode == "rational":                  # float mode skips the polynomials
         report["charpoly_equal"] = (characteristic_polynomial_exact(src)
                                     == characteristic_polynomial_exact(dst))
     return report
@@ -443,7 +406,7 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float) -> dict:
     g = build_gear(spec)
     cond = VertexConditions(float(w))
     spect = scan_spectrum(g, cond, ScanParams(k_max=k_max))
-    ms = markov_matrix(subdivide(g), w, "float")
+    ms = markov_matrix(subdivide(g), w)
     limit = k_max - 1e-6
     circle = int(round(sum(spec.lengths)))
     predicted = predicted_wavenumbers(ms, circle, limit)

@@ -192,19 +192,17 @@ def test_criterion_8_structural_invariants():
                     assert src.degrees[u] * p == src.degrees[v] * src.rows[v][u]
 
             # spectrum inside [-1, 1]; -1 present iff bipartite
-            fsrc = markov_matrix(src.cg, float(w), "float")
-            fdst = markov_matrix(dst.cg, float(w), "float")
-            vals, vecs = markov_spectrum(fsrc)
+            vals, vecs = markov_spectrum(src)
             assert vals[0] >= -1 - 1e-12 and vals[-1] <= 1 + 1e-12
             bip = bipartition_sign(src.cg) is not None
             assert (abs(vals[0] + 1.0) < 1e-9) == bip
 
             # transplanted eigenvectors stay eigenvectors
-            md = fdst.dense()
+            md = dst.dense()
             for i, mu in enumerate(vals):
                 if abs(abs(mu) - 1.0) < 1e-9:
                     continue
-                img = combinatorial_transplant(fsrc, fdst, list(vecs[:, i]))
+                img = combinatorial_transplant(src, dst, list(vecs[:, i]))
                 img = np.array(img)
                 assert np.abs(md @ img - mu * img).max() <= 1e-10 * np.linalg.norm(img)
 

@@ -423,6 +423,28 @@ def test_extreme_weights_exit_without_a_traceback(tmp_path, argv, w):
         assert max(map(abs, vals)) <= 1 + 1e-12 and abs(vals[-1] - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("gear, w", [
+    *((("--lengths", "1,2,3"), w) for w in ("1e-300", "1/3", "3/2", "1e20", "1e200", "1e308")),
+    (("--lengths", "1,2,3", "--attach", "tht"), "3/2"),
+], ids=["1e-300", "1/3", "3/2", "1e20", "1e200", "1e308", "tht-3/2"])
+def test_float_and_rational_modes_agree(gear, w):
+    """Both modes verify the same walk: `conjugate` exits alike, with the
+    same residual and sigma_min_C wherever both print a report, and
+    `markov` prints the same eigenvalues.  Which exit code is right at an
+    extreme w is not checked here, only that the modes agree on it."""
+    conj = [fresh_gearlab("conjugate", *gear, "--w", w, "--mode", mode)
+            for mode in ("rational", "float")]
+    assert conj[0].returncode == conj[1].returncode
+    if conj[0].stdout and conj[1].stdout:
+        reports = [json.loads(proc.stdout) for proc in conj]
+        for key in ("conj_residual", "sigma_min_C"):
+            assert reports[0][key] == reports[1][key], key
+    walks = [fresh_gearlab("markov", *gear, "--w", w, "--mode", mode)
+             for mode in ("rational", "float")]
+    assert walks[0].returncode == walks[1].returncode == 0
+    assert json.loads(walks[0].stdout)["eigenvalues"] == json.loads(walks[1].stdout)["eigenvalues"]
+
+
 def test_split_gear_file_scans_and_compares_like_the_api(tmp_path):
     # a degree-2 vertex on side 1 breaks the gear layout but not the
     # spectrum: the CLI checks graph files as metric graphs only

@@ -149,10 +149,17 @@ def test_dual_pair_charpolys_identical():
     assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
 
 
-def test_charpoly_requires_rational_mode():
-    ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 1, 1)))), 1.0, "float")
-    with pytest.raises(MarkovError):
-        characteristic_polynomial_exact(ms)
+def test_float_weight_is_read_exactly():
+    """A float w is its exact binary fraction: 1e-13 builds a walk, where
+    rounding to a denominator of at most 10^12 would give w = 0."""
+    spec = GearSpec(3, (1, 2, 3))
+    ms = markov_matrix(subdivide(build_gear(spec)), 1e-13)
+    assert ms.w == Fraction(1e-13) > 0
+    rep = conjugator_report(spec, 1e-13)
+    assert rep["conj_residual"] == 0.0 and rep["charpoly_equal"] is True
+    assert rep["w"] == str(Fraction(1e-13))
+    assert conjugator_report(spec, 0.1)["w"] == "3602879701896397/36028797018963968"
+    assert crosscheck_quantum(spec, 1e-13, 4.0)["agree"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,7 @@ def test_transplant_kernel_constants_and_signs():
 
 
 def test_transplant_maps_eigenvectors():
-    src, dst = walk_pair((1, 2, 3), 1.0, mode="float")
+    src, dst = walk_pair((1, 2, 3), Fraction(1))
     vals, vecs = markov_spectrum(src)
     md = dst.dense()
     for i, mu in enumerate(vals):
@@ -225,14 +232,11 @@ def test_transplant_maps_eigenvectors():
         assert np.abs(md @ img - mu * img).max() <= 1e-10 * np.linalg.norm(img)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_transplant_onto_non_dual_raises(mode):
-    src, _ = walk_pair((1, 2, 3), Fraction(3, 2), mode)
+def test_transplant_onto_non_dual_raises():
+    src, _ = walk_pair((1, 2, 3), Fraction(3, 2))
     rng = random.Random(5)
     f = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(src.size)]
-    if mode == "float":
-        f = [float(x) for x in f]
-    with pytest.raises(MarkovError, match="discrepancy"):
+    with pytest.raises(MarkovError, match="^transplantation is inconsistent at shared vertex"):
         combinatorial_transplant(src, src, f)
 
 
@@ -269,22 +273,13 @@ def per_vector_transplant(src, dst, f):
 def test_transplantation_rows_match_the_per_vector_rule(attachments, w):
     lengths = (2, 1, 3, 2)
     src, dst = walk_pair(lengths, w, attachments=attachments)
-    fsrc, fdst = walk_pair(lengths, float(w), "float", attachments)
     rows = transplantation_matrix(src, dst)
-    frows = transplantation_matrix(fsrc, fdst)
-    assert len(rows) == len(frows) == dst.size
-    for row, frow in zip(rows, frows):
-        # a float entry may miss the exact cancellation of its rational one
-        assert 0 not in row.values() and 0 not in frow.values()
-        for u in {**row, **frow}:
-            assert frow.get(u, 0) == pytest.approx(float(row.get(u, 0)), rel=1e-12, abs=1e-12)
+    assert len(rows) == dst.size
+    assert all(0 not in row.values() for row in rows)
     rng = random.Random(f"{attachments}{w}")
     for _ in range(4):
         f = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(src.size)]
-        ref = per_vector_transplant(src, dst, f)
-        assert combinatorial_transplant(src, dst, f) == ref
-        got = combinatorial_transplant(fsrc, fdst, [float(x) for x in f])
-        assert got == pytest.approx([float(x) for x in ref], rel=1e-12, abs=1e-12)
+        assert combinatorial_transplant(src, dst, f) == per_vector_transplant(src, dst, f)
 
 
 @pytest.mark.parametrize("mode, w", [("rational", Fraction(3, 2)), ("float", 1.5)])
@@ -348,9 +343,11 @@ def test_conjugator_intertwines_exactly():
 
 
 def test_conjugator_float_mode():
+    # float mode builds the same exact walk: a float w is read exactly
     src, dst = walk_pair((1, 2, 3), 1.0, mode="float")
+    assert (src.w, dst.w) == (1, 1)
     conj = build_conjugator(src, dst)
-    assert conjugation_residual(src, dst, conj) < 1e-10
+    assert conjugation_residual(src, dst, conj) == 0
     assert conjugator_sigma_min(conj) > 1e-8
 
 
@@ -377,7 +374,7 @@ def dense_conjugator(src, dst):
     n = src.size
     t = transplantation_matrix(src, dst)
     d = src.degrees
-    zero = Fraction(0) if src.mode == "rational" else 0.0
+    zero = Fraction(0)
     jp = [[d[j] for j in range(n)] for _ in range(n)]
     s = bipartition_sign(src.cg)
     st_ = bipartition_sign(dst.cg)
@@ -410,8 +407,10 @@ def perturbed(conj, *changes):
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_residual_detects_perturbed_conjugator(mode):
+    # both modes build the exact walk; float mode from the float w, with
+    # the perturbation the exact binary fraction of 1e-3
     w = Fraction(3, 2) if mode == "rational" else 1.5
-    delta = Fraction(1, 7) if mode == "rational" else 1e-3
+    delta = Fraction(1, 7) if mode == "rational" else Fraction(1e-3)
     src, dst = walk_pair((1, 2, 3), w, mode=mode)
     conj = build_conjugator(src, dst)
     entries = ((0, 0), (3, 7), (src.size - 1, 1))
@@ -420,11 +419,7 @@ def test_residual_detects_perturbed_conjugator(mode):
         bad = perturbed(conj, (i, j, delta))
         got = conjugation_residual(src, dst, bad)
         ref = dense_residual(src, dst, assembled(bad))
-        assert got > 1e-6
-        if mode == "rational":
-            assert got == ref
-        else:
-            assert got == pytest.approx(ref, rel=1e-12)
+        assert got > 1e-6 and got == ref
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -433,14 +428,15 @@ def test_residual_detects_perturbed_conjugator(mode):
                          ids=["d", "v", "st", "odd-d", "odd-v"])
 def test_wrong_rank_one_part_raises(mode, lengths, field):
     """A wrong entry of d, v or st fails one of the identities that cancel
-    the rank-one terms, while the dense residual shows that C is wrong."""
+    the rank-one terms, while the dense residual shows that C is wrong;
+    exactly in both modes."""
     src, dst = walk_pair(lengths, Fraction(3, 2) if mode == "rational" else 1.5, mode)
     conj = build_conjugator(src, dst)
     values = list(getattr(conj, field))
     if field == "st":
         values[2] = -values[2]
     else:
-        values[5] += Fraction(1, 7) if mode == "rational" else 1e-3
+        values[5] += Fraction(1, 7) if mode == "rational" else Fraction(1e-3)
     bad = dataclasses.replace(conj, **{field: tuple(values)})
     assert dense_residual(src, dst, assembled(bad)) > 1e-6
     with pytest.raises(MarkovError, match="conjugator: .* fails"):
@@ -472,9 +468,6 @@ def test_conjugator_matches_dense_construction(gear, w, mode, data):
         assert list(map(type, row)) == list(map(type, ref_row))
     # the entries of C rounded once each, as from the dense reference
     assert conjugator_sigma_min(conj) == dense_sigma_min(ref)
-    if mode == "float":
-        assert conjugation_residual(src, dst, conj) < 1e-10
-        return
     assert conjugation_residual(src, dst, conj) == 0 == dense_residual(src, dst, c)
     n = src.size
     changes = data.draw(st.lists(

@@ -45,9 +45,9 @@ EXTREME_WEIGHTS = [pytest.param(Fraction(10) ** k, id=f"1e{k}")
                    for k in (-300, -200, 200, 300, 308)]
 
 
-def gear_walk(lengths, attachments, w, mode="rational"):
+def gear_walk(lengths, attachments, w):
     spec = GearSpec(len(lengths), lengths, "primal", attachments)
-    return markov_matrix(subdivide(build_gear(spec)), w, mode)
+    return markov_matrix(subdivide(build_gear(spec)), w)
 
 
 def ascending(poly_expr, x, n):
@@ -175,7 +175,7 @@ def test_markov_spectrum_matches_mpmath(lengths, attachments, w):
             for u, wgt in row.items():
                 s[v, u] = _mpf(wgt) / mpmath.sqrt(_mpf(ms.degrees[v] * ms.degrees[u]))
         exact = [float(e) for e in sorted(mpmath.eigsy(s, eigvals_only=True))]
-    fvals, _ = markov_spectrum(gear_walk(lengths, attachments, float(w), "float"))
+    fvals, _ = markov_spectrum(gear_walk(lengths, attachments, float(w)))
     rvals, _ = markov_spectrum(ms)
     for vals in (fvals, rvals, markov_eigenvalues(ms)):
         assert len(vals) == n
