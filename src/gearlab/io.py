@@ -44,7 +44,8 @@ def _edge_class(cls: str) -> str:
 def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
     """(name, vertex count, records) of a file of `header <name>`,
     `vertices <N>` and `record` lines; ``layout`` parses a record's fields,
-    and every line has exactly the fields of its layout."""
+    every line has exactly the fields of its layout, and the two header
+    records appear once each."""
     layouts = {header: (str,), "vertices": (int,), record: layout}
     found = {kind: [] for kind in layouts}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -56,6 +57,8 @@ def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
             raise FormatError(f"line {lineno}: unknown record '{kind}'")
         if len(fields) != len(layouts[kind]):
             raise FormatError(f"line {lineno}: malformed record")
+        if kind != record and found[kind]:
+            raise FormatError(f"line {lineno}: duplicate '{kind}' record")
         try:
             found[kind].append(tuple(parse(x) for parse, x in zip(layouts[kind], fields)))
         except FormatError as exc:
@@ -64,7 +67,7 @@ def _read_records(text: str, header: str, record: str, layout: tuple) -> tuple:
             raise FormatError(f"line {lineno}: malformed record") from exc
     if not (found[header] and found["vertices"]):
         raise FormatError(f"missing {header}/vertices header")
-    return found[header][-1][0], found["vertices"][-1][0], found[record]
+    return found[header][0][0], found["vertices"][0][0], found[record]
 
 
 def graph_from_text(text: str) -> MetricGraph:

@@ -7,8 +7,9 @@ in [-1, 1], and mutually dual gears yield isospectral M, M~ -- certified
 here by an explicit conjugator C = T + 1 d^T + st v^T: the combinatorial
 transplantation T, sparse rows with at most 4 entries, plus rank-one
 corrections on the +-1 eigenspaces.  C is kept as those parts and checked
-by sparse-row products in O(n).  The walk, T, C and the residual are
-exact rational, a float w read as its exact binary fraction; floats
+by sparse-row products in O(n).  The walk is kept as integer weights W
+and degrees D on the scale q of w = p/q, a float w read as its exact
+binary fraction; T, C and the residual are exact rationals.  Floats
 appear only where numpy takes over, in the eigensolve and sigma_min(C).
 """
 
@@ -35,25 +36,20 @@ class MarkovError(GearlabError):
 
 @dataclass(frozen=True)
 class MarkovSystem:
-    """Row-stochastic walk matrix with its weighted-degree inner product."""
+    """Walk matrix M[v, u] = adjacency[v][u] / degrees[v], all ints.
+
+    With w = p/q in lowest terms, a polygon edge weighs q and a tooth edge
+    p: the weights and degrees are q times those of the walk.
+    """
 
     cg: CombinatorialGraph
     w: Fraction
-    rows: tuple            # per vertex: dict neighbor -> transition probability
-    degrees: tuple         # weighted vertex degrees d(v)
-    adjacency: tuple       # per vertex: dict neighbor -> edge weight sum
+    degrees: tuple         # weighted vertex degrees q d(v)
+    adjacency: tuple       # per vertex: dict neighbor -> edge weight sum, times q
 
     @property
     def size(self):
         return self.cg.vertex_count
-
-    def dense(self):
-        n = self.size
-        out = np.zeros((n, n))
-        for v, row in enumerate(self.rows):
-            for u, p in row.items():
-                out[v, u] = float(p)
-        return out
 
 
 def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSystem:
@@ -68,30 +64,21 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
         ok = False                          # inf, nan, or beyond the float range
     if not ok:
         raise MarkovError("tooth weight w must be positive and finite")
-    one = Fraction(1)
     n = cg.vertex_count
     adj = [dict() for _ in range(n)]
     for u, v, cls in cg.edges:
-        wgt = wv if cls == TOOTH else one
+        wgt = wv.numerator if cls == TOOTH else wv.denominator
         adj[u][v] = adj[u].get(v, 0) + wgt
         adj[v][u] = adj[v].get(u, 0) + wgt
     degrees = tuple(sum(row.values()) for row in adj)
     if any(d == 0 for d in degrees):
         raise MarkovError("isolated vertex")
-    rows = tuple({u: wgt / degrees[v] for u, wgt in row.items()}
-                 for v, row in enumerate(adj))
-    return MarkovSystem(cg, wv, rows, degrees, tuple(adj))
+    return MarkovSystem(cg, wv, degrees, tuple(adj))
 
 
-def _exponent(x: Fraction) -> int:
-    """An e with 2^(e-1) < x < 2^(e+1) for x > 0."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def _scaled(x: Fraction, e: int) -> float:
-    """x / 2^e as a float, rounded once."""
-    p, q = x.numerator, x.denominator
-    return p / (q << e) if e >= 0 else (p << -e) / q
+def _scaled(x: int, q: int, e: int) -> float:
+    """x / (q 2^e) as a float, rounded once."""
+    return x / (q << e) if e >= 0 else (x << -e) / q
 
 
 def _symmetric_walk(ms: MarkovSystem):
@@ -101,15 +88,16 @@ def _symmetric_walk(ms: MarkovSystem):
     h from the largest weight keeps the weights and degrees near 1, where
     no float overflows, and dividing each weight by the square root of
     each degree in turn leaves no product of degrees to underflow.  The
-    exact weights and degrees are each rounded once after the division
-    by 4^h, as float() rounds them; so where the scaled values stay
-    normal, S and sqrt(D) = 2^h sqrt(D / 4^h) are what the unscaled
+    integer weights and degrees over q are each rounded once after the
+    division by 4^h, as float() rounds them; so where the scaled values
+    stay normal, S and sqrt(D) = 2^h sqrt(D / 4^h) are what the unscaled
     weights give.
     """
-    n = ms.size
-    h = max(_exponent(wgt) for row in ms.adjacency for wgt in row.values()) // 2
-    rows = [{u: _scaled(wgt, 2 * h) for u, wgt in row.items()} for row in ms.adjacency]
-    d = [_scaled(x, 2 * h) for x in ms.degrees]
+    n, q = ms.size, ms.w.denominator
+    top = max(wgt for row in ms.adjacency for wgt in row.values())
+    h = (top.bit_length() - q.bit_length()) // 2
+    rows = [{u: _scaled(wgt, q, 2 * h) for u, wgt in row.items()} for row in ms.adjacency]
+    d = [_scaled(x, q, 2 * h) for x in ms.degrees]
     root = [math.sqrt(x) for x in d]
     s = np.zeros((n, n))
     for v, row in enumerate(rows):
@@ -138,19 +126,14 @@ def markov_eigenvalues(ms: MarkovSystem):
 def characteristic_polynomial_exact(ms: MarkovSystem):
     """Monic char poly of M as ascending Fractions, exact.
 
-    det(xI - M) = det(xD - W)/det(D); denominators are cleared once, and
-    x D - W, sparse integer rows read off the adjacency of the unicyclic
-    subdivided gear, is expanded by `unicyclic_det` over Z[x].
+    det(xI - M) = det(xD - W)/det(D) with the integer W and D, and x D - W,
+    sparse rows read off the adjacency of the unicyclic subdivided gear,
+    is expanded by `unicyclic_det` over Z[x].
     """
-    def cleared(q):
-        q = q * ms.w.denominator
-        assert q.denominator == 1
-        return q.numerator
-
     x = SparsePolynomial.variable("x")
-    rows = [{u: -cleared(wgt) for u, wgt in adj.items()} for adj in ms.adjacency]
+    rows = [{u: -wgt for u, wgt in adj.items()} for adj in ms.adjacency]
     for v, row in enumerate(rows):
-        row[v] = x * cleared(ms.degrees[v]) + row.get(v, 0)
+        row[v] = x * ms.degrees[v] + row.get(v, 0)
     try:
         det = unicyclic_det(rows)
     except ValueError as exc:
@@ -166,9 +149,9 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
 
 def _derivative_row(ms: MarkovSystem, v: int, vp: int) -> dict:
     """Outward derivative -(Mf)(v) + f(vp) at v towards vp, as a row over f."""
-    if vp not in ms.rows[v]:
+    if vp not in ms.adjacency[v]:
         raise MarkovError(f"vertices {v} and {vp} are not adjacent")
-    row = {u: -p for u, p in ms.rows[v].items()}
+    row = {u: Fraction(-wgt, ms.degrees[v]) for u, wgt in ms.adjacency[v].items()}
     row[vp] += 1
     return row
 
@@ -243,7 +226,7 @@ class Conjugator:
     """C = T + 1 d^T + st v^T, kept as its parts; no n x n matrix is stored."""
 
     T: tuple               # sparse rows of the transplantation, <= 4 entries each
-    d: tuple               # source weighted degrees: 1 d^T is J+
+    d: tuple               # source weighted degrees d(v), polygon edges 1: 1 d^T is J+
     v: tuple               # s_j d_j / sum(d) on a bipartite subdivision, else zeros
     st: tuple              # dual bipartition sign, else ones: st v^T is J-
 
@@ -260,10 +243,10 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
     d, s, st = src.degrees, bipartition_sign(src.cg), bipartition_sign(dst.cg)
     if (s is None) != (st is None):
         raise MarkovError("dual pair disagrees on bipartiteness")
-    total = sum(d)
-    v = (tuple(0 * dj for dj in d) if s is None
-         else tuple(sj * dj / total for sj, dj in zip(s, d)))
-    return Conjugator(t, d, v, tuple(st or (1,) * len(d)))
+    total, q = sum(d), src.w.denominator
+    v = ((Fraction(0),) * len(d) if s is None
+         else tuple(Fraction(sj * dj, total) for sj, dj in zip(s, d)))
+    return Conjugator(t, tuple(Fraction(dj, q) for dj in d), v, tuple(st or (1,) * len(d)))
 
 
 def _cleared(rows):
@@ -284,18 +267,20 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
     M~ 1 = 1, d^T M = d^T, M~ st = -st (needed only where v != 0) and
     v^T M = -v^T cancel the rank-one terms, so M~ C - C M = M~ T - T M.
     The identities are checked first, exactly, or MarkovError is raised.
-    Every product is `row_times` on sparse int rows, O(n) in all, the
-    denominators cleared by lcms Lambda over both walk matrices and L
-    over T, d and v: the result is max_abs / (L Lambda).
+    Every product is `row_times` on sparse int rows, O(n) in all: the walk
+    rows over Lambda = lcm of both gears' degrees, Lambda M[v, u] =
+    W[v][u] (Lambda / d(v)), and T, d and v over their lcm L.  The result
+    is max_abs / (L Lambda).
     """
     (*t, d, v), big_l = _parts(conj)
-    walk, lam = _cleared(src.rows + dst.rows)
-    m, mt, st = walk[:src.size], walk[src.size:], conj.st
+    lam = math.lcm(*src.degrees, *dst.degrees)
+    m, mt = ([{u: wgt * (lam // dv) for u, wgt in row.items()}
+              for row, dv in zip(ms.adjacency, ms.degrees)] for ms in (src, dst))
     flip = 1 if any(v.values()) else 0          # st matters only where v != 0
-    cols = [{0: 1, 1: flip * s} for s in st]     # the columns 1 and st
+    cols = [{0: 1, 1: flip * s} for s in conj.st]    # the columns 1 and st
     for name, got, want in (
             ("M~ 1 = 1, M~ st = -st", [row_times(row, cols) for row in mt],
-             [{0: lam, 1: -lam * flip * s} for s in st]),
+             [{0: lam, 1: -lam * flip * s} for s in conj.st]),
             ("d^T M = d^T", [row_times(d, m)], [{j: lam * x for j, x in d.items()}]),
             ("v^T M = -v^T", [row_times(v, m)], [{j: -lam * x for j, x in v.items()}])):
         if any(_combine(a, b, -1) for a, b in zip(got, want)):   # a - b, zeros dropped

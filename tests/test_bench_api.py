@@ -3,11 +3,12 @@
 ``bench/workloads.py`` calls gearlab functions by name and signature.
 Running its in-process workloads here, on the warm-up input and the first
 two inputs of round 0 of seed 1 (every input for zeta-digraphs, whose
-seeded 14-42 vertex gear pairs come after the fixtures), makes a change
-that breaks one of those calls fail the test suite instead of a
-benchmark run.  The cli workload runs every command of round 0 of seed 1
-as a subprocess, so a change to argument or file parsing that breaks it
-fails here too.
+seeded 14-42 vertex gear pairs come after the fixtures, and for
+walk-exact, two of whose three mixed-attachment slots come after the
+first two), makes a change that breaks one of those calls fail the test
+suite instead of a benchmark run.  The cli workload runs every command
+of round 0 of seed 1 as a subprocess, so a change to argument or file
+parsing that breaks it fails here too.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ ROOT = pathlib.Path(__file__).parents[1]
 WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
 # inputs of round 0 to run, None for all of them
-ROUND_INPUTS = {"quantum-pairs": 2, "walk-exact": 2, "zeta-digraphs": None}
+ROUND_INPUTS = {"quantum-pairs": 2, "walk-exact": None, "zeta-digraphs": None}
 
 
 def load(name, path):

@@ -177,6 +177,15 @@ def test_markov_charpoly_matches_golden_file(tmp_path, gear, w, name):
     assert got == (DATA / f"{name}_markov_charpoly.json").read_text()
 
 
+@pytest.mark.parametrize("w", ["1e-300", "1e308"])
+def test_markov_matches_golden_file_at_the_float_range_ends(tmp_path, w):
+    """The whole report, eigenvalues included: the symmetric walk's scaling
+    decides its float bytes where w is near the ends of the float range."""
+    out = tmp_path / "markov.json"
+    assert run("markov", "--lengths", "1,2,3", "--w", w, "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / f"gear123_markov_w{w}.json").read_bytes()
+
+
 @pytest.mark.parametrize("lengths,extra,name", [
     ("1,2,3", (), "gear123_conjugate"),
     ("1,2,3", ("--mode", "float"), "gear123_float_conjugate"),
@@ -566,6 +575,30 @@ def test_validation_failure_per_handler(tmp_path, capsys, argv, message):
     capsys.readouterr()
     assert run(*(a.format(tmp=tmp_path) for a in argv)) == 2
     assert capsys.readouterr() == ("", f"gearlab: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("name, text, command, message", [
+    ("grow.graph", "graph g\nvertices 2\nvertices 3\nedge 0 0 1 1 1 plain\n"
+     "edge 1 1 2 1 1 plain\n", ["spectrum", "--k-max", "3", "--graph"],
+     "line 3: duplicate 'vertices' record"),
+    ("two.graph", "graph a\nvertices 2\ngraph b\nedge 0 0 1 1 1 plain\n",
+     ["spectrum", "--k-max", "3", "--graph"], "line 3: duplicate 'graph' record"),
+    ("shrink.digraph", "digraph d\nvertices 3\narc 0 1\nvertices 2\narc 1 0\n",
+     ["isomorphic", "--g2", "{path}", "--g1"], "line 4: duplicate 'vertices' record"),
+    ("two.digraph", "digraph a\nvertices 2\narc 0 1\narc 1 0\ndigraph b\n",
+     ["zeta", "--seed", "1", "--g2", "{path}", "--g1"], "line 5: duplicate 'digraph' record"),
+], ids=["graph-vertices", "graph-name", "digraph-vertices", "digraph-name"])
+def test_duplicate_header_record_is_a_validation_error(tmp_path, capsys, name, text, command,
+                                                       message):
+    """A file declares its name and vertex count once: a second `graph`,
+    `digraph` or `vertices` record is rejected, not read over the first."""
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*(a.format(path=path) for a in command), str(path), "-o", str(out)) == 2
+    assert capsys.readouterr() == ("", f"gearlab: {path}: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
+from gearlab.graphs import TOOTH, GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
 from gearlab.markov import (MODES, MarkovError, build_conjugator,
                             characteristic_polynomial_exact, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
@@ -28,15 +28,72 @@ def walk_pair(lengths, w, mode="rational", attachments=None):
     return src, dst
 
 
+def reference_weights(cg, w):
+    """Per vertex, the weight sums of its edges from the edges and w alone:
+    a tooth edge weighs w, every other edge 1."""
+    adj = [{} for _ in range(cg.vertex_count)]
+    for u, v, cls in cg.edges:
+        wgt = Fraction(w) if cls == TOOTH else Fraction(1)
+        adj[u][v] = adj[u].get(v, 0) + wgt
+        adj[v][u] = adj[v].get(u, 0) + wgt
+    return adj
+
+
+def reference_degrees(cg, w):
+    return [sum(row.values()) for row in reference_weights(cg, w)]
+
+
+def reference_walk(cg, w):
+    """The rows of M = D^-1 W as Fractions, from `reference_weights`."""
+    return [{u: x / sum(row.values()) for u, x in row.items()}
+            for row in reference_weights(cg, w)]
+
+
+def walk_rows(ms):
+    """The rows of M as Fractions, read off a walk's integer weights and degrees."""
+    return [{u: Fraction(wgt, d) for u, wgt in row.items()}
+            for row, d in zip(ms.adjacency, ms.degrees)]
+
+
+def dense(rows, n):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def reference_matrix(ms):
+    """The reference walk of a walk's gear and w as a dense float matrix."""
+    return np.array(dense(reference_walk(ms.cg, ms.w), ms.size), dtype=float)
+
+
+@st.composite
+def integer_gears(draw):
+    n = draw(st.integers(3, 6))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    attachments = draw(st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))
+    return tuple(lengths), tuple(attachments)
+
+
 # ---------------------------------------------------------------------------
 # the walk matrix itself
 # ---------------------------------------------------------------------------
 
+@settings(deadline=None, max_examples=40)
+@given(integer_gears(), st.sampled_from([Fraction(2, 5), Fraction(1, 2), Fraction(3, 2),
+                                         Fraction(2), Fraction(1e-300), Fraction(1e308)]))
+def test_walk_is_integer_weights_over_integer_degrees(gear, w):
+    """Every weight and degree is an int, and adjacency[v][u] / degrees[v]
+    is the reference walk built from the edges and w alone."""
+    lengths, attachments = gear
+    cg = subdivide(build_gear(GearSpec(len(lengths), lengths, "primal", attachments)))
+    ms = markov_matrix(cg, w)
+    assert all(type(x) is int for x in ms.degrees)
+    assert all(type(x) is int for row in ms.adjacency for x in row.values())
+    assert walk_rows(ms) == reference_walk(cg, w)
+
+
 def test_unit_gear_rows():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 1, 1)))), 1)
     third = Fraction(1, 3)
-    for v in range(ms.size):
-        row = ms.rows[v]
+    for v, row in enumerate(walk_rows(ms)):
         if v >= 3:   # leaves
             assert list(row.values()) == [Fraction(1)]
         else:        # degree-3 polygon vertices
@@ -45,22 +102,23 @@ def test_unit_gear_rows():
 
 def test_weighted_degree_three_row():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 1, 1)))), 2)
-    row = ms.rows[0]  # polygon vertex: two polygon neighbors + one tooth
+    row = walk_rows(ms)[0]  # polygon vertex: two polygon neighbors + one tooth
     assert sorted(row.values()) == [Fraction(1, 4), Fraction(1, 4), Fraction(2, 4)]
 
 
 def test_rows_sum_to_one_exactly():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), Fraction(3, 2))
     assert ms.size == 12
-    for row in ms.rows:
+    for row in walk_rows(ms):
         assert sum(row.values()) == 1
 
 
 def test_detailed_balance_exact():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), Fraction(3, 2))
+    rows = walk_rows(ms)
     for u in range(ms.size):
-        for v, p in ms.rows[u].items():
-            assert ms.degrees[u] * p == ms.degrees[v] * ms.rows[v][u]
+        for v, p in rows[u].items():
+            assert ms.degrees[u] * p == ms.degrees[v] * rows[v][u]
 
 
 def test_markov_rejects_bad_weight():
@@ -93,11 +151,12 @@ def test_walk_spectrum_at_the_ends_of_the_float_range(mode, w):
     vals, vecs = markov_spectrum(ms)
     assert np.abs(vals - markov_eigenvalues(ms)).max() <= 1e-14
     assert -1 - 1e-14 <= vals[0] and abs(vals[-1] - 1) <= 1e-14
-    if max(ms.degrees) < 1e308:             # the degrees 2w at 1.797e308 overflow
-        d = np.array([float(x) for x in ms.degrees])
+    degrees = reference_degrees(ms.cg, w)
+    if max(degrees) < 1e308:                # the degrees 2w at 1.797e308 overflow
+        d = np.array([float(x) for x in degrees])
         gram = vecs.T @ (d[:, None] * vecs)
         assert np.abs(gram - np.eye(ms.size)).max() <= 1e-12
-        resid = ms.dense() @ vecs - vecs * vals
+        resid = reference_matrix(ms) @ vecs - vecs * vals
         assert np.abs(resid).max() <= 1e-12 * np.abs(vecs).max()
 
 
@@ -170,7 +229,7 @@ def test_derivative_of_constant_vanishes():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), Fraction(1, 2))
     one = [Fraction(1)] * ms.size
     for u in range(ms.size):
-        for v in ms.rows[u]:
+        for v in ms.adjacency[u]:
             assert combinatorial_derivative(ms, one, u, v) == 0
 
 
@@ -179,8 +238,8 @@ def test_leaf_derivative_vanishes_for_every_function():
     rng = random.Random(1)
     f = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ms.size)]
     for v in range(ms.size):
-        if len(ms.rows[v]) == 1:
-            (nbr,) = ms.rows[v].keys()
+        if len(ms.adjacency[v]) == 1:
+            (nbr,) = ms.adjacency[v].keys()
             assert combinatorial_derivative(ms, f, v, nbr) == 0
 
 
@@ -188,9 +247,9 @@ def test_degree_two_one_sided_derivatives_agree():
     ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), Fraction(3, 2))
     rng = random.Random(2)
     f = [Fraction(rng.randint(-9, 9)) for _ in range(ms.size)]
-    mf = [sum(p * f[u] for u, p in row.items()) for row in ms.rows]
+    mf = [sum(p * f[u] for u, p in row.items()) for row in reference_walk(ms.cg, ms.w)]
     for v in range(ms.size):
-        nbrs = list(ms.rows[v])
+        nbrs = list(ms.adjacency[v])
         if len(nbrs) == 2:
             vp, vpp = nbrs
             incoming = mf[v] - f[vp]
@@ -204,8 +263,7 @@ def test_weighted_outward_derivative_sum_vanishes():
     f = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(ms.size)]
     for v in range(ms.size):
         total = Fraction(0)
-        for u in ms.rows[v]:
-            wgt = ms.adjacency[v][u]
+        for u, wgt in ms.adjacency[v].items():
             total += wgt * combinatorial_derivative(ms, f, v, u)
         assert total == 0
 
@@ -223,7 +281,7 @@ def test_transplant_kernel_constants_and_signs():
 def test_transplant_maps_eigenvectors():
     src, dst = walk_pair((1, 2, 3), Fraction(1))
     vals, vecs = markov_spectrum(src)
-    md = dst.dense()
+    md = reference_matrix(dst)
     for i, mu in enumerate(vals):
         if abs(abs(mu) - 1.0) < 1e-9:
             continue
@@ -240,16 +298,12 @@ def test_transplant_onto_non_dual_raises():
         combinatorial_transplant(src, src, f)
 
 
-def dense(rows, n):
-    return [[row.get(j, 0) for j in range(n)] for row in rows]
-
-
 def per_vector_transplant(src, dst, f):
     """Reference T f: one-sided derivatives of f along each source path
     (forward on every slot but the last, which looks back), combined into
     side + w tooth and side - tooth on the dual paths."""
     n = len(src.cg.paths) // 2
-    mf = [sum(p * f[u] for u, p in row.items()) for row in src.rows]
+    mf = [sum(p * f[u] for u, p in row.items()) for row in reference_walk(src.cg, src.w)]
 
     def derivatives(path):
         last = len(path) - 1
@@ -309,7 +363,7 @@ def test_rank_one_corrections():
     conj = build_conjugator(src, dst)
     d, v, st_ = conj.d, conj.v, conj.st
     n = src.size
-    assert d == src.degrees and len(v) == len(st_) == n
+    assert list(d) == reference_degrees(src.cg, src.w) and len(v) == len(st_) == n
     # J+ = 1 d^T maps 1 to the nonzero constant sum(d)
     assert sum(d) != 0
     # and annihilates vectors with zero d-mean
@@ -362,8 +416,8 @@ def test_conjugator_report_fields():
 def dense_residual(src, dst, c):
     """Max-abs entry of M~ C - C M from dense products (reference)."""
     n = src.size
-    m = [[src.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
-    mt = [[dst.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+    m = dense(reference_walk(src.cg, src.w), n)
+    mt = dense(reference_walk(dst.cg, dst.w), n)
     return max(abs(sum(mt[i][k] * c[k][j] for k in range(n))
                    - sum(c[i][k] * m[k][j] for k in range(n)))
                for i in range(n) for j in range(n))
@@ -373,7 +427,7 @@ def dense_conjugator(src, dst):
     """C = T + J+ + J- entry by entry over dense n x n rows (reference)."""
     n = src.size
     t = transplantation_matrix(src, dst)
-    d = src.degrees
+    d = reference_degrees(src.cg, src.w)
     zero = Fraction(0)
     jp = [[d[j] for j in range(n)] for _ in range(n)]
     s = bipartition_sign(src.cg)
@@ -441,14 +495,6 @@ def test_wrong_rank_one_part_raises(mode, lengths, field):
     assert dense_residual(src, dst, assembled(bad)) > 1e-6
     with pytest.raises(MarkovError, match="conjugator: .* fails"):
         conjugation_residual(src, dst, bad)
-
-
-@st.composite
-def integer_gears(draw):
-    n = draw(st.integers(3, 6))
-    lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    attachments = draw(st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))
-    return tuple(lengths), tuple(attachments)
 
 
 @settings(deadline=None, max_examples=40)

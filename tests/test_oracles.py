@@ -23,6 +23,7 @@ from gearlab.linalg import unicyclic_det
 from gearlab.polynomials import NVARS, VARIABLES, SparsePolynomial
 
 from test_linalg import pencil_charpoly, random_multivariate_pencil, random_unicyclic_edges, sparse
+from test_markov import reference_walk
 from test_zeta import dense_pencil
 
 sympy = pytest.importorskip("sympy")
@@ -62,7 +63,7 @@ def test_charpoly_matches_sympy(lengths, attachments, w):
     ms = gear_walk(lengths, attachments, w)
     n = ms.size
     m = sympy.zeros(n, n)
-    for v, row in enumerate(ms.rows):
+    for v, row in enumerate(reference_walk(ms.cg, w)):
         for u, p in row.items():
             m[v, u] = sympy.Rational(p.numerator, p.denominator)
     x = sympy.Symbol("x")
