@@ -9,8 +9,8 @@ transplantation T, sparse rows with at most 4 entries, plus rank-one
 corrections on the +-1 eigenspaces.  C is kept as those parts and checked
 by sparse-row products in O(n).  The walk is kept as integer weights W
 and degrees D on the scale q of w = p/q, a float w read as its exact
-binary fraction; T, C and the residual are exact rationals.  Floats
-appear only where numpy takes over, in the eigensolve and sigma_min(C).
+binary fraction, and C's parts T, d and v as ints over one denominator.
+Floats appear only where numpy takes over, in the eigensolve and sigma_min(C).
 """
 
 from __future__ import annotations
@@ -147,34 +147,41 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
 # combinatorial derivatives and transplantation
 # ---------------------------------------------------------------------------
 
-def _derivative_row(ms: MarkovSystem, v: int, vp: int) -> dict:
-    """Outward derivative -(Mf)(v) + f(vp) at v towards vp, as a row over f."""
-    if vp not in ms.adjacency[v]:
-        raise MarkovError(f"vertices {v} and {vp} are not adjacent")
-    row = {u: Fraction(-wgt, ms.degrees[v]) for u, wgt in ms.adjacency[v].items()}
-    row[vp] += 1
+def _walk_rows(ms: MarkovSystem, lam: int):
+    """lam M as int rows, lam a multiple of every degree: W[v][u] (lam / d(v))."""
+    return [{u: wgt * (lam // dv) for u, wgt in row.items()}
+            for row, dv in zip(ms.adjacency, ms.degrees)]
+
+
+def _derivative_row(mrow: dict, lam: int, vp: int) -> dict:
+    """Outward derivative -(M f)(v) + f(vp) times lam, from row v of lam M."""
+    row = {u: -x for u, x in mrow.items()}
+    row[vp] += lam
     return row
 
 
 def combinatorial_derivative(ms: MarkovSystem, f, v: int, vp: int):
-    """Outward derivative of f at v along the edge towards neighbor vp."""
-    return sum(c * f[u] for u, c in _derivative_row(ms, v, vp).items())
+    """Outward derivative of f at v towards neighbor vp; exact for int or Fraction f."""
+    if vp not in ms.adjacency[v]:
+        raise MarkovError(f"vertices {v} and {vp} are not adjacent")
+    row = _derivative_row(ms.adjacency[v], ms.degrees[v], vp)    # W's row v is row v of d(v) M
+    return sum(c * f[u] for u, c in row.items()) / Fraction(ms.degrees[v])
 
 
-def _path_rows(ms: MarkovSystem, path):
-    """One-sided derivative rows along a tail-to-head path, slot by slot.
+def _path_rows(m: list, lam: int, path):
+    """One-sided derivative rows along a tail-to-head path from lam M, slot by slot.
 
     Every slot but the last looks forward; the last looks back to its
     predecessor, negated, so each slot measures along the path direction.
     """
-    rows = [_derivative_row(ms, v, path[j + 1]) for j, v in enumerate(path[:-1])]
-    rows.append({u: -c for u, c in _derivative_row(ms, path[-1], path[-2]).items()})
+    rows = [_derivative_row(m[v], lam, path[j + 1]) for j, v in enumerate(path[:-1])]
+    rows.append({u: -c for u, c in _derivative_row(m[path[-1]], lam, path[-2]).items()})
     return rows
 
 
-def _combine(a: dict, b: dict, scale) -> dict:
-    """Row a + scale * b, entries that cancel to exactly zero dropped."""
-    return {u: c for u in {**a, **b} if (c := a.get(u, 0) + scale * b.get(u, 0))}
+def _combine(a: dict, b: dict, x: int, y: int) -> dict:
+    """Row x a + y b, entries that cancel to exactly zero dropped."""
+    return {u: c for u in {**a, **b} if (c := x * a.get(u, 0) + y * b.get(u, 0))}
 
 
 def _gear_path_count(cg: CombinatorialGraph) -> int:
@@ -185,11 +192,11 @@ def _gear_path_count(cg: CombinatorialGraph) -> int:
 
 
 def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
-    """Rows of the combinatorial transplantation T, one dict per dual vertex.
+    """Int rows of the combinatorial transplantation T, one dict per dual vertex, over q lam.
 
-    Slot j of dual side path i gets the row p_i'(slot j) + w t_i'(slot j)
-    and slot j of dual tooth path i gets p_i'(slot j) - t_i'(slot j),
-    where p_i', t_i' are the derivative rows on the source paths.  A
+    With w = p/q and sd, td the derivative rows of slot j on source side
+    and tooth path i, ints over lam = lcm of the source degrees, the dual
+    side gets sd + w td = q sd + p td and the dual tooth q (sd - td).  A
     vertex on several dual paths must get exactly the same row from each,
     or MarkovError is raised; so every image T f is consistent.
     """
@@ -198,13 +205,15 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
         raise MarkovError("source and target gears differ in size")
     if src.w != dst.w:
         raise MarkovError("source and target weights differ")
-    w = src.w
+    p, q = src.w.numerator, src.w.denominator
+    lam = math.lcm(*src.degrees)
+    m = _walk_rows(src, lam)
     rows = [None] * dst.size
     for i in range(n):
-        side_d = _path_rows(src, src.cg.paths[i])
-        tooth_d = _path_rows(src, src.cg.paths[n + i])
-        plus = [_combine(sd, td, w) for sd, td in zip(side_d, tooth_d)]
-        minus = [_combine(sd, td, -1) for sd, td in zip(side_d, tooth_d)]
+        side_d = _path_rows(m, lam, src.cg.paths[i])
+        tooth_d = _path_rows(m, lam, src.cg.paths[n + i])
+        plus = [_combine(sd, td, q, p) for sd, td in zip(side_d, tooth_d)]
+        minus = [_combine(sd, td, q, -q) for sd, td in zip(side_d, tooth_d)]
         for path, path_rows in ((dst.cg.paths[i], plus), (dst.cg.paths[n + i], minus)):
             for vertex, row in zip(path, path_rows):
                 if rows[vertex] is None:
@@ -212,23 +221,24 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
                 elif rows[vertex] != row:       # rows hold no zeros: exact comparison
                     raise MarkovError(
                         f"transplantation is inconsistent at shared vertex {vertex}")
-    return rows
+    return rows, q * lam
 
 
 def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f):
     """Transplant a vertex function from one subdivided gear to its dual: T f."""
-    return [sum(c * f[u] for u, c in row.items())
-            for row in transplantation_matrix(src, dst)]
+    rows, den = transplantation_matrix(src, dst)
+    return [sum(c * f[u] for u, c in row.items()) / Fraction(den) for row in rows]
 
 
 @dataclass(frozen=True)
 class Conjugator:
-    """C = T + 1 d^T + st v^T, kept as its parts; no n x n matrix is stored."""
+    """C = (T + 1 d^T + st v^T) / L, kept as int parts; no n x n matrix is stored."""
 
-    T: tuple               # sparse rows of the transplantation, <= 4 entries each
-    d: tuple               # source weighted degrees d(v), polygon edges 1: 1 d^T is J+
-    v: tuple               # s_j d_j / sum(d) on a bipartite subdivision, else zeros
-    st: tuple              # dual bipartition sign, else ones: st v^T is J-
+    T: tuple               # sparse rows of L T, <= 4 entries each
+    d: tuple               # L d(v), source degrees with polygon edges 1: 1 d^T is L J+
+    v: tuple               # L s_j d_j / sum(d) on a bipartite subdivision, else zeros
+    st: tuple              # dual bipartition sign, else ones: st v^T is L J-
+    denominator: int       # L = lcm(q lam, sum(D)), D = q d the walk's degrees
 
 
 def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
@@ -237,28 +247,18 @@ def build_conjugator(src: MarkovSystem, dst: MarkovSystem) -> Conjugator:
     J+ = 1 d^T maps the 1-eigenspace (constants) across and kills
     everything d-orthogonal to it; when the subdivision is bipartite,
     J- = st v^T does the same for the sign vectors s, st of the
-    -1-eigenspaces, else v = 0.
+    -1-eigenspaces, else v = 0.  As ints: L d_j = D_j L/q, L v_j = s_j D_j L/sum(D).
     """
-    t = tuple(transplantation_matrix(src, dst))
+    t, den = transplantation_matrix(src, dst)
     d, s, st = src.degrees, bipartition_sign(src.cg), bipartition_sign(dst.cg)
     if (s is None) != (st is None):
         raise MarkovError("dual pair disagrees on bipartiteness")
     total, q = sum(d), src.w.denominator
-    v = ((Fraction(0),) * len(d) if s is None
-         else tuple(Fraction(sj * dj, total) for sj, dj in zip(s, d)))
-    return Conjugator(t, tuple(Fraction(dj, q) for dj in d), v, tuple(st or (1,) * len(d)))
-
-
-def _cleared(rows):
-    """Sparse Fraction rows times the lcm L of their denominators, as int rows, and L."""
-    big_l = math.lcm(*{q.denominator for row in rows for q in row.values()})
-    return [{j: q.numerator * (big_l // q.denominator) for j, q in row.items()}
-            for row in rows], big_l
-
-
-def _parts(conj: Conjugator):
-    """T's rows, then d and v as rows, over one common denominator L."""
-    return _cleared([*conj.T, dict(enumerate(conj.d)), dict(enumerate(conj.v))])
+    big_l = math.lcm(den, total)
+    k, kd, kv = big_l // den, big_l // q, big_l // total
+    v = (0,) * len(d) if s is None else tuple(sj * dj * kv for sj, dj in zip(s, d))
+    return Conjugator(tuple({j: k * x for j, x in row.items()} for row in t),
+                      tuple(dj * kd for dj in d), v, tuple(st or (1,) * len(d)), big_l)
 
 
 def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator):
@@ -267,44 +267,43 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
     M~ 1 = 1, d^T M = d^T, M~ st = -st (needed only where v != 0) and
     v^T M = -v^T cancel the rank-one terms, so M~ C - C M = M~ T - T M.
     The identities are checked first, exactly, or MarkovError is raised.
-    Every product is `row_times` on sparse int rows, O(n) in all: the walk
-    rows over Lambda = lcm of both gears' degrees, Lambda M[v, u] =
-    W[v][u] (Lambda / d(v)), and T, d and v over their lcm L.  The result
-    is max_abs / (L Lambda).
+    M~ 1 and M~ st are row sums, every other product is `row_times`, all on
+    sparse int rows in O(n): the walk rows over Lambda = lcm of both gears'
+    degrees, and the conjugator's parts over its L.  The result is
+    max_abs / (L Lambda).
     """
-    (*t, d, v), big_l = _parts(conj)
     lam = math.lcm(*src.degrees, *dst.degrees)
-    m, mt = ([{u: wgt * (lam // dv) for u, wgt in row.items()}
-              for row, dv in zip(ms.adjacency, ms.degrees)] for ms in (src, dst))
-    flip = 1 if any(v.values()) else 0          # st matters only where v != 0
-    cols = [{0: 1, 1: flip * s} for s in conj.st]    # the columns 1 and st
-    for name, got, want in (
-            ("M~ 1 = 1, M~ st = -st", [row_times(row, cols) for row in mt],
-             [{0: lam, 1: -lam * flip * s} for s in conj.st]),
-            ("d^T M = d^T", [row_times(d, m)], [{j: lam * x for j, x in d.items()}]),
-            ("v^T M = -v^T", [row_times(v, m)], [{j: -lam * x for j, x in v.items()}])):
-        if any(_combine(a, b, -1) for a, b in zip(got, want)):   # a - b, zeros dropped
+    m, mt = _walk_rows(src, lam), _walk_rows(dst, lam)
+    d, st = dict(enumerate(conj.d)), conj.st
+    v = {j: x for j, x in enumerate(conj.v) if x}     # st matters only where v != 0
+    for name, holds in (
+            ("M~ 1 = 1, M~ st = -st", all(sum(row.values()) == lam for row in mt) and (
+                not v or all(sum(x * st[u] for u, x in row.items()) == -lam * s
+                             for row, s in zip(mt, st)))),
+            ("d^T M = d^T", row_times(d, m) == {j: lam * x for j, x in d.items() if x}),
+            ("v^T M = -v^T", row_times(v, m) == {j: -lam * x for j, x in v.items()})):
+        if not holds:                           # row_times drops zeros: exact comparison
             raise MarkovError(f"conjugator: {name} fails")
     worst = 0
-    for row, trow in zip(mt, t):
-        diff = row_times(row, t)                 # row i of M~ T - T M
+    for row, trow in zip(mt, conj.T):
+        diff = row_times(row, conj.T)            # row i of M~ T - T M
         for j, e in row_times(trow, m).items():
             diff[j] = diff.get(j, 0) - e
         worst = max(worst, max(map(abs, diff.values()), default=0))
-    return Fraction(worst, big_l * lam)
+    return Fraction(worst, conj.denominator * lam)
 
 
 def conjugator_sigma_min(conj: Conjugator) -> float:
     """Smallest singular value of C, each entry rounded once to a float.
 
-    Over L from `_parts`, row i is the base row (d_j + st_i v_j) / L, one
-    of two, with ((t_ij + d_j) + st_i v_j) / L on T's support: correctly
-    rounded int divisions.
+    Row i is the base row (d_j + st_i v_j) / L, one of two, with
+    ((t_ij + d_j) + st_i v_j) / L on T's support: correctly rounded int
+    divisions.
     """
-    (*t, d, v), big_l = _parts(conj)
-    plus, minus = ([(d[j] + s * v[j]) / big_l for j in range(len(t))] for s in (1, -1))
+    d, v, big_l = conj.d, conj.v, conj.denominator
+    plus, minus = ([(d[j] + s * v[j]) / big_l for j in range(len(d))] for s in (1, -1))
     c = np.where(np.array(conj.st)[:, None] > 0, plus, minus)
-    for i, (trow, s) in enumerate(zip(t, conj.st)):
+    for i, (trow, s) in enumerate(zip(conj.T, conj.st)):
         for j, tij in trow.items():
             c[i, j] = ((tij + d[j]) + s * v[j]) / big_l
     return float(np.linalg.svd(c, compute_uv=False)[-1])

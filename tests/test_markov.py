@@ -327,7 +327,7 @@ def per_vector_transplant(src, dst, f):
 def test_transplantation_rows_match_the_per_vector_rule(attachments, w):
     lengths = (2, 1, 3, 2)
     src, dst = walk_pair(lengths, w, attachments=attachments)
-    rows = transplantation_matrix(src, dst)
+    rows, _ = transplantation_matrix(src, dst)
     assert len(rows) == dst.size
     assert all(0 not in row.values() for row in rows)
     rng = random.Random(f"{attachments}{w}")
@@ -340,17 +340,17 @@ def test_transplantation_rows_match_the_per_vector_rule(attachments, w):
 def test_transplantation_rows_drop_exact_zeros(mode, w):
     # 6 of the 39 entries of p' + w t' and p' - t' cancel on (1, 2, 3)
     src, dst = walk_pair((1, 2, 3), w, mode)
-    rows = transplantation_matrix(src, dst)
+    rows, _ = transplantation_matrix(src, dst)
     assert all(0 not in row.values() for row in rows)
     assert sum(map(len, rows)) == 33
 
 
 def test_transplantation_matrix_rank():
     src, dst = walk_pair((1, 2, 3), Fraction(3, 2))   # bipartite: rank N - 2
-    t = transplantation_matrix(src, dst)
+    t, _ = transplantation_matrix(src, dst)
     assert fraction_rank(dense(t, src.size)) == src.size - 2
     src, dst = walk_pair((1, 1, 1), Fraction(3, 2))   # odd cycle: rank N - 1
-    t = transplantation_matrix(src, dst)
+    t, _ = transplantation_matrix(src, dst)
     assert fraction_rank(dense(t, src.size)) == src.size - 1
 
 
@@ -361,7 +361,8 @@ def test_transplantation_matrix_rank():
 def test_rank_one_corrections():
     src, dst = walk_pair((1, 2, 3), Fraction(1, 2))
     conj = build_conjugator(src, dst)
-    d, v, st_ = conj.d, conj.v, conj.st
+    d, v = ([Fraction(x, conj.denominator) for x in part] for part in (conj.d, conj.v))
+    st_ = conj.st
     n = src.size
     assert list(d) == reference_degrees(src.cg, src.w) and len(v) == len(st_) == n
     # J+ = 1 d^T maps 1 to the nonzero constant sum(d)
@@ -423,10 +424,22 @@ def dense_residual(src, dst, c):
                for i in range(n) for j in range(n))
 
 
+def reference_transplantation(src, dst):
+    """T as Fraction rows, column k the per-vector rule on the unit vector e_k."""
+    n = src.size
+    rows = [{} for _ in range(dst.size)]
+    for k in range(n):
+        e = [Fraction(int(j == k)) for j in range(n)]
+        for row, x in zip(rows, per_vector_transplant(src, dst, e)):
+            if x:
+                row[k] = x
+    return rows
+
+
 def dense_conjugator(src, dst):
     """C = T + J+ + J- entry by entry over dense n x n rows (reference)."""
     n = src.size
-    t = transplantation_matrix(src, dst)
+    t = reference_transplantation(src, dst)
     d = reference_degrees(src.cg, src.w)
     zero = Fraction(0)
     jp = [[d[j] for j in range(n)] for _ in range(n)]
@@ -441,21 +454,31 @@ def dense_conjugator(src, dst):
 
 
 def assembled(conj):
-    """The dense C = T + 1 d^T + st v^T of a conjugator's parts."""
+    """The dense C = (T + 1 d^T + st v^T) / L of a conjugator's int parts."""
     n = len(conj.d)
-    return [[(row.get(j, 0) + conj.d[j]) + s * conj.v[j] for j in range(n)]
-            for row, s in zip(conj.T, conj.st)]
+    return [[Fraction((row.get(j, 0) + conj.d[j]) + s * conj.v[j], conj.denominator)
+             for j in range(n)] for row, s in zip(conj.T, conj.st)]
 
 
 def dense_sigma_min(c):
     return np.linalg.svd(np.array([[float(x) for x in row] for row in c]), compute_uv=False)[-1]
 
 
+def rescaled(conj, k):
+    """The same C over k L: every int part and L times k."""
+    return dataclasses.replace(
+        conj, T=tuple({j: k * x for j, x in row.items()} for row in conj.T),
+        d=tuple(k * x for x in conj.d), v=tuple(k * x for x in conj.v),
+        denominator=k * conj.denominator)
+
+
 def perturbed(conj, *changes):
-    """conj with T[i][j] += delta per change, on T's support or off it."""
+    """conj with T[i][j] += delta per change, on T's support or off it,
+    over an L that every delta's denominator divides."""
+    conj = rescaled(conj, math.lcm(*(Fraction(delta).denominator for *_, delta in changes)))
     rows = [dict(row) for row in conj.T]
     for i, j, delta in changes:
-        rows[i][j] = rows[i].get(j, 0) + delta
+        rows[i][j] = rows[i].get(j, 0) + int(delta * conj.denominator)
     return dataclasses.replace(conj, T=tuple(rows))
 
 
@@ -485,16 +508,28 @@ def test_wrong_rank_one_part_raises(mode, lengths, field):
     the rank-one terms, while the dense residual shows that C is wrong;
     exactly in both modes."""
     src, dst = walk_pair(lengths, Fraction(3, 2) if mode == "rational" else 1.5, mode)
-    conj = build_conjugator(src, dst)
+    delta = Fraction(1, 7) if mode == "rational" else Fraction(1e-3)
+    conj = rescaled(build_conjugator(src, dst), delta.denominator)   # delta an int over L
     values = list(getattr(conj, field))
     if field == "st":
         values[2] = -values[2]
     else:
-        values[5] += Fraction(1, 7) if mode == "rational" else Fraction(1e-3)
+        values[5] += int(delta * conj.denominator)
     bad = dataclasses.replace(conj, **{field: tuple(values)})
     assert dense_residual(src, dst, assembled(bad)) > 1e-6
     with pytest.raises(MarkovError, match="conjugator: .* fails"):
         conjugation_residual(src, dst, bad)
+
+
+def test_residual_checks_the_target_walk():
+    """A target walk whose row does not sum to one fails M~ 1 = 1 (odd cycle: v = 0)."""
+    src, dst = walk_pair((1, 1, 1), Fraction(3, 2))
+    conj = build_conjugator(src, dst)
+    degrees = list(dst.degrees)
+    degrees[4] += 1
+    bad = dataclasses.replace(dst, degrees=tuple(degrees))
+    with pytest.raises(MarkovError, match=r"^conjugator: M~ 1 = 1, M~ st = -st fails$"):
+        conjugation_residual(src, bad, conj)
 
 
 @settings(deadline=None, max_examples=40)
@@ -505,7 +540,10 @@ def test_conjugator_matches_dense_construction(gear, w, mode, data):
     lengths, attachments = gear
     src, dst = walk_pair(lengths, w if mode == "rational" else float(w), mode, attachments)
     conj = build_conjugator(src, dst)
-    assert conj.T == tuple(transplantation_matrix(src, dst))
+    rows, den = transplantation_matrix(src, dst)
+    k = conj.denominator // den
+    assert k * den == conj.denominator
+    assert conj.T == tuple({j: k * x for j, x in row.items()} for row in rows)
     assert max(map(len, conj.T)) <= 4
     ref = dense_conjugator(src, dst)
     c = assembled(conj)
@@ -523,6 +561,36 @@ def test_conjugator_matches_dense_construction(gear, w, mode, data):
         min_size=1, max_size=3))
     bad = perturbed(conj, *changes)
     assert conjugation_residual(src, dst, bad) == dense_residual(src, dst, assembled(bad))
+
+
+@settings(deadline=None, max_examples=40)
+@given(integer_gears(), st.sampled_from([Fraction(2, 5), Fraction(1, 2), Fraction(3, 2),
+                                         Fraction(2), Fraction(1e-300), Fraction(1e308)]))
+def test_int_conjugator_equals_the_fraction_reference(gear, w):
+    """T, d and v are ints over one L, and over L they are the reference T
+    of the walk's edges and w, the reference degrees and s d / sum(d)."""
+    lengths, attachments = gear
+    src, dst = walk_pair(lengths, w, attachments=attachments)
+    conj = build_conjugator(src, dst)
+    big_l = conj.denominator
+    parts = (*conj.d, *conj.v, *(x for row in conj.T for x in row.values()))
+    assert type(big_l) is int and all(type(x) is int for x in parts)
+    assert [{j: Fraction(x, big_l) for j, x in row.items()} for row in conj.T] == \
+        reference_transplantation(src, dst)
+    d = reference_degrees(src.cg, w)
+    assert [Fraction(x, big_l) for x in conj.d] == d
+    s, st_ = bipartition_sign(src.cg), bipartition_sign(dst.cg)
+    v = [0] * src.size if s is None else [sj * dj / sum(d) for sj, dj in zip(s, d)]
+    assert [Fraction(x, big_l) for x in conj.v] == v
+    assert conj.st == tuple(st_ or (1,) * src.size)
+
+
+def test_int_conjugator_at_420_vertices():
+    src, dst = walk_pair(tuple(range(1, 21)), Fraction(3, 2))
+    assert src.size == 420
+    conj = build_conjugator(src, dst)
+    assert all(type(x) is int for row in conj.T for x in row.values())
+    assert conjugation_residual(src, dst, conj) == 0
 
 
 def test_conjugator_on_mixed_attachments():
