@@ -46,7 +46,7 @@ def _parse_lengths(text):
 
 
 def _weight(args):
-    """--w as a Fraction, in both modes; positive and finite as a float."""
+    """--w, a decimal or a fraction, as a Fraction; positive and finite as a float."""
     try:
         w = Fraction(args.w)
         if 0 < float(w) < math.inf:
@@ -90,7 +90,7 @@ def _scan(args, *paths):
         graphs.append(g)
     step = {} if args.grid_step is None else {"grid_step": args.grid_step}
     params = ScanParams(args.k_max, **step)
-    cond = VertexConditions(args.w)
+    cond = VertexConditions(float(_weight(args)))
     try:
         return [scan_spectrum(g, cond, params) for g in graphs]
     except SpectralError as exc:
@@ -229,7 +229,7 @@ def _gear_options(p):
 
 
 def _scan_options(p):
-    p.add_argument("--w", type=float, default=1.0)
+    p.add_argument("--w", default="1")
     p.add_argument("--k-max", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=None)
 

@@ -1,8 +1,12 @@
-"""Exact linear algebra over any ring on sparse rows (dicts col -> entry, absent
-meaning zero): the row-times-matrix product and unicyclic determinants.
-Floating-point linear algebra goes to numpy."""
+"""Exact linear algebra on sparse rows (dicts col -> entry, absent meaning
+zero): the row-times-matrix product and unicyclic determinants over any
+ring, and the one modular determinant, `det_mod`, of a batch of matrices
+over GF(p) that share one support.  Floating-point linear algebra goes
+to numpy."""
 
 from __future__ import annotations
+
+import heapq
 
 
 def row_times(row, rows):
@@ -79,3 +83,96 @@ def unicyclic_det(rows):
         betas = betas * b
     closing = (forward + backward) * betas
     return p00 + p11 + (closing if len(cycle) % 2 else -closing)
+
+
+def permutation_sign(perm) -> int:
+    """Sign of the permutation i -> perm[i] of range(n), in O(n).
+
+    Puts one element in place per transposition, which flips the sign.
+    """
+    perm, sign = list(perm), 1
+    for r in range(len(perm)):
+        while perm[r] != r:
+            c = perm[r]
+            perm[r], perm[c] = perm[c], c
+            sign = -sign
+    return sign
+
+
+def det_mod(rows, p, width):
+    """Determinants over GF(p) of ``width`` matrices of one sparse support.
+
+    Each row is a dict col -> lane list, the entry of every matrix at that
+    position, one int per matrix ("lane"); an entry absent, or 0 in every
+    lane, is zero.  Returns ``width`` residues, lane k the determinant of
+    matrix k.  The support, the column sets and the heap are kept once
+    for all lanes, and the arithmetic runs lane-wise.  Each step eliminates
+    the live column with the fewest nonzeros (kept in a lazy heap),
+    pivoting on its diagonal entry when that is nonzero in every lane and
+    else on its shortest row that is; if no row is, the lanes cannot share
+    this step, and each lane is evaluated alone, at width 1, from the
+    given rows (at width 1 every live row of the column serves).  Updates
+    are division-free, row_i <- piv row_i - a_ic row_r, and their scale
+    factors are divided out with one inverse per lane at the end.  The
+    pivot rows, ordered by step, are triangular in the pivot columns, so
+    det = sign(row -> column) prod(pivots) in each lane; a determinant
+    does not depend on the pivot order, so every lane is its own matrix's.
+    Eliminating a pendant vertex of the support makes no fill (Parter,
+    SIAM Rev. 3 (1961)) and the fewest-nonzeros column (Markowitz, Manag.
+    Sci. 3 (1957)) finds those first, so a tree or a single cycle with
+    pendant paths costs O(n) row operations.
+    """
+    given, rows = rows, [{j: v for j, lanes in row.items() if any(v := [e % p for e in lanes])}
+                         for row in rows]
+    n = len(rows)
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(col), j) for j, col in enumerate(cols)]
+    heapq.heapify(heap)
+    pivot_col, det, scale = [0] * n, [1] * width, [1] * width
+    for _ in range(n):
+        count, c = heapq.heappop(heap)
+        while cols[c] is None or count != len(cols[c]):
+            count, c = heapq.heappop(heap)
+        if not count:
+            return [0] * width
+        live, cols[c] = cols[c], None
+        if c in live and all(rows[c][c]):
+            r = c
+        else:
+            r = min((i for i in live if all(rows[i][c])), key=lambda i: len(rows[i]), default=None)
+            if r is None:
+                return [det_mod([{j: [e[k]] for j, e in row.items()} for row in given], p, 1)[0]
+                        for k in range(width)]
+        live.remove(r)
+        pivot_row = rows[r]
+        piv = pivot_row.pop(c)
+        pivot_col[r] = c
+        det = [d * q % p for d, q in zip(det, piv)]
+        for j in pivot_row:
+            cols[j].remove(r)
+        for i in live:
+            row = rows[i]
+            a = row.pop(c)
+            scale = [s * q % p for s, q in zip(scale, piv)]
+            for j, w in row.items():
+                v = pivot_row.get(j)
+                row[j] = ([f * q % p for f, q in zip(w, piv)] if v is None else
+                          [(f * q - b * e) % p for f, q, b, e in zip(w, piv, a, v)])
+            # only the entries that the pivot row meets can cancel or fill
+            for j, v in pivot_row.items():
+                w = row.get(j)
+                if w is None:
+                    w = [-b * e % p for b, e in zip(a, v)]
+                    if any(w):
+                        row[j] = w
+                        cols[j].add(i)
+                elif not any(w):
+                    del row[j]
+                    cols[j].remove(i)
+        for j in pivot_row:
+            heapq.heappush(heap, (len(cols[j]), j))
+    sign = permutation_sign(pivot_col)
+    return [d * sign * pow(s, -1, p) % p for d, s in zip(det, scale)]

@@ -25,7 +25,6 @@ from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH,
                      bipartition_sign, build_gear, dual_gear, subdivide)
 from .linalg import row_times, unicyclic_det
 from .polynomials import SparsePolynomial
-from .spectral import ScanParams, VertexConditions, scan_spectrum
 
 MODES = ("rational", "float")
 
@@ -181,7 +180,10 @@ def _path_rows(m: list, lam: int, path):
 
 def _combine(a: dict, b: dict, x: int, y: int) -> dict:
     """Row x a + y b, entries that cancel to exactly zero dropped."""
-    return {u: c for u in {**a, **b} if (c := x * a.get(u, 0) + y * b.get(u, 0))}
+    row = {u: x * c for u, c in a.items()}
+    for u, c in b.items():
+        row[u] = row.get(u, 0) + y * c
+    return {u: c for u, c in row.items() if c}
 
 
 def _gear_path_count(cg: CombinatorialGraph) -> int:
@@ -385,6 +387,7 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float) -> dict:
     equal the arccos branches of the interior walk spectrum plus the
     circle-derived Dirichlet values, multiplicities included.
     """
+    from .spectral import ScanParams, VertexConditions, scan_spectrum
     if not spec.is_integral():
         raise MarkovError("crosscheck needs integer edge lengths")
     g = build_gear(spec)

@@ -11,17 +11,13 @@ reversing zeta data.  Zeta equivalence (equality of the y = 0
 determinants) is tested two ways: probabilistically at random points of
 a 61-bit prime field (Schwartz-Zippel) and exactly by expanding the
 y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
-support that every gear digraph has.  `eval_dets` evaluates a batch of
-points by one sparse elimination mod p, the column with the fewest
-nonzeros first, on the pencil's support: every entry is a list of
-residues, one per point ("lanes"), so the support bookkeeping is done
-once for the batch and only the arithmetic runs per point.  A batch
-whose lanes cannot share a pivot (`_det_mod` returns None; random points
-almost never do) is evaluated point by point.  At y = 0 a gear digraph
-costs O(n) row operations, and y J enters as one dense border row and
-column.  Exact matrices are sparse rows (dicts col -> entry):
-`_pencil_rows` assembles the y = 0 pencil's rows from the arcs over any
-ring, and `eval_dets` assembles the same rows in lanes.
+support that every gear digraph has.  `eval_dets` assembles the
+pencil's rows at a batch of points, every entry a list of residues, one
+per point ("lanes"), and evaluates them by one `linalg.det_mod` call.
+At y = 0 a gear digraph costs O(n) row operations, and y J enters as one
+dense border row and column.  Exact matrices are sparse rows (dicts
+col -> entry): `_pencil_rows` assembles the y = 0 pencil's rows from the
+arcs over any ring, and `eval_dets` assembles the same rows in lanes.
 
 `intertwiner` builds, from the walk transplantation's derivative rule,
 a T with L_G~ T = T L_G at y = 0 for any gear digraph with every tooth
@@ -31,14 +27,13 @@ factors into diagonal ones and one `unicyclic_det`, with a closed form.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
 
 from .graphs import (FIG6, Digraph, GearSpec, GearlabError, digraph_lengths, digraph_paths,
                      dual_gear, fig6_digraph_pair, gear_to_digraph)
-from .linalg import row_times, unicyclic_det
+from .linalg import det_mod, permutation_sign, row_times, unicyclic_det
 from .polynomials import SparsePolynomial
 
 PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
@@ -89,99 +84,9 @@ def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
     return rows
 
 
-def _permutation_sign(perm) -> int:
-    """Sign of the permutation i -> perm[i] of range(n), in O(n).
-
-    Puts one element in place per transposition, which flips the sign.
-    """
-    perm, sign = list(perm), 1
-    for r in range(len(perm)):
-        while perm[r] != r:
-            c = perm[r]
-            perm[r], perm[c] = perm[c], c
-            sign = -sign
-    return sign
-
-
-def _det_mod(rows, p, width):
-    """Determinants over GF(p) of ``width`` matrices of one sparse support.
-
-    Each row is a dict col -> lane list, the entry of every matrix at that
-    position, one int per matrix ("lane"); an entry absent, or 0 in every
-    lane, is zero.  The support, the column sets and the heap are kept once
-    for all lanes, and the arithmetic runs lane-wise.  Each step eliminates
-    the live column with the fewest nonzeros (kept in a lazy heap),
-    pivoting on its diagonal entry when that is nonzero in every lane and
-    else on its shortest row that is; if no row is, the lanes cannot share
-    this step and the result is None (never at width 1).  Updates are
-    division-free, row_i <- piv row_i - a_ic row_r, and their scale factors
-    are divided out with one inverse per lane at the end.  The pivot rows,
-    ordered by step, are triangular in the pivot columns, so det =
-    sign(row -> column) prod(pivots) in each lane; a determinant does not
-    depend on the pivot order, so every lane is its own matrix's.
-    Eliminating a pendant vertex of the support makes no fill (Parter,
-    SIAM Rev. 3 (1961)) and the fewest-nonzeros column (Markowitz, Manag.
-    Sci. 3 (1957)) finds those first, so a tree or a single cycle with
-    pendant paths costs O(n) row operations.
-    """
-    rows = [{j: v for j, lanes in row.items() if any(v := [e % p for e in lanes])}
-            for row in rows]
-    n = len(rows)
-    cols = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-    heap = [(len(col), j) for j, col in enumerate(cols)]
-    heapq.heapify(heap)
-    pivot_col, det, scale = [0] * n, [1] * width, [1] * width
-    for _ in range(n):
-        count, c = heapq.heappop(heap)
-        while cols[c] is None or count != len(cols[c]):
-            count, c = heapq.heappop(heap)
-        if not count:
-            return [0] * width
-        live, cols[c] = cols[c], None
-        if c in live and all(rows[c][c]):
-            r = c
-        else:
-            r = min((i for i in live if all(rows[i][c])), key=lambda i: len(rows[i]), default=None)
-            if r is None:
-                return None
-        live.remove(r)
-        pivot_row = rows[r]
-        piv = pivot_row.pop(c)
-        pivot_col[r] = c
-        det = [d * q % p for d, q in zip(det, piv)]
-        for j in pivot_row:
-            cols[j].remove(r)
-        for i in live:
-            row = rows[i]
-            a = row.pop(c)
-            scale = [s * q % p for s, q in zip(scale, piv)]
-            for j, w in row.items():
-                v = pivot_row.get(j)
-                row[j] = ([f * q % p for f, q in zip(w, piv)] if v is None else
-                          [(f * q - b * e) % p for f, q, b, e in zip(w, piv, a, v)])
-            # only the entries that the pivot row meets can cancel or fill
-            for j, v in pivot_row.items():
-                w = row.get(j)
-                if w is None:
-                    w = [-b * e % p for b, e in zip(a, v)]
-                    if any(w):
-                        row[j] = w
-                        cols[j].add(i)
-                elif not any(w):
-                    del row[j]
-                    cols[j].remove(i)
-        for j in pivot_row:
-            heapq.heappush(heap, (len(cols[j]), j))
-    sign = _permutation_sign(pivot_col)
-    return [d * sign * pow(s, -1, p) % p for d, s in zip(det, scale)]
-
-
 def eval_dets(p: Pencil, points) -> list:
-    """[det(L_G(point)) mod PRIME for point in points]: one `_det_mod` call
-    with the points as lanes, or one per point if that returns None.
+    """[det(L_G(point)) mod PRIME for point in points]: one `det_mod` call
+    with the points as lanes.
 
     At y = 0 the rows have the digraph's support and a gear digraph costs
     O(n + arcs).  When any point has y != 0, the rank-one term y J =
@@ -206,10 +111,7 @@ def eval_dets(p: Pencil, points) -> list:
         for row in rows:
             row[p.n] = y
         rows.append({**dict.fromkeys(range(p.n), [-1] * width), p.n: [1] * width})
-    dets = _det_mod(rows, PRIME, width)
-    if dets is None:
-        return [eval_dets(p, [pt])[0] for pt in points]
-    return dets
+    return det_mod(rows, PRIME, width)
 
 
 def eval_det(p: Pencil, point) -> int:
@@ -356,7 +258,7 @@ def factored_det(spec: GearSpec) -> SparsePolynomial:
     assert sorted(pi) == list(range(len(pi))), "arc heads do not partition the vertices"
     half = len(pi) // 2
     # alpha^V det T = det S' det B det K
-    scale = SparsePolynomial.monomial(_permutation_sign(pi) * (-1) ** half * 2 ** half,
+    scale = SparsePolynomial.monomial(permutation_sign(pi) * (-1) ** half * 2 ** half,
                                       alpha=sum(r[1] for r in rows) - len(pi),
                                       beta=sum(r[2] for r in rows))
     return scale * unicyclic_det(k)

@@ -76,6 +76,17 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
     assert json.loads(proc.stdout) == [[0, False]] * 6 + [[0, True]]
 
 
+def test_markov_module_does_not_import_spectral():
+    """The walk imports the quantum scan only inside `crosscheck_quantum`."""
+    src = str(pathlib.Path(gio.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = "import sys, gearlab.markov; print('gearlab.spectral' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_build_rejects_small_n(tmp_path):
     out = tmp_path / "bad.graph"
     assert run("build", "--lengths", "1,2", "-o", str(out)) == 2
@@ -147,6 +158,16 @@ def test_compare_dual_pair(tmp_path):
                "--w", "1.5", "--k-max", "6", "-o", str(report)) == 0
     rep = json.loads(report.read_text())
     assert rep["match"] and rep["max_rel_gap"] <= 1e-8
+
+
+def test_compare_reads_w_as_a_fraction(tmp_path):
+    # the scan commands read --w as markov and conjugate do: 3/2 is 1.5
+    a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
+    reports = [tmp_path / "fraction.json", tmp_path / "decimal.json"]
+    for w, report in zip(("3/2", "1.5"), reports):
+        assert run("compare", "--graph1", str(a), "--graph2", str(b), "--w", w,
+                   "--k-max", "6", "-o", str(report)) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 @pytest.mark.parametrize("gear,w,k_spectrum,k_compare,name", [
@@ -237,7 +258,7 @@ GEAR_OPTIONS = [(("--lengths",), "str", None, True, None),
                 (("--attach",), "str", None, False, None)]
 WALK_OPTIONS = [(("--w",), "str", "1", False, None),
                 (("--mode",), "str", "rational", False, ("rational", "float"))]
-SCAN_OPTIONS = [(("--w",), "float", 1.0, False, None),
+SCAN_OPTIONS = [(("--w",), "str", "1", False, None),
                 (("--k-max",), "float", None, True, None),
                 (("--grid-step",), "float", None, False, None)]
 PAIR_OPTIONS = [(("--g1",), "str", None, False, None),
@@ -452,6 +473,19 @@ def test_float_and_rational_modes_agree(gear, w):
              for mode in ("rational", "float")]
     assert walks[0].returncode == walks[1].returncode == 0
     assert json.loads(walks[0].stdout)["eigenvalues"] == json.loads(walks[1].stdout)["eigenvalues"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: from w ~ 1e20 on, sigma_min_C is float rounding "
+                          "noise; the exact C has smallest singular value 0.5535")
+def test_conjugate_accepts_the_dual_pair_at_w_1e20(tmp_path):
+    out = tmp_path / "conj.json"
+    code = run("conjugate", "--lengths", "1,2,3", "--w", "1e20", "-o", str(out))
+    report = json.loads(out.read_text())
+    assert report["charpoly_equal"] is True
+    assert report["conj_residual"] == 0
+    assert report["sigma_min_C"] > 1e-8
+    assert code == 0
 
 
 def test_split_gear_file_scans_and_compares_like_the_api(tmp_path):

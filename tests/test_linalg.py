@@ -1,6 +1,7 @@
-"""Oracle checks for the exact determinant kernel, and the exact rank and
-Horner helpers that other test modules import."""
+"""Oracle checks for the exact determinant kernels, and the exact rank,
+determinant and Horner helpers that other test modules import."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -8,8 +9,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gearlab.linalg import unicyclic_det
+from hypothesis import given, settings, strategies as st
+
+from gearlab import linalg
+from gearlab.linalg import det_mod, permutation_sign, unicyclic_det
 from gearlab.polynomials import SparsePolynomial
+from gearlab.zeta import PRIME
 
 X = SparsePolynomial.variable("x")
 
@@ -96,6 +101,133 @@ def pencil_charpoly(d, w):
     for exps, c in unicyclic_det(sparse(rows)).terms.items():
         coeffs[exps[0]] = c
     return coeffs
+
+
+def bareiss_det(mat):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense, sparse or singular integer matrices of size 0 to 9."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["dense", "sparse", "singular"]))
+    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+    if kind == "sparse":
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1]) | entry
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular" and n:
+        # one row a combination of the others, at a random position
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        others = mat[:-1]
+        combo = [sum(c * row[j] for c, row in zip(coeffs, others)) for j in range(n)]
+        others.insert(draw(st.integers(0, n - 1)), combo)
+        mat = others
+    return mat
+
+
+def lane_rows(mats):
+    """Sparse lane rows of equal-size matrices: entry (i, j) holds the
+    matrices' (i, j) entries, and is absent where every one is 0."""
+    n = len(mats[0])
+    return [{j: lanes for j in range(n) if any(lanes := [m[i][j] for m in mats])}
+            for i in range(n)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_det_mod_matches_exact_determinant(mat, p):
+    # one lane: small primes force zero pivots, off-diagonal pivot rows and
+    # odd signs
+    rows = [{j: [v] for j, v in enumerate(row)} for row in mat]
+    assert det_mod(rows, p, 1) == [bareiss_det(mat) % p]
+
+
+@st.composite
+def same_support_matrices(draw):
+    """2 to 5 integer matrices of size 1 to 7 whose nonzeros lie on one
+    random support; an entry on the support may still be 0 in some."""
+    n = draw(st.integers(1, 7))
+    support = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+    width = draw(st.integers(2, 5))
+    return [[[draw(entry) if support[i][j] else 0 for j in range(n)] for i in range(n)]
+            for _ in range(width)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(same_support_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_det_mod_lanes_match_exact_determinants(mats, p):
+    # several lanes: every lane is its own matrix's determinant, as it is
+    # one lane at a time
+    expected = [bareiss_det(m) % p for m in mats]
+    assert det_mod(lane_rows(mats), p, len(mats)) == expected
+    assert [det_mod(lane_rows([m]), p, 1)[0] for m in mats] == expected
+
+
+def test_det_mod_gives_every_lane_its_own_determinant(monkeypatch):
+    # lane 0 is the identity and lane 1 swaps the two coordinates: every
+    # entry is 0 in one of them, so no pivot serves both lanes, and each
+    # lane is evaluated alone from the given rows
+    widths = []
+
+    def spy(rows, p, width):
+        widths.append(width)
+        return det_mod(rows, p, width)
+
+    monkeypatch.setattr(linalg, "det_mod", spy)
+    mats = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert det_mod(lane_rows(mats), PRIME, 2) == [1, PRIME - 1]
+    assert widths == [1, 1]
+    # an entry 0 in every lane is dropped; an all-zero column gives 0s
+    assert det_mod([{0: [0, 0]}], PRIME, 2) == [0, 0]
+    assert det_mod([], PRIME, 3) == [1, 1, 1]
+
+
+@st.composite
+def pivotless_lanes(draw):
+    """2 to 6 integer matrices of size 2 to 7 that share no pivot: one
+    has a zero diagonal, one is diagonal with no zero on it, and the
+    others, in a random lane order, are any matrices of the same size."""
+    n = draw(st.integers(2, 7))
+    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
+    nonzero = entry.filter(bool)
+    hollow = [[0 if i == j else draw(entry) for j in range(n)] for i in range(n)]
+    diagonal = [[draw(nonzero) if i == j else 0 for j in range(n)] for i in range(n)]
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(st.permutations([hollow, diagonal, *draw(st.lists(square, max_size=4))]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(pivotless_lanes(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_det_mod_lanes_without_a_shared_pivot_match_exact_determinants(mats, p):
+    # the first column eliminated has its diagonal 0 in the hollow lane
+    # and its other rows 0 in the diagonal lane, so every lane is
+    # evaluated alone
+    assert det_mod(lane_rows(mats), p, len(mats)) == [bareiss_det(m) % p for m in mats]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy not installed")
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_sign_matches_sympy(perm):
+    from sympy.combinatorics import Permutation
+    assert permutation_sign(perm) == Permutation(list(perm), size=len(perm)).signature()
 
 
 def test_unicyclic_det_known_determinants():

@@ -10,15 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, GearSpec, GraphError, build_gear,
                             digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
                             gear_to_digraph, subdivide)
-from gearlab.linalg import unicyclic_det
-from gearlab import zeta
-from gearlab.zeta import (FIG6, PRIME, TRIAL_BLOCK, ZetaError, _det_mod, _permutation_sign,
-                          char_poly_symbolic, digraph_isomorphic, eval_det, eval_dets,
-                          factored_det, intertwiner, intertwiner_det, intertwines, pencil,
-                          random_point, verify_intertwiner, zeta_equivalent)
+from gearlab.linalg import det_mod, permutation_sign, unicyclic_det
+from gearlab import linalg, zeta
+from gearlab.zeta import (FIG6, PRIME, TRIAL_BLOCK, ZetaError, char_poly_symbolic,
+                          digraph_isomorphic, eval_det, eval_dets, factored_det, intertwiner,
+                          intertwiner_det, intertwines, pencil, random_point,
+                          verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
-from test_linalg import sparse
+from test_linalg import bareiss_det, sparse
 from test_polynomials import is_homogeneous
 
 X = SparsePolynomial.variable("x")
@@ -93,113 +93,24 @@ def dense_pencil(dg, point):
     return mat
 
 
-def bareiss_det(mat):
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in mat]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
-@st.composite
-def square_matrices(draw):
-    """Dense, sparse or singular integer matrices of size 0 to 9."""
-    n = draw(st.integers(0, 9))
-    kind = draw(st.sampled_from(["dense", "sparse", "singular"]))
-    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
-    if kind == "sparse":
-        entry = st.sampled_from([0, 0, 0, 0, 1, -1]) | entry
-    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    if kind == "singular" and n:
-        # one row a combination of the others, at a random position
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
-        others = mat[:-1]
-        combo = [sum(c * row[j] for c, row in zip(coeffs, others)) for j in range(n)]
-        others.insert(draw(st.integers(0, n - 1)), combo)
-        mat = others
-    return mat
-
-
-def lane_rows(mats):
-    """Sparse lane rows of equal-size matrices: entry (i, j) holds the
-    matrices' (i, j) entries, and is absent where every one is 0."""
-    n = len(mats[0])
-    return [{j: lanes for j in range(n) if any(lanes := [m[i][j] for m in mats])}
-            for i in range(n)]
-
-
-@settings(deadline=None, max_examples=200)
-@given(square_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
-def test_det_mod_matches_exact_determinant(mat, p):
-    # one lane: small primes force zero pivots, off-diagonal pivot rows and
-    # odd signs, and a single lane never returns None
-    rows = [{j: [v] for j, v in enumerate(row)} for row in mat]
-    assert _det_mod(rows, p, 1) == [bareiss_det(mat) % p]
-
-
-@st.composite
-def same_support_matrices(draw):
-    """2 to 5 integer matrices of size 1 to 7 whose nonzeros lie on one
-    random support; an entry on the support may still be 0 in some."""
-    n = draw(st.integers(1, 7))
-    support = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
-                            min_size=n, max_size=n))
-    entry = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70)
-    width = draw(st.integers(2, 5))
-    return [[[draw(entry) if support[i][j] else 0 for j in range(n)] for i in range(n)]
-            for _ in range(width)]
-
-
-@settings(deadline=None, max_examples=200)
-@given(same_support_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
-def test_det_mod_lanes_match_exact_determinants(mats, p):
-    # several lanes: every lane is its own matrix's determinant, unless no
-    # pivot is nonzero in every lane; one lane at a time never fails
-    dets = _det_mod(lane_rows(mats), p, len(mats))
-    expected = [bareiss_det(m) % p for m in mats]
-    assert dets is None or dets == expected
-    assert [_det_mod(lane_rows([m]), p, 1)[0] for m in mats] == expected
-
-
-def test_det_mod_returns_none_without_a_shared_pivot():
-    # lane 0 is the identity and lane 1 swaps the two coordinates: every
-    # entry is 0 in one of them, so no pivot serves both lanes
-    mats = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-    assert _det_mod(lane_rows(mats), PRIME, 2) is None
-    assert _det_mod(lane_rows(mats[:1]), PRIME, 1) == [1]
-    assert _det_mod(lane_rows(mats[1:]), PRIME, 1) == [PRIME - 1]
-    # an entry 0 in every lane is dropped; an all-zero column gives 0s
-    assert _det_mod([{0: [0, 0]}], PRIME, 2) == [0, 0]
-    assert _det_mod([], PRIME, 3) == [1, 1, 1]
-
-
 def test_eval_dets_falls_back_to_single_points(monkeypatch):
     # the all-zero point leaves no pivot that is nonzero at every point of
-    # the batch, so the batch is evaluated one point at a time
-    results = []
+    # the batch: eval_dets makes one call, and det_mod evaluates the batch
+    # one point at a time
+    widths = []
 
     def spy(rows, p, width):
-        results.append((width, _det_mod(rows, p, width)))
-        return results[-1][1]
+        widths.append(width)
+        return det_mod(rows, p, width)
 
-    monkeypatch.setattr(zeta, "_det_mod", spy)
+    monkeypatch.setattr(zeta, "det_mod", spy)
+    monkeypatch.setattr(linalg, "det_mod", spy)
     dg, _ = fig6_digraph_pair()
     rng = random.Random(41)
     points = [random_point(rng), (0,) * 6, random_point(rng)]
     assert eval_dets(pencil(dg), points) == [bareiss_det(dense_pencil(dg, pt)) % PRIME
                                              for pt in points]
-    assert results[0] == (3, None)
-    assert [width for width, _ in results[1:]] == [1, 1, 1]
+    assert widths == [3, 1, 1, 1]
 
 
 @st.composite
@@ -370,15 +281,13 @@ def test_blocked_verdicts_match_the_point_by_point_loop(monkeypatch, pair, trial
 
     def spy(rows, p, width):
         widths.append(width)
-        dets = _det_mod(rows, p, width)
-        assert dets is not None, "random points share every pivot"
-        return dets
+        return det_mod(rows, p, width)
 
     for seed in (0, 7, 2024):
         expected = reference_zeta_equivalent(g1, g2, trials, seed)
         assert expected["verdict"] == verdict
         with monkeypatch.context() as patch:
-            patch.setattr(zeta, "_det_mod", spy)
+            patch.setattr(zeta, "det_mod", spy)
             assert zeta_equivalent(g1, g2, trials=trials, seed=seed) == expected
     assert max(widths) == min(trials, TRIAL_BLOCK)
 
@@ -538,8 +447,8 @@ def test_permutation_sign_equals_inversion_parity(size):
     for _ in range(20):
         perm = rng.sample(range(size), size)
         inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
-        assert _permutation_sign(perm) == (-1) ** inversions
-    assert _permutation_sign(list(range(size))) == 1
+        assert permutation_sign(perm) == (-1) ** inversions
+    assert permutation_sign(list(range(size))) == 1
 
 
 @settings(deadline=None, max_examples=40)
