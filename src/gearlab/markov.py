@@ -269,7 +269,8 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
     M~ 1 = 1, d^T M = d^T, M~ st = -st (needed only where v != 0) and
     v^T M = -v^T cancel the rank-one terms, so M~ C - C M = M~ T - T M.
     The identities are checked first, exactly, or MarkovError is raised.
-    M~ 1 and M~ st are row sums, every other product is `row_times`, all on
+    M~ 1 and M~ st are row sums, each row of T M is subtracted entry by
+    entry into its row of M~ T, every other product is `row_times`, all on
     sparse int rows in O(n): the walk rows over Lambda = lcm of both gears'
     degrees, and the conjugator's parts over its L.  The result is
     max_abs / (L Lambda).
@@ -289,8 +290,9 @@ def conjugation_residual(src: MarkovSystem, dst: MarkovSystem, conj: Conjugator)
     worst = 0
     for row, trow in zip(mt, conj.T):
         diff = row_times(row, conj.T)            # row i of M~ T - T M
-        for j, e in row_times(trow, m).items():
-            diff[j] = diff.get(j, 0) - e
+        for k, c in trow.items():
+            for j, e in m[k].items():
+                diff[j] = diff.get(j, 0) - c * e
         worst = max(worst, max(map(abs, diff.values()), default=0))
     return Fraction(worst, conj.denominator * lam)
 

@@ -5,11 +5,18 @@ f_e(x) = a_e cos(kx) + b_e sin(kx); the vertex conditions (continuity plus
 weighted Kirchhoff: sum of edge-weight times outward derivative vanishes)
 become a square homogeneous system A(k) in the 2m coefficients.  k is an
 eigenwavenumber exactly when A(k) loses rank.  The scan brackets each
-root by a local minimum of the smallest singular value of the
-row-normalized system on a k-grid, refines it by safeguarded Newton on
-det A / det A' (one batched LU solve per step, converging in one step
-where det A behaves as (k - k*)^m, so double roots converge as fast as
-simple ones) and accepts it by the singular values at the refined k.
+root by a local minimum of sigma_min^2 of the row-normalized system A on
+a k-grid, read as the smallest eigenvalue of the Gram matrix A^T A (one
+batched eigvalsh, cheaper than an SVD; the square is monotone, so the
+minima are those of sigma_min).  It refines each bracket by safeguarded
+Newton on det A / det A' (one batched LU solve per step, converging in
+one step where det A behaves as (k - k*)^m, so double roots converge as
+fast as simple ones) and accepts the root by the singular values of A,
+from an SVD, at the refined k.  The Gram eigenvalue has an absolute
+error of about eps * sigma_max^2, so it resolves sigma_min only down to
+~3e-8: far below sigma_min at a grid neighbour 0.01 away from a root,
+but above RANK_TOL and MULT_TOL, which is why the root test keeps the
+SVD.
 The scan builds the k-independent entry list of the system once and
 assembles stacks of matrices, and of their k-derivatives, per block of
 k-points; one budget, _STACK_ENTRIES float64 entries per stack, sets the
@@ -20,7 +27,7 @@ exception and is inserted directly.
 
 A private memo, keyed by value on (graph, conditions), keeps the secular
 system and the scan state of the two most recently used graphs (one dual
-pair), so a repeat scan of a graph computes sigma_min only on new grid
+pair), so a repeat scan of a graph computes sigma_min^2 only on new grid
 points and refines only new minima.  Scans stay deterministic, and
 independent of the block lengths and of earlier scans.
 """
@@ -37,9 +44,9 @@ from .graphs import GearlabError, MetricGraph, TOOTH, validate_metric
 
 # float64 entries per batched stack of secular matrices (256 KiB), or one
 # matrix with its derivatives where that is more: sets the k-points per
-# batched SVD of the scan and the brackets per batched Newton step, so
-# that the per-call cost is amortised while peak memory stays independent
-# of the grid length and of the number of minima
+# batched eigvalsh or SVD of the scan and the brackets per batched Newton
+# step, so that the per-call cost is amortised while peak memory stays
+# independent of the grid length and of the number of minima
 _STACK_ENTRIES = 1 << 15
 
 # Newton steps after which a bracket stops refining; a bracket of width
@@ -213,13 +220,13 @@ def _block_length(system: _SecularSystem, order: int) -> int:
 class _ScanState(NamedTuple):
     """What the scans of one graph on one k-grid have computed so far.
 
-    ``sig`` is sigma_min on the first len(sig) grid points, ``lows`` the
-    ascending indices of its interior minima, ``ks`` the refined root of
-    each minimum and ``s`` the descending singular values there.
+    ``sig_sq`` is sigma_min^2 on the first len(sig_sq) grid points, ``lows``
+    the ascending indices of its interior minima, ``ks`` the refined root
+    of each minimum and ``s`` the descending singular values there.
     """
 
     grid_step: float
-    sig: np.ndarray
+    sig_sq: np.ndarray
     lows: np.ndarray
     ks: np.ndarray
     s: np.ndarray
@@ -295,10 +302,28 @@ def _singular_values(stack: np.ndarray, ks) -> np.ndarray:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD did not converge for k in [{ks[0]}, {ks[-1]}]") from exc
-    bad = ~np.all(np.isfinite(s), axis=1)
+    return _finite(s, ks, "singular values")
+
+
+def _gram_min(stack: np.ndarray, ks) -> np.ndarray:
+    """sigma_min^2 of each matrix A of the stack, as the smallest eigenvalue
+    of A^T A, shape (K,); absolute error about eps * sigma_max^2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = stack.mT @ stack
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigvalsh did not converge for k in [{ks[0]}, {ks[-1]}]") from exc
+    return _finite(lam, ks, "Gram eigenvalues")[:, 0]
+
+
+def _finite(values: np.ndarray, ks, what: str) -> np.ndarray:
+    """``values``, one row per k, or SpectralError at the first k whose
+    row is not finite."""
+    bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        raise SpectralError(f"singular values not finite at k={ks[np.argmax(bad)]}")
-    return s
+        raise SpectralError(f"{what} not finite at k={ks[np.argmax(bad)]}")
+    return values
 
 
 def secular_matrix(g: MetricGraph, cond: VertexConditions, k: float) -> np.ndarray:
@@ -386,53 +411,63 @@ def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
     return ks
 
 
-def _grid_svals(system: _SecularSystem, ks: np.ndarray, smallest_only: bool) -> np.ndarray:
-    """sigma_min (shape (K, 1)) or all singular values at ``ks``, in scan blocks."""
-    width = 1 if smallest_only else 2 * len(system.lengths)
+def _blockwise(system: _SecularSystem, ks: np.ndarray, kernel, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with kernel(stack, chunk) over the scan blocks of ``ks``."""
     block = _block_length(system, 0)
-    out = np.empty((len(ks), width))
     for i in range(0, len(ks), block):
         chunk = ks[i:i + block]
-        out[i:i + block] = _singular_values(_secular_stack(system, chunk)[:, 0],
-                                            chunk)[:, -width:]
+        out[i:i + block] = kernel(_secular_stack(system, chunk)[:, 0], chunk)
     return out
+
+
+def _grid_sig_sq(system: _SecularSystem, ks: np.ndarray) -> np.ndarray:
+    """sigma_min^2 at the grid points ``ks``, from the Gram matrices."""
+    return _blockwise(system, ks, _gram_min, np.empty(len(ks)))
+
+
+def _root_svals(system: _SecularSystem, ks: np.ndarray) -> np.ndarray:
+    """All descending singular values at the refined roots ``ks``, by SVD."""
+    return _blockwise(system, ks, _singular_values, np.empty((len(ks), 2 * len(system.lengths))))
 
 
 def _extend_scan(system: _SecularSystem, state: _ScanState, grid: np.ndarray) -> _ScanState:
     """``state`` grown to the longer ``grid``, whose prefix it covers.
 
-    sigma_min is computed on the new grid points only, and only the new
+    sigma_min^2 is computed on the new grid points only, and only the new
     minima are refined; the last old point becomes a candidate now that
     its right neighbour exists.  Each grid point and each bracket is
     computed on its own, so the result equals a scan of ``grid`` from
     scratch.
     """
-    done = len(state.sig)
-    sig = np.concatenate([state.sig, _grid_svals(system, grid[done:], True)[:, 0]])
+    done = len(state.sig_sq)
+    sig_sq = np.concatenate([state.sig_sq, _grid_sig_sq(system, grid[done:])])
     i = np.arange(max(1, done - 1), len(grid) - 1)
-    lows = i[(sig[i] <= sig[i - 1]) & (sig[i] <= sig[i + 1])]
+    lows = i[(sig_sq[i] <= sig_sq[i - 1]) & (sig_sq[i] <= sig_sq[i + 1])]
     ks = _newton_refine(system, grid[lows], grid[lows - 1], grid[lows + 1])
-    return _ScanState(state.grid_step, sig, np.concatenate([state.lows, lows]),
+    return _ScanState(state.grid_step, sig_sq, np.concatenate([state.lows, lows]),
                       np.concatenate([state.ks, ks]),
-                      np.concatenate([state.s, _grid_svals(system, ks, False)]))
+                      np.concatenate([state.s, _root_svals(system, ks)]))
 
 
 def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) -> Spectrum:
     """Locate all eigenvalues with k in (0, k_max].
 
     lam = 0 is inserted analytically with multiplicity 1 (connected
-    graph).  sigma_min is evaluated on the k-grid by batched SVDs of as
-    many secular matrices as _STACK_ENTRIES allows.  Every grid minimum is
+    graph).  sigma_min^2 is evaluated on the k-grid as the smallest
+    eigenvalue of the Gram matrix A^T A, by batched eigvalsh of as many
+    secular matrices as _STACK_ENTRIES allows; its absolute error, about
+    eps * sigma_max^2, matters only where sigma_min is below ~3e-8, far
+    under its value at a grid neighbour of a root.  Every grid minimum is
     refined by safeguarded Newton on det A / det A' inside the bracket of
     its two grid neighbours (see `_newton_refine`), and accepted, with its
     multiplicity, by the root test of `eigenfunction_basis`
-    (`_root_multiplicity`) on the singular values at the refined k.  Two
-    roots that share one grid minimum come out as one, so ``grid_step``
-    decides which roots are found.  The grid is a prefix of every longer
-    grid of the same step, so the memo serves a smaller ``k_max`` from the
-    minima it already refined and extends its state for a larger one.
-    Deterministic, and independent of the block lengths and of earlier
-    scans.
+    (`_root_multiplicity`) on the singular values, from an SVD, at the
+    refined k.  Two roots that share one grid minimum come out as one, so
+    ``grid_step`` decides which roots are found.  The grid is a prefix of
+    every longer grid of the same step, so the memo serves a smaller
+    ``k_max`` from the minima it already refined and extends its state for
+    a larger one.  Deterministic, and independent of the block lengths and
+    of earlier scans.
     """
     entry = _memo_entry(g, cond)
     step = params.grid_step
@@ -442,7 +477,7 @@ def scan_spectrum(g: MetricGraph, cond: VertexConditions, params: ScanParams) ->
         width = 2 * g.edge_count
         state = _ScanState(step, np.empty(0), np.empty(0, dtype=int), np.empty(0),
                            np.empty((0, width)))
-    if len(grid) > len(state.sig):
+    if len(grid) > len(state.sig_sq):
         state = _extend_scan(entry.system, state, grid)
     entry.scan = state
     # the minima of this grid are those with both neighbours on it

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from gearlab import io as gio, spectral
@@ -356,6 +357,22 @@ def test_non_finite_graph_file_exit_codes(tmp_path, capsys, command, record, cod
     assert out == "" and len(err.splitlines()) == 1, err
     # a problem of the file names it; a failed scan does not
     assert err.startswith(f"gearlab: {g}: {message}" if code == 2 else f"gearlab: {message}"), err
+
+
+@pytest.mark.parametrize("kernel,message", [("eigvalsh", "eigvalsh"), ("svd", "SVD")])
+def test_scan_kernel_failure_exits_3(tmp_path, capsys, monkeypatch, kernel, message):
+    # the grid's eigvalsh and the roots' SVD both map LAPACK failures to
+    # exit 3, naming the k range of the failed block
+    a, _ = _build_pair(tmp_path, "--lengths", "1,2,3")
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, kernel, no_convergence)
+    capsys.readouterr()
+    assert run("spectrum", "--graph", str(a), "--k-max", "3") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"gearlab: {message} did not converge for k in ["), err
 
 
 def test_loop_edges_are_a_validation_error(tmp_path, capsys):

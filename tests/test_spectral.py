@@ -279,7 +279,7 @@ def grid_length(params):
 
 def scan_state_bytes(g, cond):
     state = spectral._MEMO[(g, cond)].scan
-    return [array.tobytes() for array in (state.sig, state.lows, state.ks, state.s)]
+    return [array.tobytes() for array in (state.sig_sq, state.lows, state.ks, state.s)]
 
 
 @pytest.mark.parametrize("g,w,k_max", GOLDEN_GEARS, ids=["gear123", "thth"])
@@ -333,15 +333,16 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max):
         singular += len(slogdets)
     spectral._MEMO.clear()
 
-    solves, slogdets, stacks, blocks = [], [], [], []
+    solves, slogdets, eigvalshs, svds, stacks, blocks = [], [], [], [], [], []
     real_slogdet = np.linalg.slogdet
-    count_calls(monkeypatch, spectral.np.linalg, "solve", solves)
-    count_calls(monkeypatch, spectral.np.linalg, "slogdet", slogdets)
+    for name, log in (("solve", solves), ("slogdet", slogdets), ("eigvalsh", eigvalshs),
+                      ("svd", svds)):
+        count_calls(monkeypatch, spectral.np.linalg, name, log)
     real_stack, real_refine = spectral._secular_stack, spectral._newton_refine
 
     def recorded_stack(system, ks, order=0):
         out = real_stack(system, ks, order)
-        stacks.append((order, out.size))
+        stacks.append((order, out.size, ks))
         return out
 
     def recorded_refine(system, ks, lo, hi):
@@ -361,9 +362,70 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max):
     assert len(state.lows) <= spectral._block_length(spectral._secular_system(g, cond), 2)
     # the slowest bracket sets the steps; a failed solve is solved again
     assert len(solves) - len(slogdets) == max(steps)
-    assert {order for order, _ in stacks} == {0, 2}
-    for order, entries in stacks:
+    assert {order for order, _, _ in stacks} == {0, 2}
+    for order, entries, _ in stacks:
         assert entries <= max(spectral._STACK_ENTRIES, (order + 1) * size * size)
+    # the order-0 stacks are the grid, then the refined roots; eigvalsh
+    # sees each grid point once, and svd only the roots, one matrix per
+    # grid minimum
+    assert np.concatenate([ks for order, _, ks in stacks if order == 0]).tobytes() == (
+        np.concatenate([grid, state.ks]).tobytes())
+    assert sum(len(args[0]) for args in eigvalshs) == len(grid)
+    roots = real_stack(spectral._secular_system(g, cond), state.ks)[:, 0]
+    assert np.concatenate([args[0] for args in svds]).tobytes() == roots.tobytes()
+
+
+def svd_sigma_min(stack, ks):
+    """Reference grid kernel: sigma_min from a full SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def grid_minima(values):
+    """Interior grid indices at which ``values`` has a local minimum, as the scan finds them."""
+    i = np.arange(1, len(values) - 1)
+    return i[(values[i] <= values[i - 1]) & (values[i] <= values[i + 1])]
+
+
+@st.composite
+def gram_scan_gears(draw):
+    """Gears with n <= 8, mixed attachments and integer, irrational or
+    near-equal lengths."""
+    n = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("integer", "irrational", "near-equal")))
+    if kind == "integer":
+        lengths = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    elif kind == "irrational":
+        lengths = draw(st.lists(st.sampled_from(
+            (math.sqrt(2.0), math.sqrt(3.0), math.pi / 2, (1 + math.sqrt(5.0)) / 2, math.e / 2)),
+            min_size=n, max_size=n))
+    else:
+        base = draw(st.sampled_from((1.0, math.sqrt(2.0), 1.5)))
+        lengths = [base + j * draw(st.sampled_from((1e-9, 1e-6, 1e-3)))
+                   for j in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    attachments = draw(st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))
+    return build_gear(GearSpec(n, tuple(lengths), draw(st.sampled_from(("primal", "dual"))),
+                               tuple(attachments)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(gram_scan_gears(), st.floats(-3.0, 3.0), st.floats(1.0, 8.0))
+def test_gram_grid_minima_equal_the_svd_ones(g, log_w, k_max):
+    # sigma_min^2 from the Gram eigenvalues has the grid minima of
+    # sigma_min from the SVD, so the scan is bit for bit the scan whose
+    # grid kernel is that SVD
+    cond, params = VertexConditions(10.0 ** log_w), ScanParams(k_max)
+    system, grid = spectral._secular_system(g, cond), scan_grid(params)
+    stack = spectral._secular_stack(system, grid)[:, 0]
+    assert np.array_equal(grid_minima(spectral._grid_sig_sq(system, grid)),
+                          grid_minima(svd_sigma_min(stack, grid)))
+    spectral._MEMO.clear()
+    gram = scan_spectrum(g, cond, params)
+    state = scan_state_bytes(g, cond)[1:]       # sig_sq holds the kernel's own values
+    spectral._MEMO.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_gram_min", svd_sigma_min)
+        assert scan_spectrum(g, cond, params) == gram
+        assert scan_state_bytes(g, cond)[1:] == state
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +563,40 @@ def test_batched_singular_values_reject_non_finite_stack():
         broken[1, 2, 3] = bad
         with pytest.raises(SpectralError):
             spectral._singular_values(broken, ks)
+
+
+def test_batched_gram_eigenvalues_reject_non_finite_stack(monkeypatch):
+    g = build_gear(GearSpec(3, (1, 2, 3), "primal"))
+    ks = np.array([0.5, 1.0, 1.5])
+    stack = np.stack([secular_matrix(g, KN, k) for k in ks])
+    lam = spectral._gram_min(stack, ks)
+    sig = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    assert lam.shape == (3,) and np.allclose(lam, sig ** 2, rtol=0, atol=1e-14)
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[1, 2, 3] = bad
+        with pytest.raises(SpectralError, match=r"k in \[0.5, 1.5\]|not finite at k=1.0"):
+            spectral._gram_min(broken, ks)
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def nan_at_second_k(a):
+        # any eigenvalue counts, not only the smallest
+        lam = real_eigvalsh(a)
+        lam[1:2, -1] = np.nan
+        return lam
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", nan_at_second_k)
+    with pytest.raises(SpectralError, match="Gram eigenvalues not finite at k=1.0"):
+        spectral._gram_min(stack, ks)
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(SpectralError, match=r"eigvalsh did not converge for k in \[0.5, 1.5\]"):
+        spectral._gram_min(stack, ks)
+    # and so does the scan (exit 3 at the command line)
+    with pytest.raises(SpectralError, match=r"did not converge for k in \[0.01, "):
+        scan_spectrum(g, KN, ScanParams(k_max=3.0))
 
 
 @pytest.mark.parametrize("kwargs", [
