@@ -5,9 +5,15 @@ non-convergence, 4 verification failure.  Identical invocations produce
 byte-identical outputs; every randomized subcommand requires --seed and
 records it in its output.
 
-The floating-point subcommands (spectrum, compare, markov, conjugate)
-import ``spectral`` and ``markov``, and so numpy, inside their handlers:
-build, zeta, zeta-conjugator and isomorphic start without numpy.
+Each handler imports what only it uses.  The floating-point subcommands
+(spectrum, compare, markov, conjugate) import ``spectral`` and ``markov``,
+and so numpy; build, zeta, zeta-conjugator and isomorphic start without
+numpy, and only zeta, zeta-conjugator and isomorphic load ``zeta``.  The
+digraph commands never load ``fractions``, which reads --lengths and --w.
+
+Before numpy loads, ``main`` sets ``OPENBLAS_THREAD_TIMEOUT`` unless the
+caller has set it, so OpenBLAS's idle workers sleep instead of spinning
+on a second core after the command's last BLAS call.
 """
 
 from __future__ import annotations
@@ -15,21 +21,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import io as gio
 from .graphs import (GearSpec, GearlabError, GraphError, build_fig3_pair, build_gear,
                      dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
                      subdivide, validate_metric)
-from .zeta import digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFICATION = 4
+
+# OpenBLAS workers spin 2^28 cycles (~0.1 s) for work after each call; 2^20
+# lets them sleep once a one-shot command is idle, with the same threads.
+OPENBLAS_THREAD_TIMEOUT = "20"
 
 
 class CliError(Exception):
@@ -39,6 +48,7 @@ class CliError(Exception):
 
 
 def _parse_lengths(text):
+    from fractions import Fraction
     try:
         return tuple(float(Fraction(part)) for part in text.split(","))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -47,6 +57,7 @@ def _parse_lengths(text):
 
 def _weight(args):
     """--w, a decimal or a fraction, as a Fraction; positive and finite as a float."""
+    from fractions import Fraction
     try:
         w = Fraction(args.w)
         if 0 < float(w) < math.inf:
@@ -197,12 +208,14 @@ def _digraph_pair(args):
 
 
 def cmd_zeta(args):
+    from .zeta import zeta_equivalent
     g1, g2 = _digraph_pair(args)
     _emit_json(zeta_equivalent(g1, g2, trials=args.trials, seed=args.seed), args.output)
     return EXIT_OK
 
 
 def cmd_zeta_conjugator(args):
+    from .zeta import verify_intertwiner
     report = verify_intertwiner()
     etas = report.pop("etas")
     if args.dump_eta:
@@ -213,6 +226,7 @@ def cmd_zeta_conjugator(args):
 
 
 def cmd_isomorphic(args):
+    from .zeta import digraph_isomorphic
     g1, g2 = _digraph_pair(args)
     witness = digraph_isomorphic(g1, g2)
     _emit_json({"isomorphic": witness is not None, "witness": witness}, args.output)
@@ -301,6 +315,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:      # OpenBLAS reads it when numpy loads
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from gearlab import io as gio, spectral
-from gearlab.cli import build_parser, main
+from gearlab.cli import OPENBLAS_THREAD_TIMEOUT, build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
@@ -26,6 +27,20 @@ THTH = ("--lengths", "1.4142,1.7320508,2.2360679,1", "--attach", "thth")
 
 def run(*argv):
     return main(list(argv))
+
+
+def fresh_env(**changes):
+    """This environment for a fresh interpreter that imports this gearlab;
+    a change to None removes the variable."""
+    src = str(pathlib.Path(gio.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
 def _build_pair(tmp_path, *gear):
@@ -69,22 +84,87 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
               "from gearlab.cli import main\n"
               "print(json.dumps([(main(argv), 'numpy' in sys.modules)\n"
               "                  for argv in json.loads(sys.argv[1])]))\n")
-    src = str(pathlib.Path(gio.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=fresh_env(), check=True)
     assert json.loads(proc.stdout) == [[0, False]] * 6 + [[0, True]]
+
+
+@pytest.mark.parametrize("first, zeta_loaded, fractions_loaded", [
+    ("digraph", True, False), ("gear", False, True)])
+def test_each_command_imports_only_what_it_uses(tmp_path, first, zeta_loaded,
+                                                fractions_loaded):
+    """The digraph commands never load `fractions`, and the gear and scan
+    commands never load `gearlab.zeta`; each group runs first in its own
+    fresh interpreter."""
+    a, b = str(tmp_path / "a.graph"), str(tmp_path / "b.graph")
+    groups = {
+        "digraph": [["zeta", "--fig6", "--seed", "1"], ["zeta-conjugator"],
+                    ["isomorphic", "--fig2"]],
+        "gear": [["build", "--lengths", "1,2,3", "-o", a],
+                 ["build", "--lengths", "1,2,3", "--dual", "-o", b],
+                 ["spectrum", "--graph", a, "--k-max", "2"],
+                 ["compare", "--graph1", a, "--graph2", b, "--k-max", "2"],
+                 ["markov", "--lengths", "1,2,3"],
+                 ["conjugate", "--lengths", "1,2,3"]],
+    }
+    script = ("import contextlib, io, json, sys\n"
+              "from gearlab.cli import main\n"
+              "out = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(argv)\n"
+              "    out.append([code, 'gearlab.zeta' in sys.modules, 'fractions' in sys.modules])\n"
+              "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(groups[first])],
+                          capture_output=True, text=True, env=fresh_env(), check=True)
+    assert json.loads(proc.stdout) == [[0, zeta_loaded, fractions_loaded]] * len(groups[first])
+
+
+@pytest.mark.parametrize("user_value", [None, "4"], ids=["unset", "user-set"])
+def test_console_run_sets_the_openblas_timeout_before_numpy_loads(user_value):
+    """In a fresh interpreter, importing `gearlab.cli` leaves the
+    environment alone; `main` sets OPENBLAS_THREAD_TIMEOUT to the default
+    unless the user set it, and the value is in place when numpy loads."""
+    script = ("import json, os, sys\n"
+              "seen = []\n"
+              "class Spy:\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name == 'numpy':\n"
+              "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+              "sys.meta_path.insert(0, Spy())\n"
+              "from gearlab.cli import main\n"
+              "out = [os.environ.get('OPENBLAS_THREAD_TIMEOUT')]\n"
+              "main(['build', '--lengths', '1,2,3', '-o', os.devnull])\n"
+              "out.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+              "main(['markov', '--lengths', '1,2,3', '-o', os.devnull])\n"
+              "print(json.dumps(out + seen))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=fresh_env(OPENBLAS_THREAD_TIMEOUT=user_value), check=True)
+    expected = user_value or OPENBLAS_THREAD_TIMEOUT
+    assert json.loads(proc.stdout) == [user_value, expected, expected]
+
+
+def test_in_process_callers_keep_their_environment(tmp_path, monkeypatch):
+    """Once numpy is loaded the timeout can no longer reach OpenBLAS, so
+    neither importing `gearlab.cli` nor `main` touches `os.environ`."""
+    assert "numpy" in sys.modules
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    before = dict(os.environ)
+    monkeypatch.delitem(sys.modules, "gearlab.cli")
+    monkeypatch.delattr(sys.modules["gearlab"], "cli")
+    fresh = importlib.import_module("gearlab.cli")
+    assert dict(os.environ) == before
+    for entry in (fresh.main, main):
+        assert entry(["build", "--lengths", "1,2,3", "-o", str(tmp_path / "g")]) == 0
+        assert entry(["markov", "--lengths", "1,2,3", "-o", str(tmp_path / "m")]) == 0
+    assert dict(os.environ) == before
 
 
 def test_markov_module_does_not_import_spectral():
     """The walk imports the quantum scan only inside `crosscheck_quantum`."""
-    src = str(pathlib.Path(gio.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = "import sys, gearlab.markov; print('gearlab.spectral' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=fresh_env(), check=True)
     assert proc.stdout == "False\n"
 
 
@@ -208,15 +288,34 @@ def test_markov_matches_golden_file_at_the_float_range_ends(tmp_path, w):
     assert out.read_bytes() == (DATA / f"gear123_markov_w{w}.json").read_bytes()
 
 
-@pytest.mark.parametrize("lengths,extra,name", [
-    ("1,2,3", (), "gear123_conjugate"),
-    ("1,2,3", ("--mode", "float"), "gear123_float_conjugate"),
-    ("1,2,3", ("--attach", "tht"), "gear123_tht_conjugate"),
-    ("1,2,3,4,5,6,7,8", ("--mode", "float"), "gear1to8_float_conjugate"),
-], ids=["rational", "float", "tht", "size72-float"])
+CONJUGATE_GOLDEN = {
+    "rational": ("1,2,3", (), "gear123_conjugate"),
+    "float": ("1,2,3", ("--mode", "float"), "gear123_float_conjugate"),
+    "tht": ("1,2,3", ("--attach", "tht"), "gear123_tht_conjugate"),
+    "size72-float": ("1,2,3,4,5,6,7,8", ("--mode", "float"), "gear1to8_float_conjugate"),
+}
+
+
+@pytest.mark.parametrize("lengths,extra,name", CONJUGATE_GOLDEN.values(),
+                         ids=CONJUGATE_GOLDEN.keys())
 def test_conjugate_matches_golden_file(tmp_path, lengths, extra, name):
     out = tmp_path / "conj.json"
     assert run("conjugate", "--lengths", lengths, "--w", "3/2", *extra, "-o", str(out)) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["rational", "size72-float"])
+def test_console_script_conjugate_matches_golden_file(tmp_path, case):
+    """The console script, where `main` sets the OpenBLAS thread timeout
+    before numpy loads, writes the same bytes as the in-process run."""
+    lengths, extra, name = CONJUGATE_GOLDEN[case]
+    out = tmp_path / "conj.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gearlab.cli import main; sys.exit(main())",
+         "conjugate", "--lengths", lengths, "--w", "3/2", *extra, "-o", str(out)],
+        capture_output=True, text=True, env=fresh_env(OPENBLAS_THREAD_TIMEOUT=None),
+        check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
@@ -426,11 +525,8 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
 
 def fresh_gearlab(*argv):
     """The finished process of ``gearlab argv`` in a fresh interpreter."""
-    src = str(pathlib.Path(gio.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "gearlab.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=fresh_env(), check=False)
 
 
 def gearlab(*argv):
