@@ -105,26 +105,43 @@ def det_mod(rows, p, width):
     Each row is a dict col -> lane list, the entry of every matrix at that
     position, one int per matrix ("lane"); an entry absent, or 0 in every
     lane, is zero.  Returns ``width`` residues, lane k the determinant of
-    matrix k.  The support, the column sets and the heap are kept once
+    matrix k.  Rows may share lane lists: each distinct list is checked
+    and reduced mod p once, and neither the rows nor the lists are
+    changed.  The support, the column sets and the heap are kept once
     for all lanes, and the arithmetic runs lane-wise.  Each step eliminates
     the live column with the fewest nonzeros (kept in a lazy heap),
     pivoting on its diagonal entry when that is nonzero in every lane and
     else on its shortest row that is; if no row is, the lanes cannot share
     this step, and each lane is evaluated alone, at width 1, from the
     given rows (at width 1 every live row of the column serves).  Updates
-    are division-free, row_i <- piv row_i - a_ic row_r, and their scale
-    factors are divided out with one inverse per lane at the end.  The
-    pivot rows, ordered by step, are triangular in the pivot columns, so
-    det = sign(row -> column) prod(pivots) in each lane; a determinant
-    does not depend on the pivot order, so every lane is its own matrix's.
-    Eliminating a pendant vertex of the support makes no fill (Parter,
-    SIAM Rev. 3 (1961)) and the fewest-nonzeros column (Markowitz, Manag.
-    Sci. 3 (1957)) finds those first, so a tree or a single cycle with
-    pendant paths costs O(n) row operations.
+    are division-free, row_i <- piv row_i - a_ic row_r.  The pivot rows,
+    ordered by step, are triangular in the pivot columns, so the updated
+    matrix has det = sign(row -> column) prod(pivots) in each lane, and a
+    step that updates k rows scaled it by piv^k: only the net factor
+    piv^(1-k) of a step is kept, nothing for a pendant pivot (k = 1), piv
+    into ``det`` for k = 0 and piv^(k-1) into ``scale`` for k >= 2, and
+    ``scale`` is divided out at the end with one modular inverse for all
+    lanes (Montgomery's batch inversion, Math. Comp. 48 (1987) 243).  A
+    determinant does not depend on the pivot order, so every lane is its
+    own matrix's.  Eliminating a pendant vertex of the support makes no
+    fill (Parter, SIAM Rev. 3 (1961)) and the fewest-nonzeros column
+    (Markowitz, Manag. Sci. 3 (1957)) finds those first, so a tree or a
+    single cycle with pendant paths costs O(n) row operations.  Raises
+    ValueError for a column index outside 0..n-1 or a lane list that does
+    not hold ``width`` values.
     """
-    given, rows = rows, [{j: v for j, lanes in row.items() if any(v := [e % p for e in lanes])}
+    n, reduced = len(rows), {}     # id(lane list) -> its residues, None if all 0
+    for row in rows:
+        for j, lanes in row.items():
+            if not 0 <= j < n:
+                raise ValueError(f"column index {j} outside 0..{n - 1}")
+            if id(lanes) not in reduced:
+                if len(lanes) != width:
+                    raise ValueError(f"lane list of length {len(lanes)}, not width {width}")
+                v = [e % p for e in lanes]
+                reduced[id(lanes)] = v if any(v) else None
+    given, rows = rows, [{j: v for j, lanes in row.items() if (v := reduced[id(lanes)])}
                          for row in rows]
-    n = len(rows)
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -150,13 +167,15 @@ def det_mod(rows, p, width):
         pivot_row = rows[r]
         piv = pivot_row.pop(c)
         pivot_col[r] = c
-        det = [d * q % p for d, q in zip(det, piv)]
+        if not live:
+            det = [d * q % p for d, q in zip(det, piv)]
+        elif len(live) > 1:
+            scale = [s * pow(q, len(live) - 1, p) % p for s, q in zip(scale, piv)]
         for j in pivot_row:
             cols[j].remove(r)
         for i in live:
             row = rows[i]
             a = row.pop(c)
-            scale = [s * q % p for s, q in zip(scale, piv)]
             for j, w in row.items():
                 v = pivot_row.get(j)
                 row[j] = ([f * q % p for f, q in zip(w, piv)] if v is None else
@@ -175,4 +194,13 @@ def det_mod(rows, p, width):
         for j in pivot_row:
             heapq.heappush(heap, (len(cols[j]), j))
     sign = permutation_sign(pivot_col)
-    return [d * sign * pow(s, -1, p) % p for d, s in zip(det, scale)]
+    # 1/s_k = (s_0 ... s_(k-1)) / (s_0 ... s_k): one inverse, taken of the
+    # whole product, then peeled back one lane at a time
+    before = [1]
+    for s in scale:
+        before.append(before[-1] * s % p)
+    inv, out = pow(before.pop(), -1, p), [0] * width
+    for k in range(width - 1, -1, -1):
+        out[k] = sign * det[k] * before[k] * inv % p
+        inv = inv * scale[k] % p
+    return out

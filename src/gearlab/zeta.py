@@ -14,10 +14,14 @@ y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
 support that every gear digraph has.  `eval_dets` assembles the
 pencil's rows at a batch of points, every entry a list of residues, one
 per point ("lanes"), and evaluates them by one `linalg.det_mod` call.
-At y = 0 a gear digraph costs O(n) row operations, and y J enters as one
-dense border row and column.  Exact matrices are sparse rows (dicts
-col -> entry): `_pencil_rows` assembles the y = 0 pencil's rows from the
-arcs over any ring, and `eval_dets` assembles the same rows in lanes.
+The entries share their lane lists: one diagonal per (D_out, D_in) pair
+and one each for alpha, beta and alpha + beta, so the rows of a gear
+digraph (every in-degree 1, out-degrees 0 to 3, no 2-cycle) hold at most
+six lists, and `det_mod` reduces each once.  At y = 0 a gear digraph
+costs O(n) row operations, and y J enters as one dense border row and
+column.  Exact matrices are sparse rows (dicts col -> entry):
+`_pencil_rows` assembles the y = 0 pencil's rows from the arcs over any
+ring, and `eval_dets` assembles the same rows in lanes.
 
 `intertwiner` builds, from the walk transplantation's derivative rule,
 a T with L_G~ T = T L_G at y = 0 for any gear digraph with every tooth
@@ -94,15 +98,23 @@ def eval_dets(p: Pencil, points) -> list:
     det [[M, y 1], [-1^T, 1]] (Schur complement of the corner; a lane
     with y = 0 has a zero border column and gives det M): eliminating
     pendant vertices fills nothing outside the border, but each step
-    rescales the dense border row, so y != 0 costs O(n^2).
+    rescales the dense border row, so y != 0 costs O(n^2).  No points give
+    no residues; a point without six coordinates raises ZetaError.
     """
+    if any(len(point) != 6 for point in points):
+        raise ZetaError("a point needs 6 coordinates (x, y, alpha, beta, gamma, delta)")
+    if not points:
+        return []
     width = len(points)
     x, y, al, be, ga, de = ([v % PRIME for v in lane] for lane in zip(*points))
     # the rows of x I + alpha A + beta A^T + gamma D_out + delta D_in, as in
-    # `_pencil_rows`; with no parallel arcs an entry (t, h) is alpha, beta,
-    # or alpha + beta when both t -> h and h -> t are arcs
-    rows = [{i: [a + do * g + di * d for a, g, d in zip(x, ga, de)]}
-            for i, (do, di) in enumerate(zip(p.D_out, p.D_in))]
+    # `_pencil_rows`, sharing one diagonal lane list per (D_out, D_in); with
+    # no parallel arcs an entry (t, h) is alpha, beta, or alpha + beta when
+    # both t -> h and h -> t are arcs
+    degrees = list(zip(p.D_out, p.D_in))
+    diagonal = {(do, di): [a + do * g + di * d for a, g, d in zip(x, ga, de)]
+                for do, di in set(degrees)}
+    rows = [{i: diagonal[dd]} for i, dd in enumerate(degrees)]
     both = [a + b for a, b in zip(al, be)]
     for t, h in p.arcs:
         rows[t][h] = both if h in rows[t] else al

@@ -1,6 +1,7 @@
 """Oracle checks for the exact determinant kernels, and the exact rank,
 determinant and Horner helpers that other test modules import."""
 
+import copy
 import importlib.util
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gearlab import linalg
 from gearlab.linalg import det_mod, permutation_sign, unicyclic_det
@@ -220,6 +221,71 @@ def test_det_mod_lanes_without_a_shared_pivot_match_exact_determinants(mats, p):
     # and its other rows 0 in the diagonal lane, so every lane is
     # evaluated alone
     assert det_mod(lane_rows(mats), p, len(mats)) == [bareiss_det(m) % p for m in mats]
+
+
+@st.composite
+def shared_lane_rows(draw):
+    """(rows, p, width): lane rows of size 1 to 7 and width 1 to 5 whose
+    entries are drawn from a pool of 1 to 4 shared list objects, their
+    values unreduced, negative, or 0 mod p in some lanes.  The supports
+    are paths (pendant pivots update one row), stars and dense blocks
+    (pivots update several) or random, with or without the diagonal; the
+    last step updates no row, and lanes that share no pivot go through
+    the width-1 fallback."""
+    p = draw(st.sampled_from([2, 3, 5, 7, PRIME]))
+    width, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    value = (st.integers(-9, 9) | st.sampled_from([p, -p, 3 * p + 1])
+             | st.integers(-(1 << 70), 1 << 70))
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=4))
+    shape = draw(st.sampled_from(["path", "star", "dense", "random"]))
+    if shape == "path":
+        support = {(i, i + 1) for i in range(n - 1)} | {(i + 1, i) for i in range(n - 1)}
+    elif shape == "star":
+        support = {(0, i) for i in range(n)} | {(i, 0) for i in range(n)}
+    elif shape == "dense":
+        support = {(i, j) for i in range(n) for j in range(n)}
+    else:
+        support = {(i, j) for i in range(n) for j in range(n) if draw(st.booleans())}
+    if draw(st.booleans()):
+        support |= {(i, i) for i in range(n)}
+    rows = [{} for _ in range(n)]
+    for i, j in sorted(support):
+        rows[i][j] = draw(st.sampled_from(pool))
+    return rows, p, width
+
+
+ZERO_MOD_3, ONE = [3], [1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_lane_rows())
+# the unreduced diagonal [3] is 0 mod 3: it must not be a pivot, and the
+# determinant (2 mod 3) is nonzero
+@example(([{0: ZERO_MOD_3, 1: ONE, 2: ONE}, {0: ONE, 1: ZERO_MOD_3, 2: ONE},
+           {0: ONE, 1: ONE, 2: ZERO_MOD_3}], 3, 1))
+def test_det_mod_with_shared_lane_lists_matches_exact_determinants(case):
+    # lane lists shared between entries are reduced once and never
+    # updated in place: every lane is its own matrix's determinant, and
+    # the rows and lists are as given
+    rows, p, width = case
+    before = copy.deepcopy(rows)
+    mats = [[[row[j][k] if j in row else 0 for j in range(len(rows))] for row in rows]
+            for k in range(width)]
+    assert det_mod(rows, p, width) == [bareiss_det(m) % p for m in mats]
+    assert rows == before
+
+
+def test_det_mod_rejects_malformed_rows():
+    # a lane list of the wrong length, and column indices outside 0..n-1
+    # (a negative one would index the column sets from the end)
+    with pytest.raises(ValueError, match="lane list of length 2, not width 3"):
+        det_mod([{0: [1, 2]}], 7, 3)
+    with pytest.raises(ValueError, match="lane list of length 2, not width 1"):
+        det_mod([{0: [1]}, {1: [1, 2]}], 7, 1)
+    with pytest.raises(ValueError, match=r"column index 1 outside 0\.\.0"):
+        det_mod([{1: [1]}], 7, 1)
+    with pytest.raises(ValueError, match=r"column index -1 outside 0\.\.1"):
+        det_mod([{0: [1]}, {-1: [0]}], 7, 1)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy not installed")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -414,14 +415,30 @@ def test_conjugator_report_fields():
     assert rep["mode"] == "rational" and rep["w"] == "3/2"
 
 
+def over_one_denominator(mat):
+    """(A, d) with mat = A / d: A an int matrix, d the lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[int(x * d) for x in row] for row in mat], d
+
+
+def int_product(a, b):
+    """The dense product of two int matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
 def dense_residual(src, dst, c):
-    """Max-abs entry of M~ C - C M from dense products (reference)."""
+    """Max-abs entry of M~ C - C M from dense products (reference): with
+    M = m / dm, M~ = mt / dmt and C = cn / dc over ints, it is
+    max |dm mt cn - dmt cn m| / (dm dmt dc)."""
     n = src.size
-    m = dense(reference_walk(src.cg, src.w), n)
-    mt = dense(reference_walk(dst.cg, dst.w), n)
-    return max(abs(sum(mt[i][k] * c[k][j] for k in range(n))
-                   - sum(c[i][k] * m[k][j] for k in range(n)))
-               for i in range(n) for j in range(n))
+    m, dm = over_one_denominator(dense(reference_walk(src.cg, src.w), n))
+    mt, dmt = over_one_denominator(dense(reference_walk(dst.cg, dst.w), n))
+    cn, dc = over_one_denominator(c)
+    worst = max(abs(dm * x - dmt * y)
+                for left, right in zip(int_product(mt, cn), int_product(cn, m))
+                for x, y in zip(left, right))
+    return Fraction(worst, dm * dmt * dc)
 
 
 def reference_transplantation(src, dst):

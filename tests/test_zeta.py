@@ -1,5 +1,6 @@
 """Pencils, identity testing, the explicit intertwiner, and isomorphism."""
 
+import copy
 import math
 import random
 
@@ -91,6 +92,37 @@ def dense_pencil(dg, point):
     for i in range(n):
         mat[i][i] += x
     return mat
+
+
+def test_eval_dets_edge_cases():
+    # no points give no residues; a point of another length is rejected,
+    # also next to a well-formed one (zip would cut it to six coordinates)
+    p = pencil(fig6_digraph_pair()[0])
+    assert eval_dets(p, []) == []
+    for points in ([(1, 0, 2, 3, 4)], [(1, 0, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5, 6)]):
+        with pytest.raises(ZetaError, match="a point needs 6 coordinates"):
+            eval_dets(p, points)
+
+
+def test_eval_dets_shares_one_diagonal_per_degree_pair(monkeypatch):
+    # one diagonal lane list per (D_out, D_in), so a gear digraph's rows
+    # share at most six lists, and det_mod leaves the rows as they were built
+    seen = []
+
+    def spy(rows, p, width):
+        seen.append((rows, copy.deepcopy(rows)))
+        return det_mod(rows, p, width)
+
+    monkeypatch.setattr(zeta, "det_mod", spy)
+    pg = pencil(gear_to_digraph(GearSpec(6, (4, 4, 4, 3, 3, 3), "primal",
+                                       ("tail", "tail", "head", "head", "tail", "tail"))))
+    rng = random.Random(5)
+    eval_dets(pg, [random_point(rng) for _ in range(4)])
+    (rows, before), = seen
+    diagonals = {id(row[i]) for i, row in enumerate(rows)}
+    assert len(diagonals) == len(set(zip(pg.D_out, pg.D_in))) == 4
+    assert len({id(lanes) for row in rows for lanes in row.values()}) == 6
+    assert rows == before
 
 
 def test_eval_dets_falls_back_to_single_points(monkeypatch):
