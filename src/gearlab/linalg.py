@@ -1,12 +1,19 @@
 """Exact linear algebra on sparse rows (dicts col -> entry, absent meaning
 zero): the row-times-matrix product and unicyclic determinants over any
-ring, and the one modular determinant, `det_mod`, of a batch of matrices
-over GF(p) that share one support.  Floating-point linear algebra goes
-to numpy."""
+ring, the one modular determinant, `det_mod`, of a batch of matrices over
+GF(p) that share one support, and the one Schwartz-Zippel protocol,
+`identity_test`.  Floating-point linear algebra goes to numpy."""
 
 from __future__ import annotations
 
 import heapq
+import math
+import random
+
+PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
+# points per `evaluate` call of `identity_test`: the default 20 zeta trials
+# are one elimination, and a long run holds O(TRIAL_BLOCK n) values
+TRIAL_BLOCK = 32
 
 
 def row_times(row, rows):
@@ -204,3 +211,39 @@ def det_mod(rows, p, width):
         out[k] = sign * det[k] * before[k] * inv % p
         inv = inv * scale[k] % p
     return out
+
+
+def identity_bounds(degree: int, trials: int, seed: int) -> dict:
+    """`identity_test`'s report before any point is drawn: the degree bound
+    "n", the trials, PRIME, the seed and the bounds on a false "equivalent"
+    verdict.  Raises ValueError for trials < 1."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    # (degree / PRIME) ** trials underflows to 0.0, so only its log10 is reported
+    return {"n": degree, "trials": trials, "prime": PRIME, "seed": seed,
+            "per_trial_bound": degree / PRIME, "failure_bound_log10":
+            trials * (math.log10(degree) - math.log10(PRIME)) if degree else -math.inf}
+
+
+def identity_test(draw, evaluate, degree: int, trials: int, seed: int) -> dict:
+    """Schwartz-Zippel test of two polynomials of total degree <= ``degree``
+    (Schwartz, J. ACM 27 (1980) 701; Zippel, EUROSAM 1979).
+
+    ``draw(rng)`` gives a point, a tuple of coordinates from range(PRIME),
+    from one Random(seed), and ``evaluate(points)`` the two polynomials'
+    values (values_1, values_2) at a block of TRIAL_BLOCK points, one value
+    per point (else ValueError).  The first block with a difference ends
+    the test, and the report gives its first differing point, the one a
+    point-by-point loop stops at.  Distinct polynomials (distinct mod PRIME
+    where the values are residues) agree at a random point with probability
+    at most degree / PRIME, so a false "equivalent-with-bound" has
+    probability at most that to the power ``trials``.
+    """
+    report = identity_bounds(degree, trials, seed)
+    rng = random.Random(seed)
+    for start in range(0, trials, TRIAL_BLOCK):
+        points = [draw(rng) for _ in range(min(TRIAL_BLOCK, trials - start))]
+        for point, a, b in zip(points, *evaluate(points), strict=True):
+            if a != b:
+                return {**report, "verdict": "distinguished", "distinguishing_point": list(point)}
+    return {**report, "verdict": "equivalent-with-bound"}

@@ -9,10 +9,11 @@ has a determinant that is homogeneous of degree n; its y = 0 restriction
 is the generalized characteristic polynomial that carries the digraph's
 reversing zeta data.  Zeta equivalence (equality of the y = 0
 determinants) is tested two ways: probabilistically at random points of
-a 61-bit prime field (Schwartz-Zippel) and exactly by expanding the
-y = 0 pencil with `linalg.unicyclic_det`, which needs the one-cycle
-support that every gear digraph has.  `eval_dets` assembles the
-pencil's rows at a batch of points, every entry a list of residues, one
+a 61-bit prime field, by the Schwartz-Zippel protocol
+`linalg.identity_test` that the walk route shares, and exactly by
+expanding the y = 0 pencil with `linalg.unicyclic_det`, which needs the
+one-cycle support that every gear digraph has.  `eval_dets` assembles the
+pencil's rows at a block of points, every entry a list of residues, one
 per point ("lanes"), and evaluates them by one `linalg.det_mod` call.
 The entries share their lane lists: one diagonal per (D_out, D_in) pair
 and one each for alpha, beta and alpha + beta, so the rows of a gear
@@ -31,20 +32,16 @@ factors into diagonal ones and one `unicyclic_det`, with a closed form.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .graphs import (FIG6, Digraph, GearSpec, GearlabError, digraph_lengths, digraph_paths,
                      dual_gear, fig6_digraph_pair, gear_to_digraph)
-from .linalg import det_mod, permutation_sign, row_times, unicyclic_det
+from .linalg import (PRIME, det_mod, identity_bounds, identity_test,
+                     permutation_sign, row_times, unicyclic_det)
 from .polynomials import SparsePolynomial
 
-PRIME = (1 << 61) - 1  # Mersenne prime, fits fast hardware arithmetic
 ISOMORPHISM_MAX_N = 16
-# points per `eval_dets` call in `zeta_equivalent`: the default 20 trials
-# are one elimination, and a long run holds O(TRIAL_BLOCK n) residues
-TRIAL_BLOCK = 32
 # (x, y, alpha, beta, gamma, delta) with y != 0: where verify_intertwiner
 # compares the six-variable determinants of the fig6 pair
 FULL_DET_POINT = (1, 1, 1, 1, 1, 1)
@@ -138,44 +135,17 @@ def random_point(rng: random.Random):
 
 
 def zeta_equivalent(g1: Digraph, g2: Digraph, trials: int = 20, seed: int = 0) -> dict:
-    """Schwartz-Zippel identity test of the y = 0 pencil determinants.
-
-    Deterministic for a fixed seed.  The points come from Random(seed)
-    in blocks of TRIAL_BLOCK, one `eval_dets` call per digraph and block;
-    the first block with a difference ends the test and reports its first
-    differing point, the one a point-by-point loop stops at.  A false
-    "equivalent" verdict needs distinct degree-n polynomials to collide
-    at every sampled point, which happens with probability at most
-    (n / PRIME) per trial.
-    """
+    """Schwartz-Zippel test of the y = 0 pencil determinants, of degree n:
+    `linalg.identity_test` at `random_point`s, one `eval_dets` call per digraph
+    and block.  Digraphs of different sizes are distinguished without a point."""
     if trials < 1:
         raise ZetaError("need at least one trial")
-    n = g1.vertex_count
-    verdict = {
-        "n": n,
-        "trials": trials,
-        "prime": PRIME,
-        "seed": seed,
-        "per_trial_bound": n / PRIME,
-        # (n / PRIME) ** trials underflows to 0.0, so only its log10 is reported
-        "failure_bound_log10": trials * (math.log10(n) - math.log10(PRIME)) if n else -math.inf,
-    }
     p1, p2 = pencil(g1), pencil(g2)
     if p1.n != p2.n:
-        verdict["verdict"] = "distinguished"
-        verdict["distinguishing_point"] = None
-        verdict["reason"] = "different vertex counts"
-        return verdict
-    rng = random.Random(seed)
-    for start in range(0, trials, TRIAL_BLOCK):
-        points = [random_point(rng) for _ in range(min(TRIAL_BLOCK, trials - start))]
-        for pt, d1, d2 in zip(points, eval_dets(p1, points), eval_dets(p2, points)):
-            if d1 != d2:
-                verdict["verdict"] = "distinguished"
-                verdict["distinguishing_point"] = list(pt)
-                return verdict
-    verdict["verdict"] = "equivalent-with-bound"
-    return verdict
+        return {**identity_bounds(g1.vertex_count, trials, seed), "verdict": "distinguished",
+                "distinguishing_point": None, "reason": "different vertex counts"}
+    return identity_test(random_point, lambda pts: (eval_dets(p1, pts), eval_dets(p2, pts)),
+                         p1.n, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,15 @@ import pytest
 from gearlab.graphs import (GearSpec, bipartition_sign, build_fig3_pair, build_gear,
                             dual_gear, fig2_control_pair, fig6_digraph_pair,
                             insert_degree_two_vertex, subdivide)
-from gearlab.markov import (combinatorial_derivative, combinatorial_transplant,
-                            conjugator_report, crosscheck_quantum, markov_matrix,
-                            markov_spectrum)
+from gearlab.markov import (characteristic_polynomial_exact, combinatorial_derivative,
+                            combinatorial_transplant, conjugator_report, crosscheck_quantum,
+                            markov_matrix, markov_spectrum)
 from gearlab.spectral import (ScanParams, VertexConditions, compare_first,
                               eigenfunction_basis, scan_spectrum, suggest_k_max)
 from gearlab.transplant import check_isometry, inverse_transplant, transplant
 from gearlab.zeta import PRIME, digraph_isomorphic, verify_intertwiner, zeta_equivalent
 
-from test_markov import reference_matrix, walk_rows
+from test_markov import reference_matrix, walk_pair, walk_rows
 
 
 @contextmanager
@@ -117,6 +117,10 @@ def test_criterion_4_exact_walk_conjugation():
             rep = conjugator_report(GearSpec(3, lengths, "primal"),
                                     Fraction(3, 2), "rational")
             assert rep["charpoly_equal"] is True, lengths
+            # charpoly_equal is an identity test at random points: the
+            # exact polynomials keep this criterion exact
+            src, dst = walk_pair(lengths, Fraction(3, 2))
+            assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
             assert rep["conj_residual"] == 0.0, lengths
             assert rep["sigma_min_C"] > 1e-8, lengths
         elapsed = time.perf_counter() - t0

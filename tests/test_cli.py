@@ -18,7 +18,7 @@ from gearlab.cli import OPENBLAS_THREAD_TIMEOUT, build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
-from gearlab.zeta import TRIAL_BLOCK
+from gearlab.linalg import TRIAL_BLOCK
 
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -3,6 +3,7 @@ determinant and Horner helpers that other test modules import."""
 
 import copy
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gearlab import linalg
-from gearlab.linalg import det_mod, permutation_sign, unicyclic_det
+from gearlab.linalg import (TRIAL_BLOCK, det_mod, identity_bounds, identity_test,
+                            permutation_sign, unicyclic_det)
 from gearlab.polynomials import SparsePolynomial
 from gearlab.zeta import PRIME
 
@@ -294,6 +296,63 @@ def test_det_mod_rejects_malformed_rows():
 def test_permutation_sign_matches_sympy(perm):
     from sympy.combinatorics import Permutation
     assert permutation_sign(perm) == Permutation(list(perm), size=len(perm)).signature()
+
+
+# ---------------------------------------------------------------------------
+# the Schwartz-Zippel protocol
+# ---------------------------------------------------------------------------
+
+def two_coordinates(rng):
+    return rng.randrange(PRIME), rng.randrange(PRIME)
+
+
+@pytest.mark.parametrize("trials, index", [(20, 2), (2 * TRIAL_BLOCK + 1, TRIAL_BLOCK + 2)])
+def test_identity_test_reports_the_one_differing_point(trials, index):
+    """The sides differ only at the drawn point ``index`` (the 3rd, or the
+    3rd of the second block): that point is reported, after one
+    `evaluate` call per block up to its own."""
+    rng = random.Random(5)
+    target = [two_coordinates(rng) for _ in range(index + 1)][-1]
+    widths = []
+
+    def evaluate(points):
+        widths.append(len(points))
+        return [0] * len(points), [int(pt == target) for pt in points]
+
+    report = identity_test(two_coordinates, evaluate, 9, trials, 5)
+    assert report == {**identity_bounds(9, trials, 5), "verdict": "distinguished",
+                      "distinguishing_point": list(target)}
+    assert widths == [TRIAL_BLOCK] * (index // TRIAL_BLOCK) + [min(TRIAL_BLOCK, trials)]
+
+
+def test_identity_test_equal_sides_and_bounds():
+    widths = []
+
+    def evaluate(points):
+        widths.append(len(points))
+        return [pt[0] for pt in points], [pt[0] for pt in points]
+
+    report = identity_test(two_coordinates, evaluate, 12, 2 * TRIAL_BLOCK + 1, 0)
+    assert report["verdict"] == "equivalent-with-bound" and "distinguishing_point" not in report
+    assert widths == [TRIAL_BLOCK, TRIAL_BLOCK, 1]
+    assert report["per_trial_bound"] == 12 / PRIME
+    assert report["failure_bound_log10"] == pytest.approx((2 * TRIAL_BLOCK + 1)
+                                                          * math.log10(12 / PRIME))
+    assert (report["n"], report["prime"], report["seed"]) == (12, PRIME, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_identity_test_needs_a_trial(trials):
+    def evaluate(points):
+        raise AssertionError("no point may be evaluated")
+
+    with pytest.raises(ValueError, match="at least one trial"):
+        identity_test(two_coordinates, evaluate, 3, trials, 0)
+
+
+def test_identity_test_rejects_a_short_evaluation():
+    with pytest.raises(ValueError):
+        identity_test(two_coordinates, lambda points: ([0] * len(points), [0]), 3, 4, 0)
 
 
 def test_unicyclic_det_known_determinants():

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearlab.graphs import TOOTH, GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
-from gearlab.markov import (MODES, MarkovError, build_conjugator,
-                            characteristic_polynomial_exact, combinatorial_derivative,
+from gearlab import markov
+from gearlab.linalg import PRIME
+from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
+                            charpoly_test, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
                             conjugator_report, conjugator_sigma_min, crosscheck_quantum,
                             markov_eigenvalues, markov_matrix, markov_spectrum,
@@ -207,6 +209,69 @@ def test_dual_pair_charpolys_identical():
     assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
     src, dst = walk_pair((2, 2, 3), Fraction(3, 2))
     assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
+
+
+NEAR_MISSES = ("dual", "dual at w + 1/1000", "one tooth unflipped", "lengths 0 and 1 swapped")
+
+
+def near_miss(lengths, attachments, w, case):
+    """The walk of a gear and that of its dual, or of one of three near misses."""
+    src = markov_matrix(subdivide(build_gear(GearSpec(len(lengths), lengths, "primal",
+                                                      attachments))), w)
+    flipped = list(dual_gear(GearSpec(len(lengths), lengths, "primal", attachments)).attachments)
+    if case == "one tooth unflipped":
+        flipped[0] = attachments[0]
+    elif case == "lengths 0 and 1 swapped":
+        lengths = (lengths[1], lengths[0], *lengths[2:])
+    if case == "dual at w + 1/1000":
+        w += Fraction(1, 1000)
+    dst = markov_matrix(subdivide(build_gear(GearSpec(len(lengths), lengths, "primal",
+                                                      tuple(flipped)))), w)
+    return src, dst
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple),
+           st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n).map(tuple))),
+       st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+       .filter(lambda w: w > 0),
+       st.sampled_from(NEAR_MISSES))
+def test_charpoly_test_verdict_equals_the_exact_polynomials(gear, w, case):
+    """The identity test's verdict is the exact polynomials' verdict, on dual
+    pairs and near misses; a swap of two lengths can be isometric, so
+    every verdict is compared with the exact one."""
+    src, dst = near_miss(*gear, w, case)
+    exact = characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
+    report = charpoly_test(src, dst)
+    assert (report["verdict"] == "equivalent-with-bound") == exact
+    assert exact or case != "dual"
+    assert report["n"] == src.size and report["trials"] == 2 and report["seed"] == 0
+
+
+def test_charpoly_test_distinguishes_near_misses_at_its_first_point():
+    first = [random.Random(0).randrange(PRIME)]
+    for case in NEAR_MISSES[1:3]:
+        report = charpoly_test(*near_miss((1, 2, 3), ("tail", "head", "tail"), Fraction(3, 2),
+                                          case))
+        assert report["verdict"] == "distinguished"
+        assert report["distinguishing_point"] == first
+
+
+def test_rational_report_expands_no_characteristic_polynomial(monkeypatch):
+    def expand(ms):
+        raise AssertionError("characteristic_polynomial_exact called")
+
+    monkeypatch.setattr(markov, "characteristic_polynomial_exact", expand)
+    rep = conjugator_report(GearSpec(3, (1, 2, 3)), Fraction(3, 2), "rational")
+    assert rep["charpoly_equal"] is True
+    assert rep["charpoly_test"]["verdict"] == "equivalent-with-bound"
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e300])
+def test_charpoly_equal_at_the_ends_of_the_float_range(w):
+    rep = conjugator_report(GearSpec(3, (1, 2, 3)), w)
+    assert rep["charpoly_equal"] is True
 
 
 def test_float_weight_is_read_exactly():
@@ -411,6 +476,8 @@ def test_conjugator_report_fields():
     rep = conjugator_report(GearSpec(3, (1, 2, 3)), Fraction(3, 2))
     assert rep["conj_residual"] == 0.0
     assert rep["charpoly_equal"] is True
+    assert rep["charpoly_test"] == charpoly_test(*walk_pair((1, 2, 3), Fraction(3, 2)))
+    assert "charpoly_test" not in conjugator_report(GearSpec(3, (1, 2, 3)), 1.5, "float")
     assert rep["sigma_min_C"] > 1e-8
     assert rep["mode"] == "rational" and rep["w"] == "3/2"
 

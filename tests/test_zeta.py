@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, GearSpec, GraphError, build_gear,
                             digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
                             gear_to_digraph, subdivide)
-from gearlab.linalg import det_mod, permutation_sign, unicyclic_det
+from gearlab.linalg import TRIAL_BLOCK, det_mod, permutation_sign, unicyclic_det
 from gearlab import linalg, zeta
-from gearlab.zeta import (FIG6, PRIME, TRIAL_BLOCK, ZetaError, char_poly_symbolic,
+from gearlab.zeta import (FIG6, PRIME, ZetaError, char_poly_symbolic,
                           digraph_isomorphic, eval_det, eval_dets, factored_det, intertwiner,
                           intertwiner_det, intertwines, pencil, random_point,
                           verify_intertwiner, zeta_equivalent)
