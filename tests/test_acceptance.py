@@ -123,6 +123,7 @@ def test_criterion_4_exact_walk_conjugation():
             assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
             assert rep["conj_residual"] == 0.0, lengths
             assert rep["sigma_min_C"] > 1e-8, lengths
+            assert rep["ok"] is True, lengths
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, elapsed
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import argparse
+import dataclasses
 import importlib
 import json
 import math
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gearlab import io as gio, spectral
+from gearlab import io as gio, markov, spectral
 from gearlab.cli import OPENBLAS_THREAD_TIMEOUT, build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
@@ -290,9 +291,8 @@ def test_markov_matches_golden_file_at_the_float_range_ends(tmp_path, w):
 
 CONJUGATE_GOLDEN = {
     "rational": ("1,2,3", (), "gear123_conjugate"),
-    "float": ("1,2,3", ("--mode", "float"), "gear123_float_conjugate"),
     "tht": ("1,2,3", ("--attach", "tht"), "gear123_tht_conjugate"),
-    "size72-float": ("1,2,3,4,5,6,7,8", ("--mode", "float"), "gear1to8_float_conjugate"),
+    "size72": ("1,2,3,4,5,6,7,8", (), "gear1to8_conjugate"),
 }
 
 
@@ -304,7 +304,7 @@ def test_conjugate_matches_golden_file(tmp_path, lengths, extra, name):
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("case", ["rational", "size72-float"])
+@pytest.mark.parametrize("case", ["rational", "size72"])
 def test_console_script_conjugate_matches_golden_file(tmp_path, case):
     """The console script, where `main` sets the OpenBLAS thread timeout
     before numpy loads, writes the same bytes as the in-process run."""
@@ -356,11 +356,9 @@ def test_grid_step_finds_the_thth_root(tmp_path):
 GEAR_OPTIONS = [(("--lengths",), "str", None, True, None),
                 (("--dual",), "flag", False, False, None),
                 (("--attach",), "str", None, False, None)]
-WALK_OPTIONS = [(("--w",), "str", "1", False, None),
-                (("--mode",), "str", "rational", False, ("rational", "float"))]
-SCAN_OPTIONS = [(("--w",), "str", "1", False, None),
-                (("--k-max",), "float", None, True, None),
-                (("--grid-step",), "float", None, False, None)]
+WEIGHT = [(("--w",), "str", "1", False, None)]
+SCAN_OPTIONS = WEIGHT + [(("--k-max",), "float", None, True, None),
+                         (("--grid-step",), "float", None, False, None)]
 PAIR_OPTIONS = [(("--g1",), "str", None, False, None),
                 (("--g2",), "str", None, False, None),
                 (("--fig6",), "flag", False, False, None),
@@ -372,8 +370,9 @@ CLI_SURFACE = {
     "spectrum": [(("--graph",), "str", None, True, None)] + SCAN_OPTIONS + OUTPUT,
     "compare": [(("--graph1",), "str", None, True, None),
                 (("--graph2",), "str", None, True, None)] + SCAN_OPTIONS + OUTPUT,
-    "markov": GEAR_OPTIONS + WALK_OPTIONS + OUTPUT,
-    "conjugate": GEAR_OPTIONS + WALK_OPTIONS + OUTPUT,
+    "markov": GEAR_OPTIONS + WEIGHT
+              + [(("--mode",), "str", "rational", False, ("rational", "float"))] + OUTPUT,
+    "conjugate": GEAR_OPTIONS + WEIGHT + OUTPUT,
     "zeta": PAIR_OPTIONS + [(("--trials",), "int", 20, False, None),
                             (("--seed",), "int", None, True, None)] + OUTPUT,
     "zeta-conjugator": [(("--dump-eta",), "str", None, False, None)] + OUTPUT,
@@ -400,7 +399,8 @@ def test_cli_surface_is_pinned():
     ("spectrum", "--graph", "g", "--k-max", "3", "--params", "grid_step=0.01"),
     ("compare", "--graph1", "g", "--graph2", "g", "--k-max", "3", "--tol", "1e-8"),
     ("build", "--lengths", "1,2,3", "--digraph", "--tooth-mode", "fig6"),
-], ids=["params", "tol", "tooth-mode"])
+    ("conjugate", "--lengths", "1,2,3", "--mode", "float"),
+], ids=["params", "tol", "tooth-mode", "conjugate-mode"])
 def test_removed_options_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
@@ -539,10 +539,8 @@ def gearlab(*argv):
 @pytest.mark.parametrize("w", ["1e-300", "1e308"])
 @pytest.mark.parametrize("argv", [
     ("markov", "--mode", "rational"), ("markov", "--mode", "float"),
-    ("conjugate", "--mode", "rational"), ("conjugate", "--mode", "float"),
-    ("spectrum",), ("compare",),
-], ids=["markov-rational", "markov-float", "conjugate-rational", "conjugate-float",
-        "spectrum", "compare"])
+    ("conjugate",), ("spectrum",), ("compare",),
+], ids=["markov-rational", "markov-float", "conjugate-rational", "spectrum", "compare"])
 def test_extreme_weights_exit_without_a_traceback(tmp_path, argv, w):
     """Every outcome at an extreme tooth weight is a documented exit code;
     a failure to validate or converge writes one message, anything else
@@ -571,21 +569,14 @@ def test_extreme_weights_exit_without_a_traceback(tmp_path, argv, w):
     (("--lengths", "1,2,3", "--attach", "tht"), "3/2"),
 ], ids=["1e-300", "1/3", "3/2", "1e20", "1e200", "1e308", "tht-3/2"])
 def test_float_and_rational_modes_agree(gear, w):
-    """Both modes verify the same walk: `conjugate` exits alike, with the
-    same residual and sigma_min_C wherever both print a report, and
-    `markov` prints the same eigenvalues.  Which exit code is right at an
-    extreme w is not checked here, only that the modes agree on it."""
-    conj = [fresh_gearlab("conjugate", *gear, "--w", w, "--mode", mode)
-            for mode in ("rational", "float")]
-    assert conj[0].returncode == conj[1].returncode
-    if conj[0].stdout and conj[1].stdout:
-        reports = [json.loads(proc.stdout) for proc in conj]
-        for key in ("conj_residual", "sigma_min_C"):
-            assert reports[0][key] == reports[1][key], key
+    """Both modes of `markov` build the same walk and print the same
+    eigenvalues; float mode only omits the exact char poly."""
     walks = [fresh_gearlab("markov", *gear, "--w", w, "--mode", mode)
              for mode in ("rational", "float")]
     assert walks[0].returncode == walks[1].returncode == 0
-    assert json.loads(walks[0].stdout)["eigenvalues"] == json.loads(walks[1].stdout)["eigenvalues"]
+    exact, fast = (json.loads(proc.stdout) for proc in walks)
+    assert exact["eigenvalues"] == fast["eigenvalues"]
+    assert "charpoly_num" in exact and "charpoly_num" not in fast
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -598,6 +589,7 @@ def test_conjugate_accepts_the_dual_pair_at_w_1e20(tmp_path):
     assert report["charpoly_equal"] is True
     assert report["conj_residual"] == 0
     assert report["sigma_min_C"] > 1e-8
+    assert report["ok"] is True
     assert code == 0
 
 
@@ -695,7 +687,7 @@ def test_degenerate_digraph_file_is_a_validation_error(tmp_path, capsys, command
     (("build", "--digraph", "--lengths", "1e-10,1,1"),
      "digraph export needs positive integer lengths"),
     (("markov", "--lengths", "1e-10,1,1"), "edge 0: length 1e-10 is not a positive integer"),
-    (("conjugate", "--lengths", "1e-10,1,1", "--mode", "float"),
+    (("conjugate", "--lengths", "1e-10,1,1"),
      "edge 0: length 1e-10 is not a positive integer"),
     (("zeta", "--g1", "{tmp}/bad.digraph", "--g2", "{tmp}/loop.digraph", "--seed", "1"),
      "{tmp}/bad.digraph: line 2: unknown record 'foo'"),
@@ -764,8 +756,7 @@ def test_oversized_gear_exits_2(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("command", ["markov", "conjugate"])
 @pytest.mark.parametrize("extra", [
     ("--w", "abc"), ("--w", "1/0"), ("--w", "1e400"), ("--w", "0"), ("--w=-1/2",),
-    ("--w", "1e-400", "--mode", "float"), ("--w", "inf", "--mode", "float"),
-    ("--w", "nan", "--mode", "float"),
+    ("--w", "1e-400"), ("--w", "inf"), ("--w", "nan"),
 ], ids=["text", "zero-denominator", "overflow", "zero", "negative", "underflow-float",
         "inf-float", "nan-float"])
 def test_bad_weight_exits_2(capsys, command, extra):
@@ -799,6 +790,27 @@ def test_conjugate_exact(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["conj_residual"] == 0.0
     assert rep["charpoly_equal"] is True
+    assert rep["ok"] is True
+
+
+@pytest.mark.parametrize("w", ["7/1000003", "1e-300", "3/2"])
+def test_conjugate_rejects_a_conjugator_off_by_one_over_its_denominator(monkeypatch, capsys,
+                                                                        w):
+    """One T entry off by 1/L makes M~ C - C M nonzero however small it is
+    as a float (8.9e-27 at w = 7/1000003, below a double's smallest
+    normal at 1e-300): the report's `ok` is false and `conjugate` exits 4."""
+    build = markov.build_conjugator
+
+    def off_by_one(src, dst):
+        conj = build(src, dst)
+        rows = [dict(row) for row in conj.T]
+        rows[0][next(iter(rows[0]))] += 1
+        return dataclasses.replace(conj, T=tuple(rows))
+
+    monkeypatch.setattr(markov, "build_conjugator", off_by_one)
+    capsys.readouterr()
+    assert run("conjugate", "--lengths", "1,2,3", "--w", w) == 4
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_zeta_fig6(tmp_path):

@@ -246,6 +246,10 @@ def test_charpoly_test_verdict_equals_the_exact_polynomials(gear, w, case):
     report = charpoly_test(src, dst)
     assert (report["verdict"] == "equivalent-with-bound") == exact
     assert exact or case != "dual"
+    if case == "dual":
+        lengths, attachments = gear
+        assert conjugator_report(GearSpec(len(lengths), lengths, "primal", attachments),
+                                 w)["ok"] is True
     assert report["n"] == src.size and report["trials"] == 2 and report["seed"] == 0
 
 
@@ -281,7 +285,7 @@ def test_float_weight_is_read_exactly():
     ms = markov_matrix(subdivide(build_gear(spec)), 1e-13)
     assert ms.w == Fraction(1e-13) > 0
     rep = conjugator_report(spec, 1e-13)
-    assert rep["conj_residual"] == 0.0 and rep["charpoly_equal"] is True
+    assert rep["conj_residual"] == 0.0 and rep["charpoly_equal"] is True and rep["ok"] is True
     assert rep["w"] == str(Fraction(1e-13))
     assert conjugator_report(spec, 0.1)["w"] == "3602879701896397/36028797018963968"
     assert crosscheck_quantum(spec, 1e-13, 4.0)["agree"]
@@ -473,13 +477,17 @@ def test_conjugator_float_mode():
 
 
 def test_conjugator_report_fields():
-    rep = conjugator_report(GearSpec(3, (1, 2, 3)), Fraction(3, 2))
+    """The third argument selects nothing: "float" gives the rational report."""
+    spec = GearSpec(3, (1, 2, 3))
+    rep = conjugator_report(spec, Fraction(3, 2), "rational")
     assert rep["conj_residual"] == 0.0
     assert rep["charpoly_equal"] is True
     assert rep["charpoly_test"] == charpoly_test(*walk_pair((1, 2, 3), Fraction(3, 2)))
-    assert "charpoly_test" not in conjugator_report(GearSpec(3, (1, 2, 3)), 1.5, "float")
     assert rep["sigma_min_C"] > 1e-8
-    assert rep["mode"] == "rational" and rep["w"] == "3/2"
+    assert rep["ok"] is True and rep["w"] == "3/2" and "mode" not in rep
+    assert conjugator_report(spec, 1.5, "float") == rep
+    with pytest.raises(MarkovError):
+        conjugator_report(spec, Fraction(3, 2), "symbolic")
 
 
 def over_one_denominator(mat):
