@@ -29,6 +29,9 @@ _ENDS = ("tail", "head")
 # n x n float matrices then take 128 MiB each
 MAX_SUBDIVISION_VERTICES = 4096
 _TOO_LARGE = f"subdivision exceeds MAX_SUBDIVISION_VERTICES = {MAX_SUBDIVISION_VERTICES}"
+# most rows (2m) of the secular system that scans a metric graph: its dense
+# 2m x 2m float matrices then take 32 MiB each
+MAX_SECULAR_SIZE = 2048
 
 
 class GearlabError(ValueError):
@@ -223,11 +226,14 @@ def connected_components(vertex_count, pairs):
 
 
 def validate_metric(g: MetricGraph) -> list:
-    """The violated invariants of g as a metric graph (empty means valid);
-    the gear layout is not checked."""
+    """The violated invariants of g as a metric graph that a scan can take
+    (empty means valid); the gear layout is not checked."""
     report = []
     if not g.edges:
         report.append("no edges")
+    if 2 * g.edge_count > MAX_SECULAR_SIZE:
+        report.append(f"secular system of {2 * g.edge_count} rows exceeds "
+                      f"MAX_SECULAR_SIZE = {MAX_SECULAR_SIZE}")
     seen = set()
     for e in g.edges:
         if e.tail == e.head:
@@ -240,8 +246,9 @@ def validate_metric(g: MetricGraph) -> list:
         if e.id in seen:
             report.append(f"edge {e.id}: duplicate id")
         seen.add(e.id)
+    # a connected graph has at most edge_count + 1 vertices: test that first
     pairs = [(e.tail, e.head) for e in g.edges]
-    if connected_components(g.vertex_count, pairs) != 1:
+    if g.vertex_count > len(pairs) + 1 or connected_components(g.vertex_count, pairs) != 1:
         report.append("not connected")
     return report
 

@@ -2,17 +2,15 @@
 
 For an eigenfunction f with restrictions p_i (sides) and t_i (teeth) and
 eigenvalue lam = k^2 > 0, the transplanted function on the dual gear is
-built edgewise from first derivatives:
+built edgewise from first derivatives by one rule on every index i:
 
-    side_i~ = p_i' + w t_i'      tooth_i~ = p_i' - t_i'        (standard)
+    side_i~ = p_i' + w t_i'      tooth_i~ = p_i' - t_i'
 
-on every index i; the construction fixes this rule, so nothing is
-searched.  The result is checked once against the dual graph's vertex
-conditions and a violation raises.  A caller may prescribe the swapped
-form (the two target edges exchanged) per index through an explicit bit
-pattern.  Constants (lam = 0) are annihilated, and `Eigenfunction` holds
-k > 0 only.  On the (edge_count, 2) coefficient arrays the derivative of
-a row (a, b) is (k b, -k a), so the rule is one array map.
+so nothing is searched.  The result is checked once against the dual
+graph's vertex conditions and a violation raises.  Constants (lam = 0)
+are annihilated, and `Eigenfunction` holds k > 0 only.  On the
+(edge_count, 2) coefficient arrays the derivative of a row (a, b) is
+(k b, -k a), so the rule is one array map.
 """
 
 from __future__ import annotations
@@ -31,11 +29,8 @@ class TransplantError(GearlabError):
 
 @dataclass(frozen=True)
 class TransplantMap:
-    """Record of one transplantation: weight, wavenumber, per-index bits.
-
-    assignment[i] == 0 means the standard form on index i, 1 the swapped
-    one; residual is the dual-graph vertex-condition violation.
-    """
+    """Record of one transplantation: weight, wavenumber, the vertex
+    residual on the dual graph, and assignment, always (0,) * n."""
 
     w: float
     k: float
@@ -57,6 +52,14 @@ def gear_edge_split(g: MetricGraph) -> int:
     return n
 
 
+def _gear_size(source: MetricGraph, target: MetricGraph) -> int:
+    """n, when ``source`` and ``target`` are both n-gears."""
+    n = gear_edge_split(source)
+    if gear_edge_split(target) != n:
+        raise TransplantError("source and target gears differ in size")
+    return n
+
+
 def _rule(k, coeffs, w):
     """side~ = p' + w t', tooth~ = p' - t' on the rows of ``coeffs``
     (sides, then teeth) at wavenumber k."""
@@ -65,40 +68,19 @@ def _rule(k, coeffs, w):
     return np.concatenate([d[:n] + w * d[n:], d[:n] - d[n:]])
 
 
-def _bits(source: MetricGraph, target: MetricGraph, assignment) -> tuple:
-    """The bit pattern between two n-gears: ``assignment``, or the
-    standard form (0,) * n."""
-    n = gear_edge_split(source)
-    if gear_edge_split(target) != n:
-        raise TransplantError("source and target gears differ in size")
-    bits = (0,) * n if assignment is None else tuple(assignment)
-    if len(bits) != n:
-        raise TransplantError(f"assignment needs {n} bits, got {len(bits)}")
-    return bits
-
-
-def _swap(coeffs, bits):
-    """``coeffs`` with rows i and n + i exchanged where bits[i] is set."""
-    n = len(bits)
-    s = np.array(bits, dtype=bool)[:, None]
-    return np.concatenate([np.where(s, coeffs[n:], coeffs[:n]),
-                           np.where(s, coeffs[:n], coeffs[n:])])
-
-
-def transplant(f: Eigenfunction, target: MetricGraph, w: float, assignment=None):
+def transplant(f: Eigenfunction, target: MetricGraph, w: float):
     """Transplant f onto the dual gear ``target``.
 
-    Returns (eigenfunction on target, TransplantMap).  The bit pattern is
-    ``assignment`` when given, else the standard form (0,) * n; a vertex
-    residual of 1e-8 or more on ``target`` raises TransplantError.
+    Returns (eigenfunction on target, TransplantMap); a vertex residual
+    of 1e-8 or more on ``target`` raises TransplantError.
     """
-    bits = _bits(f.graph, target, assignment)
-    ft = Eigenfunction(target, f.k, _swap(_rule(f.k, f.coeffs, w), bits))
+    n = _gear_size(f.graph, target)
+    ft = Eigenfunction(target, f.k, _rule(f.k, f.coeffs, w))
     res = vertex_residual(ft, VertexConditions(w))
     if res >= 1e-8:
         raise TransplantError(
-            f"assignment {bits} violates the dual vertex conditions (residual {res:.3e})")
-    return ft, TransplantMap(w, f.k, bits, res)
+            f"the transplant violates the dual vertex conditions (residual {res:.3e})")
+    return ft, TransplantMap(w, f.k, (0,) * n, res)
 
 
 def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
@@ -106,13 +88,16 @@ def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
     """Invert the transplantation on a lam > 0 eigenspace.
 
     Componentwise the forward map applies B = [[1, w], [1, -1]] to first
-    derivatives, its two rows swapped on indices whose bit is 1.  Since
-    B^2 = (1+w) I and f'' = -lam f, undoing the swaps and applying the
-    standard rule to ft gives the source function times -lam (1+w).
+    derivatives.  Since B^2 = (1+w) I and f'' = -lam f, the same rule
+    applied to ft gives the source function times -lam (1+w).
+    ``assignment`` is None or `TransplantMap.assignment`, (0,) * n;
+    anything else raises TransplantError.
     """
-    bits = _bits(ft.graph, target, assignment)
+    n = _gear_size(ft.graph, target)
+    if assignment is not None and (type(assignment) is not tuple or assignment != (0,) * n):
+        raise TransplantError(f"assignment must be None or (0,) * {n}, got {assignment!r}")
     scale = -1.0 / (ft.k * ft.k * (1.0 + w))
-    return Eigenfunction(target, ft.k, scale * _rule(ft.k, _swap(ft.coeffs, bits), w))
+    return Eigenfunction(target, ft.k, scale * _rule(ft.k, ft.coeffs, w))
 
 
 def check_isometry(f: Eigenfunction, ft: Eigenfunction, w: float):
@@ -129,7 +114,6 @@ def transplant_report(f, ft, tmap: TransplantMap) -> dict:
     lhs, rhs, rel = check_isometry(f, ft, tmap.w)
     return {
         "k": tmap.k,
-        "assignment": list(tmap.assignment),
         "vertex_residual": tmap.residual,
         "isometry_rel_error": rel,
     }

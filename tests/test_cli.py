@@ -212,6 +212,19 @@ def test_spectrum_missing_file(tmp_path):
     assert run("spectrum", "--graph", str(tmp_path / "nope.graph"), "--k-max", "3") == 1
 
 
+def test_unwritable_output_path_exits_1(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
+    for out in (tmp_path, tmp_path / "missing" / "out"):
+        for argv in (("build", "--lengths", "1,2,3"),
+                     ("compare", "--graph1", str(a), "--graph2", str(b), "--k-max", "3")):
+            capsys.readouterr()
+            assert run(*argv, "-o", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"gearlab: cannot write {out}: "), err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_spectrum_gear_row_count(tmp_path):
     gpath = tmp_path / "gear.graph"
     assert run("build", "--lengths", "1,2,3", "-o", str(gpath)) == 0
@@ -521,6 +534,26 @@ def test_disconnected_graph_file_is_a_validation_error(tmp_path, capsys):
         assert run(*argv, "--k-max", "3") == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"gearlab: {bad}: not connected\n"
+
+
+def test_graph_file_over_the_secular_size_bound_is_a_validation_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_stack(*args, **kwargs):
+        raise AssertionError("secular stack built past MAX_SECULAR_SIZE")
+
+    monkeypatch.setattr(spectral, "_secular_stack", no_stack)
+    # a ring of 1025 edges: one more than MAX_SECULAR_SIZE = 2048 allows
+    m = 1025
+    ring = tmp_path / "ring.graph"
+    gio.write_graph(MetricGraph(m, tuple(Edge(i, i, (i + 1) % m, 1.0) for i in range(m))), ring)
+    out = tmp_path / "out"
+    for argv in (("spectrum", "--graph", str(ring)),
+                 ("compare", "--graph1", str(ring), "--graph2", str(ring))):
+        capsys.readouterr()
+        assert run(*argv, "--k-max", "0.05", "-o", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"gearlab: {ring}: secular system of 2050 rows exceeds MAX_SECULAR_SIZE = 2048\n")
+    assert not out.exists()
 
 
 def fresh_gearlab(*argv):

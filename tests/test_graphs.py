@@ -1,15 +1,16 @@
 """Gear construction, duals, subdivisions, fixtures, and file round-trips."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Edge, GearSpec, GraphError, MetricGraph,
-                            bipartition_sign, build_fig3_pair, build_gear, digraph_paths,
-                            dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                            subdivide, validate_metric)
+from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, Edge, GearSpec, GraphError,
+                            MetricGraph, bipartition_sign, build_fig3_pair, build_gear,
+                            digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
+                            gear_to_digraph, subdivide, validate_metric)
 from gearlab import io as gio
 
 
@@ -59,6 +60,25 @@ def test_gear_rejects_bad_specs():
         GearSpec(3, (1, 1, 1), attachments=("tail", "up", "head"))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lengths": (1, 2)}, "^expected 3 lengths, got 2$"),
+    ({"lengths": (1, 2, 3, 4)}, "^expected 3 lengths, got 4$"),
+    ({"lengths": (1, 2, 3), "attachments": ("tail", "head")},
+     "^attachment pattern must have one entry per tooth$"),
+], ids=["short-lengths", "long-lengths", "short-attachments"])
+def test_gear_spec_rejects_wrong_counts(kwargs, message):
+    with pytest.raises(GraphError, match=message):
+        GearSpec(3, **kwargs)
+
+
+@pytest.mark.parametrize("tail, head", [(0, 2), (-1, 0), (2, 0)])
+def test_endpoint_out_of_range_raises(tail, head):
+    with pytest.raises(GraphError, match="^edge 7 endpoint out of range$"):
+        MetricGraph(2, (Edge(7, tail, head, 1.0),))
+    with pytest.raises(GraphError, match="^arc endpoint out of range$"):
+        Digraph(2, ((tail, head),))
+
+
 @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2)])
 def test_gear_spec_lengths_must_be_positive_and_finite(length):
     with pytest.raises(GraphError, match="^all lengths must be positive and finite$"):
@@ -90,6 +110,20 @@ def test_validate_reports_violations():
     g2 = MetricGraph(4, (Edge(0, 0, 1, 1.0), Edge(1, 2, 3, 1.0)))
     assert "not connected" in validate_metric(g2)
     assert validate_metric(build_gear(GearSpec(3, (1, 1, 1)))) == []
+
+
+def test_validate_reports_too_few_edges_before_any_per_vertex_list():
+    # a connected graph has at most edge_count + 1 vertices, so one edge
+    # among two million vertices is "not connected" at no per-vertex cost
+    g = MetricGraph(2_000_000, (Edge(0, 0, 1, 1.0),))
+    tracemalloc.start()
+    try:
+        problems = validate_metric(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == ["not connected"]
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("edge, problem", [

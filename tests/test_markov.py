@@ -11,7 +11,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import TOOTH, GearSpec, bipartition_sign, build_gear, dual_gear, subdivide
+from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, GearSpec, bipartition_sign,
+                            build_gear, dual_gear, subdivide)
 from gearlab import markov
 from gearlab.linalg import PRIME
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
@@ -130,6 +131,12 @@ def test_markov_rejects_bad_weight():
         markov_matrix(cg, 0)
     with pytest.raises(MarkovError):
         markov_matrix(cg, 1, mode="symbolic")
+
+
+def test_markov_rejects_an_isolated_vertex():
+    cg = CombinatorialGraph(3, ((0, 1, POLYGON),), {})
+    with pytest.raises(MarkovError, match="^isolated vertex$"):
+        markov_matrix(cg, 1)
 
 
 # as a float, also in rational mode: 10**400 and 10**-400 leave the float range
@@ -424,6 +431,16 @@ def test_transplantation_matrix_rank():
     assert fraction_rank(dense(t, src.size)) == src.size - 1
 
 
+def test_transplantation_matrix_needs_gears_of_one_size_and_weight():
+    src, _ = walk_pair((1, 2, 3), Fraction(3, 2))
+    _, bigger = walk_pair((1, 2, 3, 1), Fraction(3, 2))
+    _, heavier = walk_pair((1, 2, 3), Fraction(2))
+    with pytest.raises(MarkovError, match="^source and target gears differ in size$"):
+        transplantation_matrix(src, bigger)
+    with pytest.raises(MarkovError, match="^source and target weights differ$"):
+        transplantation_matrix(src, heavier)
+
+
 # ---------------------------------------------------------------------------
 # conjugator
 # ---------------------------------------------------------------------------
@@ -452,6 +469,16 @@ def test_rank_one_corrections():
     src, dst = walk_pair((1, 1, 1), Fraction(1, 2))
     conj = build_conjugator(src, dst)
     assert conj.v == (0,) * src.size and conj.st == (1,) * src.size
+
+
+def test_conjugator_needs_both_gears_bipartite_or_neither():
+    # the (1, 1, 1) subdivision has an odd cycle, the (1, 1, 2) one an even
+    # cycle, and T between them is consistent
+    src, _ = walk_pair((1, 1, 1), 1)
+    _, even = walk_pair((1, 1, 2), 1)
+    assert bipartition_sign(src.cg) is None and bipartition_sign(even.cg) is not None
+    with pytest.raises(MarkovError, match="^dual pair disagrees on bipartiteness$"):
+        build_conjugator(src, even)
 
 
 def test_conjugator_intertwines_exactly():

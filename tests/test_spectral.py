@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear,
-                            insert_degree_two_vertex)
+                            insert_degree_two_vertex, validate_metric)
 from gearlab.markov import crosscheck_quantum
 from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
                               VertexConditions, compare_first, compare_spectra,
@@ -614,6 +614,27 @@ def test_scan_params_reject_a_grid_beyond_max_grid_points():
     for kwargs in ({"k_max": 1e6}, {"k_max": 1.0, "grid_step": 1e-8}):
         with pytest.raises(SpectralError, match="k_max / grid_step"):
             ScanParams(**kwargs)
+
+
+def ring(edge_count):
+    return MetricGraph(edge_count, tuple(Edge(i, i, (i + 1) % edge_count, 1.0)
+                                         for i in range(edge_count)), "ring")
+
+
+def test_secular_size_is_bounded_before_any_stack(monkeypatch):
+    # a ring of m edges has a 2m x 2m secular system, at most 2048 x 2048
+    assert validate_metric(ring(1024)) == []
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("secular stack built past MAX_SECULAR_SIZE")
+
+    monkeypatch.setattr(spectral, "_secular_stack", no_stack)
+    over = ring(1025)
+    message = "^secular system of 2050 rows exceeds MAX_SECULAR_SIZE = 2048$"
+    with pytest.raises(SpectralError, match=message):
+        scan_spectrum(over, KN, ScanParams(k_max=0.05))
+    with pytest.raises(SpectralError, match=message):
+        secular_matrix(over, KN, 1.0)
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
