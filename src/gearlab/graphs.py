@@ -25,8 +25,8 @@ PLAIN = "plain"
 
 _VARIANTS = ("primal", "dual")
 _ENDS = ("tail", "head")
-# most vertices of a unit subdivision or digraph export: the walk's dense
-# n x n float matrices then take 128 MiB each
+# most vertices of a unit subdivision or digraph: the walk's dense n x n
+# float matrices then take 128 MiB each
 MAX_SUBDIVISION_VERTICES = 4096
 _TOO_LARGE = f"subdivision exceeds MAX_SUBDIVISION_VERTICES = {MAX_SUBDIVISION_VERTICES}"
 # most rows (2m) of the secular system that scans a metric graph: its dense
@@ -174,6 +174,9 @@ class CombinatorialGraph:
 
 @dataclass(frozen=True)
 class Digraph:
+    """A digraph on vertices 0..vertex_count-1; GraphError for no vertex,
+    more than MAX_SUBDIVISION_VERTICES, or an arc endpoint out of range."""
+
     vertex_count: int
     arcs: tuple
     name: str = "digraph"
@@ -181,6 +184,9 @@ class Digraph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise GraphError(f"need at least one vertex, got {self.vertex_count}")
+        if self.vertex_count > MAX_SUBDIVISION_VERTICES:
+            raise GraphError(f"digraph of {self.vertex_count} vertices exceeds "
+                             f"MAX_SUBDIVISION_VERTICES = {MAX_SUBDIVISION_VERTICES}")
         object.__setattr__(self, "arcs", tuple(self.arcs))
         for t, h in self.arcs:
             if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):

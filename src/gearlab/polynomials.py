@@ -18,15 +18,17 @@ exponent tuples.
 No field overflows.  The constructors reject an exponent of magnitude
 2^30 or more, and every polynomial gearlab builds lives on a digraph or
 subdivision of at most V <= MAX_SUBDIVISION_VERTICES = 2^12 vertices,
-whose exports are checked before any polynomial is made: a pencil
-determinant has degree V, and the largest exponent anywhere, alpha's in
-`zeta.intertwiner_det` and `zeta.factored_det`, is at most L V + V with
-L <= V / 2 the longest length, below 2^24; the sum of two such exponents
-stays far inside the field.
+which `Digraph` and the exports check before any polynomial is made: a
+pencil determinant has degree V, and the largest exponent anywhere,
+alpha's in `zeta.intertwiner_det` and `zeta.factored_det`, is at most
+L V + V with L <= V / 2 the longest length, below 2^24; the sum of two
+such exponents stays far inside the field.
 
 Enough ring arithmetic for the exact pencil determinants of
 `linalg.unicyclic_det` and for identity checks -- not a general
-computer algebra system.
+computer algebra system.  `evaluate` computes each power of a coordinate
+once per call, however many terms carry it; `shift_x` puts x + c delta in
+for x, the last step of `zeta.char_poly_symbolic`.
 """
 
 from __future__ import annotations
@@ -193,8 +195,14 @@ class SparsePolynomial:
         return out
 
     def substitute(self, **values):
-        """Substitute integer values for a subset of the variables."""
+        """Substitute integer values for a subset of the variables.  A
+        variable that no term carries changes nothing; with no other, the
+        polynomial itself comes back after one scan of its keys."""
         shift_val = [(_SHIFTS[VARIABLES.index(k)], int(v)) for k, v in values.items()]
+        shift_val = [(s, v) for s, v in shift_val
+                     if any(((key + _BIAS) >> s) & _MASK != _HALF for key in self._terms)]
+        if not shift_val:
+            return self
         out = {}
         for key, c in self._terms.items():
             biased = key + _BIAS
@@ -208,16 +216,48 @@ class SparsePolynomial:
         return _wrap({k: c for k, c in out.items() if c})
 
     def evaluate(self, point, mod=None):
-        """Value at a full 6-tuple of integers, optionally mod a prime."""
+        """Value at a full 6-tuple of integers, optionally mod a prime.  Each
+        power v^e is computed once per call and kept for the other terms
+        that carry it."""
+        # per variable: biased exponent field -> v^e (mod ``mod``)
+        powers = [{} for _ in _SHIFTS]
         total = 0
         for key, c in self._terms.items():
             biased = key + _BIAS
-            for v, s in zip(point, _SHIFTS):
-                e = ((biased >> s) & _MASK) - _HALF
-                if e:
-                    c = c * v ** e if mod is None else c * pow(v, e, mod) % mod
-            total = total + c if mod is None else (total + c) % mod
+            for v, s, cache in zip(point, _SHIFTS, powers):
+                f = (biased >> s) & _MASK
+                if f != _HALF:
+                    p = cache.get(f)
+                    if p is None:
+                        p = cache[f] = v ** (f - _HALF) if mod is None else pow(v, f - _HALF, mod)
+                    c = c * p if mod is None else c * p % mod
+            total += c
         return total % mod if mod is not None else total
+
+    def shift_x(self, c):
+        """This polynomial with x replaced by x + c delta, where no term
+        carries delta: a term coeff x^a m becomes the sum over k <= a of
+        coeff C(a, k) c^k x^(a-k) delta^k m.  Such a key gives back k
+        (delta's exponent) and a (x's plus k), so no two terms meet and none
+        cancels.  At c = 0 the polynomial itself comes back; else ValueError
+        when a term carries delta or a negative power of x."""
+        s, c = _SHIFTS[VARIABLES.index("delta")], int(c)
+        if not c:
+            return self
+        step = (1 << s) - (1 << _SHIFTS[0])     # the key of x^-1 delta
+        out = {}
+        for key, coeff in self._terms.items():
+            biased = key + _BIAS
+            a = (biased >> _SHIFTS[0]) - _HALF   # x's field is the top one
+            if (biased >> s) & _MASK != _HALF or a < 0:
+                raise ValueError(f"term {_unpack(key)} carries delta or a negative power of x")
+            out[key] = coeff
+            for k in range(1, a + 1):
+                # coeff C(a, k) c^k from the term before: exact, C(a, k) k = C(a, k-1) (a-k+1)
+                coeff = coeff * (a - k + 1) * c // k
+                key += step
+                out[key] = coeff
+        return _wrap(out)
 
     def dump_lines(self):
         """Stable text form: one `coeff x^a y^b ...` line per term, in

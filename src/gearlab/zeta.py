@@ -12,7 +12,10 @@ determinants) is tested two ways: probabilistically at random points of
 a 61-bit prime field, by the Schwartz-Zippel protocol
 `linalg.identity_test` that the walk route shares, and exactly by
 expanding the y = 0 pencil with `linalg.unicyclic_det`, which needs the
-one-cycle support that every gear digraph has.  `eval_dets` assembles the
+one-cycle support that every gear digraph has.  Where every in-degree is
+one c (every gear digraph, c = 1), delta enters only through x + c delta,
+so the expansion runs without delta and x + c delta replaces x once at
+the end (`char_poly_symbolic`).  `eval_dets` assembles the
 pencil's rows at a block of points, every entry a list of residues, one
 per point ("lanes"), and evaluates them by one `linalg.det_mod` call.
 The entries share their lane lists: one diagonal per (D_out, D_in) pair
@@ -159,13 +162,23 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
     """Exact y = 0 determinant det(L_G(z)) in x, alpha, beta, gamma, delta.
 
     This is the zeta-carrying restriction that the identity tests sample;
-    every term has y exponent 0.  Raises ZetaError when the underlying
-    graph of G is disconnected or has two cycles; a gear digraph's has one.
+    every term has y exponent 0.  The diagonal is x + gamma D_out(v) +
+    delta D_in(v).  When every in-degree is one c (c = 1 on every gear
+    digraph), x and delta enter only as x + c delta: `unicyclic_det` expands
+    the pencil at delta = 0, one variable fewer, and `shift_x` puts x + c
+    delta in for x once at the end.  When the in-degree varies, c = 0 and
+    nothing is folded.  Raises ZetaError when the underlying graph of G is
+    disconnected or has two cycles; a gear digraph's has one.
     """
+    x, al, be, ga, de = _Y0_VARIABLES
+    c = 0
+    if len(set(p.D_in)) == 1:
+        c, de = p.D_in[0], 0
     try:
-        return unicyclic_det(_pencil_rows(p, *_Y0_VARIABLES))
+        det = unicyclic_det(_pencil_rows(p, x, al, be, ga, de))
     except ValueError as exc:
         raise ZetaError(f"symbolic determinant: {exc}") from exc
+    return det.shift_x(c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gearlab import io as gio, markov, spectral
+from gearlab import io as gio, markov, spectral, zeta
 from gearlab.cli import OPENBLAS_THREAD_TIMEOUT, build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
@@ -553,6 +553,23 @@ def test_graph_file_over_the_secular_size_bound_is_a_validation_error(tmp_path, 
         assert run(*argv, "--k-max", "0.05", "-o", str(out)) == 2
         assert capsys.readouterr() == (
             "", f"gearlab: {ring}: secular system of 2050 rows exceeds MAX_SECULAR_SIZE = 2048\n")
+    assert not out.exists()
+
+
+def test_digraph_file_over_the_vertex_bound_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    def no_pencil(*args, **kwargs):
+        raise AssertionError("pencil built past MAX_SUBDIVISION_VERTICES")
+
+    monkeypatch.setattr(zeta, "pencil", no_pencil)
+    big = tmp_path / "big.digraph"
+    big.write_text("digraph big\nvertices 600000\narc 0 1\n")
+    out = tmp_path / "out"
+    for command in (("zeta", "--seed", "1"), ("isomorphic",)):
+        capsys.readouterr()
+        assert run(*command, "--g1", str(big), "--g2", str(big), "-o", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"gearlab: {big}: digraph of 600000 vertices exceeds "
+                "MAX_SUBDIVISION_VERTICES = 4096\n")
     assert not out.exists()
 
 

@@ -79,6 +79,13 @@ def test_endpoint_out_of_range_raises(tail, head):
         Digraph(2, ((tail, head),))
 
 
+def test_digraph_size_is_bounded():
+    assert Digraph(MAX_SUBDIVISION_VERTICES, ((0, 1),)).vertex_count == MAX_SUBDIVISION_VERTICES
+    with pytest.raises(GraphError, match="^digraph of 4097 vertices exceeds "
+                                         "MAX_SUBDIVISION_VERTICES = 4096$"):
+        Digraph(MAX_SUBDIVISION_VERTICES + 1, ((0, 1),))
+
+
 @pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2)])
 def test_gear_spec_lengths_must_be_positive_and_finite(length):
     with pytest.raises(GraphError, match="^all lengths must be positive and finite$"):

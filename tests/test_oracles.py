@@ -256,15 +256,33 @@ PENCIL_DIGRAPHS = {
     "gear-s21-dual": seeded_gear_pair(21)[1],
     "gear-s22-primal": seeded_gear_pair(22)[0],
     "gear-s22-dual": seeded_gear_pair(22)[1],
+    # every in-degree 1 above; out-degree 1 and in-degrees 0 to 3 here
+    "gear-s21-reversed": Digraph(seeded_gear_pair(21)[0].vertex_count,
+                                 tuple((h, t) for t, h in seeded_gear_pair(21)[0].arcs)),
+    # every in- and out-degree 2
+    "bidirected-8-cycle": Digraph(8, tuple((i, (i + 1) % 8) for i in range(8))
+                                  + tuple(((i + 1) % 8, i) for i in range(8))),
+    # a 4-cycle with pendant arcs both ways: neither degree is constant
+    "mixed-degrees": Digraph(9, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (5, 1), (2, 6),
+                                 (6, 7), (8, 6))),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PENCIL_DIGRAPHS))
-def test_y0_pencil_determinant_matches_sympy(name):
-    dg = PENCIL_DIGRAPHS[name]
-    assert 8 <= dg.vertex_count <= 10
+def test_pencil_oracle_has_constant_and_varying_degrees():
+    # char_poly_symbolic folds a constant in-degree into x: the oracle
+    # holds in-degree 1, in-degree 2 and varying in-degrees
+    def constant(degrees):
+        return degrees[0] if len(set(degrees)) == 1 else None
+
+    cases = {constant(p.D_in) for p in map(pencil, PENCIL_DIGRAPHS.values())}
+    assert {1, 2, None} <= cases
+
+
+def sympy_y0_det(dg):
+    """The y = 0 pencil determinant of ``dg`` by sympy, as exponent tuple ->
+    coefficient, built from the arcs, independent of zeta's own pencil
+    assembly."""
     x, al, be, ga, de = sympy.symbols("x alpha beta gamma delta")
-    # built from the arcs, independent of zeta's own pencil assembly
     mat = sympy.Matrix.diag(*[x] * dg.vertex_count)
     for t, h in dg.arcs:
         mat[t, h] += al
@@ -272,10 +290,21 @@ def test_y0_pencil_determinant_matches_sympy(name):
         mat[t, t] += ga
         mat[h, h] += de
     dm = DomainMatrix.from_Matrix(mat).convert_to(sympy.ZZ[x, al, be, ga, de])
-    expected = {(e[0], 0) + e[1:]: int(c)
-                for e, c in dm.det().to_dict().items()}
+    return {(e[0], 0) + e[1:]: int(c) for e, c in dm.det().to_dict().items()}
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_DIGRAPHS))
+def test_y0_pencil_determinant_matches_sympy(name):
+    dg = PENCIL_DIGRAPHS[name]
+    assert 8 <= dg.vertex_count <= 10
     got = char_poly_symbolic(pencil(dg)).substitute(y=0)
-    assert got.terms == expected
+    assert got.terms == sympy_y0_det(dg)
+
+
+def test_single_vertex_pencil_determinant_matches_sympy():
+    # in-degree 0: the fold adds nothing to x
+    dg = Digraph(1, ())
+    assert char_poly_symbolic(pencil(dg)).terms == sympy_y0_det(dg) == {(1, 0, 0, 0, 0, 0): 1}
 
 
 def test_fig6_full_determinants_differ_at_certificate_point():

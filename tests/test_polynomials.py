@@ -176,6 +176,74 @@ def test_packed_substitute_matches_reference(a, values):
     assert SparsePolynomial(a).substitute(**values).terms == ref_substitute(a, values)
 
 
+@settings(deadline=None, max_examples=100)
+@given(ref_polys(0, 3), st.sets(st.sampled_from(VARIABLES), min_size=1),
+       st.dictionaries(st.sampled_from(VARIABLES), st.integers(-3, 3), max_size=3))
+def test_substitute_matches_reference_with_and_without_the_variable(a, absent, values):
+    # a polynomial that carries none of ``absent``: substituting them
+    # changes nothing, and the others go as in the reference
+    dropped = {}
+    for e, c in a.items():
+        dropped = ref_add(dropped, {tuple(0 if name in absent else k
+                                          for name, k in zip(VARIABLES, e)): c})
+    p = SparsePolynomial(dropped)
+    assert p.substitute(**values).terms == ref_substitute(dropped, values)
+    assert p.substitute(**dict.fromkeys(absent, 3)) == p
+    assert p.substitute(**dict.fromkeys(absent, 0)).terms == ref_substitute(
+        dropped, dict.fromkeys(absent, 0)) == dropped
+
+
+def ref_shift_x(p, c):
+    """p with x replaced by x + c delta, by repeated products."""
+    x_plus = {(1,) + (0,) * (NVARS - 1): 1, (0,) * (NVARS - 1) + (1,): c}
+    out = {}
+    for e, coeff in p.items():
+        term = {(0,) + e[1:]: coeff}
+        for _ in range(e[0]):
+            term = ref_mul(term, x_plus)
+        out = ref_add(out, term)
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(ref_polys(0, 4), st.integers(-3, 3))
+def test_shift_x_matches_reference(a, c):
+    dropped = {}
+    for e, coeff in a.items():
+        dropped = ref_add(dropped, {e[:-1] + (0,): coeff})
+    assert SparsePolynomial(dropped).shift_x(c).terms == ref_shift_x(dropped, c)
+
+
+def test_shift_x_rejects_the_variable_and_negative_powers_of_x():
+    for bad in ({(1, 0, 0, 0, 0, 1): 1}, {(-1, 0, 0, 0, 0, 0): 1}):
+        with pytest.raises(ValueError):
+            SparsePolynomial(bad).shift_x(2)
+
+
+def test_evaluate_repeats_negative_powers_exactly_and_mod_p():
+    # alpha^-1 and alpha^-2, as in zeta.intertwiner's rows, each in
+    # several terms, beside positive powers of the same variables
+    terms = {(0, 0, -1, 2, 0, 0): 3, (1, 0, -1, 0, 1, 0): -2, (0, 0, -2, 1, 1, 0): 5,
+             (2, 0, -1, 0, 0, -1): 1, (0, 0, 1, 2, 1, 0): 7, (1, 0, -2, 0, 0, -1): -4}
+    p = SparsePolynomial(terms)
+    for point in [(2, 9, 3, -5, 7, 11), (Fraction(1, 2), 0, Fraction(-2, 3), 5, 1, Fraction(7, 4))]:
+        assert p.evaluate(point) == ref_evaluate(terms, point)
+    point, mod = (2, 9, 3, -5, 7, 11), 10007
+    assert p.evaluate(point, mod=mod) == ref_evaluate(terms, point, mod)
+    # residues of the point, not the point, meet the modulus
+    assert p.evaluate(tuple(v + mod for v in point), mod=mod) == ref_evaluate(terms, point, mod)
+
+
+@pytest.mark.parametrize("base, mod, error", [(0, None, ZeroDivisionError), (0, 7, ValueError),
+                                             (7, 7, ValueError)])
+def test_evaluate_zero_base_with_negative_exponent_raises(base, mod, error):
+    # 0 ** -1 and pow(0, -1, 7) raise these
+    p = SparsePolynomial({(0, 0, -1, 0, 0, 0): 1, (0, 0, 2, 0, 0, 0): 1})
+    with pytest.raises(error):
+        p.evaluate((1, 1, base, 1, 1, 1), mod=mod)
+    assert SparsePolynomial({(0, 0, 2, 0, 0, 0): 1}).evaluate((1, 1, base, 1, 1, 1), mod=mod) == 0
+
+
 def test_negative_intermediate_exponents():
     # zeta.intertwiner multiplies alpha^-1 into rows that carry an alpha
     inv = SparsePolynomial.monomial(1, alpha=-1, beta=2)

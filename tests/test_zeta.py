@@ -19,7 +19,7 @@ from gearlab.zeta import (FIG6, PRIME, ZetaError, char_poly_symbolic,
                           verify_intertwiner, zeta_equivalent)
 from gearlab.polynomials import SparsePolynomial
 
-from test_linalg import bareiss_det, sparse
+from test_linalg import bareiss_det, random_unicyclic_edges, sparse
 from test_polynomials import is_homogeneous
 
 X = SparsePolynomial.variable("x")
@@ -397,6 +397,34 @@ def test_char_poly_rejects_non_unicyclic_support():
     two_cycles = Digraph(5, ((0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 0)))
     with pytest.raises(ZetaError, match="more than one cycle"):
         char_poly_symbolic(pencil(two_cycles))
+
+
+@st.composite
+def unicyclic_digraphs(draw):
+    """Connected digraphs on 1 to 9 vertices whose underlying graph is a tree
+    or has one cycle: every in-degree 1 off a tree's root (the gear digraphs'
+    orientation), every out-degree 1 (its reverse), every edge both ways,
+    or each edge one way or both at random."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.sampled_from([0, *range(3, n + 1)]))
+    rng = draw(st.randoms(use_true_random=False))
+    # cycle edges run along the cycle, tree edges away from it
+    edges = random_unicyclic_edges(rng, n, m)
+    kind = draw(st.sampled_from(["in-one", "out-one", "both", "random"]))
+    ways = {"in-one": [(1, 0)] * len(edges), "out-one": [(0, 1)] * len(edges),
+            "both": [(1, 1)] * len(edges),
+            "random": [rng.choice([(1, 0), (0, 1), (1, 1)]) for _ in edges]}[kind]
+    arcs = [arc for (u, v), (fwd, back) in zip(edges, ways)
+            for arc, keep in (((u, v), fwd), ((v, u), back)) if keep]
+    return Digraph(n, tuple(arcs))
+
+
+@settings(deadline=None, max_examples=80)
+@given(unicyclic_digraphs())
+def test_char_poly_symbolic_matches_the_unfolded_determinant(dg):
+    # the determinant in all five variables, no degree folded into x
+    p = pencil(dg)
+    assert char_poly_symbolic(p) == unicyclic_det(zeta._pencil_rows(p, *zeta._Y0_VARIABLES))
 
 
 def test_char_poly_exact_on_26_vertex_gear_pair():
