@@ -10,10 +10,6 @@ Each handler imports what only it uses.  The floating-point subcommands
 and so numpy; build, zeta, zeta-conjugator and isomorphic start without
 numpy, and only zeta, zeta-conjugator and isomorphic load ``zeta``.  The
 digraph commands never load ``fractions``, which reads --lengths and --w.
-
-Before numpy loads, ``main`` sets ``OPENBLAS_THREAD_TIMEOUT`` unless the
-caller has set it, so OpenBLAS's idle workers sleep instead of spinning
-on a second core after the command's last BLAS call.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 
@@ -35,10 +30,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_VERIFICATION = 4
-
-# OpenBLAS workers spin 2^28 cycles (~0.1 s) for work after each call; 2^20
-# lets them sleep once a one-shot command is idle, with the same threads.
-OPENBLAS_THREAD_TIMEOUT = "20"
 
 
 class CliError(Exception):
@@ -309,8 +300,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:      # OpenBLAS reads it when numpy loads
-        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -80,8 +80,12 @@ def pencil(g: Digraph) -> Pencil:
 def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
     """Sparse rows of x I + alpha A + beta A^T + gamma D_out + delta D_in over
     any ring, from the arcs in O(n + arcs).  An entry may be zero (alpha =
-    0, say): `unicyclic_det` and `row_times` skip zeros."""
-    rows = [{i: x + gamma * p.D_out[i] + delta * p.D_in[i]} for i in range(p.n)]
+    0, say): `unicyclic_det` and `row_times` skip zeros.  Vertices of one
+    (D_out, D_in) pair share one diagonal entry (a gear digraph has at most
+    four pairs), so callers must not change an entry in place; none does."""
+    degrees = list(zip(p.D_out, p.D_in))
+    diagonal = {(do, di): x + gamma * do + delta * di for do, di in set(degrees)}
+    rows = [{i: diagonal[dd]} for i, dd in enumerate(degrees)]
     for t, h in p.arcs:
         rows[t][h] = rows[t].get(h, 0) + alpha
         rows[h][t] = rows[h].get(t, 0) + beta

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from gearlab import io as gio, markov, spectral, zeta
-from gearlab.cli import OPENBLAS_THREAD_TIMEOUT, build_parser, main
+from gearlab import OPENBLAS_THREAD_TIMEOUT
+from gearlab.cli import build_parser, main
 from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
                             fig2_control_pair, insert_degree_two_vertex)
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
@@ -121,28 +122,87 @@ def test_each_command_imports_only_what_it_uses(tmp_path, first, zeta_loaded,
     assert json.loads(proc.stdout) == [[0, zeta_loaded, fractions_loaded]] * len(groups[first])
 
 
+# In a fresh interpreter, records OPENBLAS_THREAD_TIMEOUT whenever numpy is
+# looked up, runs the body, and prints the values the body kept in `out`
+# followed by those the lookups saw.
+_SPY_SCRIPT = ("import json, os, sys\n"
+               "seen = []\n"
+               "class Spy:\n"
+               "    def find_spec(self, name, path=None, target=None):\n"
+               "        if name == 'numpy':\n"
+               "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+               "sys.meta_path.insert(0, Spy())\n"
+               "out = []\n"
+               "{body}"
+               "print(json.dumps(out + seen))\n")
+
+
+def _spy(body, user_value):
+    proc = subprocess.run([sys.executable, "-c", _SPY_SCRIPT.format(body=body)],
+                          capture_output=True, text=True,
+                          env=fresh_env(OPENBLAS_THREAD_TIMEOUT=user_value), check=True)
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("user_value", [None, "4"], ids=["unset", "user-set"])
 def test_console_run_sets_the_openblas_timeout_before_numpy_loads(user_value):
-    """In a fresh interpreter, importing `gearlab.cli` leaves the
-    environment alone; `main` sets OPENBLAS_THREAD_TIMEOUT to the default
-    unless the user set it, and the value is in place when numpy loads."""
-    script = ("import json, os, sys\n"
-              "seen = []\n"
-              "class Spy:\n"
-              "    def find_spec(self, name, path=None, target=None):\n"
-              "        if name == 'numpy':\n"
-              "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
-              "sys.meta_path.insert(0, Spy())\n"
-              "from gearlab.cli import main\n"
-              "out = [os.environ.get('OPENBLAS_THREAD_TIMEOUT')]\n"
-              "main(['build', '--lengths', '1,2,3', '-o', os.devnull])\n"
-              "out.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
-              "main(['markov', '--lengths', '1,2,3', '-o', os.devnull])\n"
-              "print(json.dumps(out + seen))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=fresh_env(OPENBLAS_THREAD_TIMEOUT=user_value), check=True)
+    """In a fresh interpreter, importing `gearlab.cli` (and so the package)
+    sets OPENBLAS_THREAD_TIMEOUT to the default unless the user set it, and
+    the value is in place when a handler loads numpy."""
+    body = ("from gearlab.cli import main\n"
+            "out.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "main(['build', '--lengths', '1,2,3', '-o', os.devnull])\n"
+            "out.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "main(['markov', '--lengths', '1,2,3', '-o', os.devnull])\n")
     expected = user_value or OPENBLAS_THREAD_TIMEOUT
-    assert json.loads(proc.stdout) == [user_value, expected, expected]
+    assert _spy(body, user_value) == [expected, expected, expected]
+
+
+@pytest.mark.parametrize("user_value", [None, "4"], ids=["unset", "user-set"])
+def test_library_import_sets_the_openblas_timeout_before_numpy_loads(user_value):
+    """A bare `import gearlab.markov`, with no `main`, gets the same policy:
+    the default, or the user's value, is in place when numpy loads."""
+    body = ("import gearlab.markov\n"
+            "out.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n")
+    expected = user_value or OPENBLAS_THREAD_TIMEOUT
+    assert _spy(body, user_value) == [expected, expected]
+
+
+def test_package_import_loads_no_numpy_and_leaves_a_loaded_numpy_alone():
+    """`import gearlab` loads no numpy; where numpy loaded first, the
+    timeout could no longer reach OpenBLAS and the environment is kept."""
+    script = ("import json, os, sys\n"
+              "if sys.argv[1] == 'numpy-first':\n"
+              "    import numpy\n"
+              "import gearlab\n"
+              "print(json.dumps(['numpy' in sys.modules,\n"
+              "                  os.environ.get('OPENBLAS_THREAD_TIMEOUT')]))\n")
+    out = [json.loads(subprocess.run(
+        [sys.executable, "-c", script, order], capture_output=True, text=True,
+        env=fresh_env(OPENBLAS_THREAD_TIMEOUT=None), check=True).stdout)
+        for order in ("gearlab-first", "numpy-first")]
+    assert out == [[False, OPENBLAS_THREAD_TIMEOUT], [True, None]]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no worker on one core")
+def test_walk_eigensolve_leaves_no_worker_spinning():
+    """After `markov_spectrum` on a 48-vertex walk, whose `eigh` wakes an
+    OpenBLAS worker, a library caller that sleeps uses almost no CPU: the
+    worker sleeps too instead of spinning for ~0.1 s."""
+    script = ("import time\n"
+              "from gearlab.graphs import GearSpec, build_gear, subdivide\n"
+              "from gearlab.markov import markov_matrix, markov_spectrum\n"
+              "ms = markov_matrix(subdivide(build_gear(GearSpec(4, (6, 6, 6, 6)))), 1)\n"
+              "assert len(ms.degrees) == 48\n"
+              "markov_spectrum(ms)\n"
+              "start = time.process_time()\n"
+              "time.sleep(0.2)\n"
+              "print(time.process_time() - start)\n")
+    env = {name: value for name, value in fresh_env().items()
+           if not name.startswith("OPENBLAS_")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert float(proc.stdout) < 0.03
 
 
 def test_in_process_callers_keep_their_environment(tmp_path, monkeypatch):
@@ -319,8 +379,8 @@ def test_conjugate_matches_golden_file(tmp_path, lengths, extra, name):
 
 @pytest.mark.parametrize("case", ["rational", "size72"])
 def test_console_script_conjugate_matches_golden_file(tmp_path, case):
-    """The console script, where `main` sets the OpenBLAS thread timeout
-    before numpy loads, writes the same bytes as the in-process run."""
+    """The console script, where the package import sets the OpenBLAS thread
+    timeout before numpy loads, writes the same bytes as the in-process run."""
     lengths, extra, name = CONJUGATE_GOLDEN[case]
     out = tmp_path / "conj.json"
     proc = subprocess.run(

@@ -11,8 +11,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, GearSpec, bipartition_sign,
-                            build_gear, dual_gear, subdivide)
+from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, MetricGraph,
+                            bipartition_sign, build_gear, dual_gear, subdivide)
 from gearlab import markov
 from gearlab.linalg import PRIME
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
@@ -22,7 +22,7 @@ from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic
                             markov_eigenvalues, markov_matrix, markov_spectrum,
                             transplantation_matrix)
 
-from test_linalg import fraction_rank, poly_eval
+from test_linalg import bareiss_det, fraction_rank, poly_eval
 
 
 def walk_pair(lengths, w, mode="rational", attachments=None):
@@ -756,3 +756,75 @@ def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
     assert coarse["scanned_count"] == fine["scanned_count"]
     assert fine["max_gap"] < coarse["max_gap"]
     assert fine["max_gap"] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the walk polynomial is the bond scattering determinant (ROADMAP item 18)
+# ---------------------------------------------------------------------------
+
+def bond_determinant(cg, w, z):
+    """det(I - z S_sub), exact, from the unit edges alone.  Bond 2e runs
+    along unit edge e tail to head and 2e + 1 back; for b_in into v and
+    b_out out of v, S_sub[b_out, b_in] = 2 w(b_in) / W_v - [b_out reverses
+    b_in], a tooth edge weighing w and every other edge 1 (here p and q
+    for w = p/q: S_sub does not see the scale)."""
+    weight = [w.numerator if cls == TOOTH else w.denominator for _, _, cls in cg.edges]
+    bonds = [(a, b, weight[e]) for e, (u, v, _) in enumerate(cg.edges)
+             for a, b in ((u, v), (v, u))]
+    total = [0] * cg.vertex_count
+    for a, _, wgt in bonds:
+        total[a] += wgt
+    # row b_out times den W_v: den W_v [b_out = b_in] - num (2 w(b_in) [b_in into v]
+    # - W_v [b_out reverses b_in])
+    num, den = z.numerator, z.denominator
+    rows = [[den * total[a] * (i == j)
+             - num * (2 * wgt * (head == a) - total[a] * (j == i ^ 1))
+             for j, (_, head, wgt) in enumerate(bonds)]
+            for i, (a, _, _) in enumerate(bonds)]
+    return Fraction(bareiss_det(rows), math.prod(den * total[a] for a, _, _ in bonds))
+
+
+def walk_determinant(ms, z):
+    """det((1 + z^2) D - 2 z W) / det D from the walk's integer weights."""
+    num, den = z.numerator, z.denominator
+    n = ms.size
+    rows = [[(num * num + den * den) * ms.degrees[i] * (i == j)
+             - 2 * num * den * ms.adjacency[i].get(j, 0) for j in range(n)] for i in range(n)]
+    return Fraction(bareiss_det(rows), den ** (2 * n) * math.prod(ms.degrees))
+
+
+def assert_bass_identity(cg, w):
+    """det(I - z S_sub) = (1 - z^2)^(m - n) det((1 + z^2) D - 2 z W) / det D
+    at two rational z, exact."""
+    ms = markov_matrix(cg, w)
+    excess = len(cg.edges) - cg.vertex_count
+    for z in (Fraction(2, 7), Fraction(-5, 3)):
+        assert bond_determinant(cg, w, z) == (1 - z * z) ** excess * walk_determinant(ms, z)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))),
+    st.fractions(Fraction(1, 9), 9, max_denominator=9))
+def test_bond_determinant_is_the_walk_polynomial_on_gears(gear, w):
+    lengths, attachments = gear
+    cg = subdivide(build_gear(GearSpec(len(lengths), lengths, "primal", attachments)))
+    assert len(cg.edges) == cg.vertex_count       # gears never test the (1 - z^2) factor
+    assert_bass_identity(cg, w)
+
+
+@pytest.mark.parametrize("edges, w, excess", [
+    # K4 with lengths (1, 2, 1, 1, 3, 1) and both edge classes
+    ([(0, 1, 1, POLYGON), (0, 2, 2, TOOTH), (0, 3, 1, POLYGON), (1, 2, 1, TOOTH),
+      (1, 3, 3, POLYGON), (2, 3, 1, TOOTH)], Fraction(3, 2), 2),
+    # a triangle with one edge doubled
+    ([(0, 1, 1, POLYGON), (1, 2, 1, POLYGON), (2, 0, 1, TOOTH), (0, 1, 1, TOOTH)],
+     Fraction(2, 5), 1),
+], ids=["k4", "double-edge"])
+def test_bond_determinant_is_the_walk_polynomial_with_more_edges(edges, w, excess):
+    vertex_count = 1 + max(max(u, v) for u, v, _, _ in edges)
+    cg = subdivide(MetricGraph(vertex_count, tuple(
+        Edge(i, u, v, length, cls=cls) for i, (u, v, length, cls) in enumerate(edges))))
+    assert len(cg.edges) - cg.vertex_count == excess
+    assert_bass_identity(cg, w)
