@@ -214,21 +214,26 @@ def build_gear(spec: GearSpec) -> MetricGraph:
     return MetricGraph(2 * n, tuple(edges), f"gear_n{n}_{spec.variant}")
 
 
-def connected_components(vertex_count, pairs):
-    """Union-find over undirected vertex pairs; returns component count."""
-    parent = list(range(vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+def _two_colouring(vertex_count, pairs):
+    """The +-1 colouring, with sign 1 at vertex 0, of the vertices that the
+    undirected ``pairs`` reach from vertex 0 (0 where unreached), and
+    whether it is proper: no pair joins two vertices of one sign."""
+    sign = [1] + [0] * (vertex_count - 1)
+    adj = [[] for _ in range(vertex_count)]
     for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(vertex_count)})
+        adj[u].append(v)
+        adj[v].append(u)
+    proper = True
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        for v in adj[u]:
+            if sign[v] == 0:
+                sign[v] = -sign[u]
+                queue.append(v)
+            elif sign[v] == sign[u]:
+                proper = False
+    return sign, proper
 
 
 def validate_metric(g: MetricGraph) -> list:
@@ -254,7 +259,7 @@ def validate_metric(g: MetricGraph) -> list:
         seen.add(e.id)
     # a connected graph has at most edge_count + 1 vertices: test that first
     pairs = [(e.tail, e.head) for e in g.edges]
-    if g.vertex_count > len(pairs) + 1 or connected_components(g.vertex_count, pairs) != 1:
+    if g.vertex_count > len(pairs) + 1 or 0 in _two_colouring(g.vertex_count, pairs)[0]:
         report.append("not connected")
     return report
 
@@ -293,22 +298,8 @@ def subdivide(g: MetricGraph) -> CombinatorialGraph:
 
 def bipartition_sign(cg: CombinatorialGraph):
     """Two-coloring of a connected graph as a +-1 vector, or None if odd cycle."""
-    sign = [0] * cg.vertex_count
-    adj = [[] for _ in range(cg.vertex_count)]
-    for u, v, _ in cg.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    sign[0] = 1
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if sign[v] == 0:
-                sign[v] = -sign[u]
-                queue.append(v)
-            elif sign[v] == sign[u]:
-                return None
-    return sign
+    sign, proper = _two_colouring(cg.vertex_count, ((u, v) for u, v, _ in cg.edges))
+    return sign if proper else None
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSy
     try:
         wv = Fraction(w)
         ok = 0 < float(wv) < math.inf       # positive and finite as a float
-    except (OverflowError, ValueError):
-        ok = False                          # inf, nan, or beyond the float range
+    except (OverflowError, ValueError, ZeroDivisionError, TypeError):
+        ok = False                          # inf, nan, beyond the float range, or no number
     if not ok:
         raise MarkovError("tooth weight w must be positive and finite")
     n = cg.vertex_count

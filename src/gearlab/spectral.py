@@ -25,15 +25,17 @@ wavenumbers where vertex-value bases degenerate, so no eigenvalue family
 needs special casing; lam = 0 (the constants) is the single analytic
 exception and is inserted directly.
 
-A private memo, keyed by value on (graph, conditions), keeps the secular
-system and the scan state of the two most recently used graphs (one dual
-pair), so a repeat scan of a graph computes sigma_min^2 only on new grid
-points and refines only new minima.  Scans stay deterministic, and
-independent of the block lengths and of earlier scans.
+A private memo, `_memo_entry` (a functools.lru_cache of two entries, keyed
+by value on (graph, conditions)), keeps the secular system and the scan
+state of the two most recently used graphs (one dual pair), so a repeat
+scan of a graph computes sigma_min^2 only on new grid points and refines
+only new minima.  Scans stay deterministic, and independent of the block
+lengths and of earlier scans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -238,21 +240,11 @@ class _MemoEntry:
     scan: _ScanState | None = None
 
 
-# graphs the memo keeps, least recently used first: one dual pair
-_MEMO_GRAPHS = 2
-_MEMO: dict = {}
-
-
+# keeps the two most recently used graphs: one dual pair
+@functools.lru_cache(maxsize=2)
 def _memo_entry(g: MetricGraph, cond: VertexConditions) -> _MemoEntry:
-    """The memo entry of (g, cond), created on a miss and made most recent."""
-    key = (g, cond)
-    entry = _MEMO.pop(key, None)
-    if entry is None:
-        entry = _MemoEntry(_secular_system(g, cond))
-    _MEMO[key] = entry
-    while len(_MEMO) > _MEMO_GRAPHS:
-        del _MEMO[next(iter(_MEMO))]
-    return entry
+    """The memo entry of (g, cond), keyed by value; call with both positionally."""
+    return _MemoEntry(_secular_system(g, cond))
 
 
 def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np.ndarray:

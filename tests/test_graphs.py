@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, Edge, GearSpec, GraphError,
                             MetricGraph, bipartition_sign, build_fig3_pair, build_gear,
                             digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
-                            gear_to_digraph, subdivide, validate_metric)
+                            gear_to_digraph, insert_degree_two_vertex, subdivide,
+                            validate_metric)
 from gearlab import io as gio
 
 
@@ -131,6 +132,12 @@ def test_validate_reports_too_few_edges_before_any_per_vertex_list():
         tracemalloc.stop()
     assert problems == ["not connected"]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_degree_two_vertex_splits_strictly_inside_the_edge(fraction):
+    with pytest.raises(GraphError, match="^fraction must lie strictly between 0 and 1$"):
+        insert_degree_two_vertex(build_gear(GearSpec(3, (1, 2, 3))), 0, fraction)
 
 
 @pytest.mark.parametrize("edge, problem", [

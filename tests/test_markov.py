@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, MetricGraph,
-                            bipartition_sign, build_gear, dual_gear, subdivide)
+                            bipartition_sign, build_fig3_pair, build_gear, dual_gear, subdivide)
 from gearlab import markov
-from gearlab.linalg import PRIME
+from gearlab.linalg import PRIME, det_mod
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
                             charpoly_test, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
@@ -22,7 +22,7 @@ from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic
                             markov_eigenvalues, markov_matrix, markov_spectrum,
                             transplantation_matrix)
 
-from test_linalg import bareiss_det, fraction_rank, poly_eval
+from test_linalg import bareiss_det, fraction_rank, lane_rows, poly_eval
 
 
 def walk_pair(lengths, w, mode="rational", attachments=None):
@@ -139,10 +139,11 @@ def test_markov_rejects_an_isolated_vertex():
         markov_matrix(cg, 1)
 
 
-# as a float, also in rational mode: 10**400 and 10**-400 leave the float range
+# as a float, also in rational mode: 10**400 and 10**-400 leave the float range;
+# "1/0" and None are no numbers at all
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan, 0, -1.5, Fraction(-3, 2),
-                               Fraction(10 ** 400), Fraction(1, 10 ** 400)])
+                               Fraction(10 ** 400), Fraction(1, 10 ** 400), "1/0", None])
 def test_markov_weight_must_be_positive_and_finite(mode, w):
     cg = subdivide(build_gear(GearSpec(3, (1, 2, 3))))
     with pytest.raises(MarkovError, match="^tooth weight w must be positive and finite$"):
@@ -216,6 +217,16 @@ def test_dual_pair_charpolys_identical():
     assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
     src, dst = walk_pair((2, 2, 3), Fraction(3, 2))
     assert characteristic_polynomial_exact(src) == characteristic_polynomial_exact(dst)
+
+
+def test_exact_charpoly_rejects_a_walk_with_two_cycles():
+    # the pencil expansion takes unicyclic supports only; a subdivided K4
+    # has m - n = 2
+    k4 = MetricGraph(4, tuple(Edge(i, u, v, 2.0) for i, (u, v) in
+                              enumerate(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))))
+    ms = markov_matrix(subdivide(k4), Fraction(3, 2))
+    with pytest.raises(MarkovError, match="^walk pencil: support has more than one cycle$"):
+        characteristic_polynomial_exact(ms)
 
 
 NEAR_MISSES = ("dual", "dual at w + 1/1000", "one tooth unflipped", "lengths 0 and 1 swapped")
@@ -308,6 +319,14 @@ def test_derivative_of_constant_vanishes():
     for u in range(ms.size):
         for v in ms.adjacency[u]:
             assert combinatorial_derivative(ms, one, u, v) == 0
+
+
+def test_derivative_needs_adjacent_vertices():
+    ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), Fraction(1, 2))
+    one = [Fraction(1)] * ms.size
+    v = next(u for u in range(1, ms.size) if u not in ms.adjacency[0])
+    with pytest.raises(MarkovError, match=f"^vertices 0 and {v} are not adjacent$"):
+        combinatorial_derivative(ms, one, 0, v)
 
 
 def test_leaf_derivative_vanishes_for_every_function():
@@ -439,6 +458,14 @@ def test_transplantation_matrix_needs_gears_of_one_size_and_weight():
         transplantation_matrix(src, bigger)
     with pytest.raises(MarkovError, match="^source and target weights differ$"):
         transplantation_matrix(src, heavier)
+
+
+def test_transplantation_matrix_needs_gear_paths():
+    # fig3's left graph has 15 edges: no sides 0..n-1 and teeth n..2n-1
+    left, right = (markov_matrix(subdivide(g), 1) for g in build_fig3_pair("a", (1, 2, 3)))
+    assert len(left.cg.paths) == 15
+    with pytest.raises(MarkovError, match="^expected gear paths"):
+        transplantation_matrix(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +778,7 @@ def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
     fine = crosscheck_quantum(spec, 1, math.pi)
     for name, value in (("REFINE_TOL", 1e-5), ("RANK_TOL", 1e-3), ("MULT_TOL", 1e-2)):
         monkeypatch.setattr(spectral, name, value)
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
     coarse = crosscheck_quantum(spec, 1, math.pi)
     assert coarse["scanned_count"] == fine["scanned_count"]
     assert fine["max_gap"] < coarse["max_gap"]
@@ -762,12 +789,13 @@ def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
 # the walk polynomial is the bond scattering determinant (ROADMAP item 18)
 # ---------------------------------------------------------------------------
 
-def bond_determinant(cg, w, z):
-    """det(I - z S_sub), exact, from the unit edges alone.  Bond 2e runs
-    along unit edge e tail to head and 2e + 1 back; for b_in into v and
-    b_out out of v, S_sub[b_out, b_in] = 2 w(b_in) / W_v - [b_out reverses
-    b_in], a tooth edge weighing w and every other edge 1 (here p and q
-    for w = p/q: S_sub does not see the scale)."""
+def bond_side(cg, w, num, den):
+    """det(I - z S_sub) at z = num/den as (integer rows, divisor), from the
+    unit edges alone.  Bond 2e runs along unit edge e tail to head and
+    2e + 1 back; for b_in into v and b_out out of v, S_sub[b_out, b_in] =
+    2 w(b_in) / W_v - [b_out reverses b_in], a tooth edge weighing w and
+    every other edge 1 (here p and q for w = p/q: S_sub does not see the
+    scale)."""
     weight = [w.numerator if cls == TOOTH else w.denominator for _, _, cls in cg.edges]
     bonds = [(a, b, weight[e]) for e, (u, v, _) in enumerate(cg.edges)
              for a, b in ((u, v), (v, u))]
@@ -776,21 +804,20 @@ def bond_determinant(cg, w, z):
         total[a] += wgt
     # row b_out times den W_v: den W_v [b_out = b_in] - num (2 w(b_in) [b_in into v]
     # - W_v [b_out reverses b_in])
-    num, den = z.numerator, z.denominator
     rows = [[den * total[a] * (i == j)
              - num * (2 * wgt * (head == a) - total[a] * (j == i ^ 1))
              for j, (_, head, wgt) in enumerate(bonds)]
             for i, (a, _, _) in enumerate(bonds)]
-    return Fraction(bareiss_det(rows), math.prod(den * total[a] for a, _, _ in bonds))
+    return rows, math.prod(den * total[a] for a, _, _ in bonds)
 
 
-def walk_determinant(ms, z):
-    """det((1 + z^2) D - 2 z W) / det D from the walk's integer weights."""
-    num, den = z.numerator, z.denominator
+def walk_side(ms, num, den):
+    """det((1 + z^2) D - 2 z W) / det D at z = num/den as (integer rows,
+    divisor), from the walk's integer weights."""
     n = ms.size
     rows = [[(num * num + den * den) * ms.degrees[i] * (i == j)
              - 2 * num * den * ms.adjacency[i].get(j, 0) for j in range(n)] for i in range(n)]
-    return Fraction(bareiss_det(rows), den ** (2 * n) * math.prod(ms.degrees))
+    return rows, den ** (2 * n) * math.prod(ms.degrees)
 
 
 def assert_bass_identity(cg, w):
@@ -799,7 +826,24 @@ def assert_bass_identity(cg, w):
     ms = markov_matrix(cg, w)
     excess = len(cg.edges) - cg.vertex_count
     for z in (Fraction(2, 7), Fraction(-5, 3)):
-        assert bond_determinant(cg, w, z) == (1 - z * z) ** excess * walk_determinant(ms, z)
+        (bond, b_div), (walk, w_div) = (bond_side(cg, w, z.numerator, z.denominator),
+                                        walk_side(ms, z.numerator, z.denominator))
+        assert Fraction(bareiss_det(bond), b_div) == \
+            (1 - z * z) ** excess * Fraction(bareiss_det(walk), w_div)
+
+
+def assert_bass_identity_mod_p(cg, w, zs):
+    """The identity of `assert_bass_identity` over GF(PRIME) at the ints
+    ``zs``, both sides from `det_mod`, one lane per z: cleared of its
+    divisors it is an identity of integer polynomials in z."""
+    ms = markov_matrix(cg, w)
+    excess = len(cg.edges) - cg.vertex_count
+    bonds = [bond_side(cg, w, z, 1) for z in zs]
+    walks = [walk_side(ms, z, 1) for z in zs]
+    bond_dets = det_mod(lane_rows([rows for rows, _ in bonds]), PRIME, len(zs))
+    walk_dets = det_mod(lane_rows([rows for rows, _ in walks]), PRIME, len(zs))
+    for z, b, (_, b_div), wd, (_, w_div) in zip(zs, bond_dets, bonds, walk_dets, walks):
+        assert b * w_div % PRIME == pow(1 - z * z, excess, PRIME) * wd * b_div % PRIME
 
 
 @settings(deadline=None, max_examples=15)
@@ -812,6 +856,20 @@ def test_bond_determinant_is_the_walk_polynomial_on_gears(gear, w):
     cg = subdivide(build_gear(GearSpec(len(lengths), lengths, "primal", attachments)))
     assert len(cg.edges) == cg.vertex_count       # gears never test the (1 - z^2) factor
     assert_bass_identity(cg, w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))),
+    st.fractions(Fraction(1, 9), 9, max_denominator=9),
+    st.lists(st.integers(0, PRIME - 1), min_size=3, max_size=3))
+@example(((3,) * 8, ("tail", "head") * 4), Fraction(7, 9), [5, 123456789, PRIME - 2])
+def test_bond_determinant_is_the_walk_polynomial_mod_p_on_gears_to_n8(gear, w, zs):
+    # up to 96 bonds, too many for the exact Bareiss route
+    lengths, attachments = gear
+    cg = subdivide(build_gear(GearSpec(len(lengths), lengths, "primal", attachments)))
+    assert_bass_identity_mod_p(cg, w, zs)
 
 
 @pytest.mark.parametrize("edges, w, excess", [
@@ -828,3 +886,4 @@ def test_bond_determinant_is_the_walk_polynomial_with_more_edges(edges, w, exces
         Edge(i, u, v, length, cls=cls) for i, (u, v, length, cls) in enumerate(edges))))
     assert len(cg.edges) - cg.vertex_count == excess
     assert_bass_identity(cg, w)
+    assert_bass_identity_mod_p(cg, w, [3, 2 ** 40 + 1, PRIME - 2])

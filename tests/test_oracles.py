@@ -3,7 +3,8 @@
 sympy recomputes the characteristic polynomials and pencil determinants
 symbolically; mpmath recomputes the walk spectrum at 50 digits, and
 from it the quantum roots of gear123 at 40; networkx decides digraph
-isomorphism.  All are test-only dependencies.
+isomorphism, and connectivity and bipartiteness of multigraphs.  All are
+test-only dependencies.
 """
 
 import math
@@ -11,9 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (Digraph, GearSpec, build_gear, dual_gear, fig2_control_pair,
-                            fig6_digraph_pair, gear_to_digraph, subdivide)
+from gearlab.graphs import (Digraph, Edge, GearSpec, MetricGraph, bipartition_sign, build_gear,
+                            dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
+                            subdivide, validate_metric)
 from gearlab.markov import (characteristic_polynomial_exact, markov_eigenvalues, markov_matrix,
                             markov_spectrum)
 from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
@@ -379,3 +382,44 @@ def test_digraph_isomorphic_matches_networkx():
             assert {(witness[t], witness[h]) for t, h in a.arcs} == b.arc_set(), name
     # both verdicts occur, including among same-degree-sequence pairs
     assert True in verdicts and False in verdicts
+
+
+@st.composite
+def multigraphs(draw):
+    """Metric multigraphs of 1 to 30 vertices with lengths 1 to 3: a random
+    forest that joins all but a few vertices to earlier ones, then random
+    extra edges, loops and parallel edges included, on shuffled labels, so
+    that isolated vertices, several components and odd cycles all occur."""
+    n = draw(st.integers(1, 30))
+    label = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    unjoined = draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3))
+    ends = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)
+            if i not in unjoined]
+    ends += draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    return MetricGraph(n, tuple(Edge(i, u, v, float(draw(st.integers(1, 3))))
+                                for i, (u, v) in enumerate(ends)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(multigraphs())
+def test_connectivity_and_bipartiteness_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(vertex_count, pairs):
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(vertex_count))
+        h.add_edges_from(pairs)
+        return h
+
+    connected = nx.is_connected(to_nx(g.vertex_count, [(e.tail, e.head) for e in g.edges]))
+    assert ("not connected" in validate_metric(g)) == (not connected)
+    if not connected:
+        return
+    cg = subdivide(g)
+    sign = bipartition_sign(cg)
+    assert (sign is None) == (not nx.is_bipartite(to_nx(cg.vertex_count, [e[:2] for e in cg.edges])))
+    if sign is not None:
+        assert len(sign) == cg.vertex_count and sign[0] == 1
+        assert set(sign) <= {1, -1}
+        assert all(sign[u] == -sign[v] for u, v, _ in cg.edges)

@@ -68,6 +68,14 @@ def test_homogeneity_queries():
     assert is_homogeneous(SparsePolynomial.zero(), 17)
 
 
+def test_int_comparison_and_repr():
+    three = SparsePolynomial.constant(3)
+    assert three == 3 and three != 4 and three != 0
+    assert SparsePolynomial.zero() == 0 and SparsePolynomial.zero() != 3
+    assert repr(three) == "SparsePolynomial(3 x^0 y^0 alpha^0 beta^0 gamma^0 delta^0)"
+    assert repr(SparsePolynomial.zero()) == "SparsePolynomial(0)"
+
+
 def test_dump_lines_sorted_and_stable():
     p = SparsePolynomial.variable("delta") + SparsePolynomial.variable("x") * 2
     lines = p.dump_lines()

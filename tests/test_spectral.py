@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear,
+from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear, dual_gear,
                             insert_degree_two_vertex, validate_metric)
 from gearlab.markov import crosscheck_quantum
 from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
                               VertexConditions, compare_first, compare_spectra,
                               eigenfunction_basis, evaluate, evaluate_derivative,
-                              scan_spectrum, secular_matrix, vertex_residual, weighted_inner,
-                              weighted_norm_sq)
+                              scan_spectrum, secular_matrix, suggest_k_max, vertex_residual,
+                              weighted_inner, weighted_norm_sq)
+from gearlab.transplant import transplant
 from gearlab import spectral
 
 KN = VertexConditions(1.0)
@@ -278,7 +279,7 @@ def grid_length(params):
 
 
 def scan_state_bytes(g, cond):
-    state = spectral._MEMO[(g, cond)].scan
+    state = spectral._memo_entry(g, cond).scan
     return [array.tobytes() for array in (state.sig_sq, state.lows, state.ks, state.s)]
 
 
@@ -292,7 +293,7 @@ def test_scan_independent_of_block_size(monkeypatch, g, w, k_max):
     # brackets at once (A, A' and A'' per bracket)
     for budget in (1, 3 * size * size * (grid_length(params) + 10)):
         monkeypatch.setattr(spectral, "_STACK_ENTRIES", budget)
-        spectral._MEMO.clear()
+        spectral._memo_entry.cache_clear()
         assert scan_spectrum(g, cond, params) == default
         assert scan_state_bytes(g, cond) == state
 
@@ -303,7 +304,7 @@ def test_lockstep_refinement_equals_one_at_a_time():
     g, w, k_max = GOLDEN_GEARS[0]
     cond, params = VertexConditions(w), ScanParams(k_max)
     scan_spectrum(g, cond, params)
-    entry, grid = spectral._MEMO[(g, cond)], scan_grid(params)
+    entry, grid = spectral._memo_entry(g, cond), scan_grid(params)
     lows = entry.scan.lows
     assert 1 < len(lows) <= spectral._block_length(entry.system, 2)
     lockstep = spectral._newton_refine(entry.system, grid[lows], grid[lows - 1], grid[lows + 1])
@@ -320,7 +321,7 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max):
     cond, params = VertexConditions(w), ScanParams(k_max)
     grid, size = scan_grid(params), 2 * g.edge_count
     scan_spectrum(g, cond, params)
-    state = spectral._MEMO[(g, cond)].scan
+    state = spectral._memo_entry(g, cond).scan
     # each bracket alone: its Newton steps, and one slogdet per exactly
     # singular iterate, whose failed solve is solved again
     steps, singular = [], 0
@@ -331,7 +332,7 @@ def test_scan_kernel_counts(monkeypatch, g, w, k_max):
             solves = refine_one(monkeypatch, g, cond, grid[i], grid[i - 1], grid[i + 1])[1]
         steps.append(solves - len(slogdets))
         singular += len(slogdets)
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
 
     solves, slogdets, eigvalshs, svds, stacks, blocks = [], [], [], [], [], []
     real_slogdet = np.linalg.slogdet
@@ -418,14 +419,34 @@ def test_gram_grid_minima_equal_the_svd_ones(g, log_w, k_max):
     stack = spectral._secular_stack(system, grid)[:, 0]
     assert np.array_equal(grid_minima(spectral._grid_sig_sq(system, grid)),
                           grid_minima(svd_sigma_min(stack, grid)))
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
     gram = scan_spectrum(g, cond, params)
     state = scan_state_bytes(g, cond)[1:]       # sig_sq holds the kernel's own values
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_gram_min", svd_sigma_min)
         assert scan_spectrum(g, cond, params) == gram
         assert scan_state_bytes(g, cond)[1:] == state
+
+
+def test_scan_lists_a_root_refined_twice_once(monkeypatch):
+    # two grid minima whose brackets refine to one root: the DEDUP_GAP
+    # merge lists the root once, with the multiplicity of its first copy
+    g, cond, params = build_gear(GearSpec(3, (1, 2, 3))), VertexConditions(1.5), ScanParams(4.0)
+    cold = scan_spectrum(g, cond, params).entries
+    i = next(j for j, (lam, _) in enumerate(cold) if abs(lam - math.pi ** 2) < 1e-9)
+    assert cold[i][1] == 2
+    real_refine = spectral._newton_refine
+
+    def pi_twice(system, ks, lo, hi):
+        out = real_refine(system, ks, lo, hi)
+        j = int(np.argmin(np.abs(out - math.pi)))
+        out[j + 1] = out[j]
+        return out
+
+    monkeypatch.setattr(spectral, "_newton_refine", pi_twice)
+    spectral._memo_entry.cache_clear()
+    assert scan_spectrum(g, cond, params).entries == cold[:i + 1] + cold[i + 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +455,10 @@ def test_gram_grid_minima_equal_the_svd_ones(g, log_w, k_max):
 
 def assert_served_scans_equal_cold(g, cond, first, second):
     """Scans of ``second`` after one of ``first``, and its repeat, equal a cold scan."""
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
     scan_spectrum(g, cond, first)
     served = [scan_spectrum(g, cond, second) for _ in range(2)]
-    spectral._MEMO.clear()
+    spectral._memo_entry.cache_clear()
     cold = scan_spectrum(g, cond, second)
     assert served == [cold, cold]
 
@@ -485,18 +506,52 @@ def test_memo_serves_scans_equal_to_cold_ones_property(g, w, k_first, k_second, 
                                    ScanParams(k_second, step))
 
 
+def lookup_hits(g, cond):
+    """Memo hits of one `secular_matrix` lookup of (g, cond): 1 or 0."""
+    before = spectral._memo_entry.cache_info().hits
+    secular_matrix(g, cond, 1.0)
+    return spectral._memo_entry.cache_info().hits - before
+
+
 def test_memo_keeps_two_graphs_with_read_only_systems():
     specs = [GearSpec(3, lengths, "primal") for lengths in ((1, 2, 3), (1, 1, 2), (2, 2, 3))]
     for spec in specs:
         scan_spectrum(build_gear(spec), KN, ScanParams(k_max=2.0))
-    assert list(spectral._MEMO) == [(build_gear(spec), KN) for spec in specs[1:]]
-    # keyed by value: a rebuilt graph is a hit, and it becomes the most recent
-    secular_matrix(build_gear(specs[1]), KN, 1.0)
-    assert list(spectral._MEMO) == [(build_gear(spec), KN) for spec in (specs[2], specs[1])]
-    system = spectral._MEMO[(build_gear(specs[1]), KN)].system
+    info = spectral._memo_entry.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (0, 3, 2, 2)
+    # keyed by value: a rebuilt graph hits, and becomes the most recent.
+    # specs[1] was stored before specs[2], but its lookup makes specs[2] the
+    # least recently used, so a third graph evicts specs[2]
+    assert [lookup_hits(build_gear(spec), KN)
+            for spec in (specs[1], specs[0], specs[1], specs[2])] == [1, 0, 1, 0]
+    system = spectral._memo_entry(build_gear(specs[1]), KN).system
     for array in system:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_memo_serves_the_quantum_route_of_a_dual_pair_from_two_misses():
+    # the quantum verdict of one dual pair: both scans, eigenfunctions and
+    # their transplants at the first roots, then the walk cross-check,
+    # which rebuilds the primal gear; only the two scans build a system
+    spec, w = GearSpec(3, (1, 2, 3), "primal"), 1.5
+    g1, g2, cond = build_gear(spec), build_gear(dual_gear(spec)), VertexConditions(w)
+    params = ScanParams(suggest_k_max(g1, 25))
+    s1 = scan_spectrum(g1, cond, params)
+    scan_spectrum(g2, cond, params)
+    lookups = 2
+    for lam, _ in s1.entries[1:6]:
+        basis = eigenfunction_basis(g1, cond, math.sqrt(lam))
+        for f in basis:
+            transplant(f, g2, w)
+        lookups += 1 + len(basis)
+    assert crosscheck_quantum(spec, w, 2 * math.pi)["agree"]
+    lookups += 1
+    info = spectral._memo_entry.cache_info()
+    assert (info.misses, info.hits) == (2, lookups - 2)
+    # a third graph evicts the least recently used one, the dual
+    third = build_gear(GearSpec(3, (1, 1, 2), "primal"))
+    assert [lookup_hits(g, cond) for g in (third, g1, g2)] == [0, 1, 0]
 
 
 def test_newton_steps_per_grid_minimum(monkeypatch):
@@ -737,8 +792,21 @@ def test_evaluate_and_derivative():
     assert evaluate(cos_f, 0, 0.0) == 1.0
     assert evaluate_derivative(cos_f, 0, 0.0) == 0.0
     assert evaluate_derivative(sin_f, 0, 0.0) == k
-    with pytest.raises(SpectralError):
-        evaluate(cos_f, 0, 2.0)
+    for outside in (-0.5, 2.0):
+        with pytest.raises(SpectralError, match="outside"):
+            evaluate(cos_f, 0, outside)
+        with pytest.raises(SpectralError, match="outside"):
+            evaluate_derivative(sin_f, 0, outside)
+
+
+def test_weighted_inner_rejects_eigenfunctions_of_two_graphs():
+    def cosine(length):
+        return Eigenfunction(interval(length), 2.0, ((1.0, 0.0),))
+
+    with pytest.raises(SpectralError, match="different graphs"):
+        weighted_inner(cosine(1.0), cosine(2.0), KN)
+    # equal edges on two graph objects are one graph
+    assert weighted_inner(cosine(1.0), cosine(1.0), KN) == weighted_norm_sq(cosine(1.0), KN)
 
 
 def test_cosine_norm_on_unit_interval():

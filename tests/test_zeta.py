@@ -265,6 +265,13 @@ def test_zeta_fig6_equivalent_with_bound():
     assert zeta_equivalent(g, gt, trials=20, seed=7) == v
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_zeta_needs_a_trial(trials):
+    g, gt = fig6_digraph_pair()
+    with pytest.raises(ZetaError, match="^need at least one trial$"):
+        zeta_equivalent(g, gt, trials=trials)
+
+
 def test_zeta_distinguishes_different_sizes():
     v = zeta_equivalent(Digraph(2, ((0, 1),)), Digraph(3, ((0, 1),)), trials=3, seed=0)
     assert v["verdict"] == "distinguished"
