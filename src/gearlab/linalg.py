@@ -1,8 +1,10 @@
 """Exact linear algebra on sparse rows (dicts col -> entry, absent meaning
 zero): the row-times-matrix product and unicyclic determinants over any
-ring, the one modular determinant, `det_mod`, of a batch of matrices over
-GF(p) that share one support, and the one Schwartz-Zippel protocol,
-`identity_test`.  Floating-point linear algebra goes to numpy."""
+ring, `unicyclic_dets` of one support at a batch of diagonals (the support
+analysed once, each diagonal one O(n) pass), the one modular determinant,
+`det_mod`, of a batch of matrices over GF(p) that share one support, and
+the one Schwartz-Zippel protocol, `identity_test`.  Floating-point linear
+algebra goes to numpy."""
 
 from __future__ import annotations
 
@@ -25,21 +27,15 @@ def row_times(row, rows):
     return {j: e for j, e in out.items() if e}
 
 
-def unicyclic_det(rows):
-    """Exact determinant of a matrix whose support is a tree or has one cycle.
+def _unicyclic_plan(rows):
+    """The diagonal-free half of `unicyclic_dets`: (peel, root, cycle, closing).
 
-    Rows are sparse, dicts col -> ring element (SparsePolynomial, int, ...)
-    with absent meaning zero; the support joins i != j when M[i][j] or
-    M[j][i] is nonzero.  Schwenk's recursion peels the leaves, alpha_v
-    being the determinant of the peeled subtree at v and beta_v that of
-    the subtree minus v: leaf c peels into v as
-    alpha_v <- alpha_v alpha_c - M[v][c] M[c][v] beta_v beta_c and
-    beta_v <- beta_v alpha_c.  The cycle v_0 ... v_{m-1} left over closes
-    with the periodic tridiagonal transfer product (Molinari, LAA 429
-    (2008) 2221): tr prod [[alpha_i, -M[i][i-1] M[i-1][i] beta_i],
-    [beta_i, 0]] + (-1)^(m+1) (prod M[i][i+1] + prod M[i+1][i]) prod beta_i.
-    Raises ValueError for a column index outside 0..n-1, a disconnected
-    support or one with two cycles.
+    ``peel`` lists (c, v, M[v][c] M[c][v]) per leaf c peeled into v, in
+    Schwenk order.  A tree ends at ``root``, with cycle and closing None;
+    else ``cycle`` lists (v_i, M[v_i][v_i-1] M[v_i-1][v_i]) around the one
+    cycle and ``closing`` = prod M[i][i+1] + prod M[i+1][i].  Raises
+    ValueError for a column index outside 0..n-1, a disconnected support
+    or one with two cycles.
     """
     n = len(rows)
     nbrs = [set() for _ in range(n)]
@@ -60,17 +56,15 @@ def unicyclic_det(rows):
     if sum(map(len, nbrs)) > 2 * n:
         raise ValueError("support has more than one cycle")
 
-    alpha, beta = [rows[v].get(v, 0) for v in range(n)], [1] * n
-    leaves = [v for v in range(n) if len(nbrs[v]) <= 1]
+    peel, leaves = [], [v for v in range(n) if len(nbrs[v]) <= 1]
     while leaves:
         c = leaves.pop()
         if not nbrs[c]:
-            return alpha[c]       # the support was a tree
+            return peel, c, None, None      # the support was a tree
         (v,) = nbrs[c]
         nbrs[v].remove(c)
         nbrs[c].clear()
-        alpha[v] = alpha[v] * alpha[c] - rows[v].get(c, 0) * rows[c].get(v, 0) * beta[v] * beta[c]
-        beta[v] = beta[v] * alpha[c]
+        peel.append((c, v, rows[v].get(c, 0) * rows[c].get(v, 0)))
         if len(nbrs[v]) == 1:
             leaves.append(v)
 
@@ -80,16 +74,61 @@ def unicyclic_det(rows):
         (nxt,) = nbrs[cycle[-1]] - {cycle[-2]}
         cycle.append(nxt)
     cycle.pop()
-    (p00, p01), (p10, p11) = (1, 0), (0, 1)
-    forward = backward = betas = 1
-    for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
-        a, b = alpha[v], beta[v]
-        q = rows[v].get(u, 0) * rows[u].get(v, 0) * b
-        p00, p01, p10, p11 = a * p00 - q * p10, a * p01 - q * p11, b * p00, b * p01
+    forward = backward = 1
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
         forward, backward = forward * rows[v].get(w, 0), backward * rows[w].get(v, 0)
-        betas = betas * b
-    closing = (forward + backward) * betas
-    return p00 + p11 + (closing if len(cycle) % 2 else -closing)
+    pairs = [(v, rows[v].get(u, 0) * rows[u].get(v, 0))
+             for u, v in zip(cycle[-1:] + cycle[:-1], cycle)]
+    return peel, None, pairs, forward + backward
+
+
+def unicyclic_dets(rows, diagonals):
+    """Exact determinants of the matrices ``rows`` with each diagonal in turn.
+
+    Rows are sparse, dicts col -> ring element (SparsePolynomial, int, ...)
+    with absent meaning zero, and their own diagonal entries are ignored:
+    matrix k has diagonals[k][v] at (v, v).  The support joins i != j when
+    M[i][j] or M[j][i] is nonzero and must be a tree or have one cycle.
+    Its analysis is done once, before any diagonal is read: the checks,
+    the leaf order, the cycle and every product of off-diagonal entries.
+    Each diagonal then costs one O(n) pass.  Schwenk's recursion peels the
+    leaves, alpha_v being the determinant of the peeled subtree at v and
+    beta_v that of the subtree minus v: leaf c peels into v as
+    alpha_v <- alpha_v alpha_c - M[v][c] M[c][v] beta_v beta_c and
+    beta_v <- beta_v alpha_c.  The cycle v_0 ... v_{m-1} left over closes
+    with the periodic tridiagonal transfer product (Molinari, LAA 429
+    (2008) 2221): tr prod [[alpha_i, -M[i][i-1] M[i-1][i] beta_i],
+    [beta_i, 0]] + (-1)^(m+1) (prod M[i][i+1] + prod M[i+1][i]) prod beta_i.
+    Raises ValueError for a column index outside 0..n-1, a disconnected
+    support, one with two cycles, or a diagonal that does not hold n values.
+    """
+    peel, root, cycle, closing = _unicyclic_plan(rows)
+    n, dets = len(rows), []
+    for diagonal in diagonals:
+        alpha, beta = list(diagonal), [1] * n
+        if len(alpha) != n:
+            raise ValueError(f"diagonal of length {len(alpha)}, not {n}")
+        for c, v, pair in peel:
+            alpha[v] = alpha[v] * alpha[c] - pair * beta[v] * beta[c]
+            beta[v] = beta[v] * alpha[c]
+        if cycle is None:
+            dets.append(alpha[root])
+            continue
+        (p00, p01), (p10, p11) = (1, 0), (0, 1)
+        betas = 1
+        for v, pair in cycle:
+            a, b = alpha[v], beta[v]
+            q = pair * b
+            p00, p01, p10, p11 = a * p00 - q * p10, a * p01 - q * p11, b * p00, b * p01
+            betas = betas * b
+        closed = closing * betas
+        dets.append(p00 + p11 + (closed if len(cycle) % 2 else -closed))
+    return dets
+
+
+def unicyclic_det(rows):
+    """`unicyclic_dets` of the rows with their own diagonal."""
+    return unicyclic_dets(rows, [[row.get(v, 0) for v, row in enumerate(rows)]])[0]
 
 
 def permutation_sign(perm) -> int:

@@ -8,7 +8,8 @@ here by an explicit conjugator C = T + 1 d^T + st v^T: the combinatorial
 transplantation T, sparse rows with at most 4 entries, plus rank-one
 corrections on the +-1 eigenspaces.  C is kept as those parts and checked
 by sparse-row products in O(n); equal characteristic polynomials by
-`linalg.identity_test`, with det(x D - W) exact at random integers x.  The
+`linalg.identity_test`, with det(x D - W) exact at random integers x, all
+of them by one `linalg.unicyclic_dets` call per walk.  The
 walk is kept as integer weights W and degrees D on the scale q of w = p/q,
 a float w read as its exact binary fraction, and C's parts T, d and v as
 ints over one denominator.  Floats appear only where numpy takes over, in
@@ -26,7 +27,7 @@ import numpy as np
 
 from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH,
                      bipartition_sign, build_gear, dual_gear, subdivide)
-from .linalg import PRIME, identity_test, row_times, unicyclic_det
+from .linalg import PRIME, identity_test, row_times, unicyclic_dets
 from .polynomials import SparsePolynomial
 
 MODES = ("rational", "float")
@@ -125,16 +126,18 @@ def markov_eigenvalues(ms: MarkovSystem):
     return np.linalg.eigvalsh(_symmetric_walk(ms)[0])
 
 
-def _pencil_det(ms: MarkovSystem, x):
-    """det(x D - W) over any ring that holds x: `unicyclic_det` of the sparse
-    rows read off the adjacency of the unicyclic subdivided gear."""
-    rows = [{u: -wgt for u, wgt in adj.items()} for adj in ms.adjacency]
-    for v, row in enumerate(rows):
-        row[v] = x * ms.degrees[v] + row.get(v, 0)
+def _pencil_dets(ms: MarkovSystem, xs):
+    """det(x D - W) = (-1)^n det(W - x D) at each x of xs, over any ring that
+    holds them: one `unicyclic_dets` call on the adjacency W of the unicyclic
+    subdivided gear, whose support is analysed once, with the diagonals
+    W_vv - x D_v."""
+    loops = [adj.get(v, 0) for v, adj in enumerate(ms.adjacency)]
     try:
-        return unicyclic_det(rows)
+        dets = unicyclic_dets(ms.adjacency, [[w - x * d for d, w in zip(ms.degrees, loops)]
+                                             for x in xs])
     except ValueError as exc:
         raise MarkovError(f"walk pencil: {exc}") from exc
+    return dets if ms.size % 2 == 0 else [-det for det in dets]
 
 
 def characteristic_polynomial_exact(ms: MarkovSystem):
@@ -143,7 +146,8 @@ def characteristic_polynomial_exact(ms: MarkovSystem):
     det(xI - M) = det(xD - W)/det(D) with the integer W and D, and
     det(x D - W) is expanded over Z[x].
     """
-    coeffs = _pencil_det(ms, SparsePolynomial.variable("x")).coefficients("x", ms.size + 1)
+    (det,) = _pencil_dets(ms, [SparsePolynomial.variable("x")])
+    coeffs = det.coefficients("x", ms.size + 1)
     return [Fraction(a, coeffs[-1]) for a in coeffs]
 
 
@@ -154,12 +158,14 @@ def charpoly_test(src: MarkovSystem, dst: MarkovSystem) -> dict:
     = det(xD~ - W~) prod D, of degree <= max(n, n~) in x.  Random(0) draws
     each x from range(PRIME), and a false "equivalent-with-bound" has
     probability at most (max(n, n~)/PRIME)^2, 3.2e-30 at 4096 vertices.
+    Each walk's support is analysed once, for both points.
     """
     prod, prod_t = math.prod(src.degrees), math.prod(dst.degrees)
 
     def evaluate(points):
-        return ([_pencil_det(src, x) * prod_t for x, in points],
-                [_pencil_det(dst, x) * prod for x, in points])
+        xs = [x for x, in points]
+        return ([det * prod_t for det in _pencil_dets(src, xs)],
+                [det * prod for det in _pencil_dets(dst, xs)])
 
     return identity_test(lambda rng: (rng.randrange(PRIME),), evaluate,
                          max(src.size, dst.size), trials=2, seed=0)
@@ -376,13 +382,17 @@ def _cluster(values):
     return [(v, m) for v, m in out]
 
 
-def predicted_wavenumbers(ms: MarkovSystem, circle_length: int, k_limit: float):
-    """Wavenumbers below k_limit implied by the walk spectrum.
+def predicted_wavenumbers(ms: MarkovSystem, k_limit: float):
+    """Wavenumbers below k_limit implied by the walk spectrum of a connected
+    unit subdivision with m edges and n vertices.
 
     Interior walk eigenvalues mu contribute the arccos branches
-    arccos(mu) + 2 pi j and 2 pi (j+1) - arccos(mu); wavenumbers j pi
-    whose square is an eigenvalue of the circle of the polygon's
-    circumference contribute multiplicity 2.
+    arccos(mu) + 2 pi j and 2 pi (j+1) - arccos(mu).  At k = j pi, where
+    z = e^{ik} = (-1)^j, the bond determinant det(I - z S) = (1 - z^2)^(m-n)
+    det((1 + z^2) D - 2 z W) / det D (Bass, Int. J. Math. 3 (1992) 717)
+    vanishes to order (m - n) + 2 mult_walk((-1)^j), the multiplicity of
+    k: mult_walk(1) = 1, and mult_walk(-1) = 1 if the subdivision is
+    bipartite, else 0, both exact.  An order 0 gives no entry.
     """
     vals = markov_eigenvalues(ms)
     predicted = []
@@ -399,10 +409,12 @@ def predicted_wavenumbers(ms: MarkovSystem, circle_length: int, k_limit: float):
             if k2 < k_limit:
                 predicted.append((k2, mult))
             j += 1
+    excess = len(ms.cg.edges) - ms.size
+    order = (excess + 2, excess + 2 * (bipartition_sign(ms.cg) is not None))  # j even, odd
     j = 1
     while j * math.pi < k_limit:
-        if (j * circle_length) % 2 == 0:
-            predicted.append((j * math.pi, 2))
+        if order[j % 2]:
+            predicted.append((j * math.pi, order[j % 2]))
         j += 1
     predicted.sort()
     return predicted
@@ -413,7 +425,8 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float) -> dict:
 
     Nonzero quantum eigenvalues strictly below (k_max - margin)^2 must
     equal the arccos branches of the interior walk spectrum plus the
-    circle-derived Dirichlet values, multiplicities included.
+    values at k = j pi from the walk's +-1 eigenvalues, multiplicities
+    included (`predicted_wavenumbers`).
     """
     from .spectral import ScanParams, VertexConditions, scan_spectrum
     if not spec.is_integral():
@@ -423,8 +436,7 @@ def crosscheck_quantum(spec: GearSpec, w, k_max: float) -> dict:
     spect = scan_spectrum(g, cond, ScanParams(k_max=k_max))
     ms = markov_matrix(subdivide(g), w)
     limit = k_max - 1e-6
-    circle = int(round(sum(spec.lengths)))
-    predicted = predicted_wavenumbers(ms, circle, limit)
+    predicted = predicted_wavenumbers(ms, limit)
     scanned = [(math.sqrt(lam), mult) for lam, mult in spect.entries
                if lam > 0 and math.sqrt(lam) < limit]
     pairs = []

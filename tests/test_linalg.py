@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gearlab import linalg
 from gearlab.linalg import (TRIAL_BLOCK, det_mod, identity_bounds, identity_test,
-                            permutation_sign, unicyclic_det)
+                            permutation_sign, unicyclic_det, unicyclic_dets)
 from gearlab.polynomials import SparsePolynomial
 from gearlab.zeta import PRIME
 
@@ -84,12 +84,19 @@ def leibniz_det(rows):
     return total
 
 
+def random_pencil_diagonal(rng, n):
+    """n random diagonal entries in (x, alpha)."""
+    al = SparsePolynomial.variable("alpha")
+    return [X * rng.randint(0, 2) + al * rng.randint(-2, 2) - rng.randint(-2, 2)
+            for _ in range(n)]
+
+
 def random_multivariate_pencil(rng, n, m):
     """Entries in (x, alpha, beta) on a random m-cycle with pendant trees."""
     al, be = SparsePolynomial.variable("alpha"), SparsePolynomial.variable("beta")
     rows = [[SparsePolynomial.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = X * rng.randint(0, 2) + al * rng.randint(-2, 2) - rng.randint(-2, 2)
+    for i, d in enumerate(random_pencil_diagonal(rng, n)):
+        rows[i][i] = d
     for u, v in random_unicyclic_edges(rng, n, m):
         rows[u][v] = al * rng.randint(1, 3) + be * rng.randint(-1, 1)
         rows[v][u] = be * rng.randint(-2, 2)
@@ -369,45 +376,93 @@ def test_unicyclic_det_known_determinants():
     assert unicyclic_det([{1: X, 2: X * 0}, {2: 1, 0: SparsePolynomial.zero()}, {0: 1}]) == X
 
 
+def with_diagonal(rows, diagonal):
+    """Copies of dense rows with ``diagonal`` on the diagonal."""
+    return [row[:i] + [d] + row[i + 1:] for i, (row, d) in enumerate(zip(rows, diagonal))]
+
+
+def singular_diagonal(rows):
+    """The diagonal that makes every row sum to zero: M 1 = 0, so det M = 0."""
+    return [sum((-e for j, e in enumerate(row) if j != i), start=0 * row[i])
+            for i, row in enumerate(rows)]
+
+
 def test_unicyclic_det_matches_float_det_on_random_integers():
+    # each support at its own diagonal, then at three more in one call: two
+    # random and one with zero row sums; every other support has an entry
+    # that is zero in one direction only
     rng = random.Random(7)
     for m in (0, 3, 4, 5, 6, 7):
-        for _ in range(6):
+        for trial in range(6):
             n = rng.randint(max(m, 2), 9)
             a = [[0] * n for _ in range(n)]
             for i in range(n):
                 a[i][i] = rng.randint(-5, 5)
-            for u, v in random_unicyclic_edges(rng, n, m):
+            for k, (u, v) in enumerate(random_unicyclic_edges(rng, n, m)):
                 a[u][v] = rng.choice((-3, -2, -1, 1, 2, 3))
-                a[v][u] = rng.randint(-3, 3)
+                a[v][u] = 0 if k == 0 and trial % 2 else rng.randint(-3, 3)
             assert unicyclic_det(sparse(a)) == round(np.linalg.det(np.array(a, dtype=float)))
+            diagonals = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(2)]
+            diagonals.append(singular_diagonal(a))
+            dets = unicyclic_dets(sparse(a), diagonals)
+            assert dets[-1] == 0
+            for diagonal, det in zip(diagonals, dets, strict=True):
+                assert det == round(np.linalg.det(np.array(with_diagonal(a, diagonal), dtype=float)))
 
 
 def test_unicyclic_det_matches_leibniz_expansion():
-    # a random pencil in (x, alpha, beta) on the support, up to 7 vertices
+    # a random pencil in (x, alpha, beta) on the support, up to 7 vertices, at
+    # its own diagonal, then at three more in one call as above
     rng = random.Random(19)
     for m in (0, 3, 4, 5, 6, 7):
-        for _ in range(3):
+        for trial in range(3):
             rows = random_multivariate_pencil(rng, rng.randint(max(m, 2), 7), m)
+            if trial % 2:
+                u, v = next((u, v) for u, row in enumerate(rows) for v, e in enumerate(row)
+                            if u != v and e)
+                rows[v][u] = SparsePolynomial.zero()
             assert unicyclic_det(sparse(rows)) == leibniz_det(rows)
+            diagonals = [random_pencil_diagonal(rng, len(rows)) for _ in range(2)]
+            diagonals.append(singular_diagonal(rows))
+            dets = unicyclic_dets(sparse(rows), diagonals)
+            assert dets[-1] == 0
+            for diagonal, det in zip(diagonals, dets, strict=True):
+                assert det == leibniz_det(with_diagonal(rows, diagonal))
+
+
+class Unread:
+    """Diagonals that fail the test when read."""
+
+    def __iter__(self):
+        raise AssertionError("no diagonal may be read")
 
 
 def test_unicyclic_det_rejects_other_supports():
-    # a matrix that is not square has a column outside 0..n-1
-    with pytest.raises(ValueError, match="outside"):
-        unicyclic_det(sparse([[1, 2]]))
-    with pytest.raises(ValueError, match="outside"):
-        unicyclic_det([{0: 1, 1: 2}, {0: 3, -1: 4}])
-    with pytest.raises(ValueError, match="outside"):
-        unicyclic_det([{0: 1, 2: 0}, {1: 1}])
-    with pytest.raises(ValueError, match="connected"):
-        unicyclic_det(sparse([[1, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="connected"):
-        unicyclic_det([])
-    # two triangles sharing the edge 0-1
-    theta = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1]]
-    with pytest.raises(ValueError, match="more than one cycle"):
-        unicyclic_det(sparse(theta))
+    # unicyclic_dets rejects the support before it reads any diagonal
+    for det in (unicyclic_det, lambda rows: unicyclic_dets(rows, Unread())):
+        # a matrix that is not square has a column outside 0..n-1
+        with pytest.raises(ValueError, match="outside"):
+            det(sparse([[1, 2]]))
+        with pytest.raises(ValueError, match="outside"):
+            det([{0: 1, 1: 2}, {0: 3, -1: 4}])
+        with pytest.raises(ValueError, match="outside"):
+            det([{0: 1, 2: 0}, {1: 1}])
+        with pytest.raises(ValueError, match="connected"):
+            det(sparse([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="connected"):
+            det([])
+        # two triangles sharing the edge 0-1
+        theta = [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1]]
+        with pytest.raises(ValueError, match="more than one cycle"):
+            det(sparse(theta))
+
+
+def test_unicyclic_dets_ignore_the_rows_diagonal():
+    rows = sparse([[7, 2, 0], [3, 7, 1], [0, 5, 7]])
+    assert unicyclic_dets(rows, []) == []
+    assert unicyclic_dets(rows, [[1, 0, 0], [0, 0, 0], [7, 7, 7]]) == [-5, 0, unicyclic_det(rows)]
+    with pytest.raises(ValueError, match="diagonal of length 2, not 3"):
+        unicyclic_dets(rows, [[1, 2, 3], [1, 2]])
 
 
 def test_pencil_charpoly_identity_pencil():

@@ -14,13 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, MetricGraph,
                             bipartition_sign, build_fig3_pair, build_gear, dual_gear, subdivide)
 from gearlab import markov
-from gearlab.linalg import PRIME, det_mod
+from gearlab.linalg import PRIME, det_mod, unicyclic_dets
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
                             charpoly_test, combinatorial_derivative,
                             combinatorial_transplant, conjugation_residual,
                             conjugator_report, conjugator_sigma_min, crosscheck_quantum,
                             markov_eigenvalues, markov_matrix, markov_spectrum,
-                            transplantation_matrix)
+                            predicted_wavenumbers, transplantation_matrix)
 
 from test_linalg import bareiss_det, fraction_rank, lane_rows, poly_eval
 
@@ -278,6 +278,27 @@ def test_charpoly_test_distinguishes_near_misses_at_its_first_point():
                                           case))
         assert report["verdict"] == "distinguished"
         assert report["distinguishing_point"] == first
+
+
+def test_charpoly_test_analyses_each_walk_once_for_both_points(monkeypatch):
+    """One `unicyclic_dets` call per walk, on its adjacency W, with the
+    diagonals W_vv - x D_v at both drawn x."""
+    rng = random.Random(0)
+    drawn = [rng.randrange(PRIME) for _ in range(2)]
+    calls = []
+
+    def dets(rows, diagonals):
+        calls.append(diagonals)
+        return unicyclic_dets(rows, diagonals)
+
+    monkeypatch.setattr(markov, "unicyclic_dets", dets)
+    spec = GearSpec(3, (1, 2, 3))
+    rep = conjugator_report(spec, Fraction(3, 2))
+    assert rep["charpoly_test"] == charpoly_test(*walk_pair((1, 2, 3), Fraction(3, 2)))
+    assert len(calls) == 4                  # 2 in the report, 2 in the line above
+    for diagonals, ms in zip(calls[:2], walk_pair((1, 2, 3), Fraction(3, 2))):
+        assert diagonals == [[ms.adjacency[v].get(v, 0) - x * d for v, d in enumerate(ms.degrees)]
+                             for x in drawn]
 
 
 def test_rational_report_expands_no_characteristic_polynomial(monkeypatch):
@@ -785,6 +806,55 @@ def test_crosscheck_gap_shrinks_with_refinement(monkeypatch):
     assert fine["max_gap"] < 1e-8
 
 
+K4_EDGES = [(0, 1, 1, POLYGON), (0, 2, 2, TOOTH), (0, 3, 1, POLYGON), (1, 2, 1, TOOTH),
+            (1, 3, 3, POLYGON), (2, 3, 1, TOOTH)]
+
+
+def metric_graph(edges):
+    """A MetricGraph from (tail, head, length, class) tuples, weight 1."""
+    vertex_count = 1 + max(max(u, v) for u, v, _, _ in edges)
+    return MetricGraph(vertex_count, tuple(Edge(i, u, v, length, cls=cls)
+                                           for i, (u, v, length, cls) in enumerate(edges)))
+
+
+def test_predicted_wavenumbers_match_the_scan_on_k4():
+    """At k = j pi the rule (m - n) + 2 mult_walk((-1)^j) holds where m != n:
+    a K4 with lengths (1, 2, 1, 1, 3, 1) has m - n = 2 and no bipartition."""
+    from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
+    g = metric_graph(K4_EDGES)
+    ms = markov_matrix(subdivide(g), Fraction(3, 2))
+    assert len(ms.cg.edges) - ms.size == 2 and bipartition_sign(ms.cg) is None
+    limit = 7 - 1e-6
+    predicted = predicted_wavenumbers(ms, limit)
+    scanned = [(math.sqrt(lam), mult) for lam, mult in
+               scan_spectrum(g, VertexConditions(1.5), ScanParams(k_max=7)).entries
+               if lam > 0 and math.sqrt(lam) < limit]
+    assert len(predicted) == len(scanned) == 14
+    assert sum(m for _, m in predicted) == sum(m for _, m in scanned) == 18
+    for (k, m), (k_scan, m_scan) in zip(predicted, scanned):
+        assert abs(k - k_scan) < 1e-8 and m == m_scan
+    assert [(j, m) for j in range(1, 3) for k, m in predicted if k == j * math.pi] == \
+        [(1, 2), (2, 4)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.sampled_from(("tail", "head")), min_size=n, max_size=n))),
+    st.fractions(Fraction(1, 9), 9, max_denominator=9))
+def test_predicted_wavenumbers_on_gears_follow_the_circle(gear, w):
+    """On a gear (m = n) the walk rule at k = j pi is the circle rule:
+    multiplicity 2 where j times the circumference is even, else none."""
+    lengths, attachments = gear
+    ms = markov_matrix(subdivide(build_gear(GearSpec(len(lengths), lengths, "primal",
+                                                     attachments))), w)
+    limit = 4 * math.pi + 0.5
+    predicted = predicted_wavenumbers(ms, limit)
+    at_pi = {j * math.pi for j in range(1, 5)}
+    circle = [(j * math.pi, 2) for j in range(1, 5) if j * sum(lengths) % 2 == 0]
+    assert predicted == sorted([e for e in predicted if e[0] not in at_pi] + circle)
+
+
 # ---------------------------------------------------------------------------
 # the walk polynomial is the bond scattering determinant (ROADMAP item 18)
 # ---------------------------------------------------------------------------
@@ -874,16 +944,13 @@ def test_bond_determinant_is_the_walk_polynomial_mod_p_on_gears_to_n8(gear, w, z
 
 @pytest.mark.parametrize("edges, w, excess", [
     # K4 with lengths (1, 2, 1, 1, 3, 1) and both edge classes
-    ([(0, 1, 1, POLYGON), (0, 2, 2, TOOTH), (0, 3, 1, POLYGON), (1, 2, 1, TOOTH),
-      (1, 3, 3, POLYGON), (2, 3, 1, TOOTH)], Fraction(3, 2), 2),
+    (K4_EDGES, Fraction(3, 2), 2),
     # a triangle with one edge doubled
     ([(0, 1, 1, POLYGON), (1, 2, 1, POLYGON), (2, 0, 1, TOOTH), (0, 1, 1, TOOTH)],
      Fraction(2, 5), 1),
 ], ids=["k4", "double-edge"])
 def test_bond_determinant_is_the_walk_polynomial_with_more_edges(edges, w, excess):
-    vertex_count = 1 + max(max(u, v) for u, v, _, _ in edges)
-    cg = subdivide(MetricGraph(vertex_count, tuple(
-        Edge(i, u, v, length, cls=cls) for i, (u, v, length, cls) in enumerate(edges))))
+    cg = subdivide(metric_graph(edges))
     assert len(cg.edges) - cg.vertex_count == excess
     assert_bass_identity(cg, w)
     assert_bass_identity_mod_p(cg, w, [3, 2 ** 40 + 1, PRIME - 2])

@@ -14,9 +14,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (Digraph, Edge, GearSpec, MetricGraph, bipartition_sign, build_gear,
+from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Digraph, Edge, GearSpec,
+                            MetricGraph, bipartition_sign, build_gear,
                             dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
                             subdivide, validate_metric)
+from gearlab import markov
 from gearlab.markov import (characteristic_polynomial_exact, markov_eigenvalues, markov_matrix,
                             markov_spectrum)
 from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
@@ -72,6 +74,35 @@ def test_charpoly_matches_sympy(lengths, attachments, w):
     x = sympy.Symbol("x")
     expected = ascending(m.charpoly(x).as_expr(), x, n)
     assert characteristic_polynomial_exact(ms) == expected
+
+
+@pytest.mark.parametrize("edges", [
+    # a path: a tree
+    ((0, 1, POLYGON), (1, 2, TOOTH)),
+    # a triangle with a pendant path and a loop, so that W_00 != 0
+    ((0, 1, POLYGON), (1, 2, TOOTH), (2, 0, POLYGON), (0, 3, TOOTH), (3, 4, POLYGON),
+     (0, 0, TOOTH)),
+], ids=["path", "triangle-with-loop"])
+def test_charpoly_matches_sympy_on_walks_of_odd_size(edges):
+    # a gear subdivision always has an even vertex count
+    cg = CombinatorialGraph(1 + max(max(u, v) for u, v, _ in edges), edges, {})
+    w = Fraction(3, 2)
+    ms = markov_matrix(cg, w)
+    assert ms.size % 2 == 1
+    m = sympy.zeros(ms.size, ms.size)
+    for v, row in enumerate(reference_walk(cg, w)):
+        for u, p in row.items():
+            m[v, u] = sympy.Rational(p.numerator, p.denominator)
+    x = sympy.Symbol("x")
+    assert characteristic_polynomial_exact(ms) == ascending(m.charpoly(x).as_expr(), x, ms.size)
+    # the walk pencil itself, det(x D - W), sign included
+    pencil = sympy.zeros(ms.size, ms.size)
+    for v, row in enumerate(ms.adjacency):
+        pencil[v, v] = x * ms.degrees[v]
+        for u, wgt in row.items():
+            pencil[v, u] -= wgt
+    det = pencil.det()
+    assert markov._pencil_dets(ms, [2, -5]) == [det.subs(x, 2), det.subs(x, -5)]
 
 
 def _random_pencil(rng, n, m, kind):
