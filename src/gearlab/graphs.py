@@ -92,8 +92,10 @@ def _unit_count(length) -> int | None:
     return r if r >= 1 and abs(length - r) <= 1e-9 else None
 
 
-# the primal gear of the fig6 pair
+# the primal gear of the fig6 pair, and the top gear of the fig2 negative
+# control, whose mixed tooth attachments let zeta tell it from its dual
 FIG6 = GearSpec(3, (1, 2, 3))
+FIG2 = GearSpec(3, (1, 2, 3), "primal", ("tail", "head", "tail"))
 
 
 def dual_gear(spec: GearSpec) -> GearSpec:
@@ -123,8 +125,8 @@ class MetricGraph:
     An edge's class only chooses its weight (tooth edges carry the w of
     `spectral.VertexConditions`); the gear layout is not checked.
     Parallel edges are allowed; loop edges (tail == head) fail
-    `validate_metric` and the secular system, and a loop split by a
-    degree-2 vertex (`insert_degree_two_vertex`) has the same spectrum.
+    `validate_metric` and the secular system, and a loop split into two
+    edges by a degree-2 vertex has the same spectrum.
     Immutable after construction.
     """
 
@@ -360,10 +362,9 @@ def fig6_digraph_pair():
     return gear_to_digraph(FIG6), gear_to_digraph(dual_gear(FIG6))
 
 
-def fig2_control_pair(lengths=(1, 2, 3)):
+def fig2_control_pair():
     """Negative-control pair (catalog id fig2): mixed tooth attachments."""
-    top = GearSpec(3, lengths, "primal", attachments=("tail", "head", "tail"))
-    return gear_to_digraph(top), gear_to_digraph(dual_gear(top))
+    return gear_to_digraph(FIG2), gear_to_digraph(dual_gear(FIG2))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +426,3 @@ def build_fig3_pair(variant: str, lengths):
         return left, right
     raise GraphError("fig3 variant must be 'a' or 'b'")
 
-
-def insert_degree_two_vertex(g: MetricGraph, edge_index: int, fraction: float = 0.5) -> MetricGraph:
-    """Split one edge at the given fraction by a dummy degree-2 vertex."""
-    if not (0 < fraction < 1):
-        raise GraphError("fraction must lie strictly between 0 and 1")
-    e = g.edges[edge_index]
-    mid = g.vertex_count
-    first = Edge(e.id, e.tail, mid, e.length * fraction, e.weight, e.cls)
-    second = Edge(len(g.edges), mid, e.head, e.length * (1 - fraction), e.weight, e.cls)
-    edges = list(g.edges)
-    edges[edge_index] = first
-    edges.append(second)
-    return MetricGraph(g.vertex_count + 1, tuple(edges), g.name + "_split")

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH,
+from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH, _two_colouring,
                      bipartition_sign, build_gear, dual_gear, subdivide)
 from .linalg import PRIME, identity_test, row_times, unicyclic_dets
 from .polynomials import SparsePolynomial
@@ -188,14 +188,6 @@ def _derivative_row(mrow: dict, lam: int, vp: int) -> dict:
     return row
 
 
-def combinatorial_derivative(ms: MarkovSystem, f, v: int, vp: int):
-    """Outward derivative of f at v towards neighbor vp; exact for int or Fraction f."""
-    if vp not in ms.adjacency[v]:
-        raise MarkovError(f"vertices {v} and {vp} are not adjacent")
-    row = _derivative_row(ms.adjacency[v], ms.degrees[v], vp)    # W's row v is row v of d(v) M
-    return sum(c * f[u] for u, c in row.items()) / Fraction(ms.degrees[v])
-
-
 def _path_rows(m: list, lam: int, path):
     """One-sided derivative rows along a tail-to-head path from lam M, slot by slot.
 
@@ -253,12 +245,6 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
                     raise MarkovError(
                         f"transplantation is inconsistent at shared vertex {vertex}")
     return rows, q * lam
-
-
-def combinatorial_transplant(src: MarkovSystem, dst: MarkovSystem, f):
-    """Transplant a vertex function from one subdivided gear to its dual: T f."""
-    rows, den = transplantation_matrix(src, dst)
-    return [sum(c * f[u] for u, c in row.items()) / Fraction(den) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -392,8 +378,15 @@ def predicted_wavenumbers(ms: MarkovSystem, k_limit: float):
     det((1 + z^2) D - 2 z W) / det D (Bass, Int. J. Math. 3 (1992) 717)
     vanishes to order (m - n) + 2 mult_walk((-1)^j), the multiplicity of
     k: mult_walk(1) = 1, and mult_walk(-1) = 1 if the subdivision is
-    bipartite, else 0, both exact.  An order 0 gives no entry.
+    bipartite, else 0, both exact.  An order 0 gives no entry.  A walk
+    with several components, where mult_walk(+-1) count them, and a
+    k_limit that is not finite raise MarkovError.
     """
+    if not math.isfinite(k_limit):
+        raise MarkovError(f"k_limit must be finite, got {k_limit}")
+    sign, bipartite = _two_colouring(ms.size, ((u, v) for u, v, _ in ms.cg.edges))
+    if 0 in sign:
+        raise MarkovError("walk is not connected: the rule at k = j pi counts one component")
     vals = markov_eigenvalues(ms)
     predicted = []
     for mu, mult in _cluster(list(vals)):
@@ -410,7 +403,7 @@ def predicted_wavenumbers(ms: MarkovSystem, k_limit: float):
                 predicted.append((k2, mult))
             j += 1
     excess = len(ms.cg.edges) - ms.size
-    order = (excess + 2, excess + 2 * (bipartition_sign(ms.cg) is not None))  # j even, odd
+    order = (excess + 2, excess + 2 * bipartite)  # j even, odd
     j = 1
     while j * math.pi < k_limit:
         if order[j % 2]:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -88,7 +89,7 @@ class VertexConditions:
     w: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.w < math.inf):
+        if not (isinstance(self.w, numbers.Real) and 0 < self.w < math.inf):
             raise SpectralError("weight w must be positive and finite")
 
     def edge_weight(self, edge):
@@ -491,24 +492,8 @@ def suggest_k_max(g: MetricGraph, count: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and inner products
+# inner products and residuals
 # ---------------------------------------------------------------------------
-
-def evaluate(f: Eigenfunction, edge_index: int, x: float) -> float:
-    e = f.graph.edges[edge_index]
-    if not (-1e-12 <= x <= e.length + 1e-12):
-        raise SpectralError(f"x={x} outside [0, {e.length}]")
-    a, b = f.coeffs[edge_index].tolist()
-    return a * math.cos(f.k * x) + b * math.sin(f.k * x)
-
-
-def evaluate_derivative(f: Eigenfunction, edge_index: int, x: float) -> float:
-    e = f.graph.edges[edge_index]
-    if not (-1e-12 <= x <= e.length + 1e-12):
-        raise SpectralError(f"x={x} outside [0, {e.length}]")
-    a, b = f.coeffs[edge_index].tolist()
-    return -a * f.k * math.sin(f.k * x) + b * f.k * math.cos(f.k * x)
-
 
 def weighted_inner(f: Eigenfunction, h: Eigenfunction, cond: VertexConditions) -> float:
     """<f, h>_w = sum_e w_e int_0^l_e f_e h_e dx, in closed form.
@@ -531,10 +516,6 @@ def weighted_inner(f: Eigenfunction, h: Eigenfunction, cond: VertexConditions) -
     total = (z1 * z2 * integral(f.k + h.k)
              + z1 * z2.conj() * (l if same else integral(f.k - h.k)))
     return float(0.5 * (wgt @ total.real))
-
-
-def weighted_norm_sq(f: Eigenfunction, cond: VertexConditions) -> float:
-    return weighted_inner(f, f, cond)
 
 
 def vertex_residual(f: Eigenfunction, cond: VertexConditions) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GearlabError, MetricGraph, POLYGON, TOOTH
-from .spectral import Eigenfunction, VertexConditions, vertex_residual, weighted_norm_sq
+from .spectral import Eigenfunction, VertexConditions, vertex_residual, weighted_inner
 
 
 class TransplantError(GearlabError):
@@ -91,11 +91,13 @@ def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
     derivatives.  Since B^2 = (1+w) I and f'' = -lam f, the same rule
     applied to ft gives the source function times -lam (1+w).
     ``assignment`` is None or `TransplantMap.assignment`, (0,) * n;
-    anything else raises TransplantError.
+    anything else raises TransplantError.  `VertexConditions` checks w, as
+    in `transplant`: SpectralError unless it is positive and finite.
     """
     n = _gear_size(ft.graph, target)
     if assignment is not None and (type(assignment) is not tuple or assignment != (0,) * n):
         raise TransplantError(f"assignment must be None or (0,) * {n}, got {assignment!r}")
+    w = VertexConditions(w).w
     scale = -1.0 / (ft.k * ft.k * (1.0 + w))
     return Eigenfunction(target, ft.k, scale * _rule(ft.k, ft.coeffs, w))
 
@@ -103,8 +105,8 @@ def inverse_transplant(ft: Eigenfunction, target: MetricGraph, w: float,
 def check_isometry(f: Eigenfunction, ft: Eigenfunction, w: float):
     """Both sides of |ft|_w^2 = lam (1+w) |f|_w^2 and their relative error."""
     cond = VertexConditions(w)
-    lhs = weighted_norm_sq(ft, cond)
-    rhs = f.k * f.k * (1.0 + w) * weighted_norm_sq(f, cond)
+    lhs = weighted_inner(ft, ft, cond)
+    rhs = f.k * f.k * (1.0 + w) * weighted_inner(f, f, cond)
     denom = max(abs(lhs), abs(rhs))
     rel = 0.0 if denom == 0 else abs(lhs - rhs) / denom
     return lhs, rhs, rel

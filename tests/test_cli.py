@@ -17,10 +17,11 @@ import pytest
 from gearlab import io as gio, markov, spectral, zeta
 from gearlab import OPENBLAS_THREAD_TIMEOUT
 from gearlab.cli import build_parser, main
-from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
-                            fig2_control_pair, insert_degree_two_vertex)
+from gearlab.graphs import FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear, fig2_control_pair
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
 from gearlab.linalg import TRIAL_BLOCK
+
+from support import insert_degree_two_vertex
 
 
 DATA = pathlib.Path(__file__).parent / "data"

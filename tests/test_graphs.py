@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, Edge, GearSpec, GraphError,
                             MetricGraph, bipartition_sign, build_fig3_pair, build_gear,
                             digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
-                            gear_to_digraph, insert_degree_two_vertex, subdivide,
-                            validate_metric)
+                            gear_to_digraph, subdivide, validate_metric)
 from gearlab import io as gio
+
+from support import insert_degree_two_vertex
 
 
 def arcs_1based(dg):
@@ -248,7 +249,7 @@ def test_gear_to_digraph_counts():
 
 
 def test_fig2_control_pair_shape():
-    a, b = fig2_control_pair((1, 2, 3))
+    a, b = fig2_control_pair()
     assert a.vertex_count == b.vertex_count == 12
     assert len(a.arcs) == len(b.arcs) == 12
     # mixed attachment: one polygon vertex of degree 4, one of degree 2

@@ -16,12 +16,12 @@ from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, 
 from gearlab import markov
 from gearlab.linalg import PRIME, det_mod, unicyclic_dets
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
-                            charpoly_test, combinatorial_derivative,
-                            combinatorial_transplant, conjugation_residual,
-                            conjugator_report, conjugator_sigma_min, crosscheck_quantum,
-                            markov_eigenvalues, markov_matrix, markov_spectrum,
-                            predicted_wavenumbers, transplantation_matrix)
+                            charpoly_test, conjugation_residual, conjugator_report,
+                            conjugator_sigma_min, crosscheck_quantum, markov_eigenvalues,
+                            markov_matrix, markov_spectrum, predicted_wavenumbers,
+                            transplantation_matrix)
 
+from support import combinatorial_derivative, combinatorial_transplant
 from test_linalg import bareiss_det, fraction_rank, lane_rows, poly_eval
 
 
@@ -853,6 +853,34 @@ def test_predicted_wavenumbers_on_gears_follow_the_circle(gear, w):
     at_pi = {j * math.pi for j in range(1, 5)}
     circle = [(j * math.pi, 2) for j in range(1, 5) if j * sum(lengths) % 2 == 0]
     assert predicted == sorted([e for e in predicted if e[0] not in at_pi] + circle)
+
+
+def two_disjoint_cycles(length):
+    """Two disjoint unit cycles of ``length`` vertices each, one unit subdivision."""
+    edges = tuple((base + i, base + (i + 1) % length, POLYGON)
+                  for base in (0, length) for i in range(length))
+    return CombinatorialGraph(2 * length, edges, {})
+
+
+@pytest.mark.parametrize("length", [4, 3], ids=["bipartite", "odd-cycles"])
+def test_predicted_wavenumbers_reject_a_disconnected_walk(length):
+    """mult_walk(1) counts components and mult_walk(-1) bipartite ones, so
+    the rule at k = j pi holds for one component only: two disjoint unit
+    4-cycles have multiplicity 4 at pi and 2 pi, which one component's
+    rule would count as 2.  The walk is a valid walk; the prediction
+    rejects it."""
+    ms = markov_matrix(two_disjoint_cycles(length), 1)
+    with pytest.raises(MarkovError, match="^walk is not connected"):
+        predicted_wavenumbers(ms, 7.0)
+
+
+@pytest.mark.parametrize("k_limit", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_predicted_wavenumbers_reject_a_non_finite_limit(k_limit):
+    # nan and -inf gave [] silently, and inf never left the arccos loop
+    ms = markov_matrix(subdivide(build_gear(GearSpec(3, (1, 2, 3)))), 1)
+    with pytest.raises(MarkovError, match="^k_limit must be finite"):
+        predicted_wavenumbers(ms, k_limit)
 
 
 # ---------------------------------------------------------------------------

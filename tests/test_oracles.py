@@ -7,6 +7,7 @@ isomorphism, and connectivity and bipartiteness of multigraphs.  All are
 test-only dependencies.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Digraph, Edge, GearSpec,
+from gearlab.graphs import (FIG2, POLYGON, TOOTH, CombinatorialGraph, Digraph, Edge, GearSpec,
                             MetricGraph, bipartition_sign, build_gear,
                             dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
                             subdivide, validate_metric)
@@ -283,9 +284,10 @@ def seeded_gear_pair(seed):
     return gear_to_digraph(spec), gear_to_digraph(dual_gear(spec))
 
 
+FIG2_112 = dataclasses.replace(FIG2, lengths=(1, 1, 2))
 PENCIL_DIGRAPHS = {
-    "fig2-112-top": fig2_control_pair((1, 1, 2))[0],
-    "fig2-112-bottom": fig2_control_pair((1, 1, 2))[1],
+    "fig2-112-top": gear_to_digraph(FIG2_112),
+    "fig2-112-bottom": gear_to_digraph(dual_gear(FIG2_112)),
     "gear-s21-primal": seeded_gear_pair(21)[0],
     "gear-s21-dual": seeded_gear_pair(21)[1],
     "gear-s22-primal": seeded_gear_pair(22)[0],

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gearlab.graphs import (TOOTH, Edge, GearSpec, MetricGraph, build_gear, dual_gear,
-                            insert_degree_two_vertex, validate_metric)
+                            validate_metric)
 from gearlab.markov import crosscheck_quantum
 from gearlab.spectral import (Eigenfunction, NotAnEigenvalue, ScanParams, SpectralError,
                               VertexConditions, compare_first, compare_spectra,
-                              eigenfunction_basis, evaluate, evaluate_derivative,
-                              scan_spectrum, secular_matrix, suggest_k_max, vertex_residual,
-                              weighted_inner, weighted_norm_sq)
+                              eigenfunction_basis, scan_spectrum, secular_matrix,
+                              suggest_k_max, vertex_residual, weighted_inner)
 from gearlab.transplant import transplant
 from gearlab import spectral
+
+from support import evaluate, evaluate_derivative, insert_degree_two_vertex
 
 KN = VertexConditions(1.0)
 
@@ -692,9 +693,9 @@ def test_secular_size_is_bounded_before_any_stack(monkeypatch):
         secular_matrix(over, KN, 1.0)
 
 
-@pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("w", [math.inf, math.nan, 0.0, -1.0, "3/2", None, 1j])
 def test_vertex_conditions_require_positive_finite_weight(w):
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="^weight w must be positive and finite$"):
         VertexConditions(w)
 
 
@@ -806,12 +807,13 @@ def test_weighted_inner_rejects_eigenfunctions_of_two_graphs():
     with pytest.raises(SpectralError, match="different graphs"):
         weighted_inner(cosine(1.0), cosine(2.0), KN)
     # equal edges on two graph objects are one graph
-    assert weighted_inner(cosine(1.0), cosine(1.0), KN) == weighted_norm_sq(cosine(1.0), KN)
+    f = cosine(1.0)
+    assert weighted_inner(cosine(1.0), f, KN) == weighted_inner(f, f, KN)
 
 
 def test_cosine_norm_on_unit_interval():
     f = Eigenfunction(interval(), math.pi, ((1.0, 0.0),))
-    assert abs(weighted_norm_sq(f, KN) - 0.5) < 1e-12
+    assert abs(weighted_inner(f, f, KN) - 0.5) < 1e-12
 
 
 def test_pair_integral_against_quadrature():
@@ -849,14 +851,14 @@ def test_eigenfunctions_weighted_orthogonal_across_roots():
         # orthogonal to the constants: sum_e w_e int_0^l_e f_e dx = 0
         (a, b), k = f.coeffs.T, f.k
         mean = wgt @ (a * np.sin(k * l) + b * (1.0 - np.cos(k * l))) / k
-        assert abs(mean) <= 1e-6 * math.sqrt(weighted_norm_sq(f, cond) * (wgt @ l))
+        assert abs(mean) <= 1e-6 * math.sqrt(weighted_inner(f, f, cond) * (wgt @ l))
     for i in range(len(funcs)):
         for j in range(i + 1, len(funcs)):
             if funcs[i].k == funcs[j].k:
                 continue
             ip = weighted_inner(funcs[i], funcs[j], cond)
-            scale = math.sqrt(weighted_norm_sq(funcs[i], cond)
-                              * weighted_norm_sq(funcs[j], cond))
+            scale = math.sqrt(weighted_inner(funcs[i], funcs[i], cond)
+                              * weighted_inner(funcs[j], funcs[j], cond))
             assert abs(ip) <= 1e-6 * scale
 
 

@@ -9,10 +9,11 @@ import pytest
 
 from gearlab.graphs import GearSpec, GearlabError, MetricGraph, build_gear, dual_gear
 from gearlab.spectral import (Eigenfunction, ScanParams, SpectralError, VertexConditions,
-                              eigenfunction_basis, evaluate, evaluate_derivative,
-                              scan_spectrum, vertex_residual)
+                              eigenfunction_basis, scan_spectrum, vertex_residual)
 from gearlab.transplant import (TransplantError, check_isometry, inverse_transplant,
                                 transplant, transplant_report)
+
+from support import evaluate, evaluate_derivative
 
 
 def dual_pair(lengths=(1, 2, 3), attachments=None):
@@ -154,6 +155,15 @@ def test_inverse_transplant_matches_closed_forms(bits):
         back = inverse_transplant(ft, g1, w, bits)
         assert back.graph is g1
         assert np.array_equal(back.coeffs, closed_form_inverse(ft, w))
+
+
+@pytest.mark.parametrize("w", [-1.0, -3.0, math.nan, 0.0, math.inf])
+def test_inverse_transplant_rejects_a_bad_weight(w):
+    # w = -1 divided by zero, and -3 or nan gave an Eigenfunction silently
+    g1, g2 = dual_pair()
+    ft = Eigenfunction(g2, 1.3, ((1.0, 0.5),) * 6)
+    with pytest.raises(SpectralError, match="^weight w must be positive and finite$"):
+        inverse_transplant(ft, g1, w)
 
 
 def test_transplant_onto_non_dual_raises():

@@ -1,6 +1,7 @@
 """Pencils, identity testing, the explicit intertwiner, and isomorphism."""
 
 import copy
+import dataclasses
 import math
 import random
 
@@ -8,11 +9,12 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from gearlab.graphs import (MAX_SUBDIVISION_VERTICES, Digraph, GearSpec, GraphError, build_gear,
-                            digraph_paths, dual_gear, fig2_control_pair, fig6_digraph_pair,
-                            gear_to_digraph, subdivide)
+from gearlab.graphs import (FIG2, MAX_SUBDIVISION_VERTICES, PLAIN, CombinatorialGraph, Digraph,
+                            GearSpec, GraphError, build_gear, digraph_paths, dual_gear,
+                            fig2_control_pair, fig6_digraph_pair, gear_to_digraph, subdivide)
 from gearlab.linalg import TRIAL_BLOCK, det_mod, permutation_sign, unicyclic_det
 from gearlab import linalg, zeta
+from gearlab.markov import charpoly_test, markov_matrix
 from gearlab.zeta import (FIG6, PRIME, ZetaError, char_poly_symbolic,
                           digraph_isomorphic, eval_det, eval_dets, factored_det, intertwiner,
                           intertwiner_det, intertwines, pencil, random_point,
@@ -332,12 +334,41 @@ def test_blocked_verdicts_match_the_point_by_point_loop(monkeypatch, pair, trial
 
 
 def test_zeta_fig2_control():
-    a, b = fig2_control_pair((1, 2, 3))
+    a, b = fig2_control_pair()
     iso = digraph_isomorphic(a, b)
     verdict = zeta_equivalent(a, b, trials=20, seed=7)
     assert iso is not None or verdict["verdict"] == "distinguished"
     assert verdict["verdict"] == "distinguished"
     assert verdict["distinguishing_point"] is not None
+
+
+def walk_at_w1(dg):
+    """The walk at w = 1 on dg's underlying graph: its polynomial det(tD - A)
+    is the zeta pencil at x = 0, alpha = beta = -1, gamma = delta = t."""
+    edges = tuple((t, h, PLAIN) for t, h in dg.arcs)
+    return markov_matrix(CombinatorialGraph(dg.vertex_count, edges, {}), 1)
+
+
+THTH_1235 = GearSpec(4, (1, 2, 3, 5), "primal", ("tail", "head", "tail", "head"))
+CROSS_ROUTE_PAIRS = {
+    "fig6": (fig6_digraph_pair, "equivalent-with-bound"),
+    "dual-gears": (lambda: gear_pair_digraphs(seeded_gear(13)), "equivalent-with-bound"),
+    "gear-444333": (lambda: gear_pair_digraphs(GearSpec(6, (4, 4, 4, 3, 3, 3))),
+                    "equivalent-with-bound"),
+    "gear42": (lambda: gear_pair_digraphs(GearSpec(6, (4, 2, 5, 3, 1, 6))),
+               "equivalent-with-bound"),
+    # walk-equal, yet zeta tells them apart: the implication is strict
+    "fig2": (fig2_control_pair, "distinguished"),
+    "thth-1235": (lambda: gear_pair_digraphs(THTH_1235), "distinguished"),
+}
+
+
+@pytest.mark.parametrize("pair", CROSS_ROUTE_PAIRS)
+def test_zeta_equivalence_implies_equal_walk_polynomials_at_w_1(pair):
+    make, verdict = CROSS_ROUTE_PAIRS[pair]
+    g1, g2 = make()
+    assert zeta_equivalent(g1, g2, trials=20, seed=3)["verdict"] == verdict
+    assert charpoly_test(walk_at_w1(g1), walk_at_w1(g2))["verdict"] == "equivalent-with-bound"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +388,7 @@ def test_char_poly_single_arc_hand_expansion():
 
 
 def test_char_poly_homogeneous_and_y_restriction():
-    g, _ = fig2_control_pair((1, 1, 2))
+    g = gear_to_digraph(dataclasses.replace(FIG2, lengths=(1, 1, 2)))
     p = pencil(g)
     eta = char_poly_symbolic(p)
     assert is_homogeneous(eta, p.n)
@@ -365,7 +396,7 @@ def test_char_poly_homogeneous_and_y_restriction():
 
 
 def test_char_poly_matches_modular_evaluation():
-    g, _ = fig2_control_pair((1, 1, 2))
+    g = gear_to_digraph(dataclasses.replace(FIG2, lengths=(1, 1, 2)))
     p = pencil(g)
     eta = char_poly_symbolic(p)
     rng = random.Random(5)
