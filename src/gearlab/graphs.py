@@ -17,6 +17,7 @@ at the head; mixed per-tooth patterns are supported through
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 POLYGON = "polygon"
@@ -42,6 +43,11 @@ class GraphError(GearlabError):
     """Invalid graph construction or validation failure."""
 
 
+def positive_finite(x) -> bool:
+    """Whether x is a real number with 0 < x < inf; a string or None is not."""
+    return isinstance(x, numbers.Real) and 0 < x < math.inf
+
+
 @dataclass(frozen=True)
 class GearSpec:
     """Combinatorial description of an n-gear.
@@ -62,7 +68,7 @@ class GearSpec:
         object.__setattr__(self, "lengths", tuple(self.lengths))
         if len(self.lengths) != self.n:
             raise GraphError(f"expected {self.n} lengths, got {len(self.lengths)}")
-        if any(not (0 < l < math.inf) for l in self.lengths):
+        if not all(map(positive_finite, self.lengths)):
             raise GraphError("all lengths must be positive and finite")
         if self.variant not in _VARIANTS:
             raise GraphError(f"variant must be one of {_VARIANTS}")
@@ -156,9 +162,6 @@ class MetricGraph:
             inc[e.tail].append((i, 0))
             inc[e.head].append((i, 1))
         return inc
-
-    def degrees(self):
-        return [len(inc) for inc in self.incidences()]
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ def validate_metric(g: MetricGraph) -> list:
             # vanishes, and row normalisation would hide that rank drop
             report.append(f"edge {e.id}: loop edges are not supported")
         for name in ("length", "weight"):
-            if not (0 < getattr(e, name) < math.inf):
+            if not positive_finite(getattr(e, name)):
                 report.append(f"edge {e.id}: {name} must be positive and finite")
         if e.id in seen:
             report.append(f"edge {e.id}: duplicate id")

@@ -26,9 +26,10 @@ such exponents stays far inside the field.
 
 Enough ring arithmetic for the exact pencil determinants of
 `linalg.unicyclic_det` and for identity checks -- not a general
-computer algebra system.  `evaluate` computes each power of a coordinate
-once per call, however many terms carry it; `shift_x` puts x + c delta in
-for x, the last step of `zeta.char_poly_symbolic`.
+computer algebra system.  `+` and `-` share one merge loop; `evaluate`
+computes each power of a coordinate once per call, however many terms
+carry it; `shift_x` puts x + c delta in for x, the last step of
+`zeta.char_poly_symbolic`.
 """
 
 from __future__ import annotations
@@ -123,17 +124,21 @@ class SparsePolynomial:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
+        """self + sign * other, for sign +1 or -1: the one merge of + and -."""
         if isinstance(other, int):
             other = SparsePolynomial.constant(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            s = out.get(k, 0) + c
+            s = out.get(k, 0) + sign * c
             if s:
                 out[k] = s
             else:
                 del out[k]      # c != 0, so k was in out
         return _wrap(out)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -141,16 +146,7 @@ class SparsePolynomial:
         return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = SparsePolynomial.constant(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _wrap(out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return SparsePolynomial.constant(other) - self
@@ -162,10 +158,6 @@ class SparsePolynomial:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        if len(b) == 1:
-            # a shifted copy: keys stay distinct and no product of nonzero ints is 0
-            ((kb, cb),) = b.items()
-            return _wrap({k + kb: c * cb for k, c in a.items()})
         out = {}
         get = out.get
         for kb, cb in b.items():
@@ -179,9 +171,6 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     # -- queries --------------------------------------------------------
-    def coefficient(self, **powers):
-        return self._terms.get(_powers_key(powers), 0)
-
     def coefficients(self, name, count):
         """[c_0, ..., c_{count-1}] with c_k the coefficient of name^k, in one
         pass; ValueError when a term has another variable or another power."""

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GearlabError, MetricGraph, TOOTH, validate_metric
+from .graphs import GearlabError, MetricGraph, TOOTH, positive_finite, validate_metric
 
 # float64 entries per batched stack of secular matrices (256 KiB), or one
 # matrix with its derivatives where that is more: sets the k-points per
@@ -89,7 +88,7 @@ class VertexConditions:
     w: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.w, numbers.Real) and 0 < self.w < math.inf):
+        if not positive_finite(self.w):
             raise SpectralError("weight w must be positive and finite")
 
     def edge_weight(self, edge):
@@ -109,7 +108,7 @@ class ScanParams:
 
     def __post_init__(self):
         for name in ("k_max", "grid_step"):
-            if not (0 < getattr(self, name) < math.inf):
+            if not positive_finite(getattr(self, name)):
                 raise SpectralError(f"{name} must be positive and finite")
         if self.k_max / self.grid_step > MAX_GRID_POINTS:
             raise SpectralError(f"k_max / grid_step must be at most {MAX_GRID_POINTS}")
@@ -129,7 +128,7 @@ class Eigenfunction:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.k < math.inf):
+        if not positive_finite(self.k):
             raise SpectralError("eigenfunctions need 0 < k < inf")
         coeffs = np.array(self.coeffs, dtype=float)
         coeffs.flags.writeable = False
@@ -385,7 +384,8 @@ def _newton_refine(system: _SecularSystem, ks, lo, hi) -> np.ndarray:
                 x = np.linalg.solve(a, rhs)
             except np.linalg.LinAlgError:
                 # solve raises for the whole stack when one matrix is singular
-                regular = np.linalg.slogdet(a)[0] != 0
+                with np.errstate(divide="ignore"):     # log 0 at a singular matrix
+                    regular = np.linalg.slogdet(a)[0] != 0
                 live, a, rhs = live[regular], a[regular], rhs[regular]
                 x = np.linalg.solve(a, rhs)
             d1, d2 = x[..., :size], x[..., size:]  # A^-1 A' and A^-1 A''

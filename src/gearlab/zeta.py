@@ -15,17 +15,18 @@ expanding the y = 0 pencil with `linalg.unicyclic_det`, which needs the
 one-cycle support that every gear digraph has.  Where every in-degree is
 one c (every gear digraph, c = 1), delta enters only through x + c delta,
 so the expansion runs without delta and x + c delta replaces x once at
-the end (`char_poly_symbolic`).  `eval_dets` assembles the
-pencil's rows at a block of points, every entry a list of residues, one
-per point ("lanes"), and evaluates them by one `linalg.det_mod` call.
-The entries share their lane lists: one diagonal per (D_out, D_in) pair
-and one each for alpha, beta and alpha + beta, so the rows of a gear
-digraph (every in-degree 1, out-degrees 0 to 3, no 2-cycle) hold at most
-six lists, and `det_mod` reduces each once.  At y = 0 a gear digraph
-costs O(n) row operations, and y J enters as one dense border row and
-column.  Exact matrices are sparse rows (dicts col -> entry):
-`_pencil_rows` assembles the y = 0 pencil's rows from the arcs over any
-ring, and `eval_dets` assembles the same rows in lanes.
+the end (`char_poly_symbolic`).
+
+One function, `_pencil_rows`, assembles the y = 0 pencil's sparse rows
+(dicts col -> entry) from the arcs, over any ring, with one diagonal
+entry per (D_out, D_in) pair and one each for alpha, beta and alpha +
+beta, all shared by the rows.  The symbolic route and the intertwiner
+give it polynomials (`_rows_at`).  `eval_dets` gives it lists of
+residues, one per point of a block ("lanes"), and evaluates the rows by
+one `linalg.det_mod` call; the rows of a gear digraph (every in-degree
+1, out-degrees 0 to 3, no 2-cycle) then hold at most six lists, and
+`det_mod` reduces each once.  At y = 0 a gear digraph costs O(n) row
+operations, and y J enters as one dense border row and column.
 
 `intertwiner` builds, from the walk transplantation's derivative rule,
 a T with L_G~ T = T L_G at y = 0 for any gear digraph with every tooth
@@ -77,25 +78,34 @@ def pencil(g: Digraph) -> Pencil:
     return Pencil(n, tuple(d_out), tuple(d_in), tuple(g.arcs))
 
 
-def _pencil_rows(p: Pencil, x, alpha, beta, gamma, delta):
-    """Sparse rows of x I + alpha A + beta A^T + gamma D_out + delta D_in over
-    any ring, from the arcs in O(n + arcs).  An entry may be zero (alpha =
-    0, say): `unicyclic_det` and `row_times` skip zeros.  Vertices of one
-    (D_out, D_in) pair share one diagonal entry (a gear digraph has at most
-    four pairs), so callers must not change an entry in place; none does."""
+def _pencil_rows(p: Pencil, diagonal, alpha, beta, both):
+    """Sparse rows of x I + alpha A + beta A^T + gamma D_out + delta D_in
+    over any ring, from the arcs in O(n + arcs), sharing their entries: the
+    entry ``diagonal(D_out, D_in)``, computed once per distinct pair, and
+    ``alpha``, ``beta``, or ``both`` = alpha + beta where t -> h and h -> t
+    are both arcs (`pencil` rejects parallel arcs).  An entry may be zero
+    (alpha = 0, say): `det_mod`, `unicyclic_det` and `row_times` skip zeros
+    and change no entry in place."""
     degrees = list(zip(p.D_out, p.D_in))
-    diagonal = {(do, di): x + gamma * do + delta * di for do, di in set(degrees)}
-    rows = [{i: diagonal[dd]} for i, dd in enumerate(degrees)]
+    diagonals = {pair: diagonal(*pair) for pair in set(degrees)}
+    rows = [{i: diagonals[pair]} for i, pair in enumerate(degrees)]
     for t, h in p.arcs:
-        rows[t][h] = rows[t].get(h, 0) + alpha
-        rows[h][t] = rows[h].get(t, 0) + beta
+        rows[t][h] = both if h in rows[t] else alpha
+        rows[h][t] = both if t in rows[h] else beta
     return rows
+
+
+def _rows_at(p: Pencil, x, alpha, beta, gamma, delta):
+    """`_pencil_rows` at one point of any ring: ints or polynomials."""
+    return _pencil_rows(p, lambda d_out, d_in: x + gamma * d_out + delta * d_in,
+                        alpha, beta, alpha + beta)
 
 
 def eval_dets(p: Pencil, points) -> list:
     """[det(L_G(point)) mod PRIME for point in points]: one `det_mod` call
     with the points as lanes.
 
+    Every entry of the `_pencil_rows` is a list of residues, one per point.
     At y = 0 the rows have the digraph's support and a gear digraph costs
     O(n + arcs).  When any point has y != 0, the rank-one term y J =
     y 1 1^T enters at every point as a border, det(M + y 1 1^T) =
@@ -111,18 +121,9 @@ def eval_dets(p: Pencil, points) -> list:
         return []
     width = len(points)
     x, y, al, be, ga, de = ([v % PRIME for v in lane] for lane in zip(*points))
-    # the rows of x I + alpha A + beta A^T + gamma D_out + delta D_in, as in
-    # `_pencil_rows`, sharing one diagonal lane list per (D_out, D_in); with
-    # no parallel arcs an entry (t, h) is alpha, beta, or alpha + beta when
-    # both t -> h and h -> t are arcs
-    degrees = list(zip(p.D_out, p.D_in))
-    diagonal = {(do, di): [a + do * g + di * d for a, g, d in zip(x, ga, de)]
-                for do, di in set(degrees)}
-    rows = [{i: diagonal[dd]} for i, dd in enumerate(degrees)]
-    both = [a + b for a, b in zip(al, be)]
-    for t, h in p.arcs:
-        rows[t][h] = both if h in rows[t] else al
-        rows[h][t] = both if t in rows[h] else be
+    rows = _pencil_rows(p, lambda d_out, d_in: [a + d_out * g + d_in * d
+                                                for a, g, d in zip(x, ga, de)],
+                        al, be, [a + b for a, b in zip(al, be)])
     if any(y):
         for row in rows:
             row[p.n] = y
@@ -179,7 +180,7 @@ def char_poly_symbolic(p: Pencil) -> SparsePolynomial:
     if len(set(p.D_in)) == 1:
         c, de = p.D_in[0], 0
     try:
-        det = unicyclic_det(_pencil_rows(p, x, al, be, ga, de))
+        det = unicyclic_det(_rows_at(p, x, al, be, ga, de))
     except ValueError as exc:
         raise ZetaError(f"symbolic determinant: {exc}") from exc
     return det.shift_x(c)
@@ -207,7 +208,7 @@ def _factors(spec: GearSpec):
     distance m = l_i - j from the polygon), s, t the primal paths of i."""
     _rule_lengths(spec)
     _, al, _, ga, _ = _Y0_VARIABLES
-    k = _pencil_rows(pencil(gear_to_digraph(spec)), al, 0, ga, 0, 0)
+    k = _rows_at(pencil(gear_to_digraph(spec)), al, 0, ga, 0, 0)
     primal, dual = digraph_paths(spec), digraph_paths(dual_gear(spec))
     top = max(len(side) for side, _ in primal) - 1
     rows = []
@@ -240,7 +241,7 @@ def intertwiner(spec: GearSpec) -> list:
 
 def intertwines(pg: Pencil, pgt: Pencil, t) -> bool:
     """Whether L_G~ T = T L_G at y = 0, by sparse row products."""
-    lg, lgt = _pencil_rows(pg, *_Y0_VARIABLES), _pencil_rows(pgt, *_Y0_VARIABLES)
+    lg, lgt = _rows_at(pg, *_Y0_VARIABLES), _rows_at(pgt, *_Y0_VARIABLES)
     return all(row_times(lgt[i], t) == row_times(t[i], lg) for i in range(pgt.n))
 
 

@@ -505,6 +505,19 @@ def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, cod
     assert len(err.splitlines()) == 1 and err.startswith("gearlab: "), err
 
 
+def test_spectrum_at_a_subnormal_tooth_weight_writes_nothing_to_stderr(tmp_path, capsys):
+    # the spectrum itself is wrong at such w (ROADMAP item 1) and is not checked
+    gpath = tmp_path / "gear123.graph"
+    assert run("build", "--lengths", "1,2,3", "-o", str(gpath)) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("spectrum", "--graph", str(gpath), "--k-max", "5", "--w", "1e-320",
+                   "-o", str(tmp_path / "spec.csv")) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["spectrum", "compare"])
 @pytest.mark.parametrize("record,code,message", [
     ("edge 0 0 1 inf 1 plain", 2, "edge 0: length must be positive and finite"),

@@ -20,6 +20,10 @@ def arcs_1based(dg):
     return {(t + 1, h + 1) for t, h in dg.arcs}
 
 
+def degrees(g):
+    return [len(inc) for inc in g.incidences()]
+
+
 # ---------------------------------------------------------------------------
 # gear specs and metric gears
 # ---------------------------------------------------------------------------
@@ -88,7 +92,8 @@ def test_digraph_size_is_bounded():
         Digraph(MAX_SUBDIVISION_VERTICES + 1, ((0, 1),))
 
 
-@pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan, 0, -1, Fraction(-1, 2),
+                                    "3", None])
 def test_gear_spec_lengths_must_be_positive_and_finite(length):
     with pytest.raises(GraphError, match="^all lengths must be positive and finite$"):
         GearSpec(3, (1, 2, length))
@@ -107,7 +112,7 @@ def test_gear_degree_profile(n, data):
     for side, tooth, end in zip(g.edges[:n], g.edges[n:], attach):
         assert tooth.length == side.length
         assert tooth.tail == side.tail if end == "tail" else tooth.head == side.head
-    deg = g.degrees()
+    deg = degrees(g)
     leaves = [v for v in range(g.vertex_count) if deg[v] == 1]
     assert len(leaves) == n
     assert all(deg[v] in (2, 3, 4) for v in range(n))
@@ -148,9 +153,11 @@ def test_degree_two_vertex_splits_strictly_inside_the_edge(fraction):
     (Edge(1, 0, 1, 1.0, 0.0), "edge 1: weight must be positive and finite"),
     (Edge(1, 0, 1, 1.0, math.inf), "edge 1: weight must be positive and finite"),
     (Edge(1, 0, 1, 1.0, math.nan), "edge 1: weight must be positive and finite"),
+    (Edge(1, 0, 1, "1.0"), "edge 1: length must be positive and finite"),
+    (Edge(1, 0, 1, 1.0, "1"), "edge 1: weight must be positive and finite"),
     (Edge(0, 1, 0, 1.0), "edge 0: duplicate id"),
 ], ids=["loop", "length-inf", "length-nan", "weight-zero", "weight-inf", "weight-nan",
-        "duplicate-id"])
+        "length-str", "weight-str", "duplicate-id"])
 def test_validate_reports_each_bad_edge(edge, problem):
     g = MetricGraph(2, (Edge(0, 0, 1, 1.0), edge))
     assert validate_metric(g) == [problem]
@@ -269,9 +276,9 @@ def test_fig3a_counts_and_handshake():
     for g in (left, right):
         assert g.vertex_count == 8
         assert g.edge_count == 15
-        assert sum(g.degrees()) == 2 * g.edge_count
+        assert sum(degrees(g)) == 2 * g.edge_count
         assert validate_metric(g) == []
-    assert sorted(left.degrees()) == sorted(right.degrees()) == [1, 1, 1, 3, 3, 4, 7, 10]
+    assert sorted(degrees(left)) == sorted(degrees(right)) == [1, 1, 1, 3, 3, 4, 7, 10]
 
 
 def test_fig3b_counts_and_handshake():
@@ -279,7 +286,7 @@ def test_fig3b_counts_and_handshake():
     for g in (left, right):
         assert g.edge_count == 12
         assert g.vertex_count == 11
-        assert sum(g.degrees()) == 24
+        assert sum(degrees(g)) == 24
         assert validate_metric(g) == []
 
 

@@ -6,14 +6,18 @@ through the module's relative imports (``from .graphs import X`` and
 and walks the references from ``cli.main``.  A name bound in a function's
 own scope (a parameter, an assignment, a nested def) is local there, so a
 nested ``evaluate`` in one module never reaches ``evaluate`` in another.
-Reaching a class reaches every method in its body; reaching a module runs
-its bare top-level statements.
+Reaching a module runs its bare top-level statements.  Reaching a class
+reaches its bases, its class-level statements, its dunder methods and its
+properties; any other method of it is reached only when reached code reads
+an attribute of that name (``x.name``).  The type of ``x`` is unknown, so
+that is a name match, and it errs toward "reached".
 
 A top-level definition (function, class or assigned name, private ones
-included) that no command reaches must be listed in UNREACHED, with the
-ROADMAP item that will wire it into a command or remove it.  The test
-fails on an unreached definition that is not listed, and on a stale
-entry: one that a command now reaches, or that no longer exists.
+included), or a method of a reached class, that no command reaches must
+be listed in UNREACHED, with the ROADMAP item that will wire it into a
+command or remove it.  The test fails on an unreached definition that is
+not listed, and on a stale entry: one that a command now reaches, or that
+no longer exists.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ UNREACHED = {
     "spectral.compare_first": "item 1: PR c's one comparison deletes it",
     "spectral.suggest_k_max": "item 2: only the benchmark's scan ceiling; moves to bench/",
     "markov.markov_spectrum": "item 2: the walk verdict uses markov_eigenvalues; delete",
+    "polynomials.SparsePolynomial.substitute": "item 2: only the benchmark's symbolic slots",
+    "polynomials.SparsePolynomial.evaluate": "item 2: only the benchmark's symbolic slots",
+    "graphs.MetricGraph.total_length": "item 2: only suggest_k_max, which moves to bench/",
     "io.write_graph": "item 2: only the benchmark writes files; moves to bench/",
     "io.write_digraph": "item 2: only the benchmark writes files; moves to bench/",
     # the walk <-> quantum cross-check
@@ -127,13 +134,34 @@ def _own_scope(fn, enclosing):
     return scope
 
 
+def _with_class(fn) -> bool:
+    """Whether reaching a class reaches its method ``fn``: a dunder or a property."""
+    return fn.name.startswith("__") and fn.name.endswith("__") or any(
+        isinstance(d, ast.Name) and d.id == "property"
+        or isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter")
+        for d in fn.decorator_list)
+
+
+def _methods(cls):
+    """The methods of class ``cls`` that reaching it does not reach."""
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _with_class(stmt)]
+
+
 def _references(node, scope, out):
     """Add to ``out`` the import or definition targets that ``node``'s code
     names: ("def", module, name) and, for ``alias.attr`` of a module alias,
-    ("def", module, attr)."""
+    ("def", module, attr); and ("attr", None, attr) for every attribute it
+    reads.  A class's `_methods` are left out."""
     # annotations are strings under `from __future__ import annotations`
     if isinstance(node, ast.AnnAssign):
         node = ast.Assign([node.target], node.value or ast.Constant(None))
+    if isinstance(node, ast.ClassDef):
+        methods = _methods(node)
+        for child in ast.iter_child_nodes(node):
+            if child not in methods:
+                _references(child, scope, out)
+        return
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         for child in [*getattr(node, "decorator_list", ()), *node.args.defaults,
                       *(d for d in node.args.kw_defaults if d is not None)]:
@@ -146,8 +174,9 @@ def _references(node, scope, out):
         target = scope.get(node.id)
         if target and target[0] == "def":
             out.add(target)
-    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        target = scope.get(node.value.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        out.add(("attr", None, node.attr))
+        target = isinstance(node.value, ast.Name) and scope.get(node.value.id)
         if target and target[0] == "module":
             out.add(("def", target[1], node.attr))
     for child in ast.iter_child_nodes(node):
@@ -156,17 +185,24 @@ def _references(node, scope, out):
 
 def unreached(package=PACKAGE, root=ROOT) -> dict:
     """"module.name" -> source lines, for each top-level definition of the
-    package at ``package`` that the references from ``root`` never reach."""
+    package at ``package`` that the references from ``root`` never reach,
+    and "module.Class.method" -> source lines for each such method of a
+    reached class."""
     modules = {}
     for path in sorted(pathlib.Path(package).glob("*.py")):
         modules[path.stem] = _module_scope(ast.parse(path.read_text(encoding="utf-8")),
                                            path.stem)
-    reached, entered = set(), set()
+    reached, entered, read = set(), set(), set()
+    waiting = {}        # method name -> [(module, class, def), ...] until it is read
     todo = [("def", *root)]
     if "__init__" in modules:       # importing any module runs the package's statements
         todo += [("stmt", "__init__", stmt) for stmt in modules["__init__"][2]]
     while todo:
         kind, module, what = todo.pop()
+        if kind == "attr":
+            read.add(what)
+            todo += [("stmt", module, fn) for module, _, fn in waiting.pop(what, [])]
+            continue
         if module not in modules:
             continue
         scope, nodes, bare = modules[module]
@@ -182,12 +218,20 @@ def unreached(package=PACKAGE, root=ROOT) -> dict:
                     todo.append(scope[what])
                 continue
             what = nodes[what]
+            if isinstance(what, ast.ClassDef):
+                for fn in _methods(what):
+                    if fn.name in read:
+                        todo.append(("stmt", module, fn))
+                    else:
+                        waiting.setdefault(fn.name, []).append((module, what.name, fn))
         found = set()
         _references(what, scope, found)
         todo += found
-    return {f"{module}.{name}": _lines(node)
-            for module, (_, nodes, _) in modules.items()
-            for name, node in nodes.items() if (module, name) not in reached}
+    return {**{f"{module}.{name}": _lines(node)
+               for module, (_, nodes, _) in modules.items()
+               for name, node in nodes.items() if (module, name) not in reached},
+            **{f"{module}.{cls}.{fn.name}": _lines(fn)
+               for methods in waiting.values() for module, cls, fn in methods}}
 
 
 def _lines(node) -> int:
@@ -216,20 +260,26 @@ def test_every_listed_definition_names_its_roadmap_item():
 
 def test_reach_follows_relative_imports_and_respects_local_names(tmp_path):
     """A toy package: aliased module imports, lazy imports, re-exports,
-    class bodies and module statements reach; a local name that equals
-    another module's definition, and a shadowed top-level name, do not."""
+    module statements, a class's dunders and properties, and a method whose
+    name is read reach; a local name that equals another module's
+    definition, a shadowed top-level name, and a method that nothing reads
+    do not."""
     files = {
         "__init__.py": "import os\nLIMIT = 3\nif os.sep:\n    print(LIMIT)\n",
         "cli.py": ("from . import io as gio\nfrom .core import Thing\n"
                    "def main():\n    from .lazy import run\n"
-                   "    return run(gio.read(), Thing())\n"
+                   "    return run(gio.read(), Thing().method())\n"
                    "def _dead():\n    return gio.write()\n"
                    "if __name__ == '__main__':\n    main()\n"),
         "io.py": "def read():\n    return 1\ndef write():\n    return 2\n",
-        "core.py": ("from .base import helper\nclass Thing:\n"
+        "core.py": ("from .base import helper, LIMIT, size\nclass Thing:\n"
+                    "    def __init__(self):\n        self.limit = LIMIT\n"
+                    "    @property\n    def size(self):\n        return size()\n"
                     "    def method(self):\n        return helper()\n"
+                    "    def unused(self):\n        return 0\n"
                     "def evaluate():\n    return 0\n"),
-        "base.py": "def helper():\n    return 1\nUNUSED = helper()\n",
+        "base.py": ("def helper():\n    return 1\nUNUSED = helper()\nLIMIT = 2\n"
+                    "def size():\n    return 3\n"),
         "lazy.py": ("from .core import Thing as Reexported\n"
                     "def run(x, y):\n    def evaluate(p):\n        return p\n"
                     "    shadow = 1\n    return evaluate(x) + shadow\n"
@@ -239,4 +289,5 @@ def test_reach_follows_relative_imports_and_respects_local_names(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert unreached(tmp_path) == {"cli._dead": 2, "io.write": 2, "core.evaluate": 2,
-                                   "base.UNUSED": 1, "lazy.shadow": 2, "other.user": 2}
+                                   "core.Thing.unused": 2, "base.UNUSED": 1,
+                                   "lazy.shadow": 2, "other.user": 2}

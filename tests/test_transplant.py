@@ -49,10 +49,11 @@ def test_transplant_annihilates_only_zero():
 
 
 def test_transplant_rejects_constants():
-    # transplantation annihilates lam = 0, and no Eigenfunction holds it
+    # transplantation annihilates lam = 0, and no Eigenfunction holds it,
+    # nor one at a k that is no positive finite number
     g1, _ = dual_pair()
-    for k in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(SpectralError):
+    for k in (0.0, -1.0, math.inf, math.nan, "1.5", None):
+        with pytest.raises(SpectralError, match="^eigenfunctions need 0 < k < inf$"):
             Eigenfunction(g1, k, ((1.0, 0.0),) * 6)
 
 
