@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 
 from . import io as gio
 from .graphs import (GearSpec, GearlabError, GraphError, build_fig3_pair, build_gear,
                      dual_gear, fig2_control_pair, fig6_digraph_pair, gear_to_digraph,
-                     subdivide, validate_metric)
+                     subdivide, tooth_weight, validate_metric)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -44,18 +43,6 @@ def _parse_lengths(text):
         return tuple(float(Fraction(part)) for part in text.split(","))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad lengths '{text}'") from exc
-
-
-def _weight(args):
-    """--w, a decimal or a fraction, as a Fraction; positive and finite as a float."""
-    from fractions import Fraction
-    try:
-        w = Fraction(args.w)
-        if 0 < float(w) < math.inf:
-            return w
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass
-    raise CliError(EXIT_VALIDATION, f"bad weight '{args.w}': w must be positive and finite")
 
 
 def _gear_spec(args) -> GearSpec:
@@ -92,7 +79,7 @@ def _scan(args, *paths):
         graphs.append(g)
     step = {} if args.grid_step is None else {"grid_step": args.grid_step}
     params = ScanParams(args.k_max, **step)
-    cond = VertexConditions(float(_weight(args)))
+    cond = VertexConditions(float(tooth_weight(args.w)))
     try:
         return [scan_spectrum(g, cond, params) for g in graphs]
     except SpectralError as exc:
@@ -152,7 +139,7 @@ def cmd_compare(args):
 def cmd_markov(args):
     from .markov import characteristic_polynomial_exact, markov_eigenvalues, markov_matrix
     spec = _gear_spec(args)
-    ms = markov_matrix(subdivide(build_gear(spec)), _weight(args))
+    ms = markov_matrix(subdivide(build_gear(spec)), tooth_weight(args.w))
     vals = markov_eigenvalues(ms)
     report = {
         "n": spec.n,
@@ -175,7 +162,7 @@ def cmd_conjugate(args):
     from .markov import conjugator_report
     spec = _gear_spec(args)
     try:
-        report = conjugator_report(spec, _weight(args))
+        report = conjugator_report(spec, tooth_weight(args.w))
     except OverflowError as exc:          # C's entries near 1e308
         raise CliError(EXIT_NONCONVERGENCE, "conjugator entries overflow a float") from exc
     _emit_json(report, args.output)

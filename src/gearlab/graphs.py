@@ -48,6 +48,19 @@ def positive_finite(x) -> bool:
     return isinstance(x, numbers.Real) and 0 < x < math.inf
 
 
+def tooth_weight(w) -> Fraction:
+    """w, a number or its text (decimal or fraction), read exactly as a
+    Fraction (a float as its binary fraction); positive and finite as a float."""
+    from fractions import Fraction      # not loaded by the digraph commands
+    try:
+        wv = Fraction(w)
+        if 0 < float(wv) < math.inf:
+            return wv
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        pass
+    raise GraphError(f"bad weight '{w}': w must be positive and finite")
+
+
 @dataclass(frozen=True)
 class GearSpec:
     """Combinatorial description of an n-gear.

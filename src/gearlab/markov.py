@@ -11,7 +11,7 @@ by sparse-row products in O(n); equal characteristic polynomials by
 `linalg.identity_test`, with det(x D - W) exact at random integers x, all
 of them by one `linalg.unicyclic_dets` call per walk.  The
 walk is kept as integer weights W and degrees D on the scale q of w = p/q,
-a float w read as its exact binary fraction, and C's parts T, d and v as
+read exactly by `graphs.tooth_weight`, and C's parts T, d and v as
 ints over one denominator.  Floats appear only where numpy takes over, in
 the eigensolve and sigma_min(C); `conjugator_report`'s verdict `ok` reads
 the exact residual, never its float.  A `mode` argument selects nothing.
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (CombinatorialGraph, GearSpec, GearlabError, TOOTH, _two_colouring,
-                     bipartition_sign, build_gear, dual_gear, subdivide)
+                     bipartition_sign, build_gear, dual_gear, subdivide, tooth_weight)
 from .linalg import PRIME, identity_test, row_times, unicyclic_dets
 from .polynomials import SparsePolynomial
 
@@ -56,17 +56,11 @@ class MarkovSystem:
 
 
 def markov_matrix(cg: CombinatorialGraph, w, mode: str = "rational") -> MarkovSystem:
-    """Walk matrix of a unit subdivision; tooth edges carry weight w, read exactly."""
+    """Walk matrix of a unit subdivision; tooth edges carry weight w (`graphs.tooth_weight`)."""
     # mode changes nothing: the benchmark's workloads still pass it positionally
     if mode not in MODES:
         raise MarkovError(f"mode must be one of {MODES}")
-    try:
-        wv = Fraction(w)
-        ok = 0 < float(wv) < math.inf       # positive and finite as a float
-    except (OverflowError, ValueError, ZeroDivisionError, TypeError):
-        ok = False                          # inf, nan, beyond the float range, or no number
-    if not ok:
-        raise MarkovError("tooth weight w must be positive and finite")
+    wv = tooth_weight(w)
     n = cg.vertex_count
     adj = [dict() for _ in range(n)]
     for u, v, cls in cg.edges:
@@ -199,14 +193,6 @@ def _path_rows(m: list, lam: int, path):
     return rows
 
 
-def _combine(a: dict, b: dict, x: int, y: int) -> dict:
-    """Row x a + y b, entries that cancel to exactly zero dropped."""
-    row = {u: x * c for u, c in a.items()}
-    for u, c in b.items():
-        row[u] = row.get(u, 0) + y * c
-    return {u: c for u, c in row.items() if c}
-
-
 def _gear_path_count(cg: CombinatorialGraph) -> int:
     n = len(cg.paths) // 2
     if sorted(cg.paths) != list(range(2 * n)):
@@ -235,8 +221,8 @@ def transplantation_matrix(src: MarkovSystem, dst: MarkovSystem):
     for i in range(n):
         side_d = _path_rows(m, lam, src.cg.paths[i])
         tooth_d = _path_rows(m, lam, src.cg.paths[n + i])
-        plus = [_combine(sd, td, q, p) for sd, td in zip(side_d, tooth_d)]
-        minus = [_combine(sd, td, q, -q) for sd, td in zip(side_d, tooth_d)]
+        plus = [row_times({0: q, 1: p}, (sd, td)) for sd, td in zip(side_d, tooth_d)]
+        minus = [row_times({0: q, 1: -q}, (sd, td)) for sd, td in zip(side_d, tooth_d)]
         for path, path_rows in ((dst.cg.paths[i], plus), (dst.cg.paths[n + i], minus)):
             for vertex, row in zip(path, path_rows):
                 if rows[vertex] is None:

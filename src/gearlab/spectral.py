@@ -20,10 +20,12 @@ SVD.
 The scan builds the k-independent entry list of the system once and
 assembles stacks of matrices, and of their k-derivatives, per block of
 k-points; one budget, _STACK_ENTRIES float64 entries per stack, sets the
-length of every block.  This coefficient basis stays valid at
-wavenumbers where vertex-value bases degenerate, so no eigenvalue family
-needs special casing; lam = 0 (the constants) is the single analytic
-exception and is inserted directly.
+length of every block.  A Kirchhoff row whose weights are all below 1/2
+(a leaf's at small w) is scaled exactly by a power of two, so that the
+squares in its norm do not underflow.  This coefficient basis stays
+valid at wavenumbers where vertex-value bases degenerate, so no
+eigenvalue family needs special casing; lam = 0 (the constants) is the
+single analytic exception and is inserted directly.
 
 A private memo, `_memo_entry` (a functools.lru_cache of two entries, keyed
 by value on (graph, conditions)), keeps the secular system and the scan
@@ -158,9 +160,11 @@ class _SecularSystem(NamedTuple):
     ``cells[i]`` = row * 2m + col of the flattened matrix, where t = 1,
     cos(k l_e) or sin(k l_e) is column ``term[i]`` of the table
     [1, cos(k l), sin(k l)] built per k.  coef is +-1 on continuity rows
-    and +-(edge weight) on Kirchhoff rows.  The entries are stored in the
-    order of the row loop.  Without loop edges no two entries share a
-    cell, so one scatter assembles the matrix.  Zero terms are left out.
+    and +-(edge weight) on Kirchhoff rows, times 2^s on a Kirchhoff row
+    whose weights are all below 1/2, with s putting the largest of them in
+    [1/2, 1).  The entries are stored in the order of the row loop.
+    Without loop edges no two entries share a cell, so one scatter
+    assembles the matrix.  Zero terms are left out.
     """
 
     lengths: np.ndarray
@@ -193,8 +197,11 @@ def _secular_system(g: MetricGraph, cond: VertexConditions) -> _SecularSystem:
             entries += [(r, 2 * e0 + off, t, False, 1.0) for off, t in value_terms(e0, end0)]
             entries += [(r, 2 * e + off, t, False, -1.0) for off, t in value_terms(e, end)]
             r += 1
-        for e, end in incs:
-            wgt = cond.edge_weight(g.edges[e])
+        weights = [cond.edge_weight(g.edges[e]) for e, _ in incs]
+        # row normalisation undoes this exact scale of small weights
+        shift = -math.frexp(max(weights))[1] if max(weights) < 0.5 else 0
+        for (e, end), wgt in zip(incs, weights):
+            wgt = math.ldexp(wgt, shift)
             if end == 0:
                 # outward derivative at the tail: f'(0) = k b
                 entries.append((r, 2 * e + 1, 0, True, wgt))
@@ -279,9 +286,7 @@ def _secular_stack(system: _SecularSystem, ks: np.ndarray, order: int = 0) -> np
         # squared row norms of every matrix of the stack
         sq = np.add.reduce(stack * stack, axis=3)
     # a non-finite entry makes its row norm non-finite too
-    if not np.isfinite(sq).all():
-        bad = ~np.isfinite(sq).reshape(len(ks), -1).all(axis=1)
-        raise SpectralError(f"secular matrix overflows at k={ks[np.argmax(bad)]}")
+    _finite(sq.reshape(len(ks), -1), ks, "secular matrix overflows")
     norms = np.sqrt(sq[:, :1, :, None])
     norms[norms == 0] = 1.0
     stack /= norms
@@ -294,7 +299,7 @@ def _singular_values(stack: np.ndarray, ks) -> np.ndarray:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"SVD did not converge for k in [{ks[0]}, {ks[-1]}]") from exc
-    return _finite(s, ks, "singular values")
+    return _finite(s, ks, "singular values not finite")
 
 
 def _gram_min(stack: np.ndarray, ks) -> np.ndarray:
@@ -306,15 +311,15 @@ def _gram_min(stack: np.ndarray, ks) -> np.ndarray:
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigvalsh did not converge for k in [{ks[0]}, {ks[-1]}]") from exc
-    return _finite(lam, ks, "Gram eigenvalues")[:, 0]
+    return _finite(lam, ks, "Gram eigenvalues not finite")[:, 0]
 
 
-def _finite(values: np.ndarray, ks, what: str) -> np.ndarray:
-    """``values``, one row per k, or SpectralError at the first k whose
-    row is not finite."""
+def _finite(values: np.ndarray, ks, problem: str) -> np.ndarray:
+    """``values``, one row per k, or SpectralError "<problem> at k=..." at
+    the first k whose row is not finite."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        raise SpectralError(f"{what} not finite at k={ks[np.argmax(bad)]}")
+        raise SpectralError(f"{problem} at k={ks[np.argmax(bad)]}")
     return values
 
 

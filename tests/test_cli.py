@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import pytest
 from gearlab import io as gio, markov, spectral, zeta
 from gearlab import OPENBLAS_THREAD_TIMEOUT
 from gearlab.cli import build_parser, main
-from gearlab.graphs import FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear, fig2_control_pair
+from gearlab.graphs import (FIG6, POLYGON, TOOTH, Edge, MetricGraph, build_gear,
+                            fig2_control_pair, subdivide)
 from gearlab.spectral import ScanParams, VertexConditions, compare_spectra, scan_spectrum
 from gearlab.linalg import TRIAL_BLOCK
 
@@ -506,16 +508,31 @@ def test_non_finite_scan_inputs_exit_codes(tmp_path, capsys, command, extra, cod
 
 
 def test_spectrum_at_a_subnormal_tooth_weight_writes_nothing_to_stderr(tmp_path, capsys):
-    # the spectrum itself is wrong at such w (ROADMAP item 1) and is not checked
-    gpath = tmp_path / "gear123.graph"
+    gpath, csv = tmp_path / "gear123.graph", tmp_path / "spec.csv"
     assert run("build", "--lengths", "1,2,3", "-o", str(gpath)) == 0
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("spectrum", "--graph", str(gpath), "--k-max", "5", "--w", "1e-320",
-                   "-o", str(tmp_path / "spec.csv")) == 0
+                   "-o", str(csv)) == 0
     assert caught == []
     assert capsys.readouterr().err == ""
+    # the nonzero entries are the walk's prediction, multiplicities included
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    scanned = [(float(k), int(mult)) for k, lam, mult in rows if float(lam) > 0]
+    ms = markov.markov_matrix(subdivide(gio.read_graph(gpath)), Fraction("1e-320"))
+    predicted = markov.predicted_wavenumbers(ms, 5 - 1e-6)
+    assert [mult for _, mult in scanned] == [mult for _, mult in predicted]
+    assert max(abs(k - p) for (k, _), (p, _) in zip(scanned, predicted)) < 1e-8
+
+
+@pytest.mark.parametrize("w", ["1e-300", "1e-320", "5e-324"])
+def test_compare_accepts_the_dual_pair_at_a_tiny_tooth_weight(tmp_path, w):
+    a, b = _build_pair(tmp_path, "--lengths", "1,2,3")
+    report = tmp_path / "cmp.json"
+    assert run("compare", "--graph1", str(a), "--graph2", str(b), "--w", w,
+               "--k-max", "4", "-o", str(report)) == 0
+    assert json.loads(report.read_text())["match"] is True
 
 
 @pytest.mark.parametrize("command", ["spectrum", "compare"])

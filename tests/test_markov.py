@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, MetricGraph,
-                            bipartition_sign, build_fig3_pair, build_gear, dual_gear, subdivide)
+from gearlab.graphs import (POLYGON, TOOTH, CombinatorialGraph, Edge, GearSpec, GraphError,
+                            MetricGraph, bipartition_sign, build_fig3_pair, build_gear,
+                            dual_gear, subdivide)
 from gearlab import markov
 from gearlab.linalg import PRIME, det_mod, unicyclic_dets
 from gearlab.markov import (MODES, MarkovError, build_conjugator, characteristic_polynomial_exact,
@@ -127,7 +129,7 @@ def test_detailed_balance_exact():
 
 def test_markov_rejects_bad_weight():
     cg = subdivide(build_gear(GearSpec(3, (1, 1, 1))))
-    with pytest.raises(MarkovError):
+    with pytest.raises(GraphError):
         markov_matrix(cg, 0)
     with pytest.raises(MarkovError):
         markov_matrix(cg, 1, mode="symbolic")
@@ -146,7 +148,9 @@ def test_markov_rejects_an_isolated_vertex():
                                Fraction(10 ** 400), Fraction(1, 10 ** 400), "1/0", None])
 def test_markov_weight_must_be_positive_and_finite(mode, w):
     cg = subdivide(build_gear(GearSpec(3, (1, 2, 3))))
-    with pytest.raises(MarkovError, match="^tooth weight w must be positive and finite$"):
+    # the reader of the CLI's --w, with its message
+    with pytest.raises(GraphError, match=f"^bad weight '{re.escape(str(w))}': "
+                                         "w must be positive and finite$"):
         markov_matrix(cg, w, mode)
 
 

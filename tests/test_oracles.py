@@ -1,7 +1,8 @@
 """Independent oracles (sympy, mpmath, networkx) for the exact kernels.
 
 sympy recomputes the characteristic polynomials and pencil determinants
-symbolically; mpmath recomputes the walk spectrum at 50 digits, and
+symbolically, and expands Bartholdi's zeta function, specialised from the
+pencil, against a brute-force count of closed walks; mpmath recomputes the walk spectrum at 50 digits, and
 from it the quantum roots of gear123 at 40; networkx decides digraph
 isomorphism, and connectivity and bipartiteness of multigraphs.  All are
 test-only dependencies.
@@ -23,6 +24,7 @@ from gearlab import markov
 from gearlab.markov import (characteristic_polynomial_exact, markov_eigenvalues, markov_matrix,
                             markov_spectrum)
 from gearlab.spectral import ScanParams, VertexConditions, scan_spectrum
+from gearlab import zeta
 from gearlab.zeta import (PRIME, char_poly_symbolic, digraph_isomorphic, eval_det,
                           intertwiner, intertwiner_det, pencil)
 from gearlab.linalg import unicyclic_det
@@ -456,3 +458,114 @@ def test_connectivity_and_bipartiteness_match_networkx(g):
         assert len(sign) == cg.vertex_count and sign[0] == 1
         assert set(sign) <= {1, -1}
         assert all(sign[u] == -sign[v] for u, v, _ in cg.edges)
+
+
+# ---------------------------------------------------------------------------
+# Bartholdi's zeta function through the pencil
+# ---------------------------------------------------------------------------
+
+BARTHOLDI_LENGTH = 8
+
+
+def bump_counts(dg, length):
+    """N_length(t) by brute force, as {bump count: closed walks}: every closed
+    walk of that length on the underlying graph, counted with the cyclic
+    bump count, the steps i whose next step walks straight back."""
+    nbrs = [set() for _ in range(dg.vertex_count)]
+    for t, h in dg.arcs:
+        nbrs[t].add(h)
+        nbrs[h].add(t)
+    counts = {}
+
+    def extend(walk):
+        if len(walk) == length:
+            if walk[0] in nbrs[walk[-1]]:
+                bumps = sum(walk[(i + 2) % length] == walk[i] for i in range(length))
+                counts[bumps] = counts.get(bumps, 0) + 1
+            return
+        for v in nbrs[walk[-1]]:
+            extend(walk + [v])
+
+    for v in range(dg.vertex_count):
+        extend([v])
+    return counts
+
+
+def bartholdi_series(dg, u, t):
+    """The coefficients of u^1 .. u^BARTHOLDI_LENGTH of -u d/du log of
+    Bartholdi's (1 - (1 - t)^2 u^2)^(m - n) det(I - u A + (1 - t)(D - (1 - t) I) u^2),
+    the y = 0 pencil at alpha = beta = -u, gamma = delta = (1 - t) u^2 and
+    x = 1 - (1 - t)^2 u^2, as polynomials in t."""
+    ring = sympy.ZZ[u, t]
+    x, al, ga = ring.from_sympy(1 - (1 - t) ** 2 * u ** 2), ring.from_sympy(-u), \
+        ring.from_sympy((1 - t) * u ** 2)
+    det = ring.zero
+    for (a, _, c, d, e, f), coeff in char_poly_symbolic(pencil(dg)).terms.items():
+        det += coeff * x ** a * al ** (c + d) * ga ** (e + f)
+    m, n = len(dg.arcs), dg.vertex_count
+    assert m >= n
+    inverse_zeta = det * x ** (m - n)
+    # by powers of u, as polynomials in t: P = sum P_k u^k with P_0 = 1
+    tring = sympy.ZZ[t]
+    p = [tring.zero] * (BARTHOLDI_LENGTH + 1)
+    for (i, j), coeff in inverse_zeta.terms():
+        if i <= BARTHOLDI_LENGTH:
+            p[i] += tring(coeff) * tring.gens[0] ** j
+    assert p[0] == tring.one
+    # S = -u P' / P, term by term: S_k = -k P_k - sum_{j=1..k-1} P_j S_{k-j}
+    s = [tring.zero] * (BARTHOLDI_LENGTH + 1)
+    for k in range(1, BARTHOLDI_LENGTH + 1):
+        s[k] = -k * p[k] - sum((p[j] * s[k - j] for j in range(1, k)), tring.zero)
+    return s[1:]
+
+
+def random_unicyclic_digraph(seed, n):
+    """A randomly oriented unicyclic graph of n vertices whose cycle has
+    length 3 or more, so the digraph has no 2-cycle."""
+    rng = random.Random(seed)
+    edges = random_unicyclic_edges(rng, n, rng.randint(3, n))
+    return Digraph(n, tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in edges))
+
+
+BARTHOLDI_DIGRAPHS = {
+    **{f"unicyclic-{n}": random_unicyclic_digraph(30 + n, n) for n in range(3, 10)},
+    "fig6-primal": fig6_digraph_pair()[0],
+    "fig6-dual": fig6_digraph_pair()[1],
+}
+
+
+def bartholdi_holds(dg):
+    u, t = sympy.symbols("u t")
+    series = bartholdi_series(dg, u, t)
+    tring = sympy.ZZ[t]
+    for length, got in enumerate(series, start=1):
+        counts = bump_counts(dg, length)
+        expected = sum((tring(c) * tring.gens[0] ** b for b, c in counts.items()), tring.zero)
+        if got != expected:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(BARTHOLDI_DIGRAPHS))
+def test_pencil_specialises_to_bartholdis_zeta_function(name):
+    """Bartholdi, Enseign. Math. 45 (1999) 83: zeta_U(u, t)^-1 is the y = 0
+    pencil at the point above, and -u d/du log of it counts the closed
+    walks of the underlying graph U by length and cyclic bump count."""
+    assert bartholdi_holds(BARTHOLDI_DIGRAPHS[name])
+
+
+def test_bartholdi_oracle_sees_delta_on_the_out_degrees(monkeypatch):
+    # with gamma = delta the mutation doubles gamma D_out in place of
+    # gamma (D_out + D_in); the fold of a constant in-degree keeps delta out
+    # of the rows, so the digraph has varying in-degrees
+    dg = BARTHOLDI_DIGRAPHS["unicyclic-7"]
+    p = pencil(dg)
+    assert len(set(p.D_in)) > 1 and p.D_in != p.D_out
+    assert bartholdi_holds(dg)
+    real = zeta._pencil_rows
+
+    def delta_on_d_out(p, diagonal, alpha, beta, both):
+        return real(p, lambda d_out, d_in: diagonal(d_out, d_out), alpha, beta, both)
+
+    monkeypatch.setattr(zeta, "_pencil_rows", delta_on_d_out)
+    assert not bartholdi_holds(dg)

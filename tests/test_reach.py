@@ -18,6 +18,9 @@ be listed in UNREACHED, with the ROADMAP item that will wire it into a
 command or remove it.  The test fails on an unreached definition that is
 not listed, and on a stale entry: one that a command now reaches, or that
 no longer exists.
+
+`unused_imports` is the linter's unused-import check on the same parse:
+every name that an import binds must be read in its module.
 """
 
 from __future__ import annotations
@@ -234,6 +237,27 @@ def unreached(package=PACKAGE, root=ROOT) -> dict:
                for methods in waiting.values() for module, cls, fn in methods}}
 
 
+def unused_imports(package=PACKAGE) -> list:
+    """"module.name", sorted, for each name that an import statement of the
+    package at ``package`` binds, at any depth, and that its module never
+    reads: no Name load of it, bare or as the base of an attribute
+    (``np`` in ``np.linalg``).  ``from __future__`` imports are exempt."""
+    unused = []
+    for path in sorted(pathlib.Path(package).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return sorted(unused)
+
+
 def _lines(node) -> int:
     """Lines from the def, class or assignment line to the end, decorators not counted."""
     return node.end_lineno - node.lineno + 1
@@ -256,6 +280,27 @@ def test_every_listed_definition_names_its_roadmap_item():
     vague = [name for name, why in UNREACHED.items()
              if not re.match(r"item (1|2|3|11|18): \S", why)]
     assert not vague
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_unused_imports_are_found(tmp_path):
+    """A toy package: module and function-level imports, dotted ones and
+    aliases, read bare or as an attribute's base, pass; an import whose
+    name its module never reads is found, also when another module reads
+    that name."""
+    files = {
+        "a.py": ("from __future__ import annotations\nimport math\nimport os.path\n"
+                 "import numpy as np\nfrom . import io as gio\nfrom .b import helper, unused\n"
+                 "def f():\n    from fractions import Fraction\n    import json\n"
+                 "    return os.path.sep, np.zeros, helper(), Fraction(1)\n"),
+        "b.py": "import math\ndef helper():\n    return math.pi\ndef unused():\n    return gio\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert unused_imports(tmp_path) == ["a.gio", "a.json", "a.math", "a.unused"]
 
 
 def test_reach_follows_relative_imports_and_respects_local_names(tmp_path):
